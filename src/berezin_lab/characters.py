@@ -61,7 +61,6 @@ class CharacterConfig:
     scan_len: int = 2 ** 15
     n_schedule: tuple = (2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14)
     trend: TrendThresholds = field(default_factory=TrendThresholds)
-    sturm_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,23 +179,12 @@ def tridiagonal_X(w: WeightSequence, lam: complex, n: int) -> TruncatedOperator:
     return TruncatedOperator(mat, label=f"X(lambda={lam:g})", space=w)
 
 
-def _sigma_min_values(w: WeightSequence, lam: complex, ns, tol: float) -> list:
-    out = []
-    for n in ns:
-        diag, off = tridiagonal_parts(w, lam, n)
-        lam_min = float(lambda_min_batch(diag[None, :], off[None, :], tol=tol)[0])
-        out.append(math.sqrt(max(lam_min, 0.0)))
-    return out
-
-
-def gap_certificate(
-    w: WeightSequence, lam: complex, n: int | None = None, sturm_tol: float = 1e-12
-) -> GapEvidence | None:
+def gap_certificate(w: WeightSequence, lam: complex, n: int | None = None) -> GapEvidence | None:
     """delta = inf |a_k - |lambda||; a positive delta certifies
     X >= delta^2/2 and is checked against lambda_min of the truncation."""
     n = min(w.n, n or w.n)
     diag, off = tridiagonal_parts(w, lam, n)
-    lam_min = float(lambda_min_batch(diag[None, :], off[None, :], tol=sturm_tol)[0])
+    lam_min = float(lambda_min_batch(diag[None, :], off[None, :])[0])
     return _gap_from_lambda_min(w, lam, lam_min, n)
 
 
@@ -239,24 +227,7 @@ def character_membership(
     w: WeightSequence, lam: complex, config: CharacterConfig | None = None
 ) -> CharacterVerdict:
     """Combine run, gap, and trend evidence into a membership verdict."""
-    cfg = config or CharacterConfig()
-    runs = run_criterion(
-        w,
-        lam,
-        [2.0 ** -m for m in range(cfg.m_max + 1)],
-        [2 ** m for m in range(cfg.m_max + 1)],
-        k_max=min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2,
-    )
-    usable_n = _usable_schedule(cfg, w)
-    sigma = _sigma_min_values(w, lam, usable_n, cfg.sturm_tol)
-    gap = _gap_from_lambda_min(w, lam, sigma[-1] ** 2, usable_n[-1])
-    trend = TrendEvidence(
-        kind="sigma_trend",
-        ns=tuple(usable_n),
-        sigma_min=tuple(sigma),
-        classification=classify_trend(sigma, cfg.trend),
-    )
-    return _assemble_verdict(lam, runs, gap, trend, cfg)
+    return _verdicts(w, [complex(lam)], config or CharacterConfig())[0]
 
 
 def _usable_schedule(cfg: CharacterConfig, w: WeightSequence) -> list:
@@ -298,46 +269,54 @@ def character_set_scan(
     n_angles: int = 1,
     config: CharacterConfig | None = None,
 ) -> list:
-    """Verdicts over a modulus x angle grid, Sturm-batched per truncation.
+    """Verdicts over a modulus x angle grid, in modulus-major order.
 
-    Rotation invariance makes the verdict a function of |lambda|; the scan
-    still evaluates every lambda it is given.
+    Rotation invariance makes the evidence a function of |lambda|, so X_N
+    is solved once per distinct |lambda| and the angles share its evidence.
     """
-    cfg = config or CharacterConfig()
     lams = [
-        complex(m) * np.exp(2j * np.pi * k / n_angles)
+        complex(complex(m) * np.exp(2j * np.pi * k / n_angles))
         for m in moduli
         for k in range(n_angles)
     ]
-    usable_n = _usable_schedule(cfg, w)
-    sig = [[] for _ in lams]
-    for n in usable_n:
-        diags = np.empty((len(lams), n))
-        offs = np.empty((len(lams), n - 1), dtype=complex)
-        for i, lam in enumerate(lams):
-            diags[i], offs[i] = tridiagonal_parts(w, lam, n)
-        vals = lambda_min_batch(diags, offs, tol=cfg.sturm_tol)
-        for i, v in enumerate(vals):
-            sig[i].append(math.sqrt(max(float(v), 0.0)))
+    return _verdicts(w, lams, config or CharacterConfig())
 
-    verdicts = []
-    for i, lam in enumerate(lams):
+
+def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
+    """The one evidence path: X_N is built and solved once per distinct
+    |lambda| and truncation, and each lambda is stamped onto the run, gap
+    and trend evidence of its modulus."""
+    if not lams:
+        return []
+    usable_n = _usable_schedule(cfg, w)
+    # keyed by the computed |lambda|, not the grid modulus it came from: the
+    # run criterion compares strictly against eps, so one ulp can move it,
+    # and a membership query at a scanned lambda must see the scan's evidence
+    mods = list(dict.fromkeys(abs(lam) for lam in lams))
+    sigma = {r: [] for r in mods}
+    for n in usable_n:
+        diags, offs = zip(*(tridiagonal_parts(w, r, n) for r in mods))
+        for r, v in zip(mods, lambda_min_batch(np.array(diags), np.array(offs))):
+            sigma[r].append(math.sqrt(max(float(v), 0.0)))
+
+    evidence = {}
+    for r in mods:
         runs = run_criterion(
             w,
-            lam,
+            r,
             [2.0 ** -m for m in range(cfg.m_max + 1)],
             [2 ** m for m in range(cfg.m_max + 1)],
             k_max=min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2,
         )
-        gap = _gap_from_lambda_min(w, lam, sig[i][-1] ** 2, usable_n[-1])
+        gap = _gap_from_lambda_min(w, r, sigma[r][-1] ** 2, usable_n[-1])
         trend = TrendEvidence(
             kind="sigma_trend",
             ns=tuple(usable_n),
-            sigma_min=tuple(sig[i]),
-            classification=classify_trend(sig[i], cfg.trend),
+            sigma_min=tuple(sigma[r]),
+            classification=classify_trend(sigma[r], cfg.trend),
         )
-        verdicts.append(_assemble_verdict(lam, runs, gap, trend, cfg))
-    return verdicts
+        evidence[r] = (runs, gap, trend)
+    return [_assemble_verdict(lam, *evidence[abs(lam)], cfg) for lam in lams]
 
 
 def verdict_to_dict(v: CharacterVerdict) -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +42,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import ball_space, load_h_table, monomial_norms
+from .spaces import TruncationError, ball_space, load_h_table, monomial_norms
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -57,14 +58,13 @@ class RunConfig:
 
     tail_tol: float = 1e-12
     trend: TrendThresholds = field(default_factory=TrendThresholds)
-    dispersion_threshold: float = 1e-4
     threads: int = 0  # 0: use BEREZIN_LAB_THREADS or all cores
     out: str | None = None
     svg: str | None = None
 
     def __post_init__(self):
-        if self.tail_tol <= 0 or self.dispersion_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tail_tol <= 0:
+            raise ValueError("tail tolerance must be positive")
 
     def worker_count(self) -> int:
         if self.threads > 0:
@@ -119,10 +119,14 @@ def _parse_lambda_grid(text: str):
         key, _, val = part.partition("=")
         if key == "mod":
             lo, hi, step = (float(x) for x in val.split(":"))
+            if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
+                raise ValueError(f"lambda grid mod={val} needs finite lo <= hi and step > 0")
             count = int(round((hi - lo) / step)) + 1
             moduli = [round(lo + i * step, 12) for i in range(count)]
         elif key == "args":
             angles = int(val)
+            if angles < 1:
+                raise ValueError(f"lambda grid args={val} needs at least one angle")
         else:
             raise ValueError(f"unknown lambda grid parameter {key!r}")
     if moduli is None:
@@ -324,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--trend-vanish", type=float, default=0.7)
     top.add_argument("--trend-stable", type=float, default=0.05)
     top.add_argument("--trend-floor", type=float, default=1e-6)
-    top.add_argument("--dispersion", type=float, default=1e-4)
     top.add_argument("--threads", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -455,14 +458,13 @@ def main(argv=None) -> int:
             stable_rel=args.trend_stable,
             floor=args.trend_floor,
         ),
-        dispersion_threshold=args.dispersion,
         threads=args.threads,
         out=getattr(args, "out", None),
         svg=getattr(args, "svg", None),
     )
     try:
         return args.func(args, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

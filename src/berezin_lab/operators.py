@@ -24,7 +24,6 @@ import numpy as np
 from . import exprs
 from .spaces import BallSpace, KernelSpace, kernel_vector
 from .shifts import WeightSequence
-from .tridiag import lambda_min as tridiag_lambda_min
 from .trends import TrendThresholds, classify_trend
 
 
@@ -178,40 +177,18 @@ def commutator_norm_PzMphi(
     return float(np.linalg.svd(rl @ rr.conj().T, compute_uv=False)[0])
 
 
-def column_sigma_min(col: ColumnOperator, tol: float = 1e-12) -> float:
+def column_sigma_min(col: ColumnOperator) -> float:
     """Smallest singular value of the stacked column.
 
-    Computed as sqrt(lambda_min(sum B_i^* B_i)); a tridiagonal sum is
-    dispatched to Sturm bisection, anything else to a dense Hermitian
+    Computed as sqrt(lambda_min(sum B_i^* B_i)) by a dense Hermitian
     eigensolve.
     """
     n = col.blocks[0].n
     acc = np.zeros((n, n), dtype=complex)
     for b in col.block_matrices():
         acc += b.conj().T @ b
-    lam = _lambda_min_hermitian(acc, tol)
+    lam = float(np.linalg.eigvalsh(acc)[0])
     return math.sqrt(max(lam, 0.0))
-
-
-def _is_tridiagonal(m: np.ndarray) -> bool:
-    n = m.shape[0]
-    if n <= 2:
-        return True
-    mask = np.ones_like(m, dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx[:-1], idx[:-1] + 1] = False
-    mask[idx[:-1] + 1, idx[:-1]] = False
-    return not np.any(m[mask])
-
-
-def _lambda_min_hermitian(m: np.ndarray, tol: float = 1e-12) -> float:
-    if _is_tridiagonal(m):
-        n = m.shape[0]
-        diag = np.real(np.diag(m))
-        off = np.diag(m, 1) if n > 1 else np.zeros(0)
-        return tridiag_lambda_min(diag, off, tol=tol)
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def norm_lower_bound_check(
@@ -371,7 +348,7 @@ def fredholm_probe(space: KernelSpace, z0: complex, n_schedule=(128, 256, 512), 
     return {
         "z0": z0,
         "residual": residual,
-        "tail": math.sqrt(kv.tail) if kv.tail > 0 else float(np.finfo(float).eps),
+        "tail": max(math.sqrt(kv.tail), float(np.finfo(float).eps)),
         "sigma_min": sigma_min,
         "sigma2": sigma2,
         "sigma2_trend": classify_trend(list(sigma2.values())),

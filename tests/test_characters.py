@@ -236,11 +236,14 @@ def test_simple_weights_everywhere_non_member():
 def test_rotation_invariance_of_verdicts():
     w = cluster_weights([1.0, 0.5], 2 ** 14)
     for mod in (0.5, 0.75):
-        verdicts = {
-            character_membership(w, mod * np.exp(2j * np.pi * k / 5), CFG).verdict
-            for k in range(5)
-        }
-        assert len(verdicts) == 1
+        scan = character_set_scan(w, [mod], n_angles=5, config=CFG)
+        assert len({v.verdict for v in scan}) == 1
+        # a single query at a scanned lambda sees the scan's evidence
+        for v in scan:
+            single = character_membership(w, v.lam, CFG)
+            assert single.verdict == v.verdict
+            assert single.evidence == v.evidence
+            assert single.channels == v.channels
 
 
 def test_membership_channels_agree_randomly():

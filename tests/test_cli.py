@@ -1,9 +1,14 @@
 """CLI subcommands: artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import berezin_lab
 from berezin_lab.cli import main, parse_operator_expr
 from berezin_lab.exprs import Commutator, MPoly, MPolyAdj, Mz, MzAdj, Product, Scale, Sum
 
@@ -223,8 +228,22 @@ def test_usage_error_exit_2(capsys):
     assert run(["gbt", "--space", "hardy", "--op", "Mz +", "--samples", "5"]) == 2
     assert run(["probe", "closed-range", "--space", "hardy"]) == 2  # no symbol
     assert run(["probe", "wot", "--space", "hardy"]) == 2
+    assert run(["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0,args=1"]) == 2
+    assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9999999999"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the tridiagonal solver imports scipy on first use, so start-up
+    # (every subcommand, including those that never solve) does not pay it
+    src = str(Path(berezin_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, berezin_lab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_fail_exit_1(tmp_path):

@@ -417,8 +417,9 @@ def test_fredholm_hardy_origin_exact():
     assert rep["sigma2_trend"] == "bounded_below"
 
 
-def test_fredholm_bergman_interior_point():
-    rep = fredholm_probe(bergman, 0.4)
+@pytest.mark.parametrize("z0", [0.4, 0.2])
+def test_fredholm_bergman_interior_point(z0):
+    rep = fredholm_probe(bergman, z0)
     assert rep["residual"] <= 10 * rep["tail"]
     vals = list(rep["sigma2"].values())
     assert min(vals) > 0.1
