@@ -21,7 +21,7 @@ from .spaces import (
 )
 from .shifts import WeightSequence, generate_weights, shift_power_norm, spectral_radius_estimate
 from .operators import BlaschkeProduct, ColumnOperator, TruncatedOperator, mult_matrix
-from .berezin import BerezinProfile, BerezinSample, gbt_profile, gbt_sample, gbt_value
+from .berezin import BerezinProfile, BerezinSample, gbt_profile, gbt_sample
 from .characters import CharacterConfig, CharacterVerdict, character_membership, character_set_scan
 from .peaks import PeakCandidate, annulus_peak, ball_peak, product_peak_check
 from .exprs import parse as parse_operator_expr
@@ -48,7 +48,6 @@ __all__ = [
     "da_norms",
     "gbt_profile",
     "gbt_sample",
-    "gbt_value",
     "generate_weights",
     "hardy_ball_norms",
     "kernel_gram",

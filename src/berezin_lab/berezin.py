@@ -14,9 +14,10 @@ desk-scale surrogate for those limits: samples carry their truncation
 and a propagated tail estimate, and boundary values are reported as a
 last-samples mean plus dispersion, never as an asserted limit.
 
-Operators enter either as dense truncations or as expression syntax
-trees; expressions are applied to the kernel coefficients without
-materializing matrices, which is what makes r = 0.999 feasible.
+There is one transform, ``gbt_sample``: operators are expression syntax
+trees applied to the kernel coefficients without materializing matrices,
+which is what makes r = 0.999 feasible, and a dense truncation enters the
+tree as an ``exprs.Dense`` leaf acting on its leading block.
 """
 
 from __future__ import annotations
@@ -55,74 +56,24 @@ class BerezinProfile:
         return np.array([s.z for s in self.samples])
 
 
-def _truncated_kernel_coeffs(space: KernelSpace, z: complex, n: int, tol: float):
-    """Unit coefficient vector of the kernel line at truncation n, with the
-    relative-mass tail this clamping leaves out."""
-    kv = kernel_vector(space, z, tol)
-    if kv.n <= n:
-        v = np.zeros(n, dtype=complex)
-        v[: kv.n] = kv.coeffs
-        return v, kv.tail
-    head = kv.coeffs[:n]
-    kept = float(np.linalg.norm(head))
-    if kept == 0.0:
-        raise ValueError(f"kernel vector vanishes at truncation {n}")
-    tail = kv.tail + (1.0 - kept * kept)
-    return head / kept, tail
+def gbt_sample(space: KernelSpace, op, z: complex, tol: float = 1e-12) -> BerezinSample:
+    """<X k_z, k_z> at adaptive truncation, applied without forming a matrix.
 
-
-def gbt_sample(
-    space: KernelSpace,
-    op: TruncatedOperator,
-    z: complex,
-    tol: float = 1e-12,
-    clamp: bool = False,
-) -> BerezinSample:
-    """<X k_z, k_z> at the operator's truncation.
-
-    If the adaptive kernel size exceeds the truncation, ``clamp`` decides
-    between clamping (with the extra mass folded into the reported tail)
-    and raising.
-    """
-    kv = kernel_vector(space, z, tol)
-    if kv.n > op.n and not clamp:
-        raise ValueError(
-            f"operator truncation {op.n} below adaptive kernel size {kv.n} "
-            f"at z = {z}; rebuild the operator or pass clamp=True"
-        )
-    v, tail = _truncated_kernel_coeffs(space, z, op.n, tol)
-    value = complex(np.vdot(v, op.mat @ v))
-    return BerezinSample(z=complex(z), value=value, trunc_n=op.n, tail=float(tail))
-
-
-def gbt_value(space, op, z, tol: float = 1e-12, clamp: bool = False) -> complex:
-    return gbt_sample(space, op, z, tol=tol, clamp=clamp).value
-
-
-def gbt_sample_expr(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> BerezinSample:
-    """Matrix-free transform of an expression at adaptive truncation.
-
-    The kernel coefficients are padded by the expression's index raise so
+    ``op`` is an expression tree; a ``TruncatedOperator`` enters as a
+    ``Dense`` leaf, i.e. as the compression onto its leading block.  The
+    kernel coefficients are padded by the expression's index raise so
     products never hit the top edge; the reported tail is the kernel tail
     scaled by a coarse norm bound of the expression.
     """
+    node = exprs.Dense(op.mat) if isinstance(op, TruncatedOperator) else op
     kv = kernel_vector(space, z, tol)
-    pad = exprs.raise_degree(node)
-    n = kv.n + pad
+    n = kv.n + exprs.raise_degree(node)
     a = space.shift_weights(max(n - 1, 0))
     v = np.zeros(n, dtype=complex)
     v[: kv.n] = kv.coeffs
-    x = exprs.apply(node, a, v)
-    value = complex(np.vdot(v, x))
+    value = complex(np.vdot(v, exprs.apply(node, a, v)))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=n, tail=float(tail))
-
-
-def transform_at(space, op, z, tol: float = 1e-12) -> BerezinSample:
-    """Dispatch on operator representation (matrix vs expression node)."""
-    if isinstance(op, TruncatedOperator):
-        return gbt_sample(space, op, z, tol=tol)
-    return gbt_sample_expr(space, op, z, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +117,7 @@ def gbt_profile(space, op, path, op_label: str = "", tol: float = 1e-12) -> Bere
     else:
         pts = list(path)
         path_desc = {"kind": "points", "count": len(pts)}
-    samples = tuple(transform_at(space, op, z, tol=tol) for z in pts)
+    samples = tuple(gbt_sample(space, op, z, tol=tol) for z in pts)
     if not op_label:
         op_label = op.label if isinstance(op, TruncatedOperator) else exprs.to_text(op)
     return BerezinProfile(op_label=op_label, samples=samples, path=path_desc)
@@ -185,15 +136,14 @@ def gbt_axiom_check(
     tol: float = 1e-12,
 ) -> dict:
     """Contractivity, linearity, self-adjointness, and module covariance
-    of the transform at a fixed truncation.
+    of the transform of the compressions of x and y.
 
     The first three are identities of the compression and hold to float
     accuracy; covariance against multiplication by z holds up to the
-    kernel tail, which the adaptive truncation keeps below ``cov_tol``.
+    kernel tail, which the adaptive truncation keeps below ``tol``.
     """
     if x.n != y.n:
         raise ValueError("operators must share a truncation")
-    n = x.n
     if grid is None:
         grid = [0.4, -0.2 + 0.5j, 0.7j, 0.85]
     a_sc, b_sc = scalars
@@ -207,23 +157,19 @@ def gbt_axiom_check(
     }
     xy = TruncatedOperator(a_sc * x.mat + b_sc * y.mat, label="aX+bY")
     x_adj = x.adjoint()
-    a = space.shift_weights(n - 1)
-    mz = exprs.materialize(exprs.Mz(), a, n)
-    mzx = TruncatedOperator(mz @ x.mat, label="Mz X")
-    xmz_adj = TruncatedOperator(x.mat @ mz.conj().T, label="X Mz^*")
+    mzx = exprs.Product((exprs.Mz(), exprs.Dense(x.mat)))
+    xmz_adj = exprs.Product((exprs.Dense(x.mat), exprs.MzAdj()))
     for z in grid:
-        gx = gbt_value(space, x, z, tol=tol, clamp=True)
-        gy = gbt_value(space, y, z, tol=tol, clamp=True)
-        s = gbt_sample(space, x, z, tol=tol, clamp=True)
+        s = gbt_sample(space, x, z, tol=tol)
+        gx = s.value
+        gy, gxy, gxa, gmzx, gxmza = (
+            gbt_sample(space, op, z, tol=tol).value for op in (y, xy, x_adj, mzx, xmz_adj)
+        )
         report["contractivity"] = max(
             report["contractivity"], abs(gx) - norm_x - s.tail
         )
-        gxy = gbt_value(space, xy, z, tol=tol, clamp=True)
         report["linearity"] = max(report["linearity"], abs(gxy - (a_sc * gx + b_sc * gy)))
-        gxa = gbt_value(space, x_adj, z, tol=tol, clamp=True)
         report["self_adjointness"] = max(report["self_adjointness"], abs(gxa - gx.conjugate()))
-        gmzx = gbt_value(space, mzx, z, tol=tol, clamp=True)
-        gxmza = gbt_value(space, xmz_adj, z, tol=tol, clamp=True)
         report["covariance"] = max(
             report["covariance"],
             abs(gmzx - z * gx),
@@ -277,7 +223,7 @@ def gbt_commutator_decay(
     ok = True
     for r in r_schedule:
         z = r * cmath.exp(1j * theta)
-        smp = gbt_sample_expr(space, node, z, tol=tol)
+        smp = gbt_sample(space, node, z, tol=tol)
         phi_z = abs(np.polyval(np.array(phi_coeffs)[::-1], z))
         bound = 3.0 * psi_sup * s_norm * math.sqrt(max(1.0 - phi_z**2, 0.0))
         samples.append(smp)
@@ -309,7 +255,7 @@ def positivity_gap(space: KernelSpace, coeffs, grid=None, tol: float = 1e-12) ->
     node = exprs.Product((exprs.MPolyAdj(coeffs), exprs.MPoly(coeffs)))
     gaps = {}
     for z in grid:
-        smp = gbt_sample_expr(space, node, z, tol=tol)
+        smp = gbt_sample(space, node, z, tol=tol)
         phi_z = np.polyval(np.array(coeffs)[::-1], z)
         gaps[complex(z)] = float(smp.value.real - abs(phi_z) ** 2)
     worst = min(gaps.values())

@@ -105,6 +105,20 @@ class CharacterVerdict:
     schedules: dict
 
 
+def lambda_modulus(lam: complex) -> float:
+    """|lambda|, snapped to its 12-digit rounding (the rounding grid moduli
+    get) when the two lie within 4 ulps.
+
+    The run test compares strictly against eps, so the one-ulp spread of
+    ``abs(m * e^{i theta})`` over angles could flip it at a tie; evidence
+    is a function of this modulus, which keeps verdicts rotation invariant.
+    A modulus further from 12 digits, such as a weight itself, stays exact.
+    """
+    r = abs(complex(lam))
+    q = round(r, 12)
+    return q if abs(q - r) <= 4 * math.ulp(r) else r
+
+
 def run_criterion(
     w: WeightSequence,
     lam: complex,
@@ -121,8 +135,7 @@ def run_criterion(
     d_schedule = list(d_schedule)
     if not eps_schedule or len(eps_schedule) != len(d_schedule):
         raise ValueError("need matching non-empty eps and d schedules")
-    mod = abs(complex(lam))
-    dist = np.abs(w.a - mod)
+    dist = np.abs(w.a - lambda_modulus(lam))
     deepest = -1
     levels = []
     max_run_at_fail = None
@@ -191,8 +204,7 @@ def gap_certificate(w: WeightSequence, lam: complex, n: int | None = None) -> Ga
 def _gap_from_lambda_min(
     w: WeightSequence, lam: complex, lam_min: float, n: int
 ) -> GapEvidence | None:
-    mod = abs(complex(lam))
-    delta = float(np.min(np.abs(w.a - mod)))
+    delta = float(np.min(np.abs(w.a - lambda_modulus(lam))))
     if delta <= 0.0:
         return None
     return GapEvidence(
@@ -289,10 +301,7 @@ def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
     if not lams:
         return []
     usable_n = _usable_schedule(cfg, w)
-    # keyed by the computed |lambda|, not the grid modulus it came from: the
-    # run criterion compares strictly against eps, so one ulp can move it,
-    # and a membership query at a scanned lambda must see the scan's evidence
-    mods = list(dict.fromkeys(abs(lam) for lam in lams))
+    mods = list(dict.fromkeys(lambda_modulus(lam) for lam in lams))
     sigma = {r: [] for r in mods}
     for n in usable_n:
         diags, offs = zip(*(tridiagonal_parts(w, r, n) for r in mods))
@@ -316,7 +325,7 @@ def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
             classification=classify_trend(sigma[r], cfg.trend),
         )
         evidence[r] = (runs, gap, trend)
-    return [_assemble_verdict(lam, *evidence[abs(lam)], cfg) for lam in lams]
+    return [_assemble_verdict(lam, *evidence[lambda_modulus(lam)], cfg) for lam in lams]
 
 
 def verdict_to_dict(v: CharacterVerdict) -> dict:

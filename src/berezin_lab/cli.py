@@ -12,8 +12,9 @@ line each:
 Outputs are deterministic CSV/JSON (identical config gives byte-identical
 bytes); optional SVG plots are generated from the CSV and never gate
 verdicts.  Exit codes: 0 all checks passed, 1 a verdict failed, 2 usage
-or parameter error.  BEREZIN_LAB_THREADS caps the worker pool (grid
-points are pure and order-independent; output order follows input).
+or parameter error.  ``gbt`` samples its path points one after another
+through the one transform, ``berezin.gbt_sample``; space names resolve
+through ``spaces.space_by_name``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import TruncationError, ball_space, load_h_table, monomial_norms
+from .spaces import TruncationError, ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -54,33 +53,16 @@ parse_operator_expr = exprs.parse
 
 @dataclass
 class RunConfig:
-    """Tolerances, thread count, and output paths shared by subcommands."""
+    """Tolerances and output paths shared by subcommands."""
 
     tail_tol: float = 1e-12
     trend: TrendThresholds = field(default_factory=TrendThresholds)
-    threads: int = 0  # 0: use BEREZIN_LAB_THREADS or all cores
     out: str | None = None
     svg: str | None = None
 
     def __post_init__(self):
-        if self.tail_tol <= 0:
-            raise ValueError("tail tolerance must be positive")
-
-    def worker_count(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("BEREZIN_LAB_THREADS", "")
-        if env.strip():
-            return max(1, int(env))
-        return os.cpu_count() or 1
-
-
-def _space_arg(name: str):
-    if name.startswith("rs(") and name.endswith(")"):
-        return monomial_norms("rs", 8, s=float(name[3:-1]))
-    if name.startswith("custom:"):
-        return load_h_table(name.split(":", 1)[1])
-    return monomial_norms(name, 8)
+        if not 0 < self.tail_tol < math.inf:
+            raise ValueError(f"tail tolerance must be positive and finite, got {self.tail_tol}")
 
 
 def _coeff_list(text: str):
@@ -163,17 +145,14 @@ def _default(v):
 
 
 def cmd_gbt(args, cfg: RunConfig) -> int:
-    space = _space_arg(args.space)
+    space = space_by_name(args.space)
     node = parse_operator_expr(args.op)
     path = _parse_path(args)
     if path["kind"] == "radial":
         pts = bz.radial_path(path["theta"], path["r_max"], path["count"])
     else:
         pts = bz.disk_grid(path["n"])
-    with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
-        samples = list(
-            pool.map(lambda z: bz.gbt_sample_expr(space, node, z, tol=cfg.tail_tol), pts)
-        )
+    samples = [bz.gbt_sample(space, node, z, tol=cfg.tail_tol) for z in pts]
     profile = bz.BerezinProfile(op_label=args.op, samples=tuple(samples), path=path)
     if cfg.out:
         bz.profile_to_csv(profile, cfg.out)
@@ -248,7 +227,7 @@ def cmd_shift(args, cfg: RunConfig) -> int:
 
 
 def cmd_probe(args, cfg: RunConfig) -> int:
-    space = _space_arg(args.space) if getattr(args, "space", None) else None
+    space = space_by_name(args.space) if getattr(args, "space", None) else None
     if args.kind == "commutator":
         coeffs = _coeff_list(args.phi)
         rows = []
@@ -328,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--trend-vanish", type=float, default=0.7)
     top.add_argument("--trend-stable", type=float, default=0.05)
     top.add_argument("--trend-floor", type=float, default=1e-6)
-    top.add_argument("--threads", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gbt", help="transform profile along a path")
@@ -451,18 +429,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        tail_tol=args.tail_tol,
-        trend=TrendThresholds(
-            vanish_ratio=args.trend_vanish,
-            stable_rel=args.trend_stable,
-            floor=args.trend_floor,
-        ),
-        threads=args.threads,
-        out=getattr(args, "out", None),
-        svg=getattr(args, "svg", None),
-    )
     try:
+        cfg = RunConfig(
+            tail_tol=args.tail_tol,
+            trend=TrendThresholds(
+                vanish_ratio=args.trend_vanish,
+                stable_rel=args.trend_stable,
+                floor=args.trend_floor,
+            ),
+            out=getattr(args, "out", None),
+            svg=getattr(args, "svg", None),
+        )
         return args.func(args, cfg)
     except (ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,14 @@ space or weight sequence the expression is evaluated against, and
 ``M(c0,c1,...)`` multiplies by the polynomial/series with those
 coefficients.
 
+A ``Dense`` leaf carries an explicit M x M matrix into a tree (it has no
+text form); it acts by compression on the leading M coordinates.
+
 Expressions evaluate two ways: ``materialize`` builds the dense N x N
 truncation (compression semantics: coordinates at index >= N are
 dropped), and ``apply`` acts on a coefficient vector without forming any
 matrix, which is what makes sampling near the boundary circle feasible.
+``band_matrix`` is the one builder of banded multiplier matrices.
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ class Sum:
 class Commutator:
     a: object
     b: object
+
+
+@dataclass(frozen=True, eq=False)
+class Dense:
+    """An explicit square matrix acting on the leading block of coordinates."""
+
+    mat: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +326,26 @@ def _as_term(node) -> str:
 # evaluation
 
 
-def _weight_products(a: np.ndarray, j: int, n: int) -> np.ndarray:
-    """prod a_i..a_{i+j-1} for i = 0..n-1-j (band j of the truncation)."""
-    if j == 0:
-        return np.ones(n)
-    out = a[: n - 1].astype(float).copy() if j == 1 else None
-    if out is not None:
-        return out
-    prods = a[: n - j].astype(float).copy()
-    for t in range(1, j):
-        prods *= a[t : n - j + t]
-    return prods
+def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Multiplication by sum_j c_j z^j over weights a, on rows 0..n_rows-1
+    and columns 0..n_cols-1: entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}.
+
+    Band j's weight products are band j-1's times one more weight, so each
+    product is formed left to right at O(1) cost per entry.
+    """
+    a = np.asarray(a, dtype=float)
+    m = np.zeros((n_rows, n_cols), dtype=complex)
+    prods = np.ones(n_cols)
+    for j, c in enumerate(coeffs):
+        length = min(n_cols, n_rows - j)
+        if length <= 0:
+            break
+        if j > 0:
+            prods = prods[:length] * a[j - 1 : j - 1 + length]
+        if c != 0:
+            idx = np.arange(length)
+            m[idx + j, idx] += c * prods
+    return m
 
 
 def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
@@ -334,18 +354,11 @@ def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
     if len(a) < n - 1:
         raise ValueError(f"need at least {n - 1} weights for truncation {n}")
     if isinstance(node, Mz):
-        m = np.zeros((n, n), dtype=complex)
-        m[np.arange(1, n), np.arange(n - 1)] = a[: n - 1]
-        return m
+        return band_matrix((0.0, 1.0), a, n, n)
     if isinstance(node, MzAdj):
         return materialize(Mz(), a, n).conj().T
     if isinstance(node, MPoly):
-        m = np.zeros((n, n), dtype=complex)
-        for j, c in enumerate(node.coeffs):
-            if j >= n or c == 0:
-                continue
-            m[np.arange(j, n), np.arange(n - j)] += c * _weight_products(a, j, n)
-        return m
+        return band_matrix(node.coeffs, a, n, n)
     if isinstance(node, MPolyAdj):
         return materialize(MPoly(node.coeffs), a, n).conj().T
     if isinstance(node, Scale):
@@ -360,6 +373,11 @@ def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
         for sign, term in node.terms:
             out += sign * materialize(term, a, n)
         return out
+    if isinstance(node, Dense):
+        m = np.zeros((n, n), dtype=complex)
+        k = min(n, node.mat.shape[0])
+        m[:k, :k] = node.mat[:k, :k]
+        return m
     if isinstance(node, Commutator):
         ma = materialize(node.a, a, n)
         mb = materialize(node.b, a, n)
@@ -418,6 +436,11 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
         for sign, term in node.terms:
             out += sign * apply(term, a, v)
         return out
+    if isinstance(node, Dense):
+        out = np.zeros(n, dtype=complex)
+        k = min(n, node.mat.shape[0])
+        out[:k] = node.mat[:k, :k] @ v[:k]
+        return out
     if isinstance(node, Commutator):
         return apply(node.a, a, apply(node.b, a, v)) - apply(
             node.b, a, apply(node.a, a, v)
@@ -439,6 +462,8 @@ def raise_degree(node) -> int:
         return sum(raise_degree(f) for f in node.factors)
     if isinstance(node, Sum):
         return max(raise_degree(t) for _, t in node.terms)
+    if isinstance(node, Dense):
+        return node.mat.shape[0]
     if isinstance(node, Commutator):
         return raise_degree(node.a) + raise_degree(node.b)
     raise TypeError(f"not an expression node: {node!r}")
@@ -460,6 +485,8 @@ def norm_bound(node, a_max: float = 1.0) -> float:
         return out
     if isinstance(node, Sum):
         return float(sum(norm_bound(t, a_max) for _, t in node.terms))
+    if isinstance(node, Dense):
+        return float(np.linalg.norm(node.mat))
     if isinstance(node, Commutator):
         return 2.0 * norm_bound(node.a, a_max) * norm_bound(node.b, a_max)
     raise TypeError(f"not an expression node: {node!r}")

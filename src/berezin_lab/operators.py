@@ -91,15 +91,15 @@ def shift_weights_of(space_or_weights, n: int) -> np.ndarray:
 def mult_matrix(space_or_weights, coeffs, n: int, label: str | None = None) -> TruncatedOperator:
     """Banded truncation of multiplication by sum_j c_j z^j.
 
-    Exact on polynomials of degree < n - deg(phi); the band entries are
-    built by sliding products of the shift weights.
+    Exact on polynomials of degree < n - deg(phi); the band entries come
+    from ``exprs.band_matrix``.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     deg = len(coeffs) - 1
     if deg >= n:
         raise ValueError(f"polynomial degree {deg} needs truncation above {n}")
     a = shift_weights_of(space_or_weights, max(n - 1, 0))
-    mat = exprs.materialize(exprs.MPoly(tuple(coeffs)), a, n)
+    mat = exprs.band_matrix(coeffs, a, n, n)
     return TruncatedOperator(mat, label=label or f"M({_short(coeffs)})", space=space_or_weights)
 
 
@@ -419,15 +419,7 @@ def tall_mult_matrix(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     n_rows = n_cols + len(coeffs) - 1
     a = shift_weights_of(space_or_weights, max(n_rows - 1, 0))
-    mat = np.zeros((n_rows, n_cols), dtype=complex)
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        prods = np.ones(n_cols)
-        for t in range(j):
-            prods = prods * a[t : t + n_cols]
-        mat[np.arange(j, j + n_cols), np.arange(n_cols)] += c * prods
-    return mat
+    return exprs.band_matrix(coeffs, a, n_rows, n_cols)
 
 
 def closed_range_probe(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import KernelSpace, monomial_norms
+from .spaces import KernelSpace, space_by_name
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def generate_weights(spec: str, length: int) -> WeightSequence:
 
     Accepted forms: ``constant:c=1``, ``simple:r=0.5``, ``sigma:squares``,
     ``cluster:file=points.csv``, ``space:bergman``, ``space:rs(3)``,
-    ``explicit:file=weights.csv``.
+    ``space:custom:h.csv``, ``explicit:file=weights.csv``.
     """
     kind, _, rest = spec.partition(":")
     if kind == "constant":
@@ -179,7 +179,7 @@ def generate_weights(spec: str, length: int) -> WeightSequence:
         path = _kv_str(rest, "file")
         return cluster_weights(_load_column(path, "p"), length)
     if kind == "space":
-        return space_weights(_space_by_name(rest), length)
+        return space_weights(space_by_name(rest), length)
     if kind == "explicit":
         path = _kv_str(rest, "file")
         w = load_weights(path)
@@ -203,13 +203,6 @@ def _kv_str(rest: str, key: str) -> str:
     if k != key or not v:
         raise ValueError(f"expected {key}=..., got {rest!r}")
     return v
-
-
-def _space_by_name(name: str) -> KernelSpace:
-    name = name.strip()
-    if name.startswith("rs(") and name.endswith(")"):
-        return monomial_norms("rs", 2, s=float(name[3:-1]))
-    return monomial_norms(name, 2)
 
 
 def load_weights(path) -> WeightSequence:

@@ -51,11 +51,8 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
         return 1.0 / np.arange(1.0, n + 2.0)
     if kind == "rs":
         # h_{k+1} = h_k * (k+1)/(s+k); avoids binomials of large arguments
-        h = np.empty(n + 1)
-        h[0] = 1.0
-        for k in range(n):
-            h[k + 1] = h[k] * (k + 1.0) / (s + k)
-        return h
+        k = np.arange(n, dtype=float)
+        return np.concatenate(([1.0], np.cumprod((k + 1.0) / (s + k))))
     if kind == "mu":
         h = np.ones(n + 1)
         h[0] = 2.0
@@ -96,14 +93,14 @@ class KernelSpace:
 def monomial_norms(kind: str, n: int, s: float | None = None) -> KernelSpace:
     """Materialize h_0..h_n for one of the built-in families.
 
-    ``rs`` requires the kernel exponent ``s >= 1``; rs(1) is the Hardy
-    space and rs(2) the Bergman space.
+    ``rs`` requires a finite kernel exponent ``s >= 1``; rs(1) is the
+    Hardy space and rs(2) the Bergman space.
     """
     if n <= 0:
         raise ValueError(f"need n >= 1 monomials, got {n}")
     if kind == "rs":
-        if s is None or s < 1:
-            raise ValueError(f"rs kernel exponent must satisfy s >= 1, got {s}")
+        if s is None or not 1 <= s < math.inf:
+            raise ValueError(f"rs kernel exponent must be finite with s >= 1, got {s}")
         label = f"rs({s:g})"
     elif kind in BUILTIN_KINDS:
         s = None
@@ -146,6 +143,17 @@ def load_h_table(path, label: str | None = None) -> KernelSpace:
     if ks != list(range(len(ks))):
         raise ValueError("norm table rows must list k = 0,1,2,... in order")
     return custom_space(np.array(hs), label=label or str(path))
+
+
+def space_by_name(name: str) -> KernelSpace:
+    """The space a command line names: a built-in kind, ``rs(s)``, or
+    ``custom:path`` for a norm table CSV."""
+    name = name.strip()
+    if name.startswith("rs(") and name.endswith(")"):
+        return monomial_norms("rs", 8, s=float(name[3:-1]))
+    if name.startswith("custom:"):
+        return load_h_table(name.split(":", 1)[1])
+    return monomial_norms(name, 8)
 
 
 def save_h_table(space: KernelSpace, path) -> None:
@@ -191,8 +199,8 @@ def kernel_vector(
     z = complex(z)
     if abs(z) >= 1:
         raise ValueError(f"point z = {z} lies outside the open unit disk")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     r2 = abs(z) ** 2
 
     n = n_start

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from berezin_lab import exprs
-from berezin_lab.berezin import gbt_axiom_check, gbt_commutator_decay, gbt_sample, gbt_sample_expr
+from berezin_lab.berezin import gbt_axiom_check, gbt_commutator_decay, gbt_sample
 from berezin_lab.characters import (
     MEMBER,
     NON_MEMBER,
@@ -59,7 +59,7 @@ def test_acceptance_01_symbol_fidelity():
         for coeffs in symbols:
             node = exprs.MPoly(tuple(coeffs.astype(complex)))
             for z in points:
-                smp = gbt_sample_expr(space, node, complex(z), tol=1e-12)
+                smp = gbt_sample(space, node, complex(z), tol=1e-12)
                 worst = max(worst, abs(smp.value - poly_eval(coeffs, complex(z))))
     assert worst <= 1e-8
     report(1, t0, f"symbol fidelity on 4 spaces x 3 symbols x 100 points, worst |err| = {worst:.2e} <= 1e-8")

@@ -12,8 +12,6 @@ from berezin_lab.berezin import (
     gbt_commutator_decay,
     gbt_profile,
     gbt_sample,
-    gbt_sample_expr,
-    gbt_value,
     positivity_gap,
     profile_from_csv,
     profile_report,
@@ -21,7 +19,7 @@ from berezin_lab.berezin import (
     radial_path,
 )
 from berezin_lab.operators import TruncatedOperator, mult_matrix
-from berezin_lab.spaces import monomial_norms
+from berezin_lab.spaces import kernel_vector, monomial_norms
 
 rng = np.random.default_rng(616263)
 
@@ -38,33 +36,36 @@ SPACES = [hardy, bergman, rs3, mu]
 
 def test_symbol_value_hardy_shift():
     op = mult_matrix(hardy, [0, 1], 64)
-    assert gbt_value(hardy, op, 0.3) == pytest.approx(0.3, abs=1e-12)
+    assert gbt_sample(hardy, op, 0.3).value == pytest.approx(0.3, abs=1e-12)
 
 
 def test_value_products_at_origin():
     # Mz Mz^* kills the kernel line at 0; Mz^* Mz sees a0^2
     mz = mult_matrix(hardy, [0, 1], 32).mat
     down_up = TruncatedOperator(mz @ mz.conj().T)
-    assert gbt_value(hardy, down_up, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert gbt_sample(hardy, down_up, 0.0).value == pytest.approx(0.0, abs=1e-14)
     mzb = mult_matrix(bergman, [0, 1], 32).mat
     up_down = TruncatedOperator(mzb.conj().T @ mzb)
-    assert gbt_value(bergman, up_down, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert gbt_sample(bergman, up_down, 0.0).value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_noncommutativity_witness():
     mz = mult_matrix(hardy, [0, 1], 32).mat
-    a = gbt_value(hardy, TruncatedOperator(mz @ mz.conj().T), 0.0)
-    b = gbt_value(hardy, TruncatedOperator(mz.conj().T @ mz), 0.0)
+    a = gbt_sample(hardy, TruncatedOperator(mz @ mz.conj().T), 0.0).value
+    b = gbt_sample(hardy, TruncatedOperator(mz.conj().T @ mz), 0.0).value
     assert a == pytest.approx(0.0, abs=1e-14)
     assert b == pytest.approx(1.0, abs=1e-14)
 
 
-def test_truncation_mismatch_raises_or_clamps():
+def test_short_truncation_is_compression_value():
+    # an 8 x 8 truncation below the adaptive kernel size acts on the
+    # leading block: the value is <X P_8 v, P_8 v> for the unit kernel vector v
     op = mult_matrix(hardy, [0, 1], 8)
-    with pytest.raises(ValueError, match="truncation"):
-        gbt_value(hardy, op, 0.95, tol=1e-12)
-    val = gbt_value(hardy, op, 0.95, tol=1e-12, clamp=True)
-    assert np.isfinite(val.real)
+    v = kernel_vector(hardy, 0.95, 1e-12).coeffs
+    assert len(v) > 8
+    want = np.vdot(v[:8], op.mat @ v[:8])
+    got = gbt_sample(hardy, op, 0.95, tol=1e-12).value
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
@@ -74,7 +75,7 @@ def test_symbol_fidelity_property(space):
         deg = int(rng.integers(0, 11))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         z = complex(rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform()))
-        smp = gbt_sample_expr(space, exprs.MPoly(tuple(coeffs)), z, tol=1e-12)
+        smp = gbt_sample(space, exprs.MPoly(tuple(coeffs)), z, tol=1e-12)
         target = np.polyval(coeffs[::-1], z)
         assert abs(smp.value - target) <= max(smp.tail, 1e-13)
         assert smp.tail <= 1e-8
@@ -85,8 +86,8 @@ def test_expression_vs_matrix_agree():
     n = 128
     mat = TruncatedOperator(exprs.materialize(node, hardy.shift_weights(n - 1), n))
     for z in (0.2, 0.5j, -0.4 + 0.3j):
-        assert gbt_value(hardy, mat, z) == pytest.approx(
-            gbt_sample_expr(hardy, node, z).value, abs=1e-10
+        assert gbt_sample(hardy, mat, z).value == pytest.approx(
+            gbt_sample(hardy, node, z).value, abs=1e-10
         )
 
 
@@ -134,14 +135,14 @@ def test_word_values_match_quadrature_oracles():
         reversed_word = exprs.Product((exprs.MPolyAdj(tuple(psi)), exprs.MPoly(tuple(phi))))
         symbol = np.polyval(phi[::-1], z) * np.conj(np.polyval(psi[::-1], z))
 
-        got = gbt_sample_expr(hardy, multiplicative, z, tol=1e-13).value
+        got = gbt_sample(hardy, multiplicative, z, tol=1e-13).value
         assert got == pytest.approx(symbol, abs=1e-10)
-        got_rev = gbt_sample_expr(hardy, reversed_word, z, tol=1e-13).value
+        got_rev = gbt_sample(hardy, reversed_word, z, tol=1e-13).value
         assert got_rev == pytest.approx(_reversed_word_quadrature_hardy(phi, psi, z), abs=1e-7)
 
-        got = gbt_sample_expr(bergman, multiplicative, z, tol=1e-13).value
+        got = gbt_sample(bergman, multiplicative, z, tol=1e-13).value
         assert got == pytest.approx(symbol, abs=1e-10)
-        got_rev = gbt_sample_expr(bergman, reversed_word, z, tol=1e-13).value
+        got_rev = gbt_sample(bergman, reversed_word, z, tol=1e-13).value
         assert got_rev == pytest.approx(_reversed_word_quadrature_bergman(phi, psi, z), abs=1e-7)
 
 
@@ -174,13 +175,13 @@ def test_axioms_identity_and_products():
     # Gamma(I) = 1; Gamma(Mz)(0.4) + Gamma(Mz^*)(0.4) = 0.8;
     # Gamma(Mz Mz^*)(0.4) = 0.16 on hardy
     ident = TruncatedOperator(np.eye(64, dtype=complex))
-    assert gbt_value(hardy, ident, 0.37) == pytest.approx(1.0, abs=1e-12)
+    assert gbt_sample(hardy, ident, 0.37).value == pytest.approx(1.0, abs=1e-12)
     mz = mult_matrix(hardy, [0, 1], 256)
-    gz = gbt_value(hardy, mz, 0.4)
-    gza = gbt_value(hardy, mz.adjoint(), 0.4)
+    gz = gbt_sample(hardy, mz, 0.4).value
+    gza = gbt_sample(hardy, mz.adjoint(), 0.4).value
     assert gz + gza == pytest.approx(0.8, abs=1e-10)
     prod = TruncatedOperator(mz.mat @ mz.mat.conj().T)
-    assert gbt_value(hardy, prod, 0.4) == pytest.approx(0.16, abs=1e-10)
+    assert gbt_sample(hardy, prod, 0.4).value == pytest.approx(0.16, abs=1e-10)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
@@ -194,11 +195,11 @@ def test_covariance_invariant(space):
     MzX = TruncatedOperator(mz @ x)
     XMza = TruncatedOperator(x @ mz.conj().T)
     for z in (0.45, -0.6j, 0.63 + 0.63j):
-        gx = gbt_value(space, X, z, tol=1e-21)
-        assert gbt_value(space, MzX, z, tol=1e-21) == pytest.approx(complex(z) * gx, abs=1e-10)
-        assert gbt_value(space, XMza, z, tol=1e-21) == pytest.approx(
-            np.conj(complex(z)) * gx, abs=1e-10
-        )
+        gx = gbt_sample(space, X, z, tol=1e-21).value
+        gmzx = gbt_sample(space, MzX, z, tol=1e-21).value
+        gxmza = gbt_sample(space, XMza, z, tol=1e-21).value
+        assert gmzx == pytest.approx(complex(z) * gx, abs=1e-10)
+        assert gxmza == pytest.approx(np.conj(complex(z)) * gx, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,12 @@ def test_rotation_invariance_of_verdicts():
     for mod in (0.5, 0.75):
         scan = character_set_scan(w, [mod], n_angles=5, config=CFG)
         assert len({v.verdict for v in scan}) == 1
+        # |0.75 e^{6 pi i/5}| = 0.7500000000000001 ties the strict run test
+        # at eps = 1/4 against the weights 0.5 and 1.0; the run level must
+        # not move with that ulp
+        assert len({v.channels["run"].deepest for v in scan}) == 1
+        angles = [complex(mod) * np.exp(2j * np.pi * k / 5) for k in range(5)]
+        assert len({run_criterion(w, lam).deepest for lam in angles}) == 1
         # a single query at a scanned lambda sees the scan's evidence
         for v in scan:
             single = character_membership(w, v.lam, CFG)

@@ -60,14 +60,6 @@ def test_gbt_deterministic_and_svg(tmp_path):
     assert text.startswith("<svg") and text.endswith("</svg>")
 
 
-def test_gbt_independent_of_thread_count(tmp_path):
-    out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    argv = ["gbt", "--space", "bergman", "--op", "Mz Mz^*", "--rmax", "0.95", "--samples", "16"]
-    assert run(["--threads", "1"] + argv + ["--out", str(out1)]) == 0
-    assert run(["--threads", "4"] + argv + ["--out", str(out4)]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 def test_gbt_json_to_stdout(capsys):
     assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9", "--samples", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -230,6 +222,10 @@ def test_usage_error_exit_2(capsys):
     assert run(["probe", "wot", "--space", "hardy"]) == 2
     assert run(["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0,args=1"]) == 2
     assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9999999999"]) == 2
+    assert run(["shift", "powernorm", "--weights", "space:rs(nan)", "--m", "4"]) == 2
+    assert run(["gbt", "--space", "rs(inf)", "--op", "Mz", "--samples", "2", "--rmax", "0.9"]) == 2
+    for tol in ("nan", "0"):
+        assert run(["--tail-tol", tol, "gbt", "--space", "hardy", "--op", "Mz", "--samples", "2"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -5,6 +5,7 @@ import pytest
 
 from berezin_lab.exprs import (
     Commutator,
+    Dense,
     ExprSyntaxError,
     MPoly,
     MPolyAdj,
@@ -163,6 +164,13 @@ def test_apply_matches_materialize():
         free = apply(node, a, v)
         scale = max(1.0, np.linalg.norm(direct))
         assert np.linalg.norm(direct - free) <= 1e-12 * scale
+    # a dense leaf compresses to its leading block, smaller or larger than N
+    for size in (40, 80):
+        mat = r.standard_normal((size, size)) + 1j * r.standard_normal((size, size))
+        node = Product((Mz(), Dense(mat), MzAdj()))
+        v = r.standard_normal(64) + 1j * r.standard_normal(64)
+        direct = materialize(node, a, 64) @ v
+        assert np.linalg.norm(direct - apply(node, a, v)) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_raise_degree():
@@ -172,6 +180,7 @@ def test_raise_degree():
     assert raise_degree(parse("Mz Mz Mz")) == 3
     assert raise_degree(parse("[Mz, Mz^*]")) == 1
     assert raise_degree(parse("Mz + M(1,2,3)")) == 2
+    assert raise_degree(Dense(np.eye(5))) == 5
 
 
 def test_norm_bound_dominates():

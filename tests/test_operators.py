@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from berezin_lab.exprs import MPoly, materialize
 from berezin_lab.operators import (
     BlaschkeProduct,
     ColumnOperator,
@@ -497,6 +498,33 @@ def test_tall_mult_matrix_exact_products():
     p = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     prod = np.convolve(coeffs, p)
     assert np.max(np.abs(b @ p - prod)) < 1e-13
+
+
+def _band_by_entries(coeffs, a, n_rows, n_cols):
+    """Entry (i+j, i) = c_j a_i a_{i+1} ... a_{i+j-1}, one entry at a time,
+    the weight product formed left to right."""
+    mat = np.zeros((n_rows, n_cols), dtype=complex)
+    for j, c in enumerate(coeffs):
+        for i in range(min(n_cols, n_rows - j)):
+            p = 1.0
+            for t in range(j):
+                p *= a[i + t]
+            mat[i + j, i] = c * p
+    return mat
+
+
+def test_banded_multipliers_match_entry_build_exactly():
+    r = np.random.default_rng(4)
+    a = r.uniform(0.05, 1.0, 64)
+    for deg, n in ((0, 5), (3, 9), (6, 7), (11, 6), (2, 1)):
+        coeffs = r.standard_normal(deg + 1) + 1j * r.standard_normal(deg + 1)
+        coeffs[1::3] = 0  # zero coefficients are skipped, not left as holes
+        want = _band_by_entries(coeffs, a, n, n)
+        assert np.array_equal(materialize(MPoly(tuple(coeffs)), a, n), want)
+        if deg < n:
+            assert np.array_equal(mult_matrix(a, coeffs, n).mat, want)
+        tall = tall_mult_matrix(a, coeffs, n)
+        assert np.array_equal(tall, _band_by_entries(coeffs, a, n + deg, n))
 
 
 def test_weights_input_for_mult():
