@@ -61,13 +61,16 @@ def gbt_sample(space: KernelSpace, op, z: complex, tol: float = 1e-12) -> Berezi
 
     ``op`` is an expression tree; a ``TruncatedOperator`` enters as a
     ``Dense`` leaf, i.e. as the compression onto its leading block.  The
-    kernel coefficients are padded by the expression's index raise so
-    products never hit the top edge; the reported tail is the kernel tail
-    scaled by a coarse norm bound of the expression.
+    kernel truncation starts at the expression's index raise, so every
+    coordinate a ``Dense`` block reads holds a kernel value; the kernel
+    coefficients are then padded by that raise so products never hit the
+    top edge.  The reported tail is the kernel tail scaled by a coarse norm
+    bound of the expression.
     """
     node = exprs.Dense(op.mat) if isinstance(op, TruncatedOperator) else op
-    kv = kernel_vector(space, z, tol)
-    n = kv.n + exprs.raise_degree(node)
+    raise_deg = exprs.raise_degree(node)
+    kv = kernel_vector(space, z, tol, n_start=max(32, raise_deg))
+    n = kv.n + raise_deg
     a = space.shift_weights(max(n - 1, 0))
     v = np.zeros(n, dtype=complex)
     v[: kv.n] = kv.coeffs

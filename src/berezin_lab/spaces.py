@@ -17,6 +17,13 @@ Built-in families (all contractive, ``a_k <= 1``):
 ``custom`` tables load from CSV (header ``k,h``); their invariants are
 validated at load time, and the table length bounds the usable truncation.
 
+Kernel coordinates need the powers conj(z)^0 .. conj(z)^(n-1), with n up
+to 2^18 near the boundary.  ``_conj_powers`` is the one place that forms
+them: with b = isqrt(n) it takes the short tables c^(b*j) and c^i and
+multiplies them, c^(b*j + i) = c^(b*j) * c^i, so about 2*sqrt(n) complex
+powers replace n of them.  Entry k carries a relative error of about
+k*eps, the same as the direct power conj(z) ** k.
+
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
 a_k = 1.  With unnormalized arc length dtheta one gets h_0 = 2*pi + 1,
@@ -164,6 +171,16 @@ def save_h_table(space: KernelSpace, path) -> None:
             writer.writerow([k, repr(float(hk))])
 
 
+def _conj_powers(z, n: int) -> np.ndarray:
+    """conj(z)^k for k = 0..n-1 along the last axis, for a point or an
+    array of points, from two power tables of about sqrt(n) entries."""
+    c = np.conj(np.asarray(z, dtype=complex))[..., None]
+    b = max(math.isqrt(n), 1)
+    m = -(-n // b)
+    table = (c ** (b * np.arange(m)))[..., :, None] * (c ** np.arange(b))[..., None, :]
+    return table.reshape(*c.shape[:-1], m * b)[..., :n]
+
+
 @dataclass(frozen=True)
 class KernelVector:
     """Truncated, normalized kernel vector at a point of the disk.
@@ -195,6 +212,11 @@ def kernel_vector(
     K(z,z) series, bounded by a geometric majorant with ratio
     ``|z|^2 / a_N^2`` (the built-in weight sequences are non-decreasing),
     drops below ``tol`` of the partial sum.  Capped at ``N_CAP``.
+
+    The coefficients take their powers from ``_conj_powers``, so entry k
+    has a relative error of about k*eps (as the direct power would); the
+    truncation and tail come from the real series and do not depend on
+    how the powers are formed.
     """
     z = complex(z)
     if abs(z) >= 1:
@@ -233,7 +255,7 @@ def kernel_vector(
             tail_abs = math.inf if q >= 1 else t_next / (1.0 - q)
         rel = tail_abs / partial
         if rel < tol:
-            raw = np.conj(z) ** np.arange(n) / np.sqrt(h[:n])
+            raw = _conj_powers(z, n) / np.sqrt(h[:n])
             coeffs = raw / math.sqrt(partial)
             return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel)
         if not space.extendable and n >= len(space.h) - 1:
@@ -270,8 +292,7 @@ def kernel_gram(space: KernelSpace, points, tol: float = 1e-12) -> np.ndarray:
     n = kernel_vector(space, z_big, tol).n
     h = space.h_table(n)[:n]
     # unnormalized coordinates: column j holds conj(z_j)^k / sqrt(h_k)
-    powers = np.conj(np.array(pts))[None, :] ** np.arange(n)[:, None]
-    cols = powers / np.sqrt(h)[:, None]
+    cols = _conj_powers(np.array(pts), n).T / np.sqrt(h)[:, None]
     return cols.conj().T @ cols
 
 

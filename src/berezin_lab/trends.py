@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,6 +19,16 @@ class TrendThresholds:
     vanish_ratio: float = 0.7
     stable_rel: float = 0.05
     floor: float = 1e-6
+
+    def __post_init__(self):
+        # a nan threshold turns its channel off silently: every comparison
+        # with nan is False
+        for name in ("vanish_ratio", "stable_rel", "floor"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"trend threshold {name} must be finite and >= 0, got {value}")
+        if self.vanish_ratio == 0:
+            raise ValueError("trend threshold vanish_ratio must be > 0")
 
 
 VANISHING = "vanishing"

@@ -68,6 +68,27 @@ def test_short_truncation_is_compression_value():
     assert got == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize("space", [hardy, bergman, mu], ids=["hardy", "bergman", "mu"])
+def test_dense_block_tail_is_honest(space):
+    # a block larger than the adaptive kernel size must read kernel values,
+    # not zero padding; oracle: the materialized X_M and Mz X_M against a
+    # kernel vector at tail 1e-30 that reaches past the block
+    r = np.random.default_rng(200)
+    for m in (40, 128, 200):
+        x = r.standard_normal((m, m)) + 1j * r.standard_normal((m, m))
+        x /= np.linalg.norm(x, 2)
+        for z in (0.3, 0.89j, -0.95):
+            v = kernel_vector(space, z, 1e-30, n_start=256).coeffs
+            n = len(v)
+            big = np.zeros((n, n), dtype=complex)
+            big[:m, :m] = x
+            mz = exprs.materialize(exprs.Mz(), space.shift_weights(n - 1), n)
+            mz_x = exprs.Product((exprs.Mz(), exprs.Dense(x)))
+            for node, mat in ((exprs.Dense(x), big), (mz_x, mz @ big)):
+                smp = gbt_sample(space, node, z, tol=1e-12)
+                assert abs(smp.value - np.vdot(v, mat @ v)) <= smp.tail + 1e-14
+
+
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
 def test_symbol_fidelity_property(space):
     # |Gamma(M_phi)(z) - phi(z)| <= reported tail <= 1e-8 for deg <= 10

@@ -226,6 +226,10 @@ def test_usage_error_exit_2(capsys):
     assert run(["gbt", "--space", "rs(inf)", "--op", "Mz", "--samples", "2", "--rmax", "0.9"]) == 2
     for tol in ("nan", "0"):
         assert run(["--tail-tol", tol, "gbt", "--space", "hardy", "--op", "Mz", "--samples", "2"]) == 2
+    scan = ["charspace", "--weights", "constant:c=1", "--weight-count", "1024",
+            "--lambda-grid", "mod=0.5:1:0.5,args=1", "--n-max-log2", "9"]
+    assert run(["--trend-vanish", "nan", *scan]) == 2
+    assert run(["--trend-floor", "-1", *scan]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -1,5 +1,8 @@
 """Kernel-space construction, kernel vectors, Gram matrices, ball norms."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -143,6 +146,40 @@ def test_reproducing_property(kind, s):
         p_z = np.polyval(c[::-1], z)
         p_norm = np.linalg.norm(p_coords)
         assert abs(inner - p_z) <= 1e-10 * max(p_norm, 1.0)
+
+
+# |z| = 0.9999 reaches a truncation of 2^18 on hardy
+POWER_POINTS = [0.5 * np.exp(0.7j), 0.99 * np.exp(2.1j), 0.9999 * np.exp(-1.3j)]
+
+
+@pytest.mark.parametrize("kind,s", [("hardy", None), ("rs", 3.0)])
+def test_kernel_powers_match_mpmath(kind, s):
+    # oracle: conj(z)^k in 50-digit arithmetic; the coefficients times
+    # sqrt(norm_sq * h_k) recover the power, with relative error of about
+    # k*eps, bounded here by 8*n*2^-52 as the direct power is
+    space = monomial_norms(kind, 4, s=s)
+    kvs = [kernel_vector(space, z) for z in POWER_POINTS]
+    r = np.random.default_rng(52)
+    with mpmath.workdps(50):
+        for z, kv in zip(POWER_POINTS, kvs):
+            n = kv.n
+            h = space.h_table(n)[:n]
+            b = math.isqrt(n)
+            ks = {0, 1, b - 1, b, b + 1, n // 2, n - 1, *r.integers(0, n, 24).tolist()}
+            c = mpmath.conj(mpmath.mpc(z.real, z.imag))
+            for k in sorted(ks):
+                got = kv.coeffs[k] * math.sqrt(kv.norm_sq) * math.sqrt(h[k])
+                want = c**k
+                assert abs(got - complex(want)) <= 8 * n * 2.0**-52 * float(abs(want))
+    # kernel_gram shares the truncation of the largest modulus (the last
+    # point); compare it with the Gram matrix of the unnormalized columns
+    n = kvs[-1].n
+    cols = np.zeros((n, len(kvs)), dtype=complex)
+    for j, kv in enumerate(kvs):
+        cols[: kv.n, j] = kv.coeffs * math.sqrt(kv.norm_sq)
+    want = cols.conj().T @ cols
+    scale = np.sqrt(np.outer(np.diag(want).real, np.diag(want).real))
+    assert np.all(np.abs(kernel_gram(space, POWER_POINTS) - want) <= 8 * n * 2.0**-52 * scale)
 
 
 def test_kernel_vector_domain_errors():
