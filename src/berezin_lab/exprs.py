@@ -326,15 +326,16 @@ def _as_term(node) -> str:
 # evaluation
 
 
-def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Multiplication by sum_j c_j z^j over weights a, on rows 0..n_rows-1
-    and columns 0..n_cols-1: entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}.
+def band_diagonals(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> list:
+    """Diagonals of multiplication by sum_j c_j z^j over weights a, on rows
+    0..n_rows-1 and columns 0..n_cols-1: entry j holds c_j a_i a_{i+1} ...
+    a_{i+j-1} for the columns i = 0..min(n_cols, n_rows - j) - 1.
 
     Band j's weight products are band j-1's times one more weight, so each
     product is formed left to right at O(1) cost per entry.
     """
     a = np.asarray(a, dtype=float)
-    m = np.zeros((n_rows, n_cols), dtype=complex)
+    diags = []
     prods = np.ones(n_cols)
     for j, c in enumerate(coeffs):
         length = min(n_cols, n_rows - j)
@@ -342,9 +343,18 @@ def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
             break
         if j > 0:
             prods = prods[:length] * a[j - 1 : j - 1 + length]
+        diags.append(c * prods)
+    return diags
+
+
+def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The ``band_diagonals`` scattered into a dense n_rows x n_cols matrix:
+    entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}."""
+    m = np.zeros((n_rows, n_cols), dtype=complex)
+    for j, (c, diag) in enumerate(zip(coeffs, band_diagonals(coeffs, a, n_rows, n_cols))):
         if c != 0:
-            idx = np.arange(length)
-            m[idx + j, idx] += c * prods
+            idx = np.arange(len(diag))
+            m[idx + j, idx] += diag
     return m
 
 

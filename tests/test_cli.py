@@ -230,6 +230,11 @@ def test_usage_error_exit_2(capsys):
             "--lambda-grid", "mod=0.5:1:0.5,args=1", "--n-max-log2", "9"]
     assert run(["--trend-vanish", "nan", *scan]) == 2
     assert run(["--trend-floor", "-1", *scan]) == 2
+    closed = ["probe", "closed-range", "--space", "bergman", "--blaschke", "0.5"]
+    for schedule in (["0"], ["1"], ["64", "32"]):
+        assert run([*closed, "--n-schedule", *schedule]) == 2
+        assert run(["probe", "fredholm", "--space", "bergman", "--n-schedule", *schedule]) == 2
+    assert run(["probe", "closed-range", "--space", "hardy", "--blaschke", "0.99999"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -1,5 +1,7 @@
 """Truncated multiplication operators, projections, commutators, probes."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,13 @@ from berezin_lab.operators import (
     tall_mult_matrix,
     wot_dilation_probe,
 )
-from berezin_lab.spaces import da_norms, hardy_ball_norms, kernel_vector, monomial_norms
+from berezin_lab.spaces import (
+    TruncationError,
+    da_norms,
+    hardy_ball_norms,
+    kernel_vector,
+    monomial_norms,
+)
 from berezin_lab.shifts import constant_weights
 
 rng = np.random.default_rng(515253)
@@ -489,6 +497,61 @@ def test_closed_range_boundary_zero_vanishes():
     # smallest eigenvalue is 2 - 2 cos(pi/(N+1))
     for n, v in rep["lambda_min"].items():
         assert v == pytest.approx(2 - 2 * np.cos(np.pi / (n + 1)), rel=1e-8)
+
+
+# Band side: 16 (p + 1) <= 1024 for the series degree p at tol 1e-12; dense
+# side: the series is too long.  N = 128 is dense for every Blaschke case.
+@pytest.mark.parametrize(
+    "space, phi, band_at_1024",
+    [
+        (hardy, BlaschkeProduct((0.3,)), True),
+        (bergman, BlaschkeProduct((0.5 * np.exp(1j),)), True),
+        (bergman, BlaschkeProduct((0.5, -0.5)), True),
+        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j)), True),
+        (bergman, BlaschkeProduct((0.9,)), False),
+        (hardy, BlaschkeProduct((0.95j,)), False),
+        (hardy, [-1.0, 1.0], True),
+        (bergman, [-1.0, 1.0], True),
+        (rs3, [-1.0, 1.0], True),
+    ],
+    ids=["hardy-0.3", "bergman-0.5e^i", "bergman-0.5,-0.5", "rs3-three-zeros",
+         "bergman-0.9", "hardy-0.95i", "hardy-z-1", "bergman-z-1", "rs3-z-1"],
+)
+def test_closed_range_gram_solves_match_dense_oracle(space, phi, band_at_1024):
+    tol = 1e-12
+    rep = closed_range_probe(space, phi, grid=[0j], n_schedule=(128, 1024), tol=tol)
+    assert rep["series_tail"] <= tol
+    if isinstance(phi, BlaschkeProduct):
+        coeffs, tail = phi.series(tol)
+        assert tail == rep["series_tail"]
+    else:
+        coeffs = np.asarray(phi, dtype=complex)
+    assert (16 * len(coeffs) <= 1024) == band_at_1024
+    for n, lam in rep["lambda_min"].items():
+        b = tall_mult_matrix(space, coeffs, n)
+        want = np.linalg.eigvalsh(b.conj().T @ b)[0]
+        assert abs(lam - want) <= 1e-13, (n, lam, want)
+
+
+def test_blaschke_series_is_shortest_meeting_tol():
+    coeffs, tail = BlaschkeProduct((0.5,)).series(1e-12)
+    assert len(coeffs) == 64 and tail <= 1e-12
+    assert BlaschkeProduct((0.5,)).coefficients(32)[1] > 1e-12
+
+
+def test_closed_range_series_cap_raises_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(TruncationError):
+        closed_range_probe(hardy, BlaschkeProduct((0.99999,)))
+    assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.parametrize("schedule", [(0,), (1,), (64, 32), (128, 128), (), (128.0,)])
+def test_probe_schedules_are_validated(schedule):
+    with pytest.raises(ValueError):
+        closed_range_probe(hardy, BlaschkeProduct((0.5,)), grid=[0j], n_schedule=schedule)
+    with pytest.raises(ValueError):
+        fredholm_probe(hardy, 0.0, n_schedule=schedule)
 
 
 def test_tall_mult_matrix_exact_products():
