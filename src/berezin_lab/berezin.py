@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .operators import TruncatedOperator, sup_on_circle
-from .spaces import KernelSpace, kernel_vector
+from .operators import TruncatedOperator, circle_sup_precondition, sup_on_circle
+from .spaces import KernelSpace, kernel_frame
 
 
 @dataclass(frozen=True)
@@ -61,22 +61,16 @@ def gbt_sample(space: KernelSpace, op, z: complex, tol: float = 1e-12) -> Berezi
 
     ``op`` is an expression tree; a ``TruncatedOperator`` enters as a
     ``Dense`` leaf, i.e. as the compression onto its leading block.  The
-    kernel truncation starts at the expression's index raise, so every
-    coordinate a ``Dense`` block reads holds a kernel value; the kernel
-    coefficients are then padded by that raise so products never hit the
-    top edge.  The reported tail is the kernel tail scaled by a coarse norm
-    bound of the expression.
+    kernel sits in a ``kernel_frame`` padded by the expression's index
+    raise, so products never hit the top edge and every coordinate a
+    ``Dense`` block reads holds a kernel value.  The reported tail is the
+    kernel tail scaled by a coarse norm bound of the expression.
     """
     node = exprs.Dense(op.mat) if isinstance(op, TruncatedOperator) else op
-    raise_deg = exprs.raise_degree(node)
-    kv = kernel_vector(space, z, tol, n_start=max(32, raise_deg))
-    n = kv.n + raise_deg
-    a = space.shift_weights(max(n - 1, 0))
-    v = np.zeros(n, dtype=complex)
-    v[: kv.n] = kv.coeffs
+    kv, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
     value = complex(np.vdot(v, exprs.apply(node, a, v)))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
-    return BerezinSample(z=complex(z), value=value, trunc_n=n, tail=float(tail))
+    return BerezinSample(z=complex(z), value=value, trunc_n=len(v), tail=float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +199,7 @@ def gbt_commutator_decay(
     """
     phi_coeffs = tuple(np.atleast_1d(np.asarray(phi_coeffs, dtype=complex)))
     psi_coeffs = tuple(np.atleast_1d(np.asarray(psi_coeffs, dtype=complex)))
-    sup_phi, at = sup_on_circle(phi_coeffs)
-    if sup_phi > 1 + 1e-9:
-        raise ValueError(
-            f"phi sup-norm {sup_phi:.6g} exceeds 1 on the circle (at {at:.6g})"
-        )
+    circle_sup_precondition(phi_coeffs)
     if s_node is None:
         s_node = exprs.MPoly((1.0 + 0j,))
     comm = exprs.Commutator(exprs.MPolyAdj(psi_coeffs), exprs.MPoly(phi_coeffs))
@@ -350,7 +340,7 @@ def profile_report(profile: BerezinProfile, verdicts: dict | None = None) -> str
         "verdicts": {k: _json_safe(v) for k, v in (verdicts or {}).items()},
         "spec_version": "1",
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _json_safe(v):

@@ -363,4 +363,4 @@ def verdict_to_dict(v: CharacterVerdict) -> dict:
 def verdicts_to_json(verdicts, **extra) -> str:
     doc = {"verdicts": [verdict_to_dict(v) for v in verdicts]}
     doc.update(extra)
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)

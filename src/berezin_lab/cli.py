@@ -12,8 +12,8 @@ line each:
 Outputs are deterministic CSV/JSON (identical config gives byte-identical
 bytes); optional SVG plots are generated from the CSV and never gate
 verdicts.  Exit codes: 0 all checks passed, 1 a verdict failed, 2 usage
-or parameter error.  ``gbt`` samples its path points one after another
-through the one transform, ``berezin.gbt_sample``; space names resolve
+or parameter error.  ``gbt`` samples its path through ``berezin.gbt_profile``
+and the one transform, ``berezin.gbt_sample``; space names resolve
 through ``spaces.space_by_name``.
 """
 
@@ -127,7 +127,7 @@ def _write(path: str | None, text: str) -> None:
 def _json_doc(command: str, body: dict) -> str:
     doc = {"command": command, "spec_version": SPEC_VERSION}
     doc.update(body)
-    return json.dumps(doc, sort_keys=True, indent=2, default=_default)
+    return json.dumps(doc, sort_keys=True, indent=2, default=_default, allow_nan=False)
 
 
 def _default(v):
@@ -147,13 +147,7 @@ def _default(v):
 def cmd_gbt(args, cfg: RunConfig) -> int:
     space = space_by_name(args.space)
     node = parse_operator_expr(args.op)
-    path = _parse_path(args)
-    if path["kind"] == "radial":
-        pts = bz.radial_path(path["theta"], path["r_max"], path["count"])
-    else:
-        pts = bz.disk_grid(path["n"])
-    samples = [bz.gbt_sample(space, node, z, tol=cfg.tail_tol) for z in pts]
-    profile = bz.BerezinProfile(op_label=args.op, samples=tuple(samples), path=path)
+    profile = bz.gbt_profile(space, node, _parse_path(args), op_label=args.op, tol=cfg.tail_tol)
     if cfg.out:
         bz.profile_to_csv(profile, cfg.out)
     else:
@@ -164,7 +158,7 @@ def cmd_gbt(args, cfg: RunConfig) -> int:
         profile_csv_to_svg(cfg.out, cfg.svg, title=args.op)
     # contractivity audit: |value| <= coarse norm bound + tail
     bound = exprs.norm_bound(node)
-    ok = all(abs(s.value) <= bound + s.tail + 1e-9 for s in samples)
+    ok = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
     return 0 if ok else 1
 
 
@@ -277,6 +271,8 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         _write(cfg.out, _json_doc("probe wot", rep))
         return 0 if rep["non_increasing"] else 1
     # normbound
+    if args.families < 1:
+        raise ValueError(f"--families must be at least 1, got {args.families}")
     rng = np.random.default_rng(args.seed)
     j = np.arange(args.degree + 1)
     scale = 1.0 / (1.0 + j) ** 2

@@ -21,11 +21,14 @@ coefficients.
 A ``Dense`` leaf carries an explicit M x M matrix into a tree (it has no
 text form); it acts by compression on the leading M coordinates.
 
-Expressions evaluate two ways: ``materialize`` builds the dense N x N
-truncation (compression semantics: coordinates at index >= N are
-dropped), and ``apply`` acts on a coefficient vector without forming any
-matrix, which is what makes sampling near the boundary circle feasible.
-``band_matrix`` is the one builder of banded multiplier matrices.
+``apply`` is the one evaluator of expressions.  It acts along axis 0 of a
+coefficient vector, or of an (N x P) block of them, without forming any
+matrix, which is what makes sampling near the boundary circle feasible;
+the four multiplier leaves share one weighted-shift loop.  Truncation
+has compression semantics: coordinates pushed to index >= N are dropped.
+``materialize`` is ``apply`` to the N x N identity.  ``band_matrix`` is
+the one builder of banded multiplier matrices, for the dense operators
+of ``operators``.
 """
 
 from __future__ import annotations
@@ -359,81 +362,50 @@ def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
-    """Dense N x N truncation of the expression over weights a."""
+    """Dense N x N truncation of the expression over weights a: the
+    expression applied to the N x N identity."""
     a = np.asarray(a, dtype=float)
     if len(a) < n - 1:
         raise ValueError(f"need at least {n - 1} weights for truncation {n}")
-    if isinstance(node, Mz):
-        return band_matrix((0.0, 1.0), a, n, n)
-    if isinstance(node, MzAdj):
-        return materialize(Mz(), a, n).conj().T
-    if isinstance(node, MPoly):
-        return band_matrix(node.coeffs, a, n, n)
-    if isinstance(node, MPolyAdj):
-        return materialize(MPoly(node.coeffs), a, n).conj().T
-    if isinstance(node, Scale):
-        return node.c * materialize(node.node, a, n)
-    if isinstance(node, Product):
-        out = materialize(node.factors[0], a, n)
-        for f in node.factors[1:]:
-            out = out @ materialize(f, a, n)
-        return out
-    if isinstance(node, Sum):
-        out = np.zeros((n, n), dtype=complex)
-        for sign, term in node.terms:
-            out += sign * materialize(term, a, n)
-        return out
-    if isinstance(node, Dense):
-        m = np.zeros((n, n), dtype=complex)
-        k = min(n, node.mat.shape[0])
-        m[:k, :k] = node.mat[:k, :k]
-        return m
-    if isinstance(node, Commutator):
-        ma = materialize(node.a, a, n)
-        mb = materialize(node.b, a, n)
-        return ma @ mb - mb @ ma
-    raise TypeError(f"not an expression node: {node!r}")
+    return apply(node, a, np.eye(n, dtype=complex))
+
+
+def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_j c_j S^j v for the weighted shift S, or, adjointed, the sum of
+    conj(c_j) (S^*)^j v; S acts along axis 0."""
+    n = v.shape[0]
+    w = a[: n - 1].reshape((-1,) + (1,) * (v.ndim - 1))
+    src, dst = (slice(1, None), slice(None, -1)) if adjointed else (slice(None, -1), slice(1, None))
+    # the first term becomes the accumulator: one more zero-filled array
+    # per leaf doubled the time of products of shifts at N = 2^18
+    out = None
+    shifted = v
+    for j, c in enumerate(coeffs):
+        if j > 0:
+            nxt = np.zeros_like(v)
+            np.multiply(w, shifted[src], out=nxt[dst])
+            shifted = nxt
+        if c != 0:
+            term = (np.conj(c) if adjointed else c) * shifted
+            if out is None:
+                out = term
+            else:
+                out += term
+    return np.zeros_like(v) if out is None else out
 
 
 def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Expression applied to a coefficient vector, truncation semantics.
+    """Expression applied along axis 0 of a coefficient vector or of an
+    (N x P) block of them, truncation semantics.
 
-    Matches ``materialize(node, a, len(vec)) @ vec`` without building the
-    matrix; cost is O(len(vec) * bandwidth) per shift factor.
+    Equals the dense N x N truncation times ``vec`` without building the
+    matrix; cost is O(N * P * bandwidth) per shift factor.
     """
     a = np.asarray(a, dtype=float)
     v = np.asarray(vec, dtype=complex)
-    n = len(v)
-    if isinstance(node, Mz):
-        out = np.zeros(n, dtype=complex)
-        out[1:] = a[: n - 1] * v[:-1]
-        return out
-    if isinstance(node, MzAdj):
-        out = np.zeros(n, dtype=complex)
-        out[:-1] = a[: n - 1] * v[1:]
-        return out
-    if isinstance(node, MPoly):
-        out = np.zeros(n, dtype=complex)
-        shifted = v
-        for j, c in enumerate(node.coeffs):
-            if j > 0:
-                nxt = np.zeros(n, dtype=complex)
-                nxt[1:] = a[: n - 1] * shifted[:-1]
-                shifted = nxt
-            if c != 0:
-                out += c * shifted
-        return out
-    if isinstance(node, MPolyAdj):
-        out = np.zeros(n, dtype=complex)
-        shifted = v
-        for j, c in enumerate(node.coeffs):
-            if j > 0:
-                nxt = np.zeros(n, dtype=complex)
-                nxt[:-1] = a[: n - 1] * shifted[1:]
-                shifted = nxt
-            if c != 0:
-                out += np.conj(c) * shifted
-        return out
+    if isinstance(node, (Mz, MzAdj, MPoly, MPolyAdj)):
+        coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
+        return _shift_series(coeffs, isinstance(node, (MzAdj, MPolyAdj)), a, v)
     if isinstance(node, Scale):
         return node.c * apply(node.node, a, v)
     if isinstance(node, Product):
@@ -442,13 +414,13 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
             out = apply(f, a, out)
         return out
     if isinstance(node, Sum):
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros_like(v)
         for sign, term in node.terms:
             out += sign * apply(term, a, v)
         return out
     if isinstance(node, Dense):
-        out = np.zeros(n, dtype=complex)
-        k = min(n, node.mat.shape[0])
+        out = np.zeros_like(v)
+        k = min(v.shape[0], node.mat.shape[0])
         out[:k] = node.mat[:k, :k] @ v[:k]
         return out
     if isinstance(node, Commutator):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprs
-from .spaces import BallSpace, KernelSpace, TruncationError, kernel_vector
+from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame, kernel_vector
 from .shifts import WeightSequence
 from .trends import TrendThresholds, classify_trend
 
@@ -134,11 +134,13 @@ def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) ->
     return TruncatedOperator(np.outer(v, v.conj()), label=f"P(z={z:g})", space=space)
 
 
-def _circle_sup_precondition(coeffs, bound: float = 1.0, n_grid: int = 4096, slack: float = 1e-9):
+def circle_sup_precondition(coeffs, bound: float = 1.0, n_grid: int = 4096, slack: float = 1e-9):
+    """The grid sup of |phi| on the circle, raising ``ValueError`` unless it
+    is at most ``bound + slack`` (a NaN sup is rejected too)."""
     sup, at = sup_on_circle(coeffs, n_grid)
-    if sup > bound + slack:
+    if not sup <= bound + slack:
         raise ValueError(
-            f"symbol sup-norm {sup:.6g} exceeds {bound} on the circle "
+            f"symbol sup-norm {sup:.6g} on the circle is not at most {bound} "
             f"(offending grid point {at:.6g})"
         )
     return sup
@@ -158,16 +160,9 @@ def commutator_norm_PzMphi(
     z = 0.999 stay cheap.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    _circle_sup_precondition(coeffs)
-    kv = kernel_vector(space, z, tol)
-    if n is None:
-        n = kv.n + len(coeffs)
-    if n < kv.n:
-        raise ValueError(f"truncation {n} below the adaptive kernel size {kv.n}")
-    a = space.shift_weights(max(n - 1, 0))
-    v = np.zeros(n, dtype=complex)
-    v[: kv.n] = kv.coeffs
+    circle_sup_precondition(coeffs)
     node = exprs.MPoly(tuple(coeffs))
+    _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node), n=n)
     u = exprs.apply(node, a, v)            # M v
     w = exprs.apply(exprs.MPolyAdj(tuple(coeffs)), a, v)  # M^* v
     # [P, M] = v w^* - u v^*  =  [v, -u] [w, v]^*
@@ -348,15 +343,10 @@ def fredholm_probe(space: KernelSpace, z0: complex, n_schedule=(128, 256, 512), 
     """
     ns = _truncation_schedule(n_schedule)
     z0 = complex(z0)
-    if abs(z0) >= 1:
-        raise ValueError(f"z0 = {z0} lies outside the open unit disk")
-    kv = kernel_vector(space, z0, tol)
     coeffs = np.array([-z0, 1.0], dtype=complex)
-    n = kv.n + 2
-    a = space.shift_weights(n - 1)
-    v = np.zeros(n, dtype=complex)
-    v[: kv.n] = kv.coeffs
-    residual = float(np.linalg.norm(exprs.apply(exprs.MPolyAdj(tuple(coeffs)), a, v)))
+    node = exprs.MPolyAdj(tuple(coeffs))
+    kv, a, v = kernel_frame(space, z0, tol, pad=exprs.raise_degree(node))
+    residual = float(np.linalg.norm(exprs.apply(node, a, v)))
 
     sigma2 = {}
     sigma_min = math.inf
@@ -529,16 +519,11 @@ def closed_range_probe(
         grid = [
             r * np.exp(2j * np.pi * k / 12) for r in radii for k in range(12 if r else 1)
         ]
+    node = exprs.MPoly(tuple(coeffs))
     kernel_vals = {}
     for z in grid:
-        kv = kernel_vector(space, z, tol)
-        n = kv.n + len(coeffs)
-        a = space.shift_weights(max(n - 1, 0))
-        v = np.zeros(n, dtype=complex)
-        v[: kv.n] = kv.coeffs
-        kernel_vals[complex(z)] = float(
-            np.linalg.norm(exprs.apply(exprs.MPoly(tuple(coeffs)), a, v)) ** 2
-        )
+        _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
+        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, a, v)) ** 2)
 
     lam = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
     classification = classify_trend(list(lam.values()), thresholds)

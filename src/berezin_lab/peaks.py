@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import poly_eval
+from .operators import circle_sup_precondition, poly_eval
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,7 @@ def ball_peak(h_coeffs=(0.0,), grid=(22, 22), cap_radius: float = 0.35) -> PeakC
     ||(z1,z2) - (1,0)|| <= cap_radius.
     """
     h_coeffs = np.atleast_1d(np.asarray(h_coeffs, dtype=complex))
-    m = 4096
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
-    h_sup = float(np.max(np.abs(poly_eval(h_coeffs, circle))))
-    if h_sup > 1 + 1e-9:
-        raise ValueError(f"sup |h| = {h_sup:.6g} exceeds 1 on the circle")
+    circle_sup_precondition(h_coeffs)
 
     z1, z2 = sphere_grid(*grid)
     f = (1 + z1) * z1 / 2 + (1 - z1) * z2 * poly_eval(h_coeffs, z1) / 2
@@ -239,7 +235,7 @@ def peak_report(candidate: PeakCandidate) -> str:
         "margin": rep.margin,
         "certified": candidate.certified,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _cpx(v):

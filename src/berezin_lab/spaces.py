@@ -219,7 +219,7 @@ def kernel_vector(
     how the powers are formed.
     """
     z = complex(z)
-    if abs(z) >= 1:
+    if not abs(z) < 1:
         raise ValueError(f"point z = {z} lies outside the open unit disk")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -270,6 +270,26 @@ def kernel_vector(
         n = min(2 * n, N_CAP)
 
 
+def kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n: int | None = None):
+    """The kernel vector at z in a frame for an expression that raises
+    indices by at most ``pad``: returns (kv, a, v), where v holds kv.coeffs
+    zero-padded to ``kv.n + pad`` coordinates (or to an explicit ``n`` of at
+    least ``kv.n``) and a the shift weights of that frame.
+
+    The truncation starts at max(32, pad), so every coordinate a ``Dense``
+    block of size ``pad`` reads holds a kernel value.
+    """
+    kv = kernel_vector(space, z, tol, n_start=max(32, pad))
+    if n is None:
+        n = kv.n + pad
+    if n < kv.n:
+        raise ValueError(f"truncation {n} below the adaptive kernel size {kv.n}")
+    a = space.shift_weights(max(n - 1, 0))
+    v = np.zeros(n, dtype=complex)
+    v[: kv.n] = kv.coeffs
+    return kv, a, v
+
+
 def point_norm_sq(space: KernelSpace, z: complex, tol: float = 1e-12) -> float:
     """K(z,z), the squared norm of the kernel vector at z."""
     return kernel_vector(space, z, tol).norm_sq
@@ -284,7 +304,7 @@ def kernel_gram(space: KernelSpace, points, tol: float = 1e-12) -> np.ndarray:
     """
     pts = [complex(p) for p in points]
     for p in pts:
-        if abs(p) >= 1:
+        if not abs(p) < 1:
             raise ValueError(f"point z = {p} lies outside the open unit disk")
     if not pts:
         return np.zeros((0, 0), dtype=complex)

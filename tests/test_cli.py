@@ -235,6 +235,11 @@ def test_usage_error_exit_2(capsys):
         assert run([*closed, "--n-schedule", *schedule]) == 2
         assert run(["probe", "fredholm", "--space", "bergman", "--n-schedule", *schedule]) == 2
     assert run(["probe", "closed-range", "--space", "hardy", "--blaschke", "0.99999"]) == 2
+    # a NaN parameter or an empty run is a usage error, never a verdict
+    assert run(["peaks", "ball", "--h", "nan"]) == 2
+    assert run(["peaks", "product", "--phi", "0,1", "--psi", "nan"]) == 2
+    assert run(["probe", "normbound", "--space", "hardy", "--families", "0"]) == 2
+    assert run(["probe", "commutator", "--space", "hardy", "--phi", "0,1", "--z", "nan"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
 

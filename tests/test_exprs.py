@@ -15,6 +15,7 @@ from berezin_lab.exprs import (
     Scale,
     Sum,
     apply,
+    band_matrix,
     format_complex,
     materialize,
     norm_bound,
@@ -154,23 +155,72 @@ def test_materialize_polynomial_band():
     assert m[0, 1] == 0
 
 
+def dense_reference(node, a, n):
+    """The N x N truncation built recursively from ``band_matrix`` leaves
+    and matrix products, independent of ``apply``."""
+    if isinstance(node, Mz):
+        return band_matrix((0.0, 1.0), a, n, n)
+    if isinstance(node, MzAdj):
+        return dense_reference(Mz(), a, n).conj().T
+    if isinstance(node, MPoly):
+        return band_matrix(node.coeffs, a, n, n)
+    if isinstance(node, MPolyAdj):
+        return dense_reference(MPoly(node.coeffs), a, n).conj().T
+    if isinstance(node, Scale):
+        return node.c * dense_reference(node.node, a, n)
+    if isinstance(node, Product):
+        out = dense_reference(node.factors[0], a, n)
+        for f in node.factors[1:]:
+            out = out @ dense_reference(f, a, n)
+        return out
+    if isinstance(node, Sum):
+        out = np.zeros((n, n), dtype=complex)
+        for sign, term in node.terms:
+            out += sign * dense_reference(term, a, n)
+        return out
+    if isinstance(node, Dense):
+        m = np.zeros((n, n), dtype=complex)
+        k = min(n, node.mat.shape[0])
+        m[:k, :k] = node.mat[:k, :k]
+        return m
+    if isinstance(node, Commutator):
+        ma = dense_reference(node.a, a, n)
+        mb = dense_reference(node.b, a, n)
+        return ma @ mb - mb @ ma
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def test_apply_matches_materialize():
     r = np.random.default_rng(99)
+    # (N x 3) blocks come from their own generator, so the vectors above
+    # them are the ones this test has always drawn
+    rb = np.random.default_rng(2718)
     a = r.uniform(0.3, 1.0, 64)
     for _ in range(60):
         node = random_ast(r, depth=int(r.integers(0, 4)))
         v = r.standard_normal(64) + 1j * r.standard_normal(64)
-        direct = materialize(node, a, 64) @ v
+        ref = dense_reference(node, a, 64)
+        direct = ref @ v
         free = apply(node, a, v)
         scale = max(1.0, np.linalg.norm(direct))
         assert np.linalg.norm(direct - free) <= 1e-12 * scale
+        assert np.linalg.norm(materialize(node, a, 64) - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+        # a block gives exactly its columns' vector results: the shift
+        # leaves act elementwise along axis 0, so no sum is reordered
+        block = rb.standard_normal((64, 3)) + 1j * rb.standard_normal((64, 3))
+        cols = np.column_stack([apply(node, a, block[:, p]) for p in range(3)])
+        assert np.array_equal(apply(node, a, block), cols)
     # a dense leaf compresses to its leading block, smaller or larger than N
     for size in (40, 80):
         mat = r.standard_normal((size, size)) + 1j * r.standard_normal((size, size))
         node = Product((Mz(), Dense(mat), MzAdj()))
         v = r.standard_normal(64) + 1j * r.standard_normal(64)
-        direct = materialize(node, a, 64) @ v
+        ref = dense_reference(node, a, 64)
+        direct = ref @ v
         assert np.linalg.norm(direct - apply(node, a, v)) <= 1e-12 * np.linalg.norm(direct)
+        block = rb.standard_normal((64, 3)) + 1j * rb.standard_normal((64, 3))
+        direct = ref @ block
+        assert np.linalg.norm(direct - apply(node, a, block)) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_raise_degree():

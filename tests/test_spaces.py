@@ -188,6 +188,13 @@ def test_kernel_vector_domain_errors():
         kernel_vector(space, 1.0)
     with pytest.raises(ValueError):
         kernel_vector(space, 1.2j)
+    # a NaN point is rejected before any norm table is built, not after
+    # the truncation has doubled up to N_CAP
+    for z in (complex("nan"), complex(0.3, math.nan)):
+        with pytest.raises(ValueError, match="outside the open unit disk"):
+            kernel_vector(space, z)
+        with pytest.raises(ValueError, match="outside the open unit disk"):
+            kernel_gram(space, [0.2, z])
 
 
 # ---------------------------------------------------------------------------
