@@ -23,14 +23,13 @@ tree as an ``exprs.Dense`` leaf acting on its leading block.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprs
+from .formats import read_columns, to_json, write_csv
 from .operators import TruncatedOperator, circle_sup_precondition, sup_on_circle
 from .spaces import KernelSpace, kernel_frame
 
@@ -286,70 +285,31 @@ def boundary_limit_estimate(
 # serialization
 
 
+PROFILE_HEADER = ("re_z", "im_z", "re_val", "im_val", "trunc_N", "tail")
+
+
 def profile_to_csv(profile: BerezinProfile, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["re_z", "im_z", "re_val", "im_val", "trunc_N", "tail"])
-        for s in profile.samples:
-            writer.writerow(
-                [
-                    repr(float(s.z.real)),
-                    repr(float(s.z.imag)),
-                    repr(float(s.value.real)),
-                    repr(float(s.value.imag)),
-                    int(s.trunc_n),
-                    repr(float(s.tail)),
-                ]
-            )
+    rows = [(s.z.real, s.z.imag, s.value.real, s.value.imag, s.trunc_n, s.tail) for s in profile.samples]
+    write_csv(path, PROFILE_HEADER, rows)
 
 
 def profile_from_csv(path) -> BerezinProfile:
-    samples = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["re_z", "im_z", "re_val", "im_val", "trunc_N", "tail"]:
-            raise ValueError(f"unexpected profile header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            samples.append(
-                BerezinSample(
-                    z=complex(float(row[0]), float(row[1])),
-                    value=complex(float(row[2]), float(row[3])),
-                    trunc_n=int(row[4]),
-                    tail=float(row[5]),
-                )
-            )
-    return BerezinProfile(op_label="", samples=tuple(samples), path={"kind": "points", "count": len(samples)})
+    samples = tuple(
+        BerezinSample(z=complex(re_z, im_z), value=complex(re_v, im_v), trunc_n=int(n), tail=tail)
+        for re_z, im_z, re_v, im_v, n, tail in zip(*read_columns(path, PROFILE_HEADER))
+    )
+    return BerezinProfile(op_label="", samples=samples, path={"kind": "points", "count": len(samples)})
 
 
 def profile_report(profile: BerezinProfile, verdicts: dict | None = None) -> str:
     doc = {
         "op": profile.op_label,
-        "path": {k: _json_safe(v) for k, v in profile.path.items()},
+        "path": profile.path,
         "samples": [
-            {
-                "z": {"re": s.z.real, "im": s.z.imag},
-                "value": {"re": s.value.real, "im": s.value.imag},
-                "trunc_N": s.trunc_n,
-                "tail": s.tail,
-            }
+            {"z": s.z, "value": s.value, "trunc_N": s.trunc_n, "tail": s.tail}
             for s in profile.samples
         ],
-        "verdicts": {k: _json_safe(v) for k, v in (verdicts or {}).items()},
+        "verdicts": verdicts or {},
         "spec_version": "1",
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _json_safe(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    return v
+    return to_json(doc)

@@ -34,12 +34,12 @@ weights; that is what makes verdicts rotation invariant).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import to_json
 from .operators import TruncatedOperator
 from .shifts import WeightSequence
 from .tridiag import lambda_min_batch
@@ -329,13 +329,13 @@ def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
 
 
 def verdict_to_dict(v: CharacterVerdict) -> dict:
-    """JSON-ready form of one verdict."""
+    """One verdict as plain data for ``formats.to_json``."""
     ev = v.evidence
     if isinstance(ev, RunEvidence):
         evidence = {
             "type": "run_found",
             "deepest_level": ev.deepest,
-            "levels": [list(l) for l in ev.levels],
+            "levels": ev.levels,
         }
     elif isinstance(ev, GapEvidence):
         evidence = {
@@ -348,12 +348,12 @@ def verdict_to_dict(v: CharacterVerdict) -> dict:
     else:
         evidence = {
             "type": "sigma_trend",
-            "ns": list(ev.ns),
-            "sigma_min": list(ev.sigma_min),
+            "ns": ev.ns,
+            "sigma_min": ev.sigma_min,
             "classification": ev.classification,
         }
     return {
-        "lambda": {"re": v.lam.real, "im": v.lam.imag},
+        "lambda": v.lam,
         "verdict": v.verdict,
         "evidence": evidence,
         "schedules": v.schedules,
@@ -361,6 +361,4 @@ def verdict_to_dict(v: CharacterVerdict) -> dict:
 
 
 def verdicts_to_json(verdicts, **extra) -> str:
-    doc = {"verdicts": [verdict_to_dict(v) for v in verdicts]}
-    doc.update(extra)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    return to_json({"verdicts": [verdict_to_dict(v) for v in verdicts], **extra})

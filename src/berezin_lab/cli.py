@@ -10,9 +10,12 @@ line each:
     probe      commutator, closed-range, fredholm, spherical, wot, normbound
 
 Outputs are deterministic CSV/JSON (identical config gives byte-identical
-bytes); optional SVG plots are generated from the CSV and never gate
-verdicts.  Exit codes: 0 all checks passed, 1 a verdict failed, 2 usage
-or parameter error.  ``gbt`` samples its path through ``berezin.gbt_profile``
+bytes).  Every file is written and read through ``formats``, which
+refuses NaN and infinity in an output and raises ``ValueError`` on a
+malformed input table.  Optional SVG plots are generated from the CSV and
+never gate verdicts.  Exit codes: 0 all checks passed, 1 a verdict
+failed, 2 usage or parameter error (any ``ValueError`` or ``OSError``,
+``spaces.TruncationError`` included).  ``gbt`` samples its path through ``berezin.gbt_profile``
 and the one transform, ``berezin.gbt_sample``; space names resolve
 through ``spaces.space_by_name``.
 """
@@ -20,7 +23,6 @@ through ``spaces.space_by_name``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -30,6 +32,7 @@ import numpy as np
 from . import berezin as bz
 from . import exprs
 from .characters import CharacterConfig, character_set_scan, verdicts_to_json
+from .formats import to_json, write_text
 from .operators import (
     BlaschkeProduct,
     closed_range_probe,
@@ -41,7 +44,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import TruncationError, ball_space, space_by_name
+from .spaces import ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -116,28 +119,8 @@ def _parse_lambda_grid(text: str):
     return moduli, angles
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
-
-
 def _json_doc(command: str, body: dict) -> str:
-    doc = {"command": command, "spec_version": SPEC_VERSION}
-    doc.update(body)
-    return json.dumps(doc, sort_keys=True, indent=2, default=_default, allow_nan=False)
-
-
-def _default(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not serializable: {type(v)}")
+    return to_json({"command": command, "spec_version": SPEC_VERSION, **body})
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +134,7 @@ def cmd_gbt(args, cfg: RunConfig) -> int:
     if cfg.out:
         bz.profile_to_csv(profile, cfg.out)
     else:
-        _write(None, bz.profile_report(profile))
+        write_text(None, bz.profile_report(profile))
     if cfg.svg:
         if not cfg.out:
             raise ValueError("--svg requires --out (the plot is built from the CSV)")
@@ -172,7 +155,7 @@ def cmd_charspace(args, cfg: RunConfig) -> int:
         trend=cfg.trend,
     )
     verdicts = character_set_scan(w, moduli, n_angles=angles, config=ccfg)
-    _write(cfg.out, verdicts_to_json(verdicts, command="charspace", spec_version=SPEC_VERSION))
+    write_text(cfg.out, verdicts_to_json(verdicts, command="charspace", spec_version=SPEC_VERSION))
     inconclusive = sum(1 for v in verdicts if v.verdict == "inconclusive")
     return 0 if inconclusive <= args.allow_inconclusive else 1
 
@@ -183,14 +166,14 @@ def cmd_peaks(args, cfg: RunConfig) -> int:
             args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
             n=args.n, lam_abs=args.lam, grid_n=args.grid,
         )
-        _write(cfg.out, peak_report(cand))
+        write_text(cfg.out, peak_report(cand))
         return 0 if (cand.certified or args.lam == 0.0) else 1
     if args.domain == "ball":
         cand = ball_peak(_coeff_list(args.h), grid=(args.grid_s, args.grid_phi))
-        _write(cfg.out, peak_report(cand))
+        write_text(cfg.out, peak_report(cand))
         return 0 if cand.certified else 1
     rep = product_peak_check(_coeff_list(args.phi), _coeff_list(args.psi), grid_n=args.grid)
-    _write(cfg.out, _json_doc("peaks product", rep))
+    write_text(cfg.out, _json_doc("peaks product", rep))
     return 0 if rep["passed"] else 1
 
 
@@ -200,23 +183,21 @@ def cmd_shift(args, cfg: RunConfig) -> int:
         est = spectral_radius_estimate(w, args.kmax)
         body = {
             "weights": args.weights,
-            "power_norms": {str(m): v for m, v in est.power_norms.items()},
-            "root_estimates": {str(m): v for m, v in est.root_estimates.items()},
-            "bounds": {str(m): list(v) for m, v in (est.bounds or {}).items()},
+            "power_norms": est.power_norms,
+            "root_estimates": est.root_estimates,
+            "bounds": est.bounds or {},
             "sandwich_checked": est.sandwich_checked,
             "sandwich_ok": est.sandwich_ok,
-            "violations": [list(v) for v in est.sandwich_violations],
+            "violations": est.sandwich_violations,
         }
-        _write(cfg.out, _json_doc("shift spr", body))
+        write_text(cfg.out, _json_doc("shift spr", body))
         return 0 if (not est.sandwich_checked or est.sandwich_ok) else 1
     if args.what == "powernorm":
-        vals = {str(m): shift_power_norm(w, m) for m in args.m}
-        _write(cfg.out, _json_doc("shift powernorm", {"weights": args.weights, "norms": vals}))
+        vals = {m: shift_power_norm(w, m) for m in args.m}
+        write_text(cfg.out, _json_doc("shift powernorm", {"weights": args.weights, "norms": vals}))
         return 0
     rep = power_bounded_check(w, args.r, m_max=args.mmax)
-    body = dict(rep)
-    body["dyadic_bounds"] = {str(m): v for m, v in rep["dyadic_bounds"].items()}
-    _write(cfg.out, _json_doc("shift powerbound", {"weights": args.weights, **body}))
+    write_text(cfg.out, _json_doc("shift powerbound", {"weights": args.weights, **rep}))
     return 0 if rep["all_dyadic_ok"] else 1
 
 
@@ -231,7 +212,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
             bound = float(np.sqrt(max(0.0, 1 - abs(np.polyval(np.array(coeffs)[::-1], z)) ** 2)))
             rows.append({"z": z, "value": val, "bound": bound})
             ok = ok and val <= bound + 1e-6
-        _write(cfg.out, _json_doc("probe commutator", {"phi": args.phi, "rows": rows, "passed": ok}))
+        write_text(cfg.out, _json_doc("probe commutator", {"phi": args.phi, "rows": rows, "passed": ok}))
         return 0 if ok else 1
     if args.kind == "closed-range":
         if not args.blaschke and not args.phi:
@@ -240,24 +221,18 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         rep = closed_range_probe(
             space, phi, n_schedule=tuple(args.n_schedule), thresholds=cfg.trend, tol=cfg.tail_tol
         )
-        body = dict(rep)
-        body["kernel_values"] = {str(k): v for k, v in rep["kernel_values"].items()}
-        body["lambda_min"] = {str(k): v for k, v in rep["lambda_min"].items()}
-        body["kernel_bound_argmin"] = str(rep["kernel_bound_argmin"])
-        _write(cfg.out, _json_doc("probe closed-range", body))
+        body = {**rep, "kernel_bound_argmin": str(rep["kernel_bound_argmin"])}
+        write_text(cfg.out, _json_doc("probe closed-range", body))
         return 0 if rep["classification"] != "inconclusive" else 1
     if args.kind == "fredholm":
         rep = fredholm_probe(space, _complex_arg(args.z0), tuple(args.n_schedule), tol=cfg.tail_tol)
-        body = dict(rep)
-        body["sigma2"] = {str(k): v for k, v in rep["sigma2"].items()}
         ok = rep["residual"] <= 10 * rep["tail"] and rep["sigma2_trend"] == "bounded_below"
-        body["passed"] = ok
-        _write(cfg.out, _json_doc("probe fredholm", body))
+        write_text(cfg.out, _json_doc("probe fredholm", {**rep, "passed": ok}))
         return 0 if ok else 1
     if args.kind == "spherical":
         ball = ball_space(args.n, args.degree, args.ball_kind)
         rep = spherical_contraction_check(ball)
-        _write(cfg.out, _json_doc("probe spherical", rep))
+        write_text(cfg.out, _json_doc("probe spherical", rep))
         return 0 if rep["passed"] else 1
     if args.kind == "wot":
         if args.geometric is None and not args.phi:
@@ -268,7 +243,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
             else _coeff_list(args.phi)
         )
         rep = wot_dilation_probe(space, coeffs, [float(t) for t in args.t.split(",")], block=args.block)
-        _write(cfg.out, _json_doc("probe wot", rep))
+        write_text(cfg.out, _json_doc("probe wot", rep))
         return 0 if rep["non_increasing"] else 1
     # normbound
     if args.families < 1:
@@ -285,7 +260,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         rep = norm_lower_bound_check(space, phis, psis, args.truncation, tol=args.tol)
         rows.append({"sigma_max": rep["sigma_max"], "grid_sup": rep["grid_sup"], "passed": rep["passed"]})
         ok = ok and rep["passed"]
-    _write(cfg.out, _json_doc("probe normbound", {"rows": rows, "passed": ok}))
+    write_text(cfg.out, _json_doc("probe normbound", {"rows": rows, "passed": ok}))
     return 0 if ok else 1
 
 
@@ -437,7 +412,7 @@ def main(argv=None) -> int:
             svg=getattr(args, "svg", None),
         )
         return args.func(args, cfg)
-    except (ValueError, OSError, TruncationError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -204,6 +204,10 @@ def norm_lower_bound_check(
     """
     if not phis or not psis or len(phis) != len(psis):
         raise ValueError("need matching non-empty polynomial families")
+    if any(np.size(c) == 0 for c in (*phis, *psis)):
+        raise ValueError("every polynomial needs at least one coefficient")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol}")
     acc = np.zeros((n, n), dtype=complex)
     for cp, cq in zip(phis, psis):
         mp = mult_matrix(space_or_weights, cp, n)
@@ -373,10 +377,10 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         for a in self.zeros:
-            if abs(a) >= 1:
+            if not abs(a) < 1:
                 raise ValueError(
-                    f"factor zero {a} has modulus >= 1; the cleared-pole form "
-                    "acquires a pole inside the closed disk"
+                    f"factor zero {a} is not inside the open unit disk; the "
+                    "cleared-pole form acquires a pole inside the closed disk"
                 )
 
     def eval(self, z):

@@ -29,12 +29,12 @@ stay out of scope.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import to_json
 from .operators import circle_sup_precondition, poly_eval
 
 
@@ -228,18 +228,11 @@ def peak_report(candidate: PeakCandidate) -> str:
     doc = {
         "domain": candidate.domain,
         "func": candidate.func,
-        "alpha": [_cpx(a) for a in candidate.alpha],
+        "alpha": candidate.alpha,
         "grid_n": rep.grid_n,
         "max": rep.max_value,
-        "max_at": [_cpx(a) for a in rep.max_at],
+        "max_at": rep.max_at,
         "margin": rep.margin,
         "certified": candidate.certified,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _cpx(v):
-    if isinstance(v, tuple):
-        return [_cpx(x) for x in v]
-    v = complex(v)
-    return {"re": v.real, "im": v.imag}
+    return to_json(doc)

@@ -29,11 +29,11 @@ that drive the spectral-radius computation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .formats import read_columns, write_csv
 from .spaces import KernelSpace, space_by_name
 
 
@@ -177,7 +177,7 @@ def generate_weights(spec: str, length: int) -> WeightSequence:
         return sigma_weights(rest or "squares", length)
     if kind == "cluster":
         path = _kv_str(rest, "file")
-        return cluster_weights(_load_column(path, "p"), length)
+        return cluster_weights(read_columns(path, ("p",))[0], length)
     if kind == "space":
         return space_weights(space_by_name(rest), length)
     if kind == "explicit":
@@ -206,30 +206,12 @@ def _kv_str(rest: str, key: str) -> str:
 
 
 def load_weights(path) -> WeightSequence:
-    """Load weights from CSV with header ``n,a``."""
-    return explicit_weights(_load_column(path, "a"))
-
-
-def _load_column(path, col: str) -> list[float]:
-    vals = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = [c.strip() for c in next(reader)]
-        if col not in header:
-            raise ValueError(f"expected a {col!r} column in {path}, got {header!r}")
-        j = header.index(col)
-        for row in reader:
-            if row:
-                vals.append(float(row[j]))
-    return vals
+    """Load weights from the ``a`` column of a CSV written with header ``n,a``."""
+    return explicit_weights(read_columns(path, ("a",))[0])
 
 
 def save_weights(w: WeightSequence, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n", "a"])
-        for n, an in enumerate(w.a):
-            writer.writerow([n, repr(float(an))])
+    write_csv(path, ("n", "a"), enumerate(w.a))
 
 
 # ---------------------------------------------------------------------------

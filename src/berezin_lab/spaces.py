@@ -14,8 +14,10 @@ Built-in families (all contractive, ``a_k <= 1``):
     mu           h_0 = 2, h_k = 1 (k >= 1)        circle average dtheta/2pi
                                                   plus a unit point mass at 0
 
-``custom`` tables load from CSV (header ``k,h``); their invariants are
-validated at load time, and the table length bounds the usable truncation.
+``custom`` tables load from CSV (columns ``k`` and ``h``, found by header
+name, read through ``formats.read_columns``); their invariants are
+validated at load time, a malformed table raises ``ValueError``, and the
+table length bounds the usable truncation.
 
 Kernel coordinates need the powers conj(z)^0 .. conj(z)^(n-1), with n up
 to 2^18 near the boundary.  ``_conj_powers`` is the one place that forms
@@ -33,12 +35,13 @@ normalized convention throughout.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 import numpy as np
+
+from .formats import read_columns, write_csv
 
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
@@ -46,8 +49,9 @@ N_CAP = 2 ** 20
 BUILTIN_KINDS = ("hardy", "bergman", "rs", "mu")
 
 
-class TruncationError(RuntimeError):
-    """Adaptive truncation could not reach the requested tolerance."""
+class TruncationError(ValueError):
+    """Adaptive truncation could not reach the requested tolerance; a
+    parameter error, so the CLI exits 2 on it like on any ``ValueError``."""
 
 
 def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
@@ -135,18 +139,8 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
 
 
 def load_h_table(path, label: str | None = None) -> KernelSpace:
-    """Load a norm table from CSV with header ``k,h``."""
-    ks, hs = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["k", "h"]:
-            raise ValueError(f"expected header 'k,h', got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            ks.append(int(row[0]))
-            hs.append(float(row[1]))
+    """Load a norm table from CSV with columns ``k`` and ``h``."""
+    ks, hs = read_columns(path, ("k", "h"))
     if ks != list(range(len(ks))):
         raise ValueError("norm table rows must list k = 0,1,2,... in order")
     return custom_space(np.array(hs), label=label or str(path))
@@ -164,11 +158,7 @@ def space_by_name(name: str) -> KernelSpace:
 
 
 def save_h_table(space: KernelSpace, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "h"])
-        for k, hk in enumerate(space.h):
-            writer.writerow([k, repr(float(hk))])
+    write_csv(path, ("k", "h"), enumerate(space.h))
 
 
 def _conj_powers(z, n: int) -> np.ndarray:

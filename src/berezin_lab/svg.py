@@ -6,7 +6,7 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
+from .formats import read_columns, write_text
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -87,14 +87,7 @@ def _esc(text: str) -> str:
 
 def profile_csv_to_svg(csv_path, svg_path, title: str = "") -> None:
     """Plot |value| against |z| from a profile CSV."""
-    xs, ys = [], []
-    with open(csv_path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            z = complex(float(row["re_z"]), float(row["im_z"]))
-            v = complex(float(row["re_val"]), float(row["im_val"]))
-            xs.append(abs(z))
-            ys.append(abs(v))
-    doc = line_plot_svg(xs, ys, title=title, x_label="|z|", y_label="|value|")
-    with open(svg_path, "w") as f:
-        f.write(doc)
+    re_z, im_z, re_v, im_v = read_columns(csv_path, ("re_z", "im_z", "re_val", "im_val"))
+    xs = [abs(complex(*z)) for z in zip(re_z, im_z)]
+    ys = [abs(complex(*v)) for v in zip(re_v, im_v)]
+    write_text(svg_path, line_plot_svg(xs, ys, title=title, x_label="|z|", y_label="|value|"))

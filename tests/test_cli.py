@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import berezin_lab
@@ -214,7 +215,7 @@ def test_probe_fredholm_spherical_wot_normbound(tmp_path):
 # exit codes
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(tmp_path, capsys):
     assert run(["gbt", "--space", "hardy"]) == 2  # missing --op
     assert run(["nope"]) == 2
     assert run(["gbt", "--space", "hardy", "--op", "Mz +", "--samples", "5"]) == 2
@@ -240,8 +241,61 @@ def test_usage_error_exit_2(capsys):
     assert run(["peaks", "product", "--phi", "0,1", "--psi", "nan"]) == 2
     assert run(["probe", "normbound", "--space", "hardy", "--families", "0"]) == 2
     assert run(["probe", "commutator", "--space", "hardy", "--phi", "0,1", "--z", "nan"]) == 2
+    assert run(["probe", "normbound", "--space", "hardy", "--degree", "-1", "--families", "1"]) == 2
+    assert run(["probe", "normbound", "--space", "hardy", "--tol", "nan", "--families", "1"]) == 2
+    assert run(["probe", "closed-range", "--space", "hardy", "--blaschke", "nan"]) == 2
+    # an empty or short-row input table is a usage error, not a crash
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    grid = ["--lambda-grid", "mod=0:1:0.5"]
+    assert run(["charspace", "--weights", f"cluster:file={empty}", *grid]) == 2
+    assert run(["gbt", "--space", f"custom:{empty}", "--op", "Mz", "--samples", "2", "--rmax", "0.5"]) == 2
+    assert run(["shift", "powernorm", "--weights", f"space:custom:{empty}", "--m", "1"]) == 2
+    short = {"p": tmp_path / "p.csv", "h": tmp_path / "h.csv", "a": tmp_path / "a.csv"}
+    short["p"].write_text("x,p\n1\n")
+    short["h"].write_text("k,h\n0\n")
+    short["a"].write_text("n,a\n0,0.5\n1\n")
+    assert run(["charspace", "--weights", f"cluster:file={short['p']}", *grid]) == 2
+    assert run(["gbt", "--space", f"custom:{short['h']}", "--op", "Mz", "--samples", "2", "--rmax", "0.5"]) == 2
+    assert run(["charspace", "--weights", f"explicit:file={short['a']}", "--weight-count", "2", *grid]) == 2
+    # a non-finite sample never reaches a CSV output
+    out = tmp_path / "f.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["gbt", "--space", "hardy", "--op", "1e308*M(1e308)", "--samples", "2", "--rmax", "0.9",
+                    "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_every_json_output_is_strict(tmp_path, capsys):
+    # no NaN, Infinity or -Infinity in any subcommand's JSON
+    argvs = [
+        ["gbt", "--space", "bergman", "--op", "[Mz^*, Mz] Mz", "--rmax", "0.9", "--samples", "3"],
+        ["charspace", "--weights", "simple:r=0.5", "--weight-count", "4096",
+         "--lambda-grid", "mod=0:1:0.5,args=2", "--n-max-log2", "10"],
+        ["peaks", "annulus", "--R", "2", "--r", "1", "--n", "2", "--grid", "2000"],
+        ["peaks", "ball", "--h", "0,0.5", "--grid-s", "8", "--grid-phi", "8"],
+        ["peaks", "product", "--phi", "0,1", "--psi", "0.5,0.5", "--grid", "64"],
+        ["shift", "spr", "--weights", "simple:r=0.5", "--kmax", "6"],
+        ["shift", "powernorm", "--weights", "constant:c=1", "--m", "128", "1024"],
+        ["shift", "powerbound", "--weights", "simple:r=0.5", "--r", "0.5", "--mmax", "64"],
+        ["probe", "commutator", "--space", "hardy", "--phi", "0,0.5", "--z", "0;0.9"],
+        ["probe", "closed-range", "--space", "hardy", "--blaschke", "0.5", "--n-schedule", "64", "128", "256"],
+        ["probe", "fredholm", "--space", "bergman", "--n-schedule", "32", "64", "128"],
+        ["probe", "spherical", "--n", "2", "--degree", "4"],
+        ["probe", "wot", "--space", "hardy", "--geometric", "0.9", "--block", "8"],
+        ["probe", "normbound", "--space", "hardy", "--families", "2", "--truncation", "64", "--tol", "0.05"],
+    ]
+    for argv in argvs:
+        assert run(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert isinstance(doc, dict), argv
 
 
 def test_cli_import_leaves_scipy_unloaded():
