@@ -20,7 +20,7 @@ from .spaces import (
     monomial_norms,
 )
 from .shifts import WeightSequence, generate_weights, shift_power_norm, spectral_radius_estimate
-from .operators import BlaschkeProduct, ColumnOperator, TruncatedOperator, mult_matrix
+from .operators import BlaschkeProduct, mult_matrix
 from .berezin import BerezinProfile, BerezinSample, gbt_profile, gbt_sample
 from .characters import CharacterConfig, CharacterVerdict, character_membership, character_set_scan
 from .peaks import PeakCandidate, annulus_peak, ball_peak, product_peak_check
@@ -35,11 +35,9 @@ __all__ = [
     "BlaschkeProduct",
     "CharacterConfig",
     "CharacterVerdict",
-    "ColumnOperator",
     "KernelSpace",
     "KernelVector",
     "PeakCandidate",
-    "TruncatedOperator",
     "WeightSequence",
     "annulus_peak",
     "ball_peak",

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprs
 from .formats import read_columns, to_json, write_csv
-from .operators import TruncatedOperator, circle_sup_precondition, sup_on_circle
+from .operators import circle_sup_precondition, sup_on_circle
 from .spaces import KernelSpace, kernel_frame
 
 
@@ -55,17 +55,16 @@ class BerezinProfile:
         return np.array([s.z for s in self.samples])
 
 
-def gbt_sample(space: KernelSpace, op, z: complex, tol: float = 1e-12) -> BerezinSample:
+def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> BerezinSample:
     """<X k_z, k_z> at adaptive truncation, applied without forming a matrix.
 
-    ``op`` is an expression tree; a ``TruncatedOperator`` enters as a
-    ``Dense`` leaf, i.e. as the compression onto its leading block.  The
-    kernel sits in a ``kernel_frame`` padded by the expression's index
+    ``node`` is an expression tree; a dense truncation enters it as an
+    ``exprs.Dense`` leaf, i.e. as the compression onto its leading block.
+    The kernel sits in a ``kernel_frame`` padded by the expression's index
     raise, so products never hit the top edge and every coordinate a
     ``Dense`` block reads holds a kernel value.  The reported tail is the
     kernel tail scaled by a coarse norm bound of the expression.
     """
-    node = exprs.Dense(op.mat) if isinstance(op, TruncatedOperator) else op
     kv, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
     value = complex(np.vdot(v, exprs.apply(node, a, v)))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
@@ -104,7 +103,7 @@ def disk_grid(n: int, r_max: float = 0.95):
     return pts
 
 
-def gbt_profile(space, op, path, op_label: str = "", tol: float = 1e-12) -> BerezinProfile:
+def gbt_profile(space, node, path, op_label: str = "", tol: float = 1e-12) -> BerezinProfile:
     if isinstance(path, dict):
         spec = dict(path)
         kind = spec.pop("kind")
@@ -113,9 +112,9 @@ def gbt_profile(space, op, path, op_label: str = "", tol: float = 1e-12) -> Bere
     else:
         pts = list(path)
         path_desc = {"kind": "points", "count": len(pts)}
-    samples = tuple(gbt_sample(space, op, z, tol=tol) for z in pts)
-    if not op_label:
-        op_label = op.label if isinstance(op, TruncatedOperator) else exprs.to_text(op)
+    samples = tuple(gbt_sample(space, node, z, tol=tol) for z in pts)
+    if not op_label and not isinstance(node, exprs.Dense):
+        op_label = exprs.to_text(node)
     return BerezinProfile(op_label=op_label, samples=samples, path=path_desc)
 
 
@@ -125,25 +124,26 @@ def gbt_profile(space, op, path, op_label: str = "", tol: float = 1e-12) -> Bere
 
 def gbt_axiom_check(
     space: KernelSpace,
-    x: TruncatedOperator,
-    y: TruncatedOperator,
+    x: np.ndarray,
+    y: np.ndarray,
     scalars=(1.0, 1.0),
     grid=None,
     tol: float = 1e-12,
 ) -> dict:
     """Contractivity, linearity, self-adjointness, and module covariance
-    of the transform of the compressions of x and y.
+    of the transform of the compressions of the square arrays x and y,
+    each entering the transform as a ``Dense`` leaf.
 
     The first three are identities of the compression and hold to float
     accuracy; covariance against multiplication by z holds up to the
     kernel tail, which the adaptive truncation keeps below ``tol``.
     """
-    if x.n != y.n:
+    if x.shape[0] != y.shape[0]:
         raise ValueError("operators must share a truncation")
     if grid is None:
         grid = [0.4, -0.2 + 0.5j, 0.7j, 0.85]
     a_sc, b_sc = scalars
-    norm_x = x.norm()
+    norm_x = float(np.linalg.svd(x, compute_uv=False)[0])
     report = {
         "contractivity": 0.0,
         "linearity": 0.0,
@@ -151,15 +151,16 @@ def gbt_axiom_check(
         "covariance": 0.0,
         "samples": [],
     }
-    xy = TruncatedOperator(a_sc * x.mat + b_sc * y.mat, label="aX+bY")
-    x_adj = x.adjoint()
-    mzx = exprs.Product((exprs.Mz(), exprs.Dense(x.mat)))
-    xmz_adj = exprs.Product((exprs.Dense(x.mat), exprs.MzAdj()))
+    dx, dy = exprs.Dense(x), exprs.Dense(y)
+    xy = exprs.Dense(a_sc * x + b_sc * y)
+    x_adj = exprs.Dense(x.conj().T)
+    mzx = exprs.Product((exprs.Mz(), dx))
+    xmz_adj = exprs.Product((dx, exprs.MzAdj()))
     for z in grid:
-        s = gbt_sample(space, x, z, tol=tol)
+        s = gbt_sample(space, dx, z, tol=tol)
         gx = s.value
         gy, gxy, gxa, gmzx, gxmza = (
-            gbt_sample(space, op, z, tol=tol).value for op in (y, xy, x_adj, mzx, xmz_adj)
+            gbt_sample(space, op, z, tol=tol).value for op in (dy, xy, x_adj, mzx, xmz_adj)
         )
         report["contractivity"] = max(
             report["contractivity"], abs(gx) - norm_x - s.tail

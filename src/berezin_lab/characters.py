@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .formats import to_json
-from .operators import TruncatedOperator
 from .shifts import WeightSequence
 from .tridiag import lambda_min_batch
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
@@ -179,17 +178,6 @@ def tridiagonal_parts(w: WeightSequence, lam: complex, n: int):
     diag = asq + np.concatenate(([0.0], asq[: n - 1])) + 2 * abs(lam) ** 2
     off = -2.0 * lam * w.a[: n - 1]
     return diag, off
-
-
-def tridiagonal_X(w: WeightSequence, lam: complex, n: int) -> TruncatedOperator:
-    """Truncation of (T-l)^*(T-l) + (T-l)(T-l)^* as a dense matrix."""
-    diag, off = tridiagonal_parts(w, lam, n)
-    mat = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    mat[idx, idx] = diag
-    mat[idx[:-1], idx[:-1] + 1] = off
-    mat[idx[:-1] + 1, idx[:-1]] = np.conj(off)
-    return TruncatedOperator(mat, label=f"X(lambda={lam:g})", space=w)
 
 
 def gap_certificate(w: WeightSequence, lam: complex, n: int | None = None) -> GapEvidence | None:

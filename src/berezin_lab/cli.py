@@ -44,7 +44,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import ball_space, space_by_name
+from .spaces import N_CAP, ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -97,6 +97,10 @@ def _parse_path(args) -> dict:
     raise ValueError(f"unknown path kind {kind!r}")
 
 
+# largest lambda modulus whose doubled square is a finite float
+_MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
+
+
 def _parse_lambda_grid(text: str):
     moduli = None
     angles = 8
@@ -106,7 +110,13 @@ def _parse_lambda_grid(text: str):
             lo, hi, step = (float(x) for x in val.split(":"))
             if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
                 raise ValueError(f"lambda grid mod={val} needs finite lo <= hi and step > 0")
-            count = int(round((hi - lo) / step)) + 1
+            steps = (hi - lo) / step
+            if not steps <= N_CAP:
+                raise ValueError(f"lambda grid mod={val} needs at most {N_CAP} steps")
+            # X carries 2 |lambda|^2 on its diagonal, which must stay finite
+            if not max(abs(lo), abs(hi)) <= _MODULUS_CAP:
+                raise ValueError(f"lambda grid mod={val} needs moduli at most {_MODULUS_CAP:.3g}")
+            count = int(round(steps)) + 1
             moduli = [round(lo + i * step, 12) for i in range(count)]
         elif key == "args":
             angles = int(val)
@@ -202,7 +212,7 @@ def cmd_shift(args, cfg: RunConfig) -> int:
 
 
 def cmd_probe(args, cfg: RunConfig) -> int:
-    space = space_by_name(args.space) if getattr(args, "space", None) else None
+    space = space_by_name(args.space) if getattr(args, "space", None) is not None else None
     if args.kind == "commutator":
         coeffs = _coeff_list(args.phi)
         rows = []

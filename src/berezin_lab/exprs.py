@@ -451,24 +451,24 @@ def raise_degree(node) -> int:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def norm_bound(node, a_max: float = 1.0) -> float:
-    """Coarse upper bound on the operator norm over weights with max a_max."""
-    g = max(1.0, float(a_max))
+def norm_bound(node) -> float:
+    """Coarse upper bound on the operator norm over contractive weights
+    (every a_k at most 1)."""
     if isinstance(node, (Mz, MzAdj)):
-        return float(a_max)
+        return 1.0
     if isinstance(node, (MPoly, MPolyAdj)):
-        return float(sum(abs(c) * g ** j for j, c in enumerate(node.coeffs)))
+        return float(sum(abs(c) for c in node.coeffs))
     if isinstance(node, Scale):
-        return abs(node.c) * norm_bound(node.node, a_max)
+        return abs(node.c) * norm_bound(node.node)
     if isinstance(node, Product):
         out = 1.0
         for f in node.factors:
-            out *= norm_bound(f, a_max)
+            out *= norm_bound(f)
         return out
     if isinstance(node, Sum):
-        return float(sum(norm_bound(t, a_max) for _, t in node.terms))
+        return float(sum(norm_bound(t) for _, t in node.terms))
     if isinstance(node, Dense):
         return float(np.linalg.norm(node.mat))
     if isinstance(node, Commutator):
-        return 2.0 * norm_bound(node.a, a_max) * norm_bound(node.b, a_max)
+        return 2.0 * norm_bound(node.a) * norm_bound(node.b)
     raise TypeError(f"not an expression node: {node!r}")

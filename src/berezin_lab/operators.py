@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,51 +26,6 @@ from . import exprs
 from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame, kernel_vector
 from .shifts import WeightSequence
 from .trends import TrendThresholds, classify_trend
-
-
-@dataclass
-class TruncatedOperator:
-    """An N x N complex matrix tagged with its provenance."""
-
-    mat: np.ndarray
-    label: str = ""
-    space: object = None
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.mat.conj().T, label=f"({self.label})^*", space=self.space)
-
-    def norm(self) -> float:
-        return float(np.linalg.svd(self.mat, compute_uv=False)[0])
-
-
-@dataclass
-class ColumnOperator:
-    """A stack of equal-size blocks, each optionally adjointed."""
-
-    blocks: list
-    adjoint_flags: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("column operator needs at least one block")
-        if not self.adjoint_flags:
-            self.adjoint_flags = [False] * len(self.blocks)
-        if len(self.adjoint_flags) != len(self.blocks):
-            raise ValueError("one adjoint flag per block required")
-        sizes = {b.mat.shape for b in self.blocks}
-        if len(sizes) != 1:
-            raise ValueError(f"blocks disagree in shape: {sorted(sizes)}")
-
-    def block_matrices(self):
-        for blk, flag in zip(self.blocks, self.adjoint_flags):
-            yield blk.mat.conj().T if flag else blk.mat
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack(list(self.block_matrices()))
 
 
 def shift_weights_of(space_or_weights, n: int) -> np.ndarray:
@@ -89,7 +44,7 @@ def shift_weights_of(space_or_weights, n: int) -> np.ndarray:
     return a[:n]
 
 
-def mult_matrix(space_or_weights, coeffs, n: int, label: str | None = None) -> TruncatedOperator:
+def mult_matrix(space_or_weights, coeffs, n: int) -> np.ndarray:
     """Banded truncation of multiplication by sum_j c_j z^j.
 
     Exact on polynomials of degree < n - deg(phi); the band entries come
@@ -100,8 +55,7 @@ def mult_matrix(space_or_weights, coeffs, n: int, label: str | None = None) -> T
     if deg >= n:
         raise ValueError(f"polynomial degree {deg} needs truncation above {n}")
     a = shift_weights_of(space_or_weights, max(n - 1, 0))
-    mat = exprs.band_matrix(coeffs, a, n, n)
-    return TruncatedOperator(mat, label=label or f"M({_short(coeffs)})", space=space_or_weights)
+    return exprs.band_matrix(coeffs, a, n, n)
 
 
 def _short(coeffs) -> str:
@@ -121,7 +75,7 @@ def sup_on_circle(coeffs, n_grid: int = 4096):
     return float(vals[j]), complex(np.exp(1j * theta[j]))
 
 
-def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> TruncatedOperator:
+def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:
     """Rank-one orthogonal projection onto the truncated kernel line at z."""
     kv = kernel_vector(space, z, tol)
     v = np.zeros(n, dtype=complex)
@@ -131,16 +85,16 @@ def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) ->
     if nrm == 0:
         raise ValueError("kernel vector truncates to zero at this size")
     v /= nrm
-    return TruncatedOperator(np.outer(v, v.conj()), label=f"P(z={z:g})", space=space)
+    return np.outer(v, v.conj())
 
 
-def circle_sup_precondition(coeffs, bound: float = 1.0, n_grid: int = 4096, slack: float = 1e-9):
+def circle_sup_precondition(coeffs):
     """The grid sup of |phi| on the circle, raising ``ValueError`` unless it
-    is at most ``bound + slack`` (a NaN sup is rejected too)."""
-    sup, at = sup_on_circle(coeffs, n_grid)
-    if not sup <= bound + slack:
+    is at most 1 up to a 1e-9 slack (a NaN sup is rejected too)."""
+    sup, at = sup_on_circle(coeffs)
+    if not sup <= 1.0 + 1e-9:
         raise ValueError(
-            f"symbol sup-norm {sup:.6g} on the circle is not at most {bound} "
+            f"symbol sup-norm {sup:.6g} on the circle is not at most 1.0 "
             f"(offending grid point {at:.6g})"
         )
     return sup
@@ -173,15 +127,21 @@ def commutator_norm_PzMphi(
     return float(np.linalg.svd(rl @ rr.conj().T, compute_uv=False)[0])
 
 
-def column_sigma_min(col: ColumnOperator) -> float:
-    """Smallest singular value of the stacked column.
+def column_sigma_min(blocks) -> float:
+    """Smallest singular value of the column stacking the square arrays
+    ``blocks`` (adjoint a block before passing it to stack its adjoint).
 
     Computed as sqrt(lambda_min(sum B_i^* B_i)) by a dense Hermitian
     eigensolve.
     """
-    n = col.blocks[0].n
+    if not blocks:
+        raise ValueError("column needs at least one block")
+    shapes = {b.shape for b in blocks}
+    if len(shapes) != 1:
+        raise ValueError(f"blocks disagree in shape: {sorted(shapes)}")
+    n = blocks[0].shape[0]
     acc = np.zeros((n, n), dtype=complex)
-    for b in col.block_matrices():
+    for b in blocks:
         acc += b.conj().T @ b
     lam = float(np.linalg.eigvalsh(acc)[0])
     return math.sqrt(max(lam, 0.0))
@@ -212,7 +172,7 @@ def norm_lower_bound_check(
     for cp, cq in zip(phis, psis):
         mp = mult_matrix(space_or_weights, cp, n)
         mq = mult_matrix(space_or_weights, cq, n)
-        acc += mp.mat @ mq.mat.conj().T
+        acc += mp @ mq.conj().T
     sigma_max = float(np.linalg.svd(acc, compute_uv=False)[0])
 
     theta = 2 * np.pi * np.arange(grid_n) / grid_n
@@ -250,7 +210,7 @@ def ball_coordinate_matrices(ball: BallSpace) -> list:
             beta = tuple(beta)
             if beta in index:
                 m[index[beta], col] = math.sqrt(ball.norms[beta] / ball.norms[alpha])
-        mats.append(TruncatedOperator(m, label=f"M(z_{i + 1})", space=ball))
+        mats.append(m)
     return mats
 
 
@@ -264,11 +224,8 @@ def spherical_contraction_check(ball: BallSpace, tol: float = 1e-10) -> dict:
     sqrt(n) at the constant function and is reported for audit only.
     """
     mats = ball_coordinate_matrices(ball)
-    col_adj = ColumnOperator(mats, adjoint_flags=[True] * len(mats))
-    stacked = col_adj.stacked()
-    row_norm = float(np.linalg.svd(stacked, compute_uv=False)[0])
-    col_literal = ColumnOperator(mats)
-    col_norm = float(np.linalg.svd(col_literal.stacked(), compute_uv=False)[0])
+    row_norm = float(np.linalg.svd(np.vstack([m.conj().T for m in mats]), compute_uv=False)[0])
+    col_norm = float(np.linalg.svd(np.vstack(mats), compute_uv=False)[0])
     return {
         "kind": ball.kind,
         "n": ball.n,
@@ -298,12 +255,12 @@ def wot_dilation_probe(space_or_weights, coeffs, t_schedule, block: int = 20) ->
     if any(not 0 <= t <= 1 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must increase within [0, 1]")
     ncoef = min(len(coeffs), block)
-    base = mult_matrix(space_or_weights, coeffs[:block], block).mat
+    base = mult_matrix(space_or_weights, coeffs[:block], block)
     deviations = []
     for t in ts:
         ct = coeffs[:block].copy()
         ct[:ncoef] = ct[:ncoef] * (t ** np.arange(ncoef))
-        dev = np.max(np.abs(mult_matrix(space_or_weights, ct, block).mat - base))
+        dev = np.max(np.abs(mult_matrix(space_or_weights, ct, block) - base))
         deviations.append(float(dev))
     monotone = all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
     return {
@@ -355,8 +312,7 @@ def fredholm_probe(space: KernelSpace, z0: complex, n_schedule=(128, 256, 512), 
     sigma2 = {}
     sigma_min = math.inf
     for m in ns:
-        mat = mult_matrix(space, coeffs, m).mat
-        svals = np.linalg.svd(mat, compute_uv=False)
+        svals = np.linalg.svd(mult_matrix(space, coeffs, m), compute_uv=False)
         sigma2[m] = float(svals[-2])
         sigma_min = float(svals[-1])
     return {

@@ -151,8 +151,8 @@ def explicit_weights(values) -> WeightSequence:
     a = np.asarray(values, dtype=float)
     if a.ndim != 1 or len(a) == 0:
         raise ValueError("need a non-empty 1-d weight list")
-    if np.any(a <= 0):
-        raise ValueError("weights must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("weights must be positive and finite")
     return WeightSequence("explicit", a)
 
 

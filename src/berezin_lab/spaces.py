@@ -46,6 +46,8 @@ from .formats import read_columns, write_csv
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
 
+_EPS = float(np.finfo(float).eps)
+
 BUILTIN_KINDS = ("hardy", "bergman", "rs", "mu")
 
 
@@ -126,12 +128,14 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or len(h) < 2:
         raise ValueError("norm table needs at least h_0 and h_1")
-    if np.any(h <= 0):
-        k = int(np.argmax(h <= 0))
-        raise ValueError(f"h_{k} = {h[k]} is not positive")
+    bad = ~(np.isfinite(h) & (h > 0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(f"h_{k} = {h[k]} is not positive and finite")
     a = np.sqrt(h[1:] / h[:-1])
-    if np.any(a > 1 + tol):
-        k = int(np.argmax(a > 1 + tol))
+    bad = ~(a <= 1 + tol)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise ValueError(
             f"contractivity violated: a_{k} = sqrt(h_{k+1}/h_{k}) = {a[k]:.6g} > 1"
         )
@@ -179,8 +183,8 @@ class KernelVector:
     truncated kernel projection: entry k is conj(z)^k / sqrt(h_k),
     renormalized over the kept indices.  ``norm_sq`` is the partial sum
     of the K(z,z) series over those indices, and ``tail`` bounds the
-    omitted relative mass, so the true K(z,z) lies in
-    [norm_sq, norm_sq * (1 + tail)].
+    omitted relative mass (rounded outward by 1 + 4 n eps), so the true
+    K(z,z) lies in [norm_sq, norm_sq * (1 + tail)].
     """
 
     z: complex
@@ -243,7 +247,20 @@ def kernel_vector(
             q = r2 / a_min_sq
             t_next = r2 ** n / h[n] if n < len(h) else r2 ** n / h[-1]
             tail_abs = math.inf if q >= 1 else t_next / (1.0 - q)
-        rel = tail_abs / partial
+        # Outward rounding.  With u = eps/2, r2 = fl(|z|^2) = |z|^2 (1 + d),
+        # |d| <= 3u (an ulp from abs, half an ulp from squaring).  Where the
+        # majorant is exact (a constant ratio past n: hardy, mu) rel equals
+        # r2^n / (1 - r2^n), whose logarithmic derivative in r2 is
+        # n (1 + rel), so d moves it by at most 3n (1 + tol) u.  The
+        # arithmetic adds 2u per term (power, division), log2(n) u for the
+        # pairwise sum, 2u for q and 2u for the two last divisions; 1/(1 - q)
+        # amplifies the error of q by q/(1 - q) <= n/ln(1 + 1/tol), because
+        # rel < tol forces r2^n < tol/(1 + tol).  For tol <= 1e-3 and
+        # n >= 32 all of it stays below 4nu = 2n eps; the factor doubles
+        # that and stays below 4 N_CAP eps < 1e-9.  On bergman and rs(s),
+        # s >= 2, the majorant's ratio exceeds the true one by about
+        # (s - 1) r2/n^2, a far larger margin.
+        rel = tail_abs / partial * (1.0 + 4.0 * n * _EPS)
         if rel < tol:
             raw = _conj_powers(z, n) / np.sqrt(h[:n])
             coeffs = raw / math.sqrt(partial)

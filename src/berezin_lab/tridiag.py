@@ -40,15 +40,3 @@ def lambda_min_batch(diags, offs) -> np.ndarray:
         dtype=float,
     )
 
-
-def dense_tridiagonal(diag, off) -> np.ndarray:
-    """Materialize the Hermitian tridiagonal (cross-check helper)."""
-    diag = np.asarray(diag)
-    off = np.asarray(off)
-    n = len(diag)
-    m = np.zeros((n, n), dtype=np.result_type(diag, off, float))
-    m[np.arange(n), np.arange(n)] = diag
-    if n > 1:
-        m[np.arange(n - 1), np.arange(1, n)] = off
-        m[np.arange(1, n), np.arange(n - 1)] = np.conj(off)
-    return m

@@ -21,7 +21,6 @@ from berezin_lab.characters import (
 )
 from berezin_lab.operators import (
     BlaschkeProduct,
-    TruncatedOperator,
     closed_range_probe,
     commutator_norm_PzMphi,
     norm_lower_bound_check,
@@ -71,8 +70,8 @@ def test_acceptance_02_transform_axioms():
     n = 128
     worst = {"contractivity": -np.inf, "linearity": 0.0, "self_adjointness": 0.0}
     for _ in range(200):
-        x = TruncatedOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        y = TruncatedOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         z = complex(rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform()))
         rep = gbt_axiom_check(HARDY, x, y, scalars=(0.6 - 0.3j, 1.2j), grid=[z])
         for key in worst:

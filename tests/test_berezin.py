@@ -18,7 +18,8 @@ from berezin_lab.berezin import (
     profile_to_csv,
     radial_path,
 )
-from berezin_lab.operators import TruncatedOperator, mult_matrix
+from berezin_lab.exprs import Dense
+from berezin_lab.operators import mult_matrix
 from berezin_lab.spaces import kernel_vector, monomial_norms
 
 rng = np.random.default_rng(616263)
@@ -35,24 +36,24 @@ SPACES = [hardy, bergman, rs3, mu]
 
 
 def test_symbol_value_hardy_shift():
-    op = mult_matrix(hardy, [0, 1], 64)
+    op = Dense(mult_matrix(hardy, [0, 1], 64))
     assert gbt_sample(hardy, op, 0.3).value == pytest.approx(0.3, abs=1e-12)
 
 
 def test_value_products_at_origin():
     # Mz Mz^* kills the kernel line at 0; Mz^* Mz sees a0^2
-    mz = mult_matrix(hardy, [0, 1], 32).mat
-    down_up = TruncatedOperator(mz @ mz.conj().T)
+    mz = mult_matrix(hardy, [0, 1], 32)
+    down_up = Dense(mz @ mz.conj().T)
     assert gbt_sample(hardy, down_up, 0.0).value == pytest.approx(0.0, abs=1e-14)
-    mzb = mult_matrix(bergman, [0, 1], 32).mat
-    up_down = TruncatedOperator(mzb.conj().T @ mzb)
+    mzb = mult_matrix(bergman, [0, 1], 32)
+    up_down = Dense(mzb.conj().T @ mzb)
     assert gbt_sample(bergman, up_down, 0.0).value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_noncommutativity_witness():
-    mz = mult_matrix(hardy, [0, 1], 32).mat
-    a = gbt_sample(hardy, TruncatedOperator(mz @ mz.conj().T), 0.0).value
-    b = gbt_sample(hardy, TruncatedOperator(mz.conj().T @ mz), 0.0).value
+    mz = mult_matrix(hardy, [0, 1], 32)
+    a = gbt_sample(hardy, Dense(mz @ mz.conj().T), 0.0).value
+    b = gbt_sample(hardy, Dense(mz.conj().T @ mz), 0.0).value
     assert a == pytest.approx(0.0, abs=1e-14)
     assert b == pytest.approx(1.0, abs=1e-14)
 
@@ -63,8 +64,8 @@ def test_short_truncation_is_compression_value():
     op = mult_matrix(hardy, [0, 1], 8)
     v = kernel_vector(hardy, 0.95, 1e-12).coeffs
     assert len(v) > 8
-    want = np.vdot(v[:8], op.mat @ v[:8])
-    got = gbt_sample(hardy, op, 0.95, tol=1e-12).value
+    want = np.vdot(v[:8], op @ v[:8])
+    got = gbt_sample(hardy, Dense(op), 0.95, tol=1e-12).value
     assert got == pytest.approx(want, abs=1e-15)
 
 
@@ -105,7 +106,7 @@ def test_symbol_fidelity_property(space):
 def test_expression_vs_matrix_agree():
     node = exprs.parse("Mz Mz^* + 0.5*M(0,0,1)")
     n = 128
-    mat = TruncatedOperator(exprs.materialize(node, hardy.shift_weights(n - 1), n))
+    mat = Dense(exprs.materialize(node, hardy.shift_weights(n - 1), n))
     for z in (0.2, 0.5j, -0.4 + 0.3j):
         assert gbt_sample(hardy, mat, z).value == pytest.approx(
             gbt_sample(hardy, node, z).value, abs=1e-10
@@ -180,8 +181,8 @@ def test_axioms_random_instances():
         zs = [complex(rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform())) for _ in range(2)]
         rep = gbt_axiom_check(
             hardy,
-            TruncatedOperator(x),
-            TruncatedOperator(y),
+            x,
+            y,
             scalars=(0.7 - 0.2j, 1.1j),
             grid=zs,
         )
@@ -195,13 +196,13 @@ def test_axioms_random_instances():
 def test_axioms_identity_and_products():
     # Gamma(I) = 1; Gamma(Mz)(0.4) + Gamma(Mz^*)(0.4) = 0.8;
     # Gamma(Mz Mz^*)(0.4) = 0.16 on hardy
-    ident = TruncatedOperator(np.eye(64, dtype=complex))
+    ident = Dense(np.eye(64, dtype=complex))
     assert gbt_sample(hardy, ident, 0.37).value == pytest.approx(1.0, abs=1e-12)
     mz = mult_matrix(hardy, [0, 1], 256)
-    gz = gbt_sample(hardy, mz, 0.4).value
-    gza = gbt_sample(hardy, mz.adjoint(), 0.4).value
+    gz = gbt_sample(hardy, Dense(mz), 0.4).value
+    gza = gbt_sample(hardy, Dense(mz.conj().T), 0.4).value
     assert gz + gza == pytest.approx(0.8, abs=1e-10)
-    prod = TruncatedOperator(mz.mat @ mz.mat.conj().T)
+    prod = Dense(mz @ mz.conj().T)
     assert gbt_sample(hardy, prod, 0.4).value == pytest.approx(0.16, abs=1e-10)
 
 
@@ -211,10 +212,10 @@ def test_covariance_invariant(space):
     n = 520
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x /= np.linalg.svd(x, compute_uv=False)[0]
-    mz = mult_matrix(space, [0, 1], n).mat
-    X = TruncatedOperator(x)
-    MzX = TruncatedOperator(mz @ x)
-    XMza = TruncatedOperator(x @ mz.conj().T)
+    mz = mult_matrix(space, [0, 1], n)
+    X = Dense(x)
+    MzX = Dense(mz @ x)
+    XMza = Dense(x @ mz.conj().T)
     for z in (0.45, -0.6j, 0.63 + 0.63j):
         gx = gbt_sample(space, X, z, tol=1e-21).value
         gmzx = gbt_sample(space, MzX, z, tol=1e-21).value
@@ -316,7 +317,7 @@ def test_boundary_limit_commutator_dies():
 
 
 def test_boundary_limit_constant_exact():
-    ident = TruncatedOperator(np.eye(512, dtype=complex) * (2 - 1j))
+    ident = Dense(np.eye(512, dtype=complex) * (2 - 1j))
     prof = gbt_profile(hardy, ident, [0.5, 0.6, 0.7, 0.8, 0.9], tol=1e-10)
     est = boundary_limit_estimate(prof)
     assert est["dispersion"] <= 1e-14

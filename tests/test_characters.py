@@ -12,7 +12,6 @@ from berezin_lab.characters import (
     gap_certificate,
     run_criterion,
     test_vector_residual as window_residuals,
-    tridiagonal_X,
     tridiagonal_parts,
     verdict_to_dict,
     verdicts_to_json,
@@ -25,6 +24,7 @@ from berezin_lab.shifts import (
 )
 from berezin_lab.spaces import monomial_norms
 from berezin_lab.trends import INCONCLUSIVE, TrendThresholds
+from oracles import dense_tridiagonal
 
 rng = np.random.default_rng(818283)
 
@@ -88,7 +88,7 @@ def test_runs_schedule_validation():
 
 def test_tridiagonal_entries_at_zero():
     w = constant_weights(1.0, 16)
-    x = tridiagonal_X(w, 0.0, 8).mat
+    x = dense_tridiagonal(*tridiagonal_parts(w, 0.0, 8))
     assert np.allclose(np.diag(x), [1, 2, 2, 2, 2, 2, 2, 2])
     assert np.allclose(np.diag(x, 1), 0)
 
@@ -100,14 +100,14 @@ def test_tridiagonal_matches_dense_assembly(lam):
         simple_weights(0.5, 64),
         cluster_weights([1.0, 0.5, 0.25], 64),
     ):
-        got = tridiagonal_X(wgen, lam, 32).mat
+        got = dense_tridiagonal(*tridiagonal_parts(wgen, lam, 32))
         want = dense_X_oracle(wgen.a, lam, 32)
         assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_tridiagonal_real_for_real_data():
     w = simple_weights(0.5, 32)
-    x = tridiagonal_X(w, 0.25, 16).mat
+    x = dense_tridiagonal(*tridiagonal_parts(w, 0.25, 16))
     assert np.max(np.abs(x.imag)) == 0.0
     assert np.allclose(x, x.T)
 

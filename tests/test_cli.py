@@ -12,6 +12,7 @@ import pytest
 import berezin_lab
 from berezin_lab.cli import main, parse_operator_expr
 from berezin_lab.exprs import Commutator, MPoly, MPolyAdj, Mz, MzAdj, Product, Scale, Sum
+from oracles import reject_constant
 
 
 def run(argv):
@@ -222,6 +223,10 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert run(["probe", "closed-range", "--space", "hardy"]) == 2  # no symbol
     assert run(["probe", "wot", "--space", "hardy"]) == 2
     assert run(["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0,args=1"]) == 2
+    # a step count that overflows, or one too large to list, or a modulus whose square overflows
+    for grid in ("mod=0:1e308:1e-300", "mod=0:1e308:1", "mod=1e308:1e308:0.5"):
+        assert run(["charspace", "--weights", "constant:c=1", "--lambda-grid", grid]) == 2
+    assert run(["probe", "wot", "--space", "", "--phi", "0,1", "--block", "4"]) == 2  # empty space name
     assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9999999999"]) == 2
     assert run(["shift", "powernorm", "--weights", "space:rs(nan)", "--m", "4"]) == 2
     assert run(["gbt", "--space", "rs(inf)", "--op", "Mz", "--samples", "2", "--rmax", "0.9"]) == 2
@@ -269,10 +274,6 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def test_every_json_output_is_strict(tmp_path, capsys):
     # no NaN, Infinity or -Infinity in any subcommand's JSON
     argvs = [
@@ -294,7 +295,7 @@ def test_every_json_output_is_strict(tmp_path, capsys):
     ]
     for argv in argvs:
         assert run(argv) == 0, argv
-        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         assert isinstance(doc, dict), argv
 
 

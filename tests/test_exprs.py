@@ -240,4 +240,4 @@ def test_norm_bound_dominates():
         node = random_ast(r, depth=2)
         m = materialize(node, a, 48)
         sigma = np.linalg.svd(m, compute_uv=False)[0]
-        assert sigma <= norm_bound(node, 1.0) + 1e-9
+        assert sigma <= norm_bound(node) + 1e-9

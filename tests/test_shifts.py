@@ -258,3 +258,9 @@ def test_weight_sequence_log_prefix():
     assert s[3] == pytest.approx(np.log(0.125))
     assert isinstance(w, WeightSequence)
     assert min_window_product(w, 2) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("values", [[0.5, np.nan], [0.5, np.inf]], ids=["nan", "inf"])
+def test_explicit_weights_reject_non_finite(values):
+    with pytest.raises(ValueError, match="positive and finite"):
+        explicit_weights(values)

@@ -182,6 +182,40 @@ def test_kernel_powers_match_mpmath(kind, s):
     assert np.all(np.abs(kernel_gram(space, POWER_POINTS) - want) <= 8 * n * 2.0**-52 * scale)
 
 
+# at |z| = 0.9838 and 0.9999 an unrounded hardy tail falls below the exact
+# omitted mass; a seeded sweep adds points in the annulus 0.5 <= |z| <= 0.9999
+_r = np.random.default_rng(5301)
+TAIL_POINTS = [0.9838, 0.9999, 0.9838j, -0.9999] + [
+    (rad * np.exp(2j * np.pi * th)).item()
+    for rad, th in zip(_r.uniform(0.5, 0.9999, 8), _r.uniform(0, 1, 8))
+]
+
+
+def _exact_relative_tail(kind, s, x, n):
+    """(K - S_n) / S_n at x = |z|^2: the relative mass a truncation to n
+    terms omits from K(z,z), with the exact norms h_k."""
+    if kind == "mu":
+        # K = 1/2 + x/(1 - x) and the omitted mass is x^n/(1 - x)
+        omitted = x**n / (1 - x)
+        return omitted / (mpmath.mpf(1) / 2 + x / (1 - x) - omitted)
+    # K = (1 - x)^(-s) and (K - S_n)/K is the regularized incomplete beta I_x(n, s)
+    frac = mpmath.betainc(n, s, 0, x, regularized=True)
+    return frac / (1 - frac)
+
+
+@pytest.mark.parametrize("kind,s", [("hardy", 1), ("bergman", 2), ("rs", 3), ("mu", None)])
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+def test_kernel_tail_bounds_exact_omitted_mass(kind, s, tol):
+    space = monomial_norms(kind, 4, s=s if kind == "rs" else None)
+    with mpmath.workdps(50):
+        for z in TAIL_POINTS:
+            kv = kernel_vector(space, z, tol=tol)
+            # |z|^2 of the double z is exact at 50 digits
+            x = mpmath.mpf(complex(z).real) ** 2 + mpmath.mpf(complex(z).imag) ** 2
+            assert kv.tail < tol
+            assert kv.tail >= _exact_relative_tail(kind, s, x, kv.n), (z, kv.n)
+
+
 def test_kernel_vector_domain_errors():
     space = monomial_norms("hardy", 4)
     with pytest.raises(ValueError):
@@ -267,8 +301,9 @@ def test_custom_space_roundtrip(tmp_path):
 
 
 def test_custom_space_validation():
-    with pytest.raises(ValueError, match="not positive"):
-        custom_space(np.array([1.0, -1.0]))
+    for h in ([1.0, -1.0], [1.0, np.nan, 0.5], [np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="not positive"):
+            custom_space(np.array(h))
     with pytest.raises(ValueError, match="contractivity"):
         custom_space(np.array([1.0, 4.0]))
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from berezin_lab.tridiag import dense_tridiagonal, lambda_min_batch
+from berezin_lab.tridiag import lambda_min_batch
+from oracles import dense_tridiagonal
 
 rng = np.random.default_rng(4410)
 
