@@ -113,7 +113,7 @@ def gbt_profile(space, node, path, op_label: str = "", tol: float = 1e-12) -> Be
         pts = list(path)
         path_desc = {"kind": "points", "count": len(pts)}
     samples = tuple(gbt_sample(space, node, z, tol=tol) for z in pts)
-    if not op_label and not isinstance(node, exprs.Dense):
+    if not op_label and not exprs.holds_dense(node):
         op_label = exprs.to_text(node)
     return BerezinProfile(op_label=op_label, samples=samples, path=path_desc)
 

@@ -309,6 +309,22 @@ def to_text(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def holds_dense(node) -> bool:
+    """Whether a ``Dense`` leaf occurs in the tree; such a tree has no text
+    form."""
+    if isinstance(node, Dense):
+        return True
+    if isinstance(node, Scale):
+        return holds_dense(node.node)
+    if isinstance(node, Product):
+        return any(holds_dense(f) for f in node.factors)
+    if isinstance(node, Sum):
+        return any(holds_dense(t) for _, t in node.terms)
+    if isinstance(node, Commutator):
+        return holds_dense(node.a) or holds_dense(node.b)
+    return False
+
+
 def _as_factor(node) -> str:
     if isinstance(node, (Sum, Product)):
         return "(" + to_text(node) + ")"
@@ -354,10 +370,11 @@ def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     """The ``band_diagonals`` scattered into a dense n_rows x n_cols matrix:
     entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}."""
     m = np.zeros((n_rows, n_cols), dtype=complex)
+    flat = m.reshape(-1)
     for j, (c, diag) in enumerate(zip(coeffs, band_diagonals(coeffs, a, n_rows, n_cols))):
         if c != 0:
-            idx = np.arange(len(diag))
-            m[idx + j, idx] += diag
+            # entries (j, 0), (j + 1, 1), ... are n_cols + 1 apart in memory
+            flat[j * n_cols :: n_cols + 1][: len(diag)] += diag
     return m
 
 

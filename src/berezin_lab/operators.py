@@ -11,7 +11,10 @@ Probes in this module turn operator-theoretic statements into numbers:
 commutator norms against kernel projections, smallest singular values of
 stacked columns, boundary lower bounds for sums M_phi M_psi^*, coordinate
 column contractivity on ball spaces, deviation of dilated symbols, and
-closed-range / Fredholm trend evidence over doubling truncations.
+closed-range / Fredholm trend evidence over doubling truncations.  The
+closed-range Gram is formed as a band and never densely when the symbol's
+degree is below N; its lambda_min comes with a proven bracket from banded
+Cholesky factorizations (``tridiag.band_lambda_min``).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from . import exprs
 from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame, kernel_vector
 from .shifts import WeightSequence
 from .trends import TrendThresholds, classify_trend
+from .tridiag import band_lambda_min, gamma_k
 
 
 def shift_weights_of(space_or_weights, n: int) -> np.ndarray:
@@ -395,52 +399,85 @@ class BlaschkeProduct:
             length *= 2
 
 
-def tall_mult_matrix(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
-    """Multiplication matrix keeping every output row.
+# ``_gram_band`` sums products of diagonals for p below GRAM_SUMS_BELOW and
+# takes one GEMM per block of GRAM_BLOCK columns from there on.  Measured as
+# ``_gram_lambda_min`` over the schedule 128 .. 1024 in fresh processes on a
+# 2-vCPU VM (bergman, random polynomials), sums against blocks: 0.30 / 0.53 s
+# at p = 63, 0.81 / 1.18 s at p = 255, 2.08 / 2.30 s at p = 383,
+# 1.19 / 1.09 s at p = 447, 1.35 / 1.33 s at p = 511, and 2.2 / 1.1 s for a
+# Blaschke factor at p = 1023.  Small GEMMs lose because they wake BLAS
+# threads that compete with the rest of the process for the cores; with
+# BLAS held to one thread the two builds tie at p = 63.
+GRAM_SUMS_BELOW = 400
+GRAM_BLOCK = 128
 
-    With rows up to n_cols + deg the matrix represents phi * p exactly for
-    polynomials p of degree < n_cols, so B^H B is the true Gram of the
-    products -- no truncation loss at the top edge.
-    """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    n_rows = n_cols + len(coeffs) - 1
-    a = shift_weights_of(space_or_weights, max(n_rows - 1, 0))
-    return exprs.band_matrix(coeffs, a, n_rows, n_cols)
 
+def _gram_band(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
+    """Lower band (``tridiag.band_lambda_min`` storage, half-width
+    q = min(p, n_cols - 1)) of the Gram B^H B of phi * (polynomials of
+    degree < n_cols), where B is the multiplier keeping all n_cols + p
+    rows and p = len(coeffs) - 1, so that no row is lost at the top edge.
 
-def _gram_lambda_min(space_or_weights, coeffs, n_cols: int) -> float:
-    """lambda_min of B^H B, B = ``tall_mult_matrix(space_or_weights, coeffs,
-    n_cols)``: the Gram of phi * (polynomials of degree < n_cols).
-
-    The Gram is banded with half-bandwidth p = len(coeffs) - 1.  When
-    16 (p + 1) <= n_cols its lower band is formed from the multiplier's
-    diagonals in O(n_cols p^2) and solved by LAPACK ``?hbevx`` (band
-    reduction, H. R. Schwarz, Numer. Math. 12, 1968); otherwise B is built
-    densely and the Gram goes to ``eigvalsh``.
+    Neither path forms the dense multiplier when p < n_cols.
     """
     p = len(coeffs) - 1
-    # Measured crossover (Bergman weights, 2-core VM): at n_cols = 1024 the
-    # band solve takes 0.16 / 0.34 / 0.50 s against 0.79 / 0.52 / 0.35 s
-    # dense for p = 31 / 63 / 127; at n_cols = 512, p = 63 they tie
-    # (0.073 against 0.065 s).
-    if 16 * (p + 1) > n_cols:
-        b = tall_mult_matrix(space_or_weights, coeffs, n_cols)
-        return float(np.linalg.eigvalsh(b.conj().T @ b)[0])
-    # imported here so that CLI start-up does not load scipy.linalg
-    from scipy.linalg import eig_banded
-
+    q = min(p, n_cols - 1)
     a = shift_weights_of(space_or_weights, n_cols + p - 1)
-    # diags[j, i] = B[i + j, i]; every one of the p + 1 bands spans all
-    # n_cols columns because B keeps n_cols + p rows
-    diags = np.array(exprs.band_diagonals(coeffs, a, n_cols + p, n_cols))
-    # band[d, i] = (B^H B)[i + d, i] = sum_s conj(B[i + d + s, i + d]) B[i + d + s, i]
-    band = np.zeros((p + 1, n_cols), dtype=complex)
-    for d in range(p + 1):
-        band[d, : n_cols - d] = np.sum(
-            diags[: p + 1 - d, d:].conj() * diags[d:, : n_cols - d], axis=0
-        )
-    lam = eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
-    return float(lam[0])
+    band = np.zeros((q + 1, n_cols), dtype=complex)
+    if p < GRAM_SUMS_BELOW:
+        # diags[j, i] = B[i + j, i]; every one of the p + 1 bands spans all
+        # n_cols columns because B keeps n_cols + p rows
+        diags = np.array(exprs.band_diagonals(coeffs, a, n_cols + p, n_cols))
+        conj = diags.conj()
+        # band[d, i] = (B^H B)[i + d, i] = sum_s conj(B[i + d + s, i + d]) B[i + d + s, i]
+        for d in range(q + 1):
+            band[d, : n_cols - d] = np.einsum(
+                "sj,sj->j", conj[: p + 1 - d, d:], diags[d:, : n_cols - d]
+            )
+        return band
+    # columns c0 .. c0 + w - 1 of B are supported on rows c0 .. c0 + w + p - 1,
+    # and their Gram entries reach column c0 + w + q - 1; B's block over those
+    # rows and columns is ``band_matrix`` over the weights from c0 on
+    i = np.arange(GRAM_BLOCK)
+    rows = i + np.arange(q + 1)[:, None]
+    for c0 in range(0, n_cols, GRAM_BLOCK):
+        w = min(GRAM_BLOCK, n_cols - c0)
+        block = exprs.band_matrix(coeffs, a[c0:], w + p, min(w + q, n_cols - c0))
+        gram = np.zeros((w + q, w), dtype=complex)
+        gram[: block.shape[1]] = block.conj().T @ block[:, :w]
+        band[:, c0 : c0 + w] = gram[rows[:, :w], i[:w]]
+    return band
+
+
+def _gram_lambda_min(space_or_weights, coeffs, n_cols: int) -> tuple:
+    """(lambda_min, [lo, hi]) of the Gram of phi * (polynomials of degree
+    < n_cols), with lo <= lambda_min <= hi proven for the Gram of the
+    multiplier B as ``_gram_band`` holds it in floating point.
+
+    The band's own bracket comes from ``tridiag.band_lambda_min``.  Forming
+    the band rounds: each entry is a complex inner product of at most
+    p + 1 terms, so |G_computed - B^H B| <= gamma_{p+3} |B|^T |B|
+    entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., §3.1 and Lemma 3.5; exact zeros in a block add no error).
+    By Cauchy-Schwarz (|B|^T |B|)_ij <= ||b_i|| ||b_j|| for B's columns
+    b_i, on the w = min(N, 2q + 1) entries per row the band allows, and
+    ||b_i||^2 <= G_computed_ii / (1 - gamma_{p+3}) because the diagonal
+    entries are sums of squares, with no cancellation.  So the eigenvalues
+    move by at most gamma_{p+3} w max_i G_computed_ii / (1 - gamma_{p+3})
+    (Weyl), which gamma_{p+4} w max_i G_computed_ii covers together with
+    its own rounding.  Products that underflow add at most 3 (p + 1) eta
+    per entry, eta the smallest subnormal.  B^H B is positive
+    semidefinite, so lo >= 0.
+    """
+    band = _gram_band(space_or_weights, coeffs, n_cols)
+    lam, lo, hi = band_lambda_min(band)
+    w = min(n_cols, 2 * band.shape[0] - 1)
+    err = (
+        gamma_k(len(coeffs) + 3) * float(np.max(band[0].real)) + 3 * len(coeffs) * math.ulp(0.0)
+    ) * w
+    lo = max(float(np.nextafter(lo - err, -math.inf)), 0.0)
+    # a quotient rounded below the proven lo reads as lo
+    return max(lam, lo), [lo, float(np.nextafter(hi + err, math.inf))]
 
 
 def closed_range_probe(
@@ -461,9 +498,12 @@ def closed_range_probe(
     A Blaschke product enters as its Taylor series cut at the shortest
     power-of-two length whose l^1 tail is at most ``tol``
     (``BlaschkeProduct.series``; ``TruncationError`` past ``SERIES_CAP``
-    terms).  Each lambda_min comes from ``_gram_lambda_min``: a band solve
-    when 16 (p + 1) <= N for the series degree p, a dense one otherwise.
-    The schedule must be strictly increasing integers >= 2.
+    terms).  Each lambda_min comes from ``_gram_lambda_min``: inverse
+    iteration on banded Cholesky factors of the Gram, which has half-width
+    p for the series degree p; ``lambda_min_bracket`` maps each N to a
+    proven [lo, hi] around it, lo from a Cholesky factorization that
+    succeeds.  The classification reads ``lambda_min``.  The schedule must
+    be strictly increasing integers >= 2.
     """
     ns = _truncation_schedule(n_schedule)
     if isinstance(phi, BlaschkeProduct):
@@ -485,7 +525,8 @@ def closed_range_probe(
         _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
         kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, a, v)) ** 2)
 
-    lam = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
+    solved = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
+    lam = {m: v for m, (v, _) in solved.items()}
     classification = classify_trend(list(lam.values()), thresholds)
     return {
         "phi": label,
@@ -493,6 +534,7 @@ def closed_range_probe(
         "kernel_bound_argmin": min(kernel_vals, key=kernel_vals.get),
         "kernel_values": kernel_vals,
         "lambda_min": lam,
+        "lambda_min_bracket": {m: bracket for m, (_, bracket) in solved.items()},
         "classification": classification,
         "series_tail": series_tail,
     }

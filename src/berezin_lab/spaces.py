@@ -139,6 +139,11 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
         raise ValueError(
             f"contractivity violated: a_{k} = sqrt(h_{k+1}/h_{k}) = {a[k]:.6g} > 1"
         )
+    # a ratio below the smallest float reads as a zero weight, which the
+    # table does not describe
+    if not np.all(a > 0):
+        k = int(np.argmin(a))
+        raise ValueError(f"h_{k + 1}/h_{k} = {h[k + 1]:.6g}/{h[k]:.6g} underflows to a zero weight")
     return KernelSpace(kind="custom", h=h, label=label)
 
 

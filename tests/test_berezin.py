@@ -324,6 +324,19 @@ def test_boundary_limit_constant_exact():
     assert est["limit"] == pytest.approx(2 - 1j)
 
 
+def test_profile_of_tree_holding_dense_leaf_has_empty_label():
+    # a Dense leaf has no text form, wherever it sits in the tree
+    for node in (
+        exprs.Product((exprs.Mz(), Dense(np.eye(4)))),
+        exprs.Sum(((1, exprs.Mz()), (-1, exprs.Scale(2.0, Dense(np.eye(4)))))),
+        exprs.Commutator(Dense(np.eye(4)), exprs.MzAdj()),
+    ):
+        prof = gbt_profile(hardy, node, [0.5])
+        assert prof.op_label == ""
+        assert len(prof.samples) == 1
+    assert gbt_profile(hardy, exprs.Product((exprs.Mz(), exprs.Mz())), [0.5]).op_label == "Mz Mz"
+
+
 def test_boundary_limit_needs_samples():
     prof = gbt_profile(hardy, exprs.Mz(), [0.1, 0.2], tol=1e-10)
     with pytest.raises(ValueError):

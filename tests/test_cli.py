@@ -199,6 +199,39 @@ def test_probe_closed_range_blaschke(tmp_path):
     assert doc["classification"] == "bounded_below"
 
 
+@pytest.mark.parametrize(
+    "symbol, code, classification",
+    [
+        # a Gram that does not factor: lambda_min is 0.0 at every N
+        (["--phi=0"], 1, "inconclusive"),
+        (["--phi=0,0"], 1, "inconclusive"),
+        (["--phi=1e-200"], 1, "inconclusive"),
+        # a boundary zero: the Gram is near-singular
+        (["--phi=-1,1"], 0, "vanishing"),
+        # a fourfold boundary zero: lambda_min (about N^-8) is below the
+        # rounding of the Gram, so the verdict rests on rounding and only
+        # the bracket is pinned
+        (["--phi=1,-4,6,-4,1"], None, None),
+        # tiny truncations, where the band is full (q = N - 1)
+        (["--blaschke", "0.5", "--n-schedule", "2", "4"], 1, "inconclusive"),
+    ],
+    ids=["zero", "zero-zero", "underflow", "boundary-zero", "fourfold-zero", "tiny-n"],
+)
+def test_probe_closed_range_edge_cases(tmp_path, symbol, code, classification):
+    out = tmp_path / "cr.json"
+    got = run(["probe", "closed-range", "--space", "hardy", *symbol, "--out", str(out)])
+    assert got == code if code is not None else got in (0, 1)
+    doc = json.loads(out.read_text(), parse_constant=reject_constant)
+    if classification is not None:
+        assert doc["classification"] == classification
+    if symbol[0] in ("--phi=0", "--phi=0,0", "--phi=1e-200"):
+        assert set(doc["lambda_min"].values()) == {0.0}
+    assert doc["lambda_min"].keys() == doc["lambda_min_bracket"].keys()
+    for n, lam in doc["lambda_min"].items():
+        lo, hi = doc["lambda_min_bracket"][n]
+        assert 0 <= lo <= lam <= hi
+
+
 def test_probe_fredholm_spherical_wot_normbound(tmp_path):
     assert run(["probe", "fredholm", "--space", "bergman", "--z0", "0.4", "--out", str(tmp_path / "f.json")]) == 0
     assert run(["probe", "spherical", "--n", "2", "--degree", "8", "--out", str(tmp_path / "s.json")]) == 0
@@ -263,6 +296,10 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert run(["charspace", "--weights", f"cluster:file={short['p']}", *grid]) == 2
     assert run(["gbt", "--space", f"custom:{short['h']}", "--op", "Mz", "--samples", "2", "--rmax", "0.5"]) == 2
     assert run(["charspace", "--weights", f"explicit:file={short['a']}", "--weight-count", "2", *grid]) == 2
+    # a norm-table ratio that underflows to a zero weight
+    underflow = tmp_path / "underflow.csv"
+    underflow.write_text("k,h\n0,1e300\n1,1e-300\n2,1e-300\n")
+    assert run(["probe", "wot", "--space", f"custom:{underflow}", "--phi", "0,1", "--block", "2"]) == 2
     # a non-finite sample never reaches a CSV output
     out = tmp_path / "f.csv"
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,12 +2,17 @@
 
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from berezin_lab.exprs import MPoly, materialize
 from berezin_lab.operators import (
+    GRAM_BLOCK,
+    GRAM_SUMS_BELOW,
     BlaschkeProduct,
+    _gram_band,
+    _gram_lambda_min,
     ball_coordinate_matrices,
     closed_range_probe,
     column_sigma_min,
@@ -19,7 +24,6 @@ from berezin_lab.operators import (
     projection_Pz,
     spherical_contraction_check,
     sup_on_circle,
-    tall_mult_matrix,
     wot_dilation_probe,
 )
 from berezin_lab.spaces import (
@@ -30,6 +34,8 @@ from berezin_lab.spaces import (
     monomial_norms,
 )
 from berezin_lab.shifts import constant_weights
+
+from oracles import band_from_dense, tall_mult_matrix
 
 rng = np.random.default_rng(515253)
 
@@ -491,25 +497,25 @@ def test_closed_range_boundary_zero_vanishes():
         assert v == pytest.approx(2 - 2 * np.cos(np.pi / (n + 1)), rel=1e-8)
 
 
-# Band side: 16 (p + 1) <= 1024 for the series degree p at tol 1e-12; dense
-# side: the series is too long.  N = 128 is dense for every Blaschke case.
+# Narrow (diagonal sums) and wide (column blocks) Gram builds, and series
+# longer than N = 128, where the band is full.
 @pytest.mark.parametrize(
-    "space, phi, band_at_1024",
+    "space, phi",
     [
-        (hardy, BlaschkeProduct((0.3,)), True),
-        (bergman, BlaschkeProduct((0.5 * np.exp(1j),)), True),
-        (bergman, BlaschkeProduct((0.5, -0.5)), True),
-        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j)), True),
-        (bergman, BlaschkeProduct((0.9,)), False),
-        (hardy, BlaschkeProduct((0.95j,)), False),
-        (hardy, [-1.0, 1.0], True),
-        (bergman, [-1.0, 1.0], True),
-        (rs3, [-1.0, 1.0], True),
+        (hardy, BlaschkeProduct((0.3,))),
+        (bergman, BlaschkeProduct((0.5 * np.exp(1j),))),
+        (bergman, BlaschkeProduct((0.5, -0.5))),
+        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j))),
+        (bergman, BlaschkeProduct((0.9,))),
+        (hardy, BlaschkeProduct((0.95j,))),
+        (hardy, [-1.0, 1.0]),
+        (bergman, [-1.0, 1.0]),
+        (rs3, [-1.0, 1.0]),
     ],
     ids=["hardy-0.3", "bergman-0.5e^i", "bergman-0.5,-0.5", "rs3-three-zeros",
          "bergman-0.9", "hardy-0.95i", "hardy-z-1", "bergman-z-1", "rs3-z-1"],
 )
-def test_closed_range_gram_solves_match_dense_oracle(space, phi, band_at_1024):
+def test_closed_range_gram_solves_match_dense_oracle(space, phi):
     tol = 1e-12
     rep = closed_range_probe(space, phi, grid=[0j], n_schedule=(128, 1024), tol=tol)
     assert rep["series_tail"] <= tol
@@ -518,11 +524,63 @@ def test_closed_range_gram_solves_match_dense_oracle(space, phi, band_at_1024):
         assert tail == rep["series_tail"]
     else:
         coeffs = np.asarray(phi, dtype=complex)
-    assert (16 * len(coeffs) <= 1024) == band_at_1024
     for n, lam in rep["lambda_min"].items():
         b = tall_mult_matrix(space, coeffs, n)
         want = np.linalg.eigvalsh(b.conj().T @ b)[0]
         assert abs(lam - want) <= 1e-13, (n, lam, want)
+        lo, hi = rep["lambda_min_bracket"][n]
+        assert 0 <= lo <= want <= hi, (n, lo, want, hi)
+        assert lo <= lam <= hi
+
+
+@pytest.mark.parametrize(
+    "space, absa, n, sums",
+    [
+        (bergman, 0.3, 40, True),
+        (rs3, 0.7, 100, True),
+        (rs3, 0.9, 700, False),
+        (bergman, 0.9, 100, False),
+        (hardy, 0.9, 2, False),
+    ],
+    ids=["sums", "sums-p-above-n", "blocks", "blocks-p-above-n", "full-band"],
+)
+def test_gram_band_matches_dense_gram(space, absa, n, sums):
+    # both builds, with p below and above N; the blocks case has N not a
+    # multiple of the block width, and the band is full once p >= N - 1
+    coeffs, _ = BlaschkeProduct((absa * np.exp(0.4j),)).series(1e-12)
+    p = len(coeffs) - 1
+    assert (p < GRAM_SUMS_BELOW) == sums and n % GRAM_BLOCK
+    band = _gram_band(space, coeffs, n)
+    assert band.shape == (min(p, n - 1) + 1, n)
+    b = tall_mult_matrix(space, coeffs, n)
+    gram = b.conj().T @ b
+    assert np.max(np.abs(band - band_from_dense(gram, band.shape[0] - 1))) <= 1e-14 * np.max(np.abs(gram))
+
+
+def test_gram_bracket_holds_in_50_digits():
+    # the bracket covers the Gram of B exactly as held in floating point,
+    # formation rounding included
+    coeffs = BlaschkeProduct((0.5 * np.exp(1j), -0.3)).coefficients(6)[0]
+    for space, n in ((bergman, 7), (hardy, 5), (rs3, 12)):
+        lam, (lo, hi) = _gram_lambda_min(space, coeffs, n)
+        b = tall_mult_matrix(space, coeffs, n)
+        with mp.workdps(50):
+            mb = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in b])
+            exact = min(mp.eighe(mb.H * mb, eigvals_only=True))
+            assert mp.mpf(lo) <= exact <= mp.mpf(hi)
+            assert abs(exact - mp.mpf(lam)) <= 1e-15
+        assert 0 < lo <= lam <= hi
+
+
+def test_gram_lambda_min_reads_at_least_the_proven_lo(monkeypatch):
+    # a Gram whose lambda_min is at rounding level: the band's quotient and
+    # lo round below zero, the proven lo is clamped to 0, and lambda_min
+    # must not be reported below it
+    import berezin_lab.operators as ops
+
+    monkeypatch.setattr(ops, "band_lambda_min", lambda band: (-6e-15, -1e-13, 1e-12))
+    lam, (lo, hi) = _gram_lambda_min(hardy, np.array([1.0, -1.0]), 8)
+    assert lo == 0.0 and lam == 0.0 and hi > 1e-12
 
 
 def test_blaschke_series_is_shortest_meeting_tol():

@@ -306,6 +306,9 @@ def test_custom_space_validation():
             custom_space(np.array(h))
     with pytest.raises(ValueError, match="contractivity"):
         custom_space(np.array([1.0, 4.0]))
+    # h_1/h_0 = 1e-600 underflows: a zero weight the table does not describe
+    with pytest.raises(ValueError, match="underflows"):
+        custom_space(np.array([1e300, 1e-300, 1e-300]))
 
 
 def test_custom_table_exhaustion():
