@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprs
 from .formats import read_columns, to_json, write_csv
-from .operators import circle_sup_precondition, sup_on_circle
+from .operators import circle_sup_precondition, poly_eval, sup_on_circle
 from .spaces import KernelSpace, kernel_frame
 
 
@@ -217,7 +217,7 @@ def gbt_commutator_decay(
     for r in r_schedule:
         z = r * cmath.exp(1j * theta)
         smp = gbt_sample(space, node, z, tol=tol)
-        phi_z = abs(np.polyval(np.array(phi_coeffs)[::-1], z))
+        phi_z = abs(poly_eval(phi_coeffs, z))
         bound = 3.0 * psi_sup * s_norm * math.sqrt(max(1.0 - phi_z**2, 0.0))
         samples.append(smp)
         bounds.append(bound)
@@ -249,7 +249,7 @@ def positivity_gap(space: KernelSpace, coeffs, grid=None, tol: float = 1e-12) ->
     gaps = {}
     for z in grid:
         smp = gbt_sample(space, node, z, tol=tol)
-        phi_z = np.polyval(np.array(coeffs)[::-1], z)
+        phi_z = poly_eval(coeffs, z)
         gaps[complex(z)] = float(smp.value.real - abs(phi_z) ** 2)
     worst = min(gaps.values())
     return {"gaps": gaps, "min_gap": worst, "passed": bool(worst >= -1e-10)}

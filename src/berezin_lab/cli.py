@@ -39,6 +39,7 @@ from .operators import (
     commutator_norm_PzMphi,
     fredholm_probe,
     norm_lower_bound_check,
+    poly_eval,
     spherical_contraction_check,
     wot_dilation_probe,
 )
@@ -219,7 +220,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         ok = True
         for z in [_complex_arg(s) for s in args.z.split(";")]:
             val = commutator_norm_PzMphi(space, coeffs, z, tol=cfg.tail_tol)
-            bound = float(np.sqrt(max(0.0, 1 - abs(np.polyval(np.array(coeffs)[::-1], z)) ** 2)))
+            bound = float(np.sqrt(max(0.0, 1 - abs(poly_eval(coeffs, z)) ** 2)))
             rows.append({"z": z, "value": val, "bound": bound})
             ok = ok and val <= bound + 1e-6
         write_text(cfg.out, _json_doc("probe commutator", {"phi": args.phi, "rows": rows, "passed": ok}))

@@ -345,16 +345,17 @@ def _as_term(node) -> str:
 # evaluation
 
 
-def band_diagonals(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> list:
-    """Diagonals of multiplication by sum_j c_j z^j over weights a, on rows
-    0..n_rows-1 and columns 0..n_cols-1: entry j holds c_j a_i a_{i+1} ...
-    a_{i+j-1} for the columns i = 0..min(n_cols, n_rows - j) - 1.
+def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Multiplication by sum_j c_j z^j over weights a, as a dense
+    n_rows x n_cols matrix: entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}
+    for the columns i = 0..min(n_cols, n_rows - j) - 1.
 
     Band j's weight products are band j-1's times one more weight, so each
     product is formed left to right at O(1) cost per entry.
     """
     a = np.asarray(a, dtype=float)
-    diags = []
+    m = np.zeros((n_rows, n_cols), dtype=complex)
+    flat = m.reshape(-1)
     prods = np.ones(n_cols)
     for j, c in enumerate(coeffs):
         length = min(n_cols, n_rows - j)
@@ -362,19 +363,9 @@ def band_diagonals(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> list:
             break
         if j > 0:
             prods = prods[:length] * a[j - 1 : j - 1 + length]
-        diags.append(c * prods)
-    return diags
-
-
-def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """The ``band_diagonals`` scattered into a dense n_rows x n_cols matrix:
-    entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}."""
-    m = np.zeros((n_rows, n_cols), dtype=complex)
-    flat = m.reshape(-1)
-    for j, (c, diag) in enumerate(zip(coeffs, band_diagonals(coeffs, a, n_rows, n_cols))):
         if c != 0:
             # entries (j, 0), (j + 1, 1), ... are n_cols + 1 apart in memory
-            flat[j * n_cols :: n_cols + 1][: len(diag)] += diag
+            flat[j * n_cols :: n_cols + 1][:length] += c * prods
     return m
 
 

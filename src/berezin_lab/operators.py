@@ -12,9 +12,11 @@ commutator norms against kernel projections, smallest singular values of
 stacked columns, boundary lower bounds for sums M_phi M_psi^*, coordinate
 column contractivity on ball spaces, deviation of dilated symbols, and
 closed-range / Fredholm trend evidence over doubling truncations.  The
-closed-range Gram is formed as a band and never densely when the symbol's
-degree is below N; its lambda_min comes with a proven bracket from banded
-Cholesky factorizations (``tridiag.band_lambda_min``).
+closed-range Gram is formed as a band straight from the norm table, by
+one GEMM, never from the multiplier; its lambda_min comes with a proven
+bracket from banded Cholesky factorizations
+(``tridiag.band_lambda_min``), and the closed-range verdict reads the
+ends of that bracket.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exprs
 from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame, kernel_vector
 from .shifts import WeightSequence
-from .trends import TrendThresholds, classify_trend
+from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
 from .tridiag import band_lambda_min, gamma_k
 
 
@@ -399,82 +402,86 @@ class BlaschkeProduct:
             length *= 2
 
 
-# ``_gram_band`` sums products of diagonals for p below GRAM_SUMS_BELOW and
-# takes one GEMM per block of GRAM_BLOCK columns from there on.  Measured as
-# ``_gram_lambda_min`` over the schedule 128 .. 1024 in fresh processes on a
-# 2-vCPU VM (bergman, random polynomials), sums against blocks: 0.30 / 0.53 s
-# at p = 63, 0.81 / 1.18 s at p = 255, 2.08 / 2.30 s at p = 383,
-# 1.19 / 1.09 s at p = 447, 1.35 / 1.33 s at p = 511, and 2.2 / 1.1 s for a
-# Blaschke factor at p = 1023.  Small GEMMs lose because they wake BLAS
-# threads that compete with the rest of the process for the cores; with
-# BLAS held to one thread the two builds tie at p = 63.
-GRAM_SUMS_BELOW = 400
-GRAM_BLOCK = 128
-
-
-def _gram_band(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
+def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
     """Lower band (``tridiag.band_lambda_min`` storage, half-width
-    q = min(p, n_cols - 1)) of the Gram B^H B of phi * (polynomials of
-    degree < n_cols), where B is the multiplier keeping all n_cols + p
-    rows and p = len(coeffs) - 1, so that no row is lost at the top edge.
+    q = min(p, n_cols - 1), p = len(coeffs) - 1) of the Gram G = B^H B of
+    phi * (polynomials of degree < n_cols), B the multiplier keeping all
+    n_cols + p rows, so that no row is lost at the top edge.
 
-    Neither path forms the dense multiplier when p < n_cols.
+    As B[m + s, m] = c_s sqrt(h_{m+s} / h_m), G[m, i] = T[m, m - i] /
+    (sqrt(h_i) sqrt(h_m)) with T[m, d] = sum_s h_{m+s} conj(c_s) c_{s+d}:
+    one real-by-complex GEMM of the norm table's Hankel matrix with the
+    coefficient products, summed over blocks of n_cols values of s, in
+    O((q + 1) n_cols + p) memory.
     """
+    # scipy's BLAS: a numpy GEMM wakes numpy's own OpenBLAS threads, which
+    # then spin against the scipy Cholesky solves that follow (probes
+    # benchmark 1.37 -> 1.54 s on a 2-vCPU VM)
+    from scipy.linalg.blas import dgemm
+
     p = len(coeffs) - 1
     q = min(p, n_cols - 1)
-    a = shift_weights_of(space_or_weights, n_cols + p - 1)
+    h = space.h_table(n_cols + p - 1)
+    # padded with q zeros, so that row s of the window view is c_s .. c_{s+q}
+    c = np.concatenate((coeffs, np.zeros(q, dtype=complex)))
+    c_windows = sliding_window_view(c, q + 1)
+    # T^T in Fortran order is T in C order, viewed as complex at the end
+    t = np.zeros((2 * (q + 1), n_cols), order="F")
+    for s0 in range(0, p + 1, n_cols):
+        s1 = min(s0 + n_cols, p + 1)
+        # hankel[m, s] = h_{m+s0+s}; products[s, d] = conj(c_{s0+s}) c_{s0+s+d},
+        # whose real and imaginary parts the GEMM sees as adjacent columns
+        hankel = np.ascontiguousarray(sliding_window_view(h[s0 : s1 + n_cols - 1], s1 - s0))
+        products = c[s0:s1, None].conj() * c_windows[s0:s1]
+        t = dgemm(1.0, products.view(float).T, hankel.T, beta=1.0, c=t, overwrite_c=1)
+    t = t.T.view(complex)
+    root = np.sqrt(h[:n_cols])
     band = np.zeros((q + 1, n_cols), dtype=complex)
-    if p < GRAM_SUMS_BELOW:
-        # diags[j, i] = B[i + j, i]; every one of the p + 1 bands spans all
-        # n_cols columns because B keeps n_cols + p rows
-        diags = np.array(exprs.band_diagonals(coeffs, a, n_cols + p, n_cols))
-        conj = diags.conj()
-        # band[d, i] = (B^H B)[i + d, i] = sum_s conj(B[i + d + s, i + d]) B[i + d + s, i]
-        for d in range(q + 1):
-            band[d, : n_cols - d] = np.einsum(
-                "sj,sj->j", conj[: p + 1 - d, d:], diags[d:, : n_cols - d]
-            )
-        return band
-    # columns c0 .. c0 + w - 1 of B are supported on rows c0 .. c0 + w + p - 1,
-    # and their Gram entries reach column c0 + w + q - 1; B's block over those
-    # rows and columns is ``band_matrix`` over the weights from c0 on
-    i = np.arange(GRAM_BLOCK)
-    rows = i + np.arange(q + 1)[:, None]
-    for c0 in range(0, n_cols, GRAM_BLOCK):
-        w = min(GRAM_BLOCK, n_cols - c0)
-        block = exprs.band_matrix(coeffs, a[c0:], w + p, min(w + q, n_cols - c0))
-        gram = np.zeros((w + q, w), dtype=complex)
-        gram[: block.shape[1]] = block.conj().T @ block[:, :w]
-        band[:, c0 : c0 + w] = gram[rows[:, :w], i[:w]]
+    for d in range(q + 1):
+        band[d, : n_cols - d] = t[d:, d] / root[d:] / root[: n_cols - d]
     return band
 
 
-def _gram_lambda_min(space_or_weights, coeffs, n_cols: int) -> tuple:
-    """(lambda_min, [lo, hi]) of the Gram of phi * (polynomials of degree
-    < n_cols), with lo <= lambda_min <= hi proven for the Gram of the
-    multiplier B as ``_gram_band`` holds it in floating point.
+def _gram_lambda_min(space: KernelSpace, coeffs, n_cols: int) -> tuple:
+    """(lambda_min, [lo, hi]) of the Gram G of phi * (polynomials of degree
+    < n_cols), lo <= lambda_min(G) <= hi proven for G computed exactly from
+    the stored c and h (B below is its multiplier, as in ``_gram_band``).
 
-    The band's own bracket comes from ``tridiag.band_lambda_min``.  Forming
-    the band rounds: each entry is a complex inner product of at most
-    p + 1 terms, so |G_computed - B^H B| <= gamma_{p+3} |B|^T |B|
-    entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., §3.1 and Lemma 3.5; exact zeros in a block add no error).
-    By Cauchy-Schwarz (|B|^T |B|)_ij <= ||b_i|| ||b_j|| for B's columns
-    b_i, on the w = min(N, 2q + 1) entries per row the band allows, and
-    ||b_i||^2 <= G_computed_ii / (1 - gamma_{p+3}) because the diagonal
-    entries are sums of squares, with no cancellation.  So the eigenvalues
-    move by at most gamma_{p+3} w max_i G_computed_ii / (1 - gamma_{p+3})
-    (Weyl), which gamma_{p+4} w max_i G_computed_ii covers together with
-    its own rounding.  Products that underflow add at most 3 (p + 1) eta
-    per entry, eta the smallest subnormal.  B^H B is positive
-    semidefinite, so lo >= 0.
+    ``tridiag.band_lambda_min`` brackets the computed band G'; both ends
+    widen by a bound on ||G' - G||_2 (Weyl).  Rounding (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., §3.1, Lemmas 3.3 and
+    3.5): each part of conj(c_s) c_{s+d} is in error by gamma_2 |c_s|
+    |c_{s+d}|, and each part of T is a real sum of p + 1 products (in any
+    order, blocks included), so |T' - T| <= sqrt(2) gamma_{p+3} S with
+    S[m, d] = sum_s h_{m+s} |c_s| |c_{s+d}|; the roots and divisions add
+    gamma_4 relatively.  As S[m, d] / sqrt(h_i h_m) = sum_s |B[m+s, m]|
+    |B[m+s, i]| = (|B|^T |B|)[m, i],
+        |G' - G| <= kappa |B|^T |B| + U   entrywise,
+        kappa = sqrt(2) gamma_{p+3} (1 + gamma_4) + gamma_4 <= gamma_{2p+10}.
+    Underflow: a product or quotient that underflows is in error by at
+    most eta, the smallest subnormal; sums of subnormals are exact.  Two
+    per part of conj(c_s) c_{s+d}, scaled by h_{m+s}, and p + 1 per part
+    of T, divided by sqrt(h_i h_m) >= h_min, then one in the first
+    division, divided by sqrt(h_i), and one in the second give
+        U = 2 eta ((p + 1) (2 h_max + 1) / h_min + 1 / sqrt(h_min) + 1),
+    h_min = min(h_0 .. h_{N-1}), h_max = max(h_0 .. h_{N+p-1}).  By
+    Cauchy-Schwarz (|B|^T |B|)[m, i] <= max_j G_jj <= (max_j G'_jj + U) /
+    (1 - kappa), a diagonal having no cancellation; with w = min(N, 2q + 1)
+    entries per row,
+        ||G' - G||_2 <= (gamma_{2p+12} max_j G'_jj + 2 U) w,
+    two more units absorbing 1 / (1 - kappa) and the bound's rounding.
+    G is positive semidefinite, so lo >= 0.
     """
-    band = _gram_band(space_or_weights, coeffs, n_cols)
+    p = len(coeffs) - 1
+    band = _gram_band(space, coeffs, n_cols)
     lam, lo, hi = band_lambda_min(band)
+    h = space.h_table(n_cols + p - 1)
+    h_min = float(np.min(h[:n_cols]))
+    under = 2 * math.ulp(0.0) * (
+        (p + 1) * (2 * float(np.max(h)) + 1) / h_min + 1 / math.sqrt(h_min) + 1
+    )
     w = min(n_cols, 2 * band.shape[0] - 1)
-    err = (
-        gamma_k(len(coeffs) + 3) * float(np.max(band[0].real)) + 3 * len(coeffs) * math.ulp(0.0)
-    ) * w
+    err = (gamma_k(2 * p + 12) * float(np.max(band[0].real)) + 2 * under) * w
     lo = max(float(np.nextafter(lo - err, -math.inf)), 0.0)
     # a quotient rounded below the proven lo reads as lo
     return max(lam, lo), [lo, float(np.nextafter(hi + err, math.inf))]
@@ -502,8 +509,11 @@ def closed_range_probe(
     iteration on banded Cholesky factors of the Gram, which has half-width
     p for the series degree p; ``lambda_min_bracket`` maps each N to a
     proven [lo, hi] around it, lo from a Cholesky factorization that
-    succeeds.  The classification reads ``lambda_min``.  The schedule must
-    be strictly increasing integers >= 2.
+    succeeds.  The classification reads the proven ends, not
+    ``lambda_min``: ``vanishing`` when ``classify_trend`` says so of the hi
+    values, else ``bounded_below`` when it says so of the lo values, else
+    ``inconclusive``; so a lambda_min inside its own rounding decides
+    nothing.  The schedule must be strictly increasing integers >= 2.
     """
     ns = _truncation_schedule(n_schedule)
     if isinstance(phi, BlaschkeProduct):
@@ -527,14 +537,21 @@ def closed_range_probe(
 
     solved = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
     lam = {m: v for m, (v, _) in solved.items()}
-    classification = classify_trend(list(lam.values()), thresholds)
+    brackets = {m: bracket for m, (_, bracket) in solved.items()}
+    los, his = zip(*brackets.values())
+    if classify_trend(his, thresholds) == VANISHING:
+        classification = VANISHING
+    elif classify_trend(los, thresholds) == BOUNDED_BELOW:
+        classification = BOUNDED_BELOW
+    else:
+        classification = INCONCLUSIVE
     return {
         "phi": label,
         "kernel_bound_inf": min(kernel_vals.values()),
         "kernel_bound_argmin": min(kernel_vals, key=kernel_vals.get),
         "kernel_values": kernel_vals,
         "lambda_min": lam,
-        "lambda_min_bracket": {m: bracket for m, (_, bracket) in solved.items()},
+        "lambda_min_bracket": brackets,
         "classification": classification,
         "series_tail": series_tail,
     }

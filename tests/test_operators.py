@@ -8,8 +8,6 @@ import pytest
 
 from berezin_lab.exprs import MPoly, materialize
 from berezin_lab.operators import (
-    GRAM_BLOCK,
-    GRAM_SUMS_BELOW,
     BlaschkeProduct,
     _gram_band,
     _gram_lambda_min,
@@ -497,8 +495,8 @@ def test_closed_range_boundary_zero_vanishes():
         assert v == pytest.approx(2 - 2 * np.cos(np.pi / (n + 1)), rel=1e-8)
 
 
-# Narrow (diagonal sums) and wide (column blocks) Gram builds, and series
-# longer than N = 128, where the band is full.
+# Narrow and wide Gram bands, and series longer than N = 128, where the
+# band is full.
 @pytest.mark.parametrize(
     "space, phi",
     [
@@ -534,39 +532,70 @@ def test_closed_range_gram_solves_match_dense_oracle(space, phi):
 
 
 @pytest.mark.parametrize(
-    "space, absa, n, sums",
+    "space, absa, n",
     [
-        (bergman, 0.3, 40, True),
-        (rs3, 0.7, 100, True),
-        (rs3, 0.9, 700, False),
-        (bergman, 0.9, 100, False),
-        (hardy, 0.9, 2, False),
+        (bergman, 0.3, 40),
+        (rs3, 0.7, 100),
+        (rs3, 0.9, 700),
+        (bergman, 0.9, 100),
+        (hardy, 0.9, 2),
     ],
     ids=["sums", "sums-p-above-n", "blocks", "blocks-p-above-n", "full-band"],
 )
-def test_gram_band_matches_dense_gram(space, absa, n, sums):
-    # both builds, with p below and above N; the blocks case has N not a
-    # multiple of the block width, and the band is full once p >= N - 1
+def test_gram_band_matches_dense_gram(space, absa, n):
+    # narrow (p < 400, ids "sums") and wide ("blocks") bands, each with p
+    # below and above N (several blocks of N values of s, the last one
+    # partial), and a full band once p >= N - 1
     coeffs, _ = BlaschkeProduct((absa * np.exp(0.4j),)).series(1e-12)
-    p = len(coeffs) - 1
-    assert (p < GRAM_SUMS_BELOW) == sums and n % GRAM_BLOCK
     band = _gram_band(space, coeffs, n)
-    assert band.shape == (min(p, n - 1) + 1, n)
+    assert band.shape == (min(len(coeffs) - 1, n - 1) + 1, n)
     b = tall_mult_matrix(space, coeffs, n)
     gram = b.conj().T @ b
     assert np.max(np.abs(band - band_from_dense(gram, band.shape[0] - 1))) <= 1e-14 * np.max(np.abs(gram))
 
 
+def test_gram_band_memory_is_bounded_past_n():
+    # p = 4095 >= N = 256: no array of the multiplier's size, (N + p) x N
+    import tracemalloc
+
+    coeffs = BlaschkeProduct((0.99,)).series(1e-12)[0]
+    n, p = 256, len(coeffs) - 1
+    assert p == 4095
+    tracemalloc.start()
+    try:
+        band = _gram_band(bergman, coeffs, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * band.nbytes + 16 * (n + p), (peak, band.nbytes)
+
+
+def _gram_in_50_digits(space, coeffs, n):
+    """G[i + d, i] = sum_s conj(c_s) c_{s+d} h_{i+d+s} / sqrt(h_i h_{i+d}),
+    exactly from the stored c and h."""
+    h = [mp.mpf(float(x)) for x in space.h_table(n + len(coeffs) - 2)]
+    c = [mp.mpc(complex(x)) for x in coeffs]
+    g = mp.matrix(n, n)
+    for i in range(n):
+        for m in range(i, n):
+            d = m - i
+            g[m, i] = mp.fsum(
+                mp.conj(c[s]) * c[s + d] * h[m + s] for s in range(len(c) - d)
+            ) / mp.sqrt(h[i] * h[m])
+            g[i, m] = mp.conj(g[m, i])
+    return g
+
+
 def test_gram_bracket_holds_in_50_digits():
-    # the bracket covers the Gram of B exactly as held in floating point,
-    # formation rounding included
+    # the bracket covers the Gram of the stored c and h exactly, formation
+    # rounding included; at the 1e-155 scale the coefficient products are
+    # subnormal, so the underflow term is needed
     coeffs = BlaschkeProduct((0.5 * np.exp(1j), -0.3)).coefficients(6)[0]
-    for space, n in ((bergman, 7), (hardy, 5), (rs3, 12)):
-        lam, (lo, hi) = _gram_lambda_min(space, coeffs, n)
-        b = tall_mult_matrix(space, coeffs, n)
+    cases = ((bergman, 7, 1.0), (hardy, 5, 1.0), (rs3, 12, 1.0), (bergman, 7, 1e-155))
+    for space, n, scale in cases:
+        lam, (lo, hi) = _gram_lambda_min(space, scale * coeffs, n)
         with mp.workdps(50):
-            mb = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in b])
-            exact = min(mp.eighe(mb.H * mb, eigvals_only=True))
+            exact = min(mp.eighe(_gram_in_50_digits(space, scale * coeffs, n), eigvals_only=True))
             assert mp.mpf(lo) <= exact <= mp.mpf(hi)
             assert abs(exact - mp.mpf(lam)) <= 1e-15
         assert 0 < lo <= lam <= hi
