@@ -15,7 +15,6 @@ from .spaces import (
     KernelVector,
     da_norms,
     hardy_ball_norms,
-    kernel_gram,
     kernel_vector,
     monomial_norms,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "gbt_sample",
     "generate_weights",
     "hardy_ball_norms",
-    "kernel_gram",
     "kernel_vector",
     "monomial_norms",
     "mult_matrix",

@@ -11,8 +11,7 @@ so it collapses the algebra generated by multipliers onto functions once
 commutators die out, which happens along paths approaching points where
 some unimodular-peaking symbol exists.  The radial profiles here are the
 desk-scale surrogate for those limits: samples carry their truncation
-and a propagated tail estimate, and boundary values are reported as a
-last-samples mean plus dispersion, never as an asserted limit.
+and a propagated tail estimate, and no limit is asserted.
 
 There is one transform, ``gbt_sample``: operators are expression syntax
 trees applied to the kernel coefficients without materializing matrices,
@@ -236,49 +235,6 @@ def gbt_commutator_decay(
         "s_norm": s_norm,
         "psi_sup": psi_sup,
         "final_value": values[-1],
-    }
-
-
-def positivity_gap(space: KernelSpace, coeffs, grid=None, tol: float = 1e-12) -> dict:
-    """Gamma(M_phi^* M_phi)(z) - |phi(z)|^2 over a grid; Cauchy-Schwarz
-    for the rank-one compression makes this non-negative up to tails."""
-    coeffs = tuple(np.atleast_1d(np.asarray(coeffs, dtype=complex)))
-    if grid is None:
-        grid = disk_grid(40, r_max=0.9)
-    node = exprs.Product((exprs.MPolyAdj(coeffs), exprs.MPoly(coeffs)))
-    gaps = {}
-    for z in grid:
-        smp = gbt_sample(space, node, z, tol=tol)
-        phi_z = poly_eval(coeffs, z)
-        gaps[complex(z)] = float(smp.value.real - abs(phi_z) ** 2)
-    worst = min(gaps.values())
-    return {"gaps": gaps, "min_gap": worst, "passed": bool(worst >= -1e-10)}
-
-
-def boundary_limit_estimate(
-    profile: BerezinProfile,
-    alpha: complex | None = None,
-    k: int = 5,
-    dispersion_threshold: float = 1e-4,
-) -> dict:
-    """Mean and dispersion of the last k samples of a boundary path.
-
-    Dispersion below the threshold reports a converged boundary value;
-    radial paths stand in for boundary nets, so convergence is always
-    reported as evidence, never asserted as the limit.
-    """
-    if len(profile.samples) < k:
-        raise ValueError(f"need at least {k} samples, have {len(profile.samples)}")
-    vals = profile.values()[-k:]
-    mean = complex(np.mean(vals))
-    dispersion = float(np.max(np.abs(vals - mean)))
-    return {
-        "limit": mean,
-        "dispersion": dispersion,
-        "converged": bool(dispersion <= dispersion_threshold),
-        "alpha": complex(alpha) if alpha is not None else None,
-        "k": k,
-        "threshold": dispersion_threshold,
     }
 
 

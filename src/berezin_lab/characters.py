@@ -200,29 +200,6 @@ def _gap_from_lambda_min(
     )
 
 
-def test_vector_residual(w: WeightSequence, lam: complex, k: int, d: int):
-    """Residual norms ||(T-l)x|| and ||(T-l)^*x|| of the oscillatory
-    window vector x = d^(-1/2) sum_{j=1..d} e^(-ij theta) e_{k+j}."""
-    lam = complex(lam)
-    if d < 1 or k < 0:
-        raise ValueError("need window k >= 0, d >= 1")
-    if k + d + 1 >= w.n:
-        raise ValueError(f"window [{k}, {k + d + 1}] runs past {w.n} weights")
-    theta = math.atan2(lam.imag, lam.real)
-    n = k + d + 2
-    x = np.zeros(n, dtype=complex)
-    j = np.arange(1, d + 1)
-    x[k + j] = np.exp(-1j * j * theta) / math.sqrt(d)
-    a = w.a[:n]
-    tx = np.zeros(n, dtype=complex)
-    tx[1:] = a[:-1] * x[:-1]
-    tax = np.zeros(n, dtype=complex)
-    tax[:-1] = a[:-1] * x[1:]
-    fwd = float(np.linalg.norm(tx - lam * x))
-    back = float(np.linalg.norm(tax - np.conj(lam) * x))
-    return fwd, back
-
-
 def character_membership(
     w: WeightSequence, lam: complex, config: CharacterConfig | None = None
 ) -> CharacterVerdict:

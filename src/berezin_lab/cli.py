@@ -236,8 +236,10 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         write_text(cfg.out, _json_doc("probe closed-range", body))
         return 0 if rep["classification"] != "inconclusive" else 1
     if args.kind == "fredholm":
-        rep = fredholm_probe(space, _complex_arg(args.z0), tuple(args.n_schedule), tol=cfg.tail_tol)
-        ok = rep["residual"] <= 10 * rep["tail"] and rep["sigma2_trend"] == "bounded_below"
+        rep = fredholm_probe(
+            space, _complex_arg(args.z0), tuple(args.n_schedule), thresholds=cfg.trend, tol=cfg.tail_tol
+        )
+        ok = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
         write_text(cfg.out, _json_doc("probe fredholm", {**rep, "passed": ok}))
         return 0 if ok else 1
     if args.kind == "spherical":

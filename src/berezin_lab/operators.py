@@ -1,22 +1,21 @@
 """Truncated multiplication operators and their singular-value probes.
 
 Everything is materialized in the orthonormal monomial frame of a kernel
-space (or directly over a weight sequence), where multiplication by a
-polynomial c_0 + c_1 z + ... is the banded matrix with entry
-(i+j, i) = c_j * a_i a_{i+1} ... a_{i+j-1}.  Truncations use compression
-semantics: the N x N matrix is the leading principal submatrix of every
-larger one.
+space, where multiplication by a polynomial c_0 + c_1 z + ... is the
+banded matrix with entry (i+j, i) = c_j * a_i a_{i+1} ... a_{i+j-1}.
+Truncations use compression semantics: the N x N matrix is the leading
+principal submatrix of every larger one.
 
 Probes in this module turn operator-theoretic statements into numbers:
-commutator norms against kernel projections, smallest singular values of
-stacked columns, boundary lower bounds for sums M_phi M_psi^*, coordinate
-column contractivity on ball spaces, deviation of dilated symbols, and
-closed-range / Fredholm trend evidence over doubling truncations.  The
-closed-range Gram is formed as a band straight from the norm table, by
-one GEMM, never from the multiplier; its lambda_min comes with a proven
-bracket from banded Cholesky factorizations
-(``tridiag.band_lambda_min``), and the closed-range verdict reads the
-ends of that bracket.
+commutator norms against kernel projections, boundary lower bounds for
+sums M_phi M_psi^*, coordinate column contractivity on ball spaces,
+deviation of dilated symbols, and closed-range / Fredholm trend evidence
+over doubling truncations.  Both trends read one path,
+``_bracketed_trend``: the Gram of phi * (polynomials of degree < N) is
+formed as a band straight from the norm table, by one GEMM, never from
+the multiplier; its lambda_min comes with a proven bracket from banded
+Cholesky factorizations (``tridiag.band_lambda_min``), and the verdict
+reads the ends of that bracket.
 """
 
 from __future__ import annotations
@@ -29,29 +28,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exprs
-from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame, kernel_vector
-from .shifts import WeightSequence
+from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
 from .tridiag import band_lambda_min, gamma_k
 
 
-def shift_weights_of(space_or_weights, n: int) -> np.ndarray:
-    """Shift weights a_0..a_{n-1} of a space, weight sequence, or array."""
-    if isinstance(space_or_weights, KernelSpace):
-        return space_or_weights.shift_weights(n)
-    if isinstance(space_or_weights, WeightSequence):
-        if space_or_weights.n < n:
-            raise ValueError(
-                f"weight sequence holds {space_or_weights.n} weights, need {n}"
-            )
-        return space_or_weights.a[:n]
-    a = np.asarray(space_or_weights, dtype=float)
-    if len(a) < n:
-        raise ValueError(f"need {n} weights, got {len(a)}")
-    return a[:n]
-
-
-def mult_matrix(space_or_weights, coeffs, n: int) -> np.ndarray:
+def mult_matrix(space: KernelSpace, coeffs, n: int) -> np.ndarray:
     """Banded truncation of multiplication by sum_j c_j z^j.
 
     Exact on polynomials of degree < n - deg(phi); the band entries come
@@ -61,8 +43,7 @@ def mult_matrix(space_or_weights, coeffs, n: int) -> np.ndarray:
     deg = len(coeffs) - 1
     if deg >= n:
         raise ValueError(f"polynomial degree {deg} needs truncation above {n}")
-    a = shift_weights_of(space_or_weights, max(n - 1, 0))
-    return exprs.band_matrix(coeffs, a, n, n)
+    return exprs.band_matrix(coeffs, space.shift_weights(max(n - 1, 0)), n, n)
 
 
 def _short(coeffs) -> str:
@@ -80,19 +61,6 @@ def sup_on_circle(coeffs, n_grid: int = 4096):
     vals = np.abs(poly_eval(coeffs, np.exp(1j * theta)))
     j = int(np.argmax(vals))
     return float(vals[j]), complex(np.exp(1j * theta[j]))
-
-
-def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:
-    """Rank-one orthogonal projection onto the truncated kernel line at z."""
-    kv = kernel_vector(space, z, tol)
-    v = np.zeros(n, dtype=complex)
-    m = min(kv.n, n)
-    v[:m] = kv.coeffs[:m]
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("kernel vector truncates to zero at this size")
-    v /= nrm
-    return np.outer(v, v.conj())
 
 
 def circle_sup_precondition(coeffs):
@@ -134,28 +102,8 @@ def commutator_norm_PzMphi(
     return float(np.linalg.svd(rl @ rr.conj().T, compute_uv=False)[0])
 
 
-def column_sigma_min(blocks) -> float:
-    """Smallest singular value of the column stacking the square arrays
-    ``blocks`` (adjoint a block before passing it to stack its adjoint).
-
-    Computed as sqrt(lambda_min(sum B_i^* B_i)) by a dense Hermitian
-    eigensolve.
-    """
-    if not blocks:
-        raise ValueError("column needs at least one block")
-    shapes = {b.shape for b in blocks}
-    if len(shapes) != 1:
-        raise ValueError(f"blocks disagree in shape: {sorted(shapes)}")
-    n = blocks[0].shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    for b in blocks:
-        acc += b.conj().T @ b
-    lam = float(np.linalg.eigvalsh(acc)[0])
-    return math.sqrt(max(lam, 0.0))
-
-
 def norm_lower_bound_check(
-    space_or_weights,
+    space: KernelSpace,
     phis,
     psis,
     n: int,
@@ -177,8 +125,8 @@ def norm_lower_bound_check(
         raise ValueError(f"tolerance must be non-negative and finite, got {tol}")
     acc = np.zeros((n, n), dtype=complex)
     for cp, cq in zip(phis, psis):
-        mp = mult_matrix(space_or_weights, cp, n)
-        mq = mult_matrix(space_or_weights, cq, n)
+        mp = mult_matrix(space, cp, n)
+        mq = mult_matrix(space, cq, n)
         acc += mp @ mq.conj().T
     sigma_max = float(np.linalg.svd(acc, compute_uv=False)[0])
 
@@ -248,7 +196,7 @@ def spherical_contraction_check(ball: BallSpace, tol: float = 1e-10) -> dict:
 # symbol dilation
 
 
-def wot_dilation_probe(space_or_weights, coeffs, t_schedule, block: int = 20) -> dict:
+def wot_dilation_probe(space: KernelSpace, coeffs, t_schedule, block: int = 20) -> dict:
     """Entrywise deviation of M_{phi_t} from M_phi on a leading block,
     phi_t(z) = phi(t z), i.e. coefficients c_j t^j.
 
@@ -262,12 +210,12 @@ def wot_dilation_probe(space_or_weights, coeffs, t_schedule, block: int = 20) ->
     if any(not 0 <= t <= 1 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must increase within [0, 1]")
     ncoef = min(len(coeffs), block)
-    base = mult_matrix(space_or_weights, coeffs[:block], block)
+    base = mult_matrix(space, coeffs[:block], block)
     deviations = []
     for t in ts:
         ct = coeffs[:block].copy()
         ct[:ncoef] = ct[:ncoef] * (t ** np.arange(ncoef))
-        dev = np.max(np.abs(mult_matrix(space_or_weights, ct, block) - base))
+        dev = np.max(np.abs(mult_matrix(space, ct, block) - base))
         deviations.append(float(dev))
     monotone = all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
     return {
@@ -298,38 +246,6 @@ def _truncation_schedule(n_schedule) -> list:
             f"truncation schedule must be strictly increasing integers >= 2, got {ns}"
         )
     return [int(m) for m in ns]
-
-
-def fredholm_probe(space: KernelSpace, z0: complex, n_schedule=(128, 256, 512), tol: float = 1e-12) -> dict:
-    """Evidence that M_{z - z0} is Fredholm of index -1.
-
-    Reports the residual ||(M_{z-z0})^* k_z0|| (zero up to the kernel
-    tail; the reported ``tail`` is the norm-level bound, the square root
-    of the omitted mass) and the second-smallest singular value of the
-    truncation along a doubling schedule (bounded away from zero exactly
-    when the cokernel stays one-dimensional).
-    """
-    ns = _truncation_schedule(n_schedule)
-    z0 = complex(z0)
-    coeffs = np.array([-z0, 1.0], dtype=complex)
-    node = exprs.MPolyAdj(tuple(coeffs))
-    kv, a, v = kernel_frame(space, z0, tol, pad=exprs.raise_degree(node))
-    residual = float(np.linalg.norm(exprs.apply(node, a, v)))
-
-    sigma2 = {}
-    sigma_min = math.inf
-    for m in ns:
-        svals = np.linalg.svd(mult_matrix(space, coeffs, m), compute_uv=False)
-        sigma2[m] = float(svals[-2])
-        sigma_min = float(svals[-1])
-    return {
-        "z0": z0,
-        "residual": residual,
-        "tail": max(math.sqrt(kv.tail), float(np.finfo(float).eps)),
-        "sigma_min": sigma_min,
-        "sigma2": sigma2,
-        "sigma2_trend": classify_trend(list(sigma2.values())),
-    }
 
 
 @dataclass(frozen=True)
@@ -487,6 +403,30 @@ def _gram_lambda_min(space: KernelSpace, coeffs, n_cols: int) -> tuple:
     return max(lam, lo), [lo, float(np.nextafter(hi + err, math.inf))]
 
 
+def _bracketed_trend(space: KernelSpace, coeffs, ns, thresholds: TrendThresholds | None) -> tuple:
+    """(lambda_min, lambda_min_bracket, classification) of the Gram of
+    phi * (polynomials of degree < N), for each N of the schedule ``ns``,
+    each from ``_gram_lambda_min``.
+
+    The classification reads the proven ends of the brackets, not
+    lambda_min: ``vanishing`` when ``classify_trend`` says so of the hi
+    values, else ``bounded_below`` when it says so of the lo values, else
+    ``inconclusive``; so a lambda_min inside its own rounding decides
+    nothing.
+    """
+    solved = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
+    lam = {m: v for m, (v, _) in solved.items()}
+    brackets = {m: bracket for m, (_, bracket) in solved.items()}
+    los, his = zip(*brackets.values())
+    if classify_trend(his, thresholds) == VANISHING:
+        classification = VANISHING
+    elif classify_trend(los, thresholds) == BOUNDED_BELOW:
+        classification = BOUNDED_BELOW
+    else:
+        classification = INCONCLUSIVE
+    return lam, brackets, classification
+
+
 def closed_range_probe(
     space: KernelSpace,
     phi,
@@ -509,11 +449,9 @@ def closed_range_probe(
     iteration on banded Cholesky factors of the Gram, which has half-width
     p for the series degree p; ``lambda_min_bracket`` maps each N to a
     proven [lo, hi] around it, lo from a Cholesky factorization that
-    succeeds.  The classification reads the proven ends, not
-    ``lambda_min``: ``vanishing`` when ``classify_trend`` says so of the hi
-    values, else ``bounded_below`` when it says so of the lo values, else
-    ``inconclusive``; so a lambda_min inside its own rounding decides
-    nothing.  The schedule must be strictly increasing integers >= 2.
+    succeeds.  The classification reads the proven ends
+    (``_bracketed_trend``).  The schedule must be strictly increasing
+    integers >= 2.
     """
     ns = _truncation_schedule(n_schedule)
     if isinstance(phi, BlaschkeProduct):
@@ -535,16 +473,7 @@ def closed_range_probe(
         _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
         kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, a, v)) ** 2)
 
-    solved = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
-    lam = {m: v for m, (v, _) in solved.items()}
-    brackets = {m: bracket for m, (_, bracket) in solved.items()}
-    los, his = zip(*brackets.values())
-    if classify_trend(his, thresholds) == VANISHING:
-        classification = VANISHING
-    elif classify_trend(los, thresholds) == BOUNDED_BELOW:
-        classification = BOUNDED_BELOW
-    else:
-        classification = INCONCLUSIVE
+    lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {
         "phi": label,
         "kernel_bound_inf": min(kernel_vals.values()),
@@ -554,4 +483,40 @@ def closed_range_probe(
         "lambda_min_bracket": brackets,
         "classification": classification,
         "series_tail": series_tail,
+    }
+
+
+def fredholm_probe(
+    space: KernelSpace,
+    z0: complex,
+    n_schedule=(128, 256, 512),
+    thresholds: TrendThresholds | None = None,
+    tol: float = 1e-12,
+) -> dict:
+    """Evidence that M_{z - z0} is Fredholm of index -1.
+
+    M_{z - z0} is the weighted shift T - z0, and ker(T - z0)^* is at most
+    one-dimensional (a_k x_{k+1} = conj(z0) x_k fixes x by x_0), so the
+    operator is Fredholm of index -1 exactly when it is bounded below and
+    k_z0 lies in the space.  The residual ||(M_{z-z0})^* k_z0|| shows the
+    second: it is zero up to the kernel tail (the reported ``tail`` is the
+    norm-level bound, the square root of the omitted mass).  The first is
+    the closed-range question for phi = z - z0, answered by the same
+    bracketed Gram trend (``_bracketed_trend``, a tridiagonal Gram) along
+    the schedule.
+    """
+    ns = _truncation_schedule(n_schedule)
+    z0 = complex(z0)
+    coeffs = np.array([-z0, 1.0], dtype=complex)
+    node = exprs.MPolyAdj(tuple(coeffs))
+    kv, a, v = kernel_frame(space, z0, tol, pad=exprs.raise_degree(node))
+    residual = float(np.linalg.norm(exprs.apply(node, a, v)))
+    lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
+    return {
+        "z0": z0,
+        "residual": residual,
+        "tail": max(math.sqrt(kv.tail), float(np.finfo(float).eps)),
+        "lambda_min": lam,
+        "lambda_min_bracket": brackets,
+        "classification": classification,
     }

@@ -191,11 +191,6 @@ def ball_peak(h_coeffs=(0.0,), grid=(22, 22), cap_radius: float = 0.35) -> PeakC
     )
 
 
-def ball_peak_value(h_coeffs, z1, z2):
-    h_coeffs = np.atleast_1d(np.asarray(h_coeffs, dtype=complex))
-    return (1 + z1) * z1 / 2 + (1 - z1) * z2 * poly_eval(h_coeffs, z1) / 2
-
-
 def product_peak_check(
     phi_coeffs,
     psi_coeffs,

@@ -228,15 +228,6 @@ def shift_power_norm(w: WeightSequence, m: int) -> float:
     return float(np.exp(np.max(s[m:] - s[:-m])))
 
 
-def min_window_product(w: WeightSequence, m: int) -> float:
-    if not 1 <= m < w.n:
-        raise ValueError(
-            f"need 1 <= m < {w.n} so that complete windows exist, got m = {m}"
-        )
-    s = w.log_prefix()
-    return float(np.exp(np.min(s[m:] - s[:-m])))
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
     """Power norms at m = 2^k and the induced spectral-radius estimates."""

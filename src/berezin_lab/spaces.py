@@ -65,7 +65,13 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
     if kind == "rs":
         # h_{k+1} = h_k * (k+1)/(s+k); avoids binomials of large arguments
         k = np.arange(n, dtype=float)
-        return np.concatenate(([1.0], np.cumprod((k + 1.0) / (s + k))))
+        h = np.concatenate(([1.0], np.cumprod((k + 1.0) / (s + k))))
+        # for large s the product underflows to 0, which is no norm
+        # (``custom_space`` rejects it too); h is non-increasing
+        if h[-1] == 0.0:
+            zero = int(np.argmax(h == 0.0))
+            raise TruncationError(f"rs({s:g}) norm h_{zero} underflows to 0")
+        return h
     if kind == "mu":
         h = np.ones(n + 1)
         h[0] = 2.0
@@ -300,32 +306,6 @@ def kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 
     v = np.zeros(n, dtype=complex)
     v[: kv.n] = kv.coeffs
     return kv, a, v
-
-
-def point_norm_sq(space: KernelSpace, z: complex, tol: float = 1e-12) -> float:
-    """K(z,z), the squared norm of the kernel vector at z."""
-    return kernel_vector(space, z, tol).norm_sq
-
-
-def kernel_gram(space: KernelSpace, points, tol: float = 1e-12) -> np.ndarray:
-    """Gram matrix G_{ij} = K(z_i, z_j); Hermitian positive semidefinite.
-
-    All points share the truncation dictated by the largest modulus, so
-    the result is an exact Gram matrix of truncated kernel vectors up to
-    the common tail.
-    """
-    pts = [complex(p) for p in points]
-    for p in pts:
-        if not abs(p) < 1:
-            raise ValueError(f"point z = {p} lies outside the open unit disk")
-    if not pts:
-        return np.zeros((0, 0), dtype=complex)
-    z_big = max(pts, key=abs)
-    n = kernel_vector(space, z_big, tol).n
-    h = space.h_table(n)[:n]
-    # unnormalized coordinates: column j holds conj(z_j)^k / sqrt(h_k)
-    cols = _conj_powers(np.array(pts), n).T / np.sqrt(h)[:, None]
-    return cols.conj().T @ cols
 
 
 # ---------------------------------------------------------------------------

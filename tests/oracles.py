@@ -1,9 +1,11 @@
 """Reference constructions and checks shared by several test modules."""
 
+import math
+
 import numpy as np
 
 from berezin_lab import exprs
-from berezin_lab.operators import shift_weights_of
+from berezin_lab.spaces import KernelSpace, kernel_vector
 
 
 def dense_tridiagonal(diag, off) -> np.ndarray:
@@ -41,7 +43,7 @@ def band_from_dense(m, q: int) -> np.ndarray:
     return band
 
 
-def tall_mult_matrix(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
+def tall_mult_matrix(space, coeffs, n_cols: int) -> np.ndarray:
     """Multiplication matrix keeping every output row.
 
     With rows up to n_cols + deg the matrix represents phi * p exactly for
@@ -50,8 +52,63 @@ def tall_mult_matrix(space_or_weights, coeffs, n_cols: int) -> np.ndarray:
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     n_rows = n_cols + len(coeffs) - 1
-    a = shift_weights_of(space_or_weights, max(n_rows - 1, 0))
-    return exprs.band_matrix(coeffs, a, n_rows, n_cols)
+    return exprs.band_matrix(coeffs, space.shift_weights(max(n_rows - 1, 0)), n_rows, n_cols)
+
+
+def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:
+    """Rank-one orthogonal projection onto the truncated kernel line at z."""
+    kv = kernel_vector(space, z, tol)
+    v = np.zeros(n, dtype=complex)
+    m = min(kv.n, n)
+    v[:m] = kv.coeffs[:m]
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("kernel vector truncates to zero at this size")
+    v /= nrm
+    return np.outer(v, v.conj())
+
+
+def column_sigma_min(blocks) -> float:
+    """Smallest singular value of the column stacking the square arrays
+    ``blocks`` (adjoint a block before passing it to stack its adjoint).
+
+    Computed as sqrt(lambda_min(sum B_i^* B_i)) by a dense Hermitian
+    eigensolve.
+    """
+    if not blocks:
+        raise ValueError("column needs at least one block")
+    shapes = {b.shape for b in blocks}
+    if len(shapes) != 1:
+        raise ValueError(f"blocks disagree in shape: {sorted(shapes)}")
+    n = blocks[0].shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    for b in blocks:
+        acc += b.conj().T @ b
+    lam = float(np.linalg.eigvalsh(acc)[0])
+    return math.sqrt(max(lam, 0.0))
+
+
+def window_residuals(w, lam: complex, k: int, d: int):
+    """Residual norms ||(T-l)x|| and ||(T-l)^*x|| of the oscillatory
+    window vector x = d^(-1/2) sum_{j=1..d} e^(-ij theta) e_{k+j}."""
+    lam = complex(lam)
+    if d < 1 or k < 0:
+        raise ValueError("need window k >= 0, d >= 1")
+    if k + d + 1 >= w.n:
+        raise ValueError(f"window [{k}, {k + d + 1}] runs past {w.n} weights")
+    theta = math.atan2(lam.imag, lam.real)
+    n = k + d + 2
+    x = np.zeros(n, dtype=complex)
+    j = np.arange(1, d + 1)
+    x[k + j] = np.exp(-1j * j * theta) / math.sqrt(d)
+    a = w.a[:n]
+    tx = np.zeros(n, dtype=complex)
+    tx[1:] = a[:-1] * x[:-1]
+    tax = np.zeros(n, dtype=complex)
+    tax[:-1] = a[:-1] * x[1:]
+    fwd = float(np.linalg.norm(tx - lam * x))
+    back = float(np.linalg.norm(tax - np.conj(lam) * x))
+    return fwd, back
 
 
 def reject_constant(name):

@@ -11,7 +11,6 @@ from berezin_lab.characters import (
     character_set_scan,
     gap_certificate,
     run_criterion,
-    test_vector_residual as window_residuals,
     tridiagonal_parts,
     verdict_to_dict,
     verdicts_to_json,
@@ -24,7 +23,7 @@ from berezin_lab.shifts import (
 )
 from berezin_lab.spaces import monomial_norms
 from berezin_lab.trends import INCONCLUSIVE, TrendThresholds
-from oracles import dense_tridiagonal
+from oracles import dense_tridiagonal, window_residuals
 
 rng = np.random.default_rng(818283)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,23 @@ def test_probe_fredholm_spherical_wot_normbound(tmp_path):
         ["probe", "normbound", "--space", "hardy", "--families", "3", "--truncation", "128",
          "--tol", "0.02", "--out", str(tmp_path / "n.json")]
     ) == 0
+
+
+def test_probe_fredholm_reads_the_trend_thresholds(tmp_path):
+    # a floor above lambda_min (about 0.28 at z0 = 0.4) leaves no lo value
+    # bounded below, as it does for closed-range
+    out = tmp_path / "f.json"
+    assert run(["--trend-floor", "10", "probe", "fredholm", "--space", "bergman", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["classification"] == "inconclusive" and doc["passed"] is False
+
+
+def test_rs_norm_underflow_is_rejected_where_the_table_is_built(capsys):
+    # h_k of rs(5000) is 0 from k = 171; nothing may divide by it first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["probe", "closed-range", "--space", "rs(5000)", "--phi=0.5,1"]) == 2
+    assert "h_171" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,18 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from berezin_lab.exprs import MPoly, materialize
+from berezin_lab.exprs import MPoly, band_matrix, materialize
 from berezin_lab.operators import (
     BlaschkeProduct,
     _gram_band,
     _gram_lambda_min,
     ball_coordinate_matrices,
     closed_range_probe,
-    column_sigma_min,
     commutator_norm_PzMphi,
     fredholm_probe,
     mult_matrix,
     norm_lower_bound_check,
     poly_eval,
-    projection_Pz,
     spherical_contraction_check,
     sup_on_circle,
     wot_dilation_probe,
@@ -31,9 +29,8 @@ from berezin_lab.spaces import (
     kernel_vector,
     monomial_norms,
 )
-from berezin_lab.shifts import constant_weights
 
-from oracles import band_from_dense, tall_mult_matrix
+from oracles import band_from_dense, column_sigma_min, projection_Pz, tall_mult_matrix
 
 rng = np.random.default_rng(515253)
 
@@ -416,19 +413,21 @@ def test_wot_dilation_validation():
 
 
 def test_fredholm_hardy_origin_exact():
+    # M_z is an isometry on hardy: its Gram is the identity
     rep = fredholm_probe(hardy, 0.0)
     assert rep["residual"] == 0.0
-    assert rep["sigma2"][128] == pytest.approx(1.0, abs=1e-12)
-    assert rep["sigma2_trend"] == "bounded_below"
+    assert rep["lambda_min"][128] == pytest.approx(1.0, abs=1e-12)
+    lo, hi = rep["lambda_min_bracket"][128]
+    assert lo <= 1.0 <= hi
+    assert rep["classification"] == "bounded_below"
 
 
 @pytest.mark.parametrize("z0", [0.4, 0.2])
 def test_fredholm_bergman_interior_point(z0):
     rep = fredholm_probe(bergman, z0)
     assert rep["residual"] <= 10 * rep["tail"]
-    vals = list(rep["sigma2"].values())
-    assert min(vals) > 0.1
-    assert rep["sigma2_trend"] == "bounded_below"
+    assert min(rep["lambda_min"].values()) > 0.01
+    assert rep["classification"] == "bounded_below"
 
 
 def test_fredholm_rejects_boundary():
@@ -497,23 +496,28 @@ def test_closed_range_boundary_zero_vanishes():
 
 # Narrow and wide Gram bands, and series longer than N = 128, where the
 # band is full.
+# z - z0 with |z0| < 1 is the fredholm probe's symbol too (z0 given).
 @pytest.mark.parametrize(
-    "space, phi",
+    "space, phi, z0",
     [
-        (hardy, BlaschkeProduct((0.3,))),
-        (bergman, BlaschkeProduct((0.5 * np.exp(1j),))),
-        (bergman, BlaschkeProduct((0.5, -0.5))),
-        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j))),
-        (bergman, BlaschkeProduct((0.9,))),
-        (hardy, BlaschkeProduct((0.95j,))),
-        (hardy, [-1.0, 1.0]),
-        (bergman, [-1.0, 1.0]),
-        (rs3, [-1.0, 1.0]),
+        (hardy, BlaschkeProduct((0.3,)), None),
+        (bergman, BlaschkeProduct((0.5 * np.exp(1j),)), None),
+        (bergman, BlaschkeProduct((0.5, -0.5)), None),
+        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j)), None),
+        (bergman, BlaschkeProduct((0.9,)), None),
+        (hardy, BlaschkeProduct((0.95j,)), None),
+        (hardy, [-1.0, 1.0], None),
+        (bergman, [-1.0, 1.0], None),
+        (rs3, [-1.0, 1.0], None),
+        (bergman, [-0.4, 1.0], 0.4),
+        (hardy, [-(0.4 + 0.3j), 1.0], 0.4 + 0.3j),
+        (rs3, [-0.9, 1.0], 0.9),
     ],
     ids=["hardy-0.3", "bergman-0.5e^i", "bergman-0.5,-0.5", "rs3-three-zeros",
-         "bergman-0.9", "hardy-0.95i", "hardy-z-1", "bergman-z-1", "rs3-z-1"],
+         "bergman-0.9", "hardy-0.95i", "hardy-z-1", "bergman-z-1", "rs3-z-1",
+         "bergman-z-0.4", "hardy-z-(0.4+0.3i)", "rs3-z-0.9"],
 )
-def test_closed_range_gram_solves_match_dense_oracle(space, phi):
+def test_closed_range_gram_solves_match_dense_oracle(space, phi, z0):
     tol = 1e-12
     rep = closed_range_probe(space, phi, grid=[0j], n_schedule=(128, 1024), tol=tol)
     assert rep["series_tail"] <= tol
@@ -529,6 +533,12 @@ def test_closed_range_gram_solves_match_dense_oracle(space, phi):
         lo, hi = rep["lambda_min_bracket"][n]
         assert 0 <= lo <= want <= hi, (n, lo, want, hi)
         assert lo <= lam <= hi
+    if z0 is not None:
+        # one path: the same solves, so the same brackets around the oracle
+        fred = fredholm_probe(space, z0, (128, 1024), tol=tol)
+        assert fred["lambda_min"] == rep["lambda_min"]
+        assert fred["lambda_min_bracket"] == rep["lambda_min_bracket"]
+        assert fred["classification"] == rep["classification"]
 
 
 @pytest.mark.parametrize(
@@ -663,13 +673,6 @@ def test_banded_multipliers_match_entry_build_exactly():
         coeffs[1::3] = 0  # zero coefficients are skipped, not left as holes
         want = _band_by_entries(coeffs, a, n, n)
         assert np.array_equal(materialize(MPoly(tuple(coeffs)), a, n), want)
-        if deg < n:
-            assert np.array_equal(mult_matrix(a, coeffs, n), want)
-        tall = tall_mult_matrix(a, coeffs, n)
+        assert np.array_equal(band_matrix(coeffs, a, n, n), want)
+        tall = band_matrix(coeffs, a, n + deg, n)
         assert np.array_equal(tall, _band_by_entries(coeffs, a, n + deg, n))
-
-
-def test_weights_input_for_mult():
-    w = constant_weights(0.5, 16)
-    m = mult_matrix(w, [0, 1], 8)
-    assert np.allclose(np.diag(m, -1), 0.5)

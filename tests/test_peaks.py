@@ -9,7 +9,6 @@ from berezin_lab.peaks import (
     annulus_lambda_threshold,
     annulus_peak,
     ball_peak,
-    ball_peak_value,
     peak_report,
     product_peak_check,
     sphere_grid,
@@ -84,6 +83,12 @@ def test_annulus_validation():
 
 # ---------------------------------------------------------------------------
 # ball
+
+
+def ball_peak_value(h_coeffs, z1, z2):
+    """The function ``ball_peak`` certifies, f = (1+z1) z1/2 + (1-z1) z2 h(z1)/2."""
+    h = np.polyval(np.asarray(h_coeffs, dtype=complex)[::-1], z1)
+    return (1 + z1) * z1 / 2 + (1 - z1) * z2 * h / 2
 
 
 def test_ball_peak_value_at_peak_point():

@@ -11,7 +11,6 @@ from berezin_lab.shifts import (
     explicit_weights,
     generate_weights,
     load_weights,
-    min_window_product,
     save_weights,
     shift_power_norm,
     sigma_weights,
@@ -257,7 +256,8 @@ def test_weight_sequence_log_prefix():
     assert s[0] == 0.0
     assert s[3] == pytest.approx(np.log(0.125))
     assert isinstance(w, WeightSequence)
-    assert min_window_product(w, 2) == pytest.approx(0.125)
+    # the smallest 2-fold window product, from the prefix
+    assert np.exp(np.min(s[2:] - s[:-2])) == pytest.approx(0.125)
 
 
 @pytest.mark.parametrize("values", [[0.5, np.nan], [0.5, np.inf]], ids=["nan", "inf"])

@@ -9,15 +9,14 @@ import pytest
 from berezin_lab.spaces import (
     KernelVector,
     TruncationError,
+    _conj_powers,
     ball_space,
     custom_space,
     da_norms,
     hardy_ball_norms,
-    kernel_gram,
     kernel_vector,
     load_h_table,
     monomial_norms,
-    point_norm_sq,
     save_h_table,
 )
 
@@ -106,7 +105,7 @@ def test_kernel_vector_at_origin_is_first_basis_vector():
 def test_hardy_point_norm_partial_geometric_sum():
     # oracle: partial sums of sum_k r^{2k}
     oracle = sum(0.25**k for k in range(200))
-    val = point_norm_sq(monomial_norms("hardy", 4), 0.5)
+    val = kernel_vector(monomial_norms("hardy", 4), 0.5).norm_sq
     assert val == pytest.approx(oracle, rel=1e-12)
     assert val == pytest.approx(4 / 3, rel=1e-12)
 
@@ -114,7 +113,7 @@ def test_hardy_point_norm_partial_geometric_sum():
 def test_bergman_point_norm_partial_sum():
     # oracle: partial sums of sum_k (k+1) r^{2k}
     oracle = sum((k + 1) * 0.25**k for k in range(300))
-    val = point_norm_sq(monomial_norms("bergman", 4), 0.5)
+    val = kernel_vector(monomial_norms("bergman", 4), 0.5).norm_sq
     assert val == pytest.approx(oracle, rel=1e-12)
     assert val == pytest.approx(16 / 9, rel=1e-12)
 
@@ -171,15 +170,18 @@ def test_kernel_powers_match_mpmath(kind, s):
                 got = kv.coeffs[k] * math.sqrt(kv.norm_sq) * math.sqrt(h[k])
                 want = c**k
                 assert abs(got - complex(want)) <= 8 * n * 2.0**-52 * float(abs(want))
-    # kernel_gram shares the truncation of the largest modulus (the last
-    # point); compare it with the Gram matrix of the unnormalized columns
+    # the array form, all points at the truncation of the largest modulus
+    # (the last point), against the same oracle
     n = kvs[-1].n
-    cols = np.zeros((n, len(kvs)), dtype=complex)
-    for j, kv in enumerate(kvs):
-        cols[: kv.n, j] = kv.coeffs * math.sqrt(kv.norm_sq)
-    want = cols.conj().T @ cols
-    scale = np.sqrt(np.outer(np.diag(want).real, np.diag(want).real))
-    assert np.all(np.abs(kernel_gram(space, POWER_POINTS) - want) <= 8 * n * 2.0**-52 * scale)
+    powers = _conj_powers(np.array(POWER_POINTS), n)
+    assert powers.shape == (len(POWER_POINTS), n)
+    with mpmath.workdps(50):
+        for z, kv, row in zip(POWER_POINTS, kvs, powers):
+            ks = {0, 1, kv.n - 1, *r.integers(0, kv.n, 8).tolist()}
+            c = mpmath.conj(mpmath.mpc(z.real, z.imag))
+            for k in sorted(ks):
+                want = c**k
+                assert abs(row[k] - complex(want)) <= 8 * n * 2.0**-52 * float(abs(want))
 
 
 # at |z| = 0.9838 and 0.9999 an unrounded hardy tail falls below the exact
@@ -227,27 +229,27 @@ def test_kernel_vector_domain_errors():
     for z in (complex("nan"), complex(0.3, math.nan)):
         with pytest.raises(ValueError, match="outside the open unit disk"):
             kernel_vector(space, z)
-        with pytest.raises(ValueError, match="outside the open unit disk"):
-            kernel_gram(space, [0.2, z])
 
 
 # ---------------------------------------------------------------------------
 # Gram matrices
 
 
+def kernel_gram(space, points, tol):
+    """G[i, j] = K(z_i, z_j) = <k_{z_j}, k_{z_i}>, from the unnormalized
+    kernel vectors, all at the truncation of the largest modulus."""
+    n = max(kernel_vector(space, z, tol).n for z in points)
+    kvs = [kernel_vector(space, z, tol, n_start=n) for z in points]
+    cols = np.array([kv.coeffs * math.sqrt(kv.norm_sq) for kv in kvs])
+    return cols.conj() @ cols.T
+
+
 def test_gram_hardy_examples():
     space = monomial_norms("hardy", 4)
-    g = kernel_gram(space, [0.0])
+    g = kernel_gram(space, [0.0], tol=1e-12)
     assert g.shape == (1, 1) and g[0, 0] == pytest.approx(1.0, abs=1e-14)
-    g = kernel_gram(space, [0.0, 0.5])
+    g = kernel_gram(space, [0.0, 0.5], tol=1e-12)
     assert np.allclose(g, [[1, 1], [1, 4 / 3]], atol=1e-12)
-
-
-def test_gram_bergman_two_points_psd():
-    # oracle: dense eigensolve of the 2x2
-    g = kernel_gram(monomial_norms("bergman", 4), [0.3, -0.3])
-    evals = np.linalg.eigvalsh(g)
-    assert evals.min() >= -1e-12
 
 
 def test_gram_closed_forms():
@@ -267,23 +269,6 @@ def test_gram_closed_forms():
         for j, z in enumerate(pts):
             x = w * np.conj(z)
             assert g[i, j] == pytest.approx(0.5 + x / (1 - x), rel=1e-12)
-
-
-@pytest.mark.parametrize("kind,s", [("hardy", None), ("bergman", None), ("rs", 3.0), ("mu", None)])
-def test_gram_psd_on_random_grids(kind, s):
-    space = monomial_norms(kind, 4, s=s)
-    pts = rng.uniform(0, 0.95, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
-    g = kernel_gram(space, pts)
-    evals = np.linalg.eigvalsh(g)
-    assert evals.min() >= -1e-10 * evals.max()
-
-
-def test_gram_duplicate_points_stay_psd():
-    g = kernel_gram(monomial_norms("hardy", 4), [0.4, 0.4, -0.2])
-    evals = np.linalg.eigvalsh(g)
-    assert evals.min() >= -1e-12
-    with pytest.raises(ValueError):
-        kernel_gram(monomial_norms("hardy", 4), [0.4, 1.1])
 
 
 # ---------------------------------------------------------------------------
