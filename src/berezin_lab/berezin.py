@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .formats import read_columns, to_json, write_csv
+from .formats import read_columns, write_csv
 from .operators import circle_sup_precondition, poly_eval, sup_on_circle
 from .spaces import KernelSpace, kernel_frame
 
@@ -258,15 +258,12 @@ def profile_from_csv(path) -> BerezinProfile:
     return BerezinProfile(op_label="", samples=samples, path={"kind": "points", "count": len(samples)})
 
 
-def profile_report(profile: BerezinProfile, verdicts: dict | None = None) -> str:
-    doc = {
+def profile_report(profile: BerezinProfile) -> dict:
+    return {
         "op": profile.op_label,
         "path": profile.path,
         "samples": [
             {"z": s.z, "value": s.value, "trunc_N": s.trunc_n, "tail": s.tail}
             for s in profile.samples
         ],
-        "verdicts": verdicts or {},
-        "spec_version": "1",
     }
-    return to_json(doc)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import to_json
 from .shifts import WeightSequence
 from .tridiag import lambda_min_batch
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
@@ -324,6 +323,3 @@ def verdict_to_dict(v: CharacterVerdict) -> dict:
         "schedules": v.schedules,
     }
 
-
-def verdicts_to_json(verdicts, **extra) -> str:
-    return to_json({"verdicts": [verdict_to_dict(v) for v in verdicts], **extra})

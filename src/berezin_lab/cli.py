@@ -13,11 +13,14 @@ Outputs are deterministic CSV/JSON (identical config gives byte-identical
 bytes).  Every file is written and read through ``formats``, which
 refuses NaN and infinity in an output and raises ``ValueError`` on a
 malformed input table.  Optional SVG plots are generated from the CSV and
-never gate verdicts.  Exit codes: 0 all checks passed, 1 a verdict
-failed, 2 usage or parameter error (any ``ValueError`` or ``OSError``,
-``spaces.TruncationError`` included).  ``gbt`` samples its path through ``berezin.gbt_profile``
-and the one transform, ``berezin.gbt_sample``; space names resolve
-through ``spaces.space_by_name``.
+never gate verdicts.  Each ``cmd_*`` handler returns ``(body, passed)``;
+``main`` alone wraps the body in the ``{command, spec_version}``
+envelope, writes it and maps ``passed`` to the exit code: 0 all checks
+passed, 1 a verdict failed, 2 usage or parameter error (any
+``ValueError`` or ``OSError``, ``spaces.TruncationError`` included).
+``gbt`` samples its path through ``berezin.gbt_profile`` and the one
+transform, ``berezin.gbt_sample``; space names resolve through
+``spaces.space_by_name``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import berezin as bz
 from . import exprs
-from .characters import CharacterConfig, character_set_scan, verdicts_to_json
+from .characters import CharacterConfig, character_set_scan, verdict_to_dict
 from .formats import to_json, write_text
 from .operators import (
     BlaschkeProduct,
@@ -53,20 +55,6 @@ SPEC_VERSION = "1"
 
 # re-exported parser entry point (grammar lives with the expressions)
 parse_operator_expr = exprs.parse
-
-
-@dataclass
-class RunConfig:
-    """Tolerances and output paths shared by subcommands."""
-
-    tail_tol: float = 1e-12
-    trend: TrendThresholds = field(default_factory=TrendThresholds)
-    out: str | None = None
-    svg: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.tail_tol < math.inf:
-            raise ValueError(f"tail tolerance must be positive and finite, got {self.tail_tol}")
 
 
 def _coeff_list(text: str):
@@ -138,115 +126,91 @@ def _json_doc(command: str, body: dict) -> str:
 # subcommands
 
 
-def cmd_gbt(args, cfg: RunConfig) -> int:
+def cmd_gbt(args):
+    if args.svg and not args.out:
+        raise ValueError("--svg requires --out (the plot is built from the CSV)")
     space = space_by_name(args.space)
     node = parse_operator_expr(args.op)
-    profile = bz.gbt_profile(space, node, _parse_path(args), op_label=args.op, tol=cfg.tail_tol)
-    if cfg.out:
-        bz.profile_to_csv(profile, cfg.out)
-    else:
-        write_text(None, bz.profile_report(profile))
-    if cfg.svg:
-        if not cfg.out:
-            raise ValueError("--svg requires --out (the plot is built from the CSV)")
-        profile_csv_to_svg(cfg.out, cfg.svg, title=args.op)
+    profile = bz.gbt_profile(space, node, _parse_path(args), op_label=args.op, tol=args.tail_tol)
     # contractivity audit: |value| <= coarse norm bound + tail
     bound = exprs.norm_bound(node)
-    ok = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
-    return 0 if ok else 1
+    passed = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
+    if not args.out:
+        return bz.profile_report(profile), passed
+    bz.profile_to_csv(profile, args.out)
+    if args.svg:
+        profile_csv_to_svg(args.out, args.svg, title=args.op)
+    return None, passed
 
 
-def cmd_charspace(args, cfg: RunConfig) -> int:
+def cmd_charspace(args):
     w = generate_weights(args.weights, args.weight_count)
     moduli, angles = _parse_lambda_grid(args.lambda_grid)
     ccfg = CharacterConfig(
         m_max=args.m_max,
         scan_len=min(args.weight_count, w.n),
         n_schedule=tuple(2 ** k for k in range(8, args.n_max_log2 + 1)),
-        trend=cfg.trend,
+        trend=args.trend,
     )
     verdicts = character_set_scan(w, moduli, n_angles=angles, config=ccfg)
-    write_text(cfg.out, verdicts_to_json(verdicts, command="charspace", spec_version=SPEC_VERSION))
     inconclusive = sum(1 for v in verdicts if v.verdict == "inconclusive")
-    return 0 if inconclusive <= args.allow_inconclusive else 1
+    return {"verdicts": [verdict_to_dict(v) for v in verdicts]}, inconclusive <= args.allow_inconclusive
 
 
-def cmd_peaks(args, cfg: RunConfig) -> int:
+def cmd_peaks(args):
     if args.domain == "annulus":
         cand = annulus_peak(
             args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
             n=args.n, lam_abs=args.lam, grid_n=args.grid,
         )
-        write_text(cfg.out, peak_report(cand))
-        return 0 if (cand.certified or args.lam == 0.0) else 1
+        return peak_report(cand), cand.certified or args.lam == 0.0
     if args.domain == "ball":
         cand = ball_peak(_coeff_list(args.h), grid=(args.grid_s, args.grid_phi))
-        write_text(cfg.out, peak_report(cand))
-        return 0 if cand.certified else 1
+        return peak_report(cand), cand.certified
     rep = product_peak_check(_coeff_list(args.phi), _coeff_list(args.psi), grid_n=args.grid)
-    write_text(cfg.out, _json_doc("peaks product", rep))
-    return 0 if rep["passed"] else 1
+    return rep, rep["passed"]
 
 
-def cmd_shift(args, cfg: RunConfig) -> int:
+def cmd_shift(args):
     w = generate_weights(args.weights, args.weight_count)
     if args.what == "spr":
         est = spectral_radius_estimate(w, args.kmax)
-        body = {
-            "weights": args.weights,
-            "power_norms": est.power_norms,
-            "root_estimates": est.root_estimates,
-            "bounds": est.bounds or {},
-            "sandwich_checked": est.sandwich_checked,
-            "sandwich_ok": est.sandwich_ok,
-            "violations": est.sandwich_violations,
-        }
-        write_text(cfg.out, _json_doc("shift spr", body))
-        return 0 if (not est.sandwich_checked or est.sandwich_ok) else 1
+        return {"weights": args.weights, **est}, not est["sandwich_checked"] or est["sandwich_ok"]
     if args.what == "powernorm":
-        vals = {m: shift_power_norm(w, m) for m in args.m}
-        write_text(cfg.out, _json_doc("shift powernorm", {"weights": args.weights, "norms": vals}))
-        return 0
+        return {"weights": args.weights, "norms": {m: shift_power_norm(w, m) for m in args.m}}, True
     rep = power_bounded_check(w, args.r, m_max=args.mmax)
-    write_text(cfg.out, _json_doc("shift powerbound", {"weights": args.weights, **rep}))
-    return 0 if rep["all_dyadic_ok"] else 1
+    return {"weights": args.weights, **rep}, rep["all_dyadic_ok"]
 
 
-def cmd_probe(args, cfg: RunConfig) -> int:
+def cmd_probe(args):
     space = space_by_name(args.space) if getattr(args, "space", None) is not None else None
     if args.kind == "commutator":
         coeffs = _coeff_list(args.phi)
         rows = []
-        ok = True
         for z in [_complex_arg(s) for s in args.z.split(";")]:
-            val = commutator_norm_PzMphi(space, coeffs, z, tol=cfg.tail_tol)
+            val = commutator_norm_PzMphi(space, coeffs, z, tol=args.tail_tol)
             bound = float(np.sqrt(max(0.0, 1 - abs(poly_eval(coeffs, z)) ** 2)))
             rows.append({"z": z, "value": val, "bound": bound})
-            ok = ok and val <= bound + 1e-6
-        write_text(cfg.out, _json_doc("probe commutator", {"phi": args.phi, "rows": rows, "passed": ok}))
-        return 0 if ok else 1
+        passed = all(row["value"] <= row["bound"] + 1e-6 for row in rows)
+        return {"phi": args.phi, "rows": rows, "passed": passed}, passed
     if args.kind == "closed-range":
         if not args.blaschke and not args.phi:
             raise ValueError("closed-range probe needs --phi or --blaschke")
         phi = BlaschkeProduct(tuple(_coeff_list(args.blaschke))) if args.blaschke else _coeff_list(args.phi)
         rep = closed_range_probe(
-            space, phi, n_schedule=tuple(args.n_schedule), thresholds=cfg.trend, tol=cfg.tail_tol
+            space, phi, n_schedule=tuple(args.n_schedule), thresholds=args.trend, tol=args.tail_tol
         )
         body = {**rep, "kernel_bound_argmin": str(rep["kernel_bound_argmin"])}
-        write_text(cfg.out, _json_doc("probe closed-range", body))
-        return 0 if rep["classification"] != "inconclusive" else 1
+        return body, rep["classification"] != "inconclusive"
     if args.kind == "fredholm":
         rep = fredholm_probe(
-            space, _complex_arg(args.z0), tuple(args.n_schedule), thresholds=cfg.trend, tol=cfg.tail_tol
+            space, _complex_arg(args.z0), tuple(args.n_schedule), thresholds=args.trend, tol=args.tail_tol
         )
-        ok = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
-        write_text(cfg.out, _json_doc("probe fredholm", {**rep, "passed": ok}))
-        return 0 if ok else 1
+        passed = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
+        return {**rep, "passed": passed}, passed
     if args.kind == "spherical":
-        ball = ball_space(args.n, args.degree, args.ball_kind)
-        rep = spherical_contraction_check(ball)
-        write_text(cfg.out, _json_doc("probe spherical", rep))
-        return 0 if rep["passed"] else 1
+        rep = spherical_contraction_check(ball_space(args.n, args.degree, args.ball_kind))
+        return rep, rep["passed"]
     if args.kind == "wot":
         if args.geometric is None and not args.phi:
             raise ValueError("wot probe needs --phi or --geometric")
@@ -256,15 +220,13 @@ def cmd_probe(args, cfg: RunConfig) -> int:
             else _coeff_list(args.phi)
         )
         rep = wot_dilation_probe(space, coeffs, [float(t) for t in args.t.split(",")], block=args.block)
-        write_text(cfg.out, _json_doc("probe wot", rep))
-        return 0 if rep["non_increasing"] else 1
+        return rep, rep["non_increasing"]
     # normbound
     if args.families < 1:
         raise ValueError(f"--families must be at least 1, got {args.families}")
     rng = np.random.default_rng(args.seed)
     j = np.arange(args.degree + 1)
     scale = 1.0 / (1.0 + j) ** 2
-    ok = True
     rows = []
     for _ in range(args.families):
         k = int(rng.integers(1, 4))
@@ -272,9 +234,8 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         psis = [(rng.standard_normal(args.degree + 1) + 1j * rng.standard_normal(args.degree + 1)) * scale for _ in range(k)]
         rep = norm_lower_bound_check(space, phis, psis, args.truncation, tol=args.tol)
         rows.append({"sigma_max": rep["sigma_max"], "grid_sup": rep["grid_sup"], "passed": rep["passed"]})
-        ok = ok and rep["passed"]
-    write_text(cfg.out, _json_doc("probe normbound", {"rows": rows, "passed": ok}))
-    return 0 if ok else 1
+    passed = all(row["passed"] for row in rows)
+    return {"rows": rows, "passed": passed}, passed
 
 
 # ---------------------------------------------------------------------------
@@ -408,26 +369,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Its handler returns (body, passed); this is the
+    one place that wraps the body in the envelope, writes it (to ``--out``
+    or standard output; ``gbt --out`` has written its CSV and returns no
+    body) and turns ``passed`` into the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            tail_tol=args.tail_tol,
-            trend=TrendThresholds(
-                vanish_ratio=args.trend_vanish,
-                stable_rel=args.trend_stable,
-                floor=args.trend_floor,
-            ),
-            out=getattr(args, "out", None),
-            svg=getattr(args, "svg", None),
+        if not 0 < args.tail_tol < math.inf:
+            raise ValueError(f"tail tolerance must be positive and finite, got {args.tail_tol}")
+        args.trend = TrendThresholds(
+            vanish_ratio=args.trend_vanish, stable_rel=args.trend_stable, floor=args.trend_floor
         )
-        return args.func(args, cfg)
+        body, passed = args.func(args)
+        if body is not None:
+            words = [args.command, *(getattr(args, k) for k in ("domain", "what", "kind") if k in args)]
+            write_text(args.out, _json_doc(" ".join(words), body))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import to_json
 from .operators import circle_sup_precondition, poly_eval
 
 
@@ -218,9 +217,9 @@ def product_peak_check(
     }
 
 
-def peak_report(candidate: PeakCandidate) -> str:
+def peak_report(candidate: PeakCandidate) -> dict:
     rep = candidate.grid_report
-    doc = {
+    return {
         "domain": candidate.domain,
         "func": candidate.func,
         "alpha": candidate.alpha,
@@ -230,4 +229,3 @@ def peak_report(candidate: PeakCandidate) -> str:
         "margin": rep.margin,
         "certified": candidate.certified,
     }
-    return to_json(doc)

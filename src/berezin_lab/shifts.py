@@ -58,18 +58,14 @@ class WeightSequence:
 
 
 def dyadic_valuation(n) -> np.ndarray:
-    """2-adic valuation, vectorized; v(0) is undefined and rejected."""
+    """2-adic valuation, vectorized; v(0) is undefined and rejected.
+
+    n & -n keeps the lowest set bit 2^v, whose frexp exponent is v + 1.
+    """
     n = np.asarray(n, dtype=np.int64)
     if np.any(n <= 0):
         raise ValueError("valuation defined for positive integers only")
-    v = np.zeros(n.shape, dtype=np.int64)
-    m = n.copy()
-    while True:
-        even = (m % 2 == 0) & (m > 0)
-        if not np.any(even):
-            return v
-        v[even] += 1
-        m[even] //= 2
+    return np.frexp((n & -n).astype(float))[1] - 1
 
 
 def dyadic_exponents(length: int) -> np.ndarray:
@@ -228,21 +224,6 @@ def shift_power_norm(w: WeightSequence, m: int) -> float:
     return float(np.exp(np.max(s[m:] - s[:-m])))
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Power norms at m = 2^k and the induced spectral-radius estimates."""
-
-    power_norms: dict
-    root_estimates: dict
-    bounds: dict | None = None
-    sandwich_checked: bool = False
-    sandwich_violations: tuple = ()
-
-    @property
-    def sandwich_ok(self) -> bool:
-        return self.sandwich_checked and not self.sandwich_violations
-
-
 def _simple_window_exponents(w: WeightSequence, m: int) -> np.ndarray:
     """Window sums of the exact dyadic exponents; log_r of the window
     products of the simple generator, exact in double precision."""
@@ -267,12 +248,13 @@ def _check_sandwich(w: WeightSequence, k: int) -> list:
     return [(k, int(n)) for n in bad]
 
 
-def spectral_radius_estimate(w: WeightSequence, k_max: int) -> SpectralEstimate:
+def spectral_radius_estimate(w: WeightSequence, k_max: int) -> dict:
     """Power norms along m = 2^k, k <= k_max, with root estimates.
 
     For the ``simple`` generator the dyadic sandwich bounds are verified
-    for every complete window, and per-m enclosures of the root estimate
-    are reported.
+    for every complete window (``violations`` lists each failing (k, n)),
+    and per-m enclosures of the root estimate are reported; other
+    generators report no bounds and ``sandwich_checked`` false.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -294,25 +276,24 @@ def spectral_radius_estimate(w: WeightSequence, k_max: int) -> SpectralEstimate:
             power_norms[m] = shift_power_norm(w, m)
             roots[m] = power_norms[m] ** (1.0 / m)
 
-    bounds = None
-    checked = False
+    checked = w.gen == "simple"
+    bounds = {}
     violations: list = []
-    if w.gen == "simple":
+    if checked:
         r = w.params["r"]
-        bounds = {}
         for k in range(k_max + 1):
             m = 2**k
             # root estimate enclosure induced by the window sandwich
             bounds[m] = (r ** (1 / 3 + 2 * 4.0 ** (-k) / 3), r ** (1 / 3 - 4.0 ** (-k) / 3))
             violations.extend(_check_sandwich(w, k))
-        checked = True
-    return SpectralEstimate(
-        power_norms=power_norms,
-        root_estimates=roots,
-        bounds=bounds,
-        sandwich_checked=checked,
-        sandwich_violations=tuple(violations),
-    )
+    return {
+        "power_norms": power_norms,
+        "root_estimates": roots,
+        "bounds": bounds,
+        "sandwich_checked": checked,
+        "sandwich_ok": checked and not violations,
+        "violations": violations,
+    }
 
 
 def power_bounded_check(w: WeightSequence, r: float, m_max: int | None = None) -> dict:

@@ -245,16 +245,15 @@ def kernel_vector(
         # tail majorant: t_{k+1}/t_k = r2/a_k^2 <= r2/a_min^2 beyond index n;
         # built-in weight sequences are non-decreasing, so a_min^2 is the
         # ratio at the truncation point; custom tables use their smallest
-        # ratio from that point on (and are assumed not to dip below it
-        # past their end)
+        # ratio from that point to the end of the stored table (and are
+        # assumed not to dip below it past their end)
         if r2 == 0.0:
             tail_abs = 0.0
         else:
             if space.extendable:
                 a_min_sq = h[n] / h[n - 1]
             else:
-                ratios = h[n:] / h[n - 1 : -1]
-                a_min_sq = float(np.min(ratios)) if len(ratios) else float(h[-1] / h[-2])
+                a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
             q = r2 / a_min_sq
             t_next = r2 ** n / h[n] if n < len(h) else r2 ** n / h[-1]
             tail_abs = math.inf if q >= 1 else t_next / (1.0 - q)

@@ -125,10 +125,10 @@ def test_acceptance_05_spectral_radius_dyadic_weights():
     t0 = time.perf_counter()
     w = simple_weights(0.5, 2 ** 12)
     est = spectral_radius_estimate(w, 10)
-    root = est.root_estimates[2 ** 10]
+    root = est["root_estimates"][2 ** 10]
     target = 0.5 ** (1 / 3)
     assert abs(root - target) < 0.01
-    assert est.sandwich_checked and est.sandwich_ok
+    assert est["sandwich_checked"] and est["sandwich_ok"]
     report(5, t0, f"root estimate {root:.5f} within 0.01 of r^(1/3) = {target:.5f}; dyadic sandwich holds for every window, k <= 10")
 
 

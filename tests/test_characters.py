@@ -13,8 +13,8 @@ from berezin_lab.characters import (
     run_criterion,
     tridiagonal_parts,
     verdict_to_dict,
-    verdicts_to_json,
 )
+from berezin_lab.formats import to_json
 from berezin_lab.shifts import (
     cluster_weights,
     constant_weights,
@@ -357,7 +357,7 @@ def test_scan_verdicts_serialize(tmp_path):
     w = constant_weights(1.0, 2048)
     cfg = CharacterConfig(n_schedule=(256, 512, 1024), scan_len=2048)
     verdicts = character_set_scan(w, [0.5, 1.0], n_angles=2, config=cfg)
-    doc = json.loads(verdicts_to_json(verdicts, spec_version="1"))
+    doc = json.loads(to_json({"verdicts": [verdict_to_dict(v) for v in verdicts]}))
     assert len(doc["verdicts"]) == 4
     for v in doc["verdicts"]:
         assert set(v) == {"lambda", "verdict", "evidence", "schedules"}

@@ -63,6 +63,16 @@ def test_gbt_deterministic_and_svg(tmp_path):
     assert text.startswith("<svg") and text.endswith("</svg>")
 
 
+def test_gbt_svg_without_out_exits_2_before_any_output(tmp_path, capsys):
+    svg = tmp_path / "x.svg"
+    argv = ["gbt", "--space", "hardy", "--op", "Mz", "--samples", "3", "--svg", str(svg)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--svg requires --out" in captured.err
+    assert not svg.exists()
+
+
 def test_gbt_json_to_stdout(capsys):
     assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9", "--samples", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -2,10 +2,13 @@
 
 Every argv drawn here must end in exit 0 (pass), 1 (verdict failed) or 2
 (usage or parameter error), with no traceback, and any JSON it writes must
-be strict (no NaN or infinity).  The draws mix valid values with 0, -1,
-nan, inf, empty strings and points outside the disk.  Every size (weight
-counts, samples, truncations, grid steps, Blaschke moduli) is bounded so
-that no example allocates more than a few MB.
+be strict (no NaN or infinity).  A document from an exit 0 or 1 carries
+the ``{command, spec_version}`` envelope, and exit 0 holds exactly when
+the form's verdict, read back from the document, holds.  The draws mix
+valid values with 0, -1, nan, inf, empty strings and points outside the
+disk.  Every size (weight counts, samples, truncations, grid steps,
+Blaschke moduli) is bounded so that no example allocates more than a few
+MB.
 """
 
 import contextlib
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from berezin_lab.cli import main
+from berezin_lab import exprs
+from berezin_lab.cli import SPEC_VERSION, main
 from oracles import reject_constant
 
 BAD = ["0", "-1", "nan", "inf", ""]
@@ -155,6 +159,38 @@ FORMS = {
     )),
 }
 
+
+
+def _flag(argv, flag, default):
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def _contractive(doc):
+    """gbt's audit: |value| <= the tree's coarse norm bound + tail + 1e-9."""
+    bound = exprs.norm_bound(exprs.parse(doc["op"]))
+    return all(abs(complex(s["value"]["re"], s["value"]["im"])) <= bound + s["tail"] + 1e-9
+               for s in doc["samples"])
+
+
+# each form's verdict, read back from its JSON document and its argv
+VERDICTS = {
+    "gbt": lambda doc, argv: _contractive(doc),
+    "charspace": lambda doc, argv: sum(v["verdict"] == "inconclusive" for v in doc["verdicts"])
+    <= int(_flag(argv, "--allow-inconclusive", "0")),
+    "peaks annulus": lambda doc, argv: doc["certified"] or float(_flag(argv, "--lam", "nan")) == 0.0,
+    "peaks ball": lambda doc, argv: doc["certified"],
+    "peaks product": lambda doc, argv: doc["passed"],
+    "shift spr": lambda doc, argv: not doc["sandwich_checked"] or doc["sandwich_ok"],
+    "shift powernorm": lambda doc, argv: True,
+    "shift powerbound": lambda doc, argv: doc["all_dyadic_ok"],
+    "probe commutator": lambda doc, argv: doc["passed"],
+    "probe closed-range": lambda doc, argv: doc["classification"] != "inconclusive",
+    "probe fredholm": lambda doc, argv: doc["passed"],
+    "probe spherical": lambda doc, argv: doc["passed"],
+    "probe wot": lambda doc, argv: doc["non_increasing"],
+    "probe normbound": lambda doc, argv: doc["passed"],
+}
+
 GLOBAL = st.tuples(
     opt("--tail-tol", ["1e-6", "1e-12"], ["0", "-1", "nan", "inf"]),
     opt("--trend-vanish", ["0.5"], ["0", "-1", "nan"]),
@@ -193,7 +229,12 @@ def test_exit_code_contract_holds_for_drawn_argvs(tmp_path, form, data):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in stderr.getvalue(), argv
+    if code == 2:
+        return
+    # exit 0 or 1: main wrapped the body in the envelope, and the exit code
+    # is the form's verdict on that document
     text = out.read_text() if out.exists() else stdout.getvalue()
-    if code != 2 and text:
-        doc = json.loads(text, parse_constant=reject_constant)
-        assert isinstance(doc, dict), argv
+    doc = json.loads(text, parse_constant=reject_constant)
+    assert isinstance(doc, dict), argv
+    assert doc["command"] == form and doc["spec_version"] == SPEC_VERSION, argv
+    assert (code == 0) == VERDICTS[form](doc, body), argv

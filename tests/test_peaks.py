@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from berezin_lab.formats import to_json
 from berezin_lab.peaks import (
     annulus_lambda_threshold,
     annulus_peak,
@@ -159,7 +160,7 @@ def test_product_peak_constant_factor():
 
 def test_peak_report_json():
     cand = annulus_peak(2.0, 1.0, 2.0, n=1, lam_abs=0.5)
-    doc = json.loads(peak_report(cand))
+    doc = json.loads(to_json(peak_report(cand)))
     assert doc["domain"] == "annulus"
     assert set(doc) == {"domain", "func", "alpha", "grid_n", "max", "max_at", "margin", "certified"}
     assert doc["certified"] is True

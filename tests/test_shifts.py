@@ -38,10 +38,22 @@ def dense_shift_power(a, m):
 # generators
 
 
+def _valuation_by_halving(n: int) -> int:
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    return v
+
+
 def test_dyadic_valuation():
     assert list(dyadic_valuation(np.array([1, 2, 3, 4, 6, 8, 12]))) == [0, 1, 0, 2, 1, 3, 2]
+    ns = [*range(1, 2**12 + 1), 3 * 2**40, 2**52 + 2**51, 2**62, 2**63 - 1]
+    assert list(dyadic_valuation(np.array(ns))) == [_valuation_by_halving(n) for n in ns]
     with pytest.raises(ValueError):
         dyadic_valuation(np.array([0]))
+    with pytest.raises(ValueError):
+        dyadic_valuation(np.array([-4]))
 
 
 def test_simple_weights_first_values():
@@ -175,13 +187,13 @@ def test_submultiplicativity():
 
 def test_spectral_radius_constant():
     est = spectral_radius_estimate(constant_weights(1.0, 64), 4)
-    assert all(v == pytest.approx(1.0) for v in est.root_estimates.values())
+    assert all(v == pytest.approx(1.0) for v in est["root_estimates"].values())
 
 
 def test_root_estimates_non_increasing_dyadically():
     w = simple_weights(0.5, 2**11)
     est = spectral_radius_estimate(w, 9)
-    roots = [est.root_estimates[2**k] for k in range(10)]
+    roots = [est["root_estimates"][2**k] for k in range(10)]
     assert all(roots[i + 1] <= roots[i] + 1e-12 for i in range(9))
 
 
@@ -189,17 +201,17 @@ def test_spectral_radius_simple_r_half():
     w = simple_weights(0.5, 2**12)
     est = spectral_radius_estimate(w, 10)
     target = 0.5 ** (1 / 3)
-    assert abs(est.root_estimates[2**10] - target) < 0.01
-    assert est.sandwich_checked and est.sandwich_ok
-    lo, hi = est.bounds[2**10]
-    assert lo - 1e-12 <= est.root_estimates[2**10] <= hi + 1e-12
+    assert abs(est["root_estimates"][2**10] - target) < 0.01
+    assert est["sandwich_checked"] and est["sandwich_ok"]
+    lo, hi = est["bounds"][2**10]
+    assert lo - 1e-12 <= est["root_estimates"][2**10] <= hi + 1e-12
 
 
 def test_spectral_radius_other_r():
     w = simple_weights(0.3, 2**11)
     est = spectral_radius_estimate(w, 9)
-    assert abs(est.root_estimates[2**9] - 0.3 ** (1 / 3)) < 0.01
-    assert est.sandwich_ok
+    assert abs(est["root_estimates"][2**9] - 0.3 ** (1 / 3)) < 0.01
+    assert est["sandwich_ok"]
 
 
 def test_spectral_radius_needs_enough_weights():

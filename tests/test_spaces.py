@@ -311,6 +311,22 @@ def test_custom_table_with_decaying_norms_usable():
     assert kv.norm_sq == pytest.approx(1 / (1 - 0.81) ** 2, rel=1e-9)
 
 
+def test_custom_table_tail_reads_every_ratio_past_the_truncation():
+    # a dip of 20 weights a_k = 0.1 (k = 40..59) past the first truncation:
+    # a majorant built from the two ratios at n = 32 would omit almost all
+    # of the table's K(z,z)
+    a_sq = np.ones(199)
+    a_sq[40:60] = 0.01
+    h = np.concatenate(([1.0], np.cumprod(a_sq)))
+    space = custom_space(h)
+    with mpmath.workdps(50):
+        for z in [0.5, 0.45j, 0.3, -0.7, 0.1]:
+            kv = kernel_vector(space, z, tol=1e-12)
+            x = mpmath.mpf(complex(z).real) ** 2 + mpmath.mpf(complex(z).imag) ** 2
+            omitted = mpmath.fsum(x**k / mpmath.mpf(h[k]) for k in range(kv.n, len(h)))
+            assert omitted <= kv.tail * kv.norm_sq, (z, kv.n)
+
+
 def test_truncation_cap_fails_loudly():
     space = monomial_norms("hardy", 4)
     with pytest.raises(TruncationError, match="cap"):
