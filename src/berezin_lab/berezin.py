@@ -74,16 +74,18 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
 # paths and profiles
 
 
-def radial_path(theta: float, r_max: float, count: int, r_min: float = 0.5):
-    """Radial points with 1 - r decaying geometrically towards r_max.
+def radial_path(theta: float, r_max: float, count: int):
+    """Radial points with 1 - r decaying geometrically from r = 0.5 (or
+    r_max / 2 for r_max <= 0.5) towards r_max.
 
     Geometric spacing near the boundary keeps the last samples tightly
     clustered, which is what the dispersion estimate needs.
     """
-    if not 0 <= r_max < 1:
-        raise ValueError(f"need r_max in [0, 1), got {r_max}")
-    if count < 2 or not 0 <= r_min < r_max:
-        raise ValueError("need count >= 2 and 0 <= r_min < r_max")
+    if not 0 < r_max < 1:
+        raise ValueError(f"need r_max in (0, 1), got {r_max}")
+    if count < 2:
+        raise ValueError(f"need count >= 2 radial samples, got {count}")
+    r_min = 0.5 if r_max > 0.5 else r_max / 2
     gaps = np.geomspace(1 - r_min, 1 - r_max, count)
     return [(1 - g) * cmath.exp(1j * theta) for g in gaps]
 

@@ -74,6 +74,10 @@ def _parse_path(args) -> dict:
             if k != "theta":
                 raise ValueError(f"unknown radial path parameter {k!r}")
             theta = float(v)
+        if not 0 < args.rmax < 1:
+            raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
+        if args.samples < 2:
+            raise ValueError(f"--samples must be at least 2 on a radial path, got {args.samples}")
         return {"kind": "radial", "theta": theta, "r_max": args.rmax, "count": args.samples}
     if kind == "grid":
         n = args.samples

@@ -29,6 +29,12 @@ has compression semantics: coordinates pushed to index >= N are dropped.
 ``materialize`` is ``apply`` to the N x N identity.  ``band_matrix`` is
 the one builder of banded multiplier matrices, for the dense operators
 of ``operators``.
+
+Buffer rule: ``apply`` never writes to its input and always returns a
+fresh array, which the caller may overwrite.  The evaluator relies on it:
+the shift series builds its powers in two alternating buffers and scales
+each in place, and ``Scale``, ``Sum`` and ``Commutator`` finish their
+arithmetic in the arrays their operands returned.
 """
 
 from __future__ import annotations
@@ -380,26 +386,41 @@ def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
 
 def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_j c_j S^j v for the weighted shift S, or, adjointed, the sum of
-    conj(c_j) (S^*)^j v; S acts along axis 0."""
+    conj(c_j) (S^*)^j v; S acts along axis 0.
+
+    S^(j+1) v is formed before c_j S^j v, so the power is scaled in place;
+    the powers alternate between two buffers (a fresh one replaces a
+    buffer that became the sum), and v itself is only read."""
     n = v.shape[0]
     w = a[: n - 1].reshape((-1,) + (1,) * (v.ndim - 1))
-    src, dst = (slice(1, None), slice(None, -1)) if adjointed else (slice(None, -1), slice(1, None))
-    # the first term becomes the accumulator: one more zero-filled array
-    # per leaf doubled the time of products of shifts at N = 2^18
+    if adjointed:
+        src, dst, edge = slice(1, None), slice(None, -1), slice(-1, None)
+        coeffs = [np.conj(c) for c in coeffs]
+    else:
+        src, dst, edge = slice(None, -1), slice(1, None), slice(None, 1)
+    last = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
+    if last < 0:
+        return np.zeros_like(v)
     out = None
-    shifted = v
-    for j, c in enumerate(coeffs):
-        if j > 0:
-            nxt = np.zeros_like(v)
-            np.multiply(w, shifted[src], out=nxt[dst])
-            shifted = nxt
-        if c != 0:
-            term = (np.conj(c) if adjointed else c) * shifted
+    power, spare = v, None
+    for j in range(last + 1):
+        nxt = None
+        if j < last:
+            nxt = np.empty_like(v) if spare is None else spare
+            nxt[edge] = 0
+            np.multiply(w, power[src], out=nxt[dst])
+        spare = None
+        if coeffs[j] != 0:
+            # the first term becomes the accumulator
+            term = coeffs[j] * v if power is v else np.multiply(coeffs[j], power, out=power)
             if out is None:
                 out = term
             else:
                 out += term
-    return np.zeros_like(v) if out is None else out
+        if power is not v and power is not out:
+            spare = power
+        power = nxt
+    return out
 
 
 def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -407,7 +428,8 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     (N x P) block of them, truncation semantics.
 
     Equals the dense N x N truncation times ``vec`` without building the
-    matrix; cost is O(N * P * bandwidth) per shift factor.
+    matrix; cost is O(N * P * bandwidth) per shift factor.  The result is
+    a fresh array and ``vec`` is left as it was (the buffer rule above).
     """
     a = np.asarray(a, dtype=float)
     v = np.asarray(vec, dtype=complex)
@@ -415,16 +437,18 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
         coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
         return _shift_series(coeffs, isinstance(node, (MzAdj, MPolyAdj)), a, v)
     if isinstance(node, Scale):
-        return node.c * apply(node.node, a, v)
+        out = apply(node.node, a, v)
+        return np.multiply(node.c, out, out=out)
     if isinstance(node, Product):
         out = v
         for f in reversed(node.factors):
             out = apply(f, a, out)
-        return out
+        return out if out is not v else v.copy()
     if isinstance(node, Sum):
         out = np.zeros_like(v)
         for sign, term in node.terms:
-            out += sign * apply(term, a, v)
+            t = apply(term, a, v)
+            out += np.multiply(sign, t, out=t)
         return out
     if isinstance(node, Dense):
         out = np.zeros_like(v)
@@ -432,9 +456,9 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
         out[:k] = node.mat[:k, :k] @ v[:k]
         return out
     if isinstance(node, Commutator):
-        return apply(node.a, a, apply(node.b, a, v)) - apply(
-            node.b, a, apply(node.a, a, v)
-        )
+        out = apply(node.a, a, apply(node.b, a, v))
+        out -= apply(node.b, a, apply(node.a, a, v))
+        return out
     raise TypeError(f"not an expression node: {node!r}")
 
 

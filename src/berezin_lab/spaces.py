@@ -26,6 +26,14 @@ multiplies them, c^(b*j + i) = c^(b*j) * c^i, so about 2*sqrt(n) complex
 powers replace n of them.  Entry k carries a relative error of about
 k*eps, the same as the direct power conj(z) ** k.
 
+The truncation loop of ``kernel_vector`` forms each real power r2^k and
+each term r2^k / h_k once: a doubling of the truncation adds only the new
+terms to one buffer, and one norm table, sized by a predicted stop, serves
+the loop and the shift weights of ``kernel_frame``.  Built-in tables are
+prefix-stable (h_0..h_n do not depend on how far the table reaches), so
+reading a prefix of a longer table gives the same bits.  The coefficients
+are normalized in place, inside the zero-padded frame vector.
+
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
 a_k = 1.  With unnormalized arc length dtheta one gets h_0 = 2*pi + 1,
@@ -61,11 +69,16 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
     if kind == "hardy":
         return np.ones(n + 1)
     if kind == "bergman":
-        return 1.0 / np.arange(1.0, n + 2.0)
+        h = np.arange(1.0, n + 2.0)
+        return np.divide(1.0, h, out=h)
     if kind == "rs":
         # h_{k+1} = h_k * (k+1)/(s+k); avoids binomials of large arguments
         k = np.arange(n, dtype=float)
-        h = np.concatenate(([1.0], np.cumprod((k + 1.0) / (s + k))))
+        ratio = k + 1.0
+        ratio /= np.add(k, s, out=k)
+        h = np.empty(n + 1)
+        h[0] = 1.0
+        np.cumprod(ratio, out=h[1:])
         # for large s the product underflows to 0, which is no norm
         # (``custom_space`` rejects it too); h is non-increasing
         if h[-1] == 0.0:
@@ -176,14 +189,21 @@ def save_h_table(space: KernelSpace, path) -> None:
     write_csv(path, ("k", "h"), enumerate(space.h))
 
 
-def _conj_powers(z, n: int) -> np.ndarray:
+def _conj_powers(z, n: int, size: int | None = None) -> np.ndarray:
     """conj(z)^k for k = 0..n-1 along the last axis, for a point or an
-    array of points, from two power tables of about sqrt(n) entries."""
+    array of points, from two power tables of about sqrt(n) entries;
+    zeros follow up to ``size`` entries (default n)."""
     c = np.conj(np.asarray(z, dtype=complex))[..., None]
     b = max(math.isqrt(n), 1)
     m = -(-n // b)
-    table = (c ** (b * np.arange(m)))[..., :, None] * (c ** np.arange(b))[..., None, :]
-    return table.reshape(*c.shape[:-1], m * b)[..., :n]
+    size = n if size is None else size
+    out = np.empty((*c.shape[:-1], max(m, -(-size // b)), b), dtype=complex)
+    np.multiply(
+        (c ** (b * np.arange(m)))[..., :, None], (c ** np.arange(b))[..., None, :], out=out[..., :m, :]
+    )
+    flat = out.reshape(*c.shape[:-1], -1)
+    flat[..., n:] = 0
+    return flat[..., :size]
 
 
 @dataclass(frozen=True)
@@ -196,20 +216,52 @@ class KernelVector:
     of the K(z,z) series over those indices, and ``tail`` bounds the
     omitted relative mass (rounded outward by 1 + 4 n eps), so the true
     K(z,z) lies in [norm_sq, norm_sq * (1 + tail)].
+
+    ``frame`` is ``coeffs`` followed by the ``pad`` zeros asked of
+    ``kernel_vector`` (``coeffs`` is its leading view), and ``h`` the norm
+    table the truncation read: h_0..h_(n+1) at least of a built-in space,
+    the whole stored table of a custom one.  ``kernel_frame`` builds on
+    both.
     """
 
     z: complex
     coeffs: np.ndarray
     norm_sq: float
     tail: float
+    frame: np.ndarray | None = field(default=None, repr=False, compare=False)
+    h: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.coeffs)
 
 
+def _first_doubling(n: int, tol: float, n0: int, t0: float, q: float, partial: float) -> int:
+    """The first of n, 2n, 4n, ... (capped at ``N_CAP``) at which the
+    geometric tail t0 q^(m - n0) / (1 - q), relative to ``partial``, falls
+    below tol / 2; n itself when q >= 1."""
+    if not q < 1:
+        return n
+    while n < N_CAP and 2.0 * t0 * q ** (n - n0) >= tol * (1.0 - q) * partial:
+        n = min(2 * n, N_CAP)
+    return n
+
+
+def _norm_table(space: KernelSpace, n: int, want: int) -> np.ndarray:
+    """A norm table for truncation n: h_0..h_want of a built-in space, the
+    whole stored table of a custom one.  A built-in table that underflows
+    before h_want is asked again for h_0..h_(n+1), the entries truncation n
+    reads, so it raises exactly where a table of that length does."""
+    if not space.extendable:
+        return space.h_table(len(space.h) - 1)
+    try:
+        return space.h_table(want)
+    except TruncationError:
+        return space.h_table(n + 1)
+
+
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32
+    space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32, pad: int = 0
 ) -> KernelVector:
     """Adaptively truncated kernel vector with relative tail below ``tol``.
 
@@ -221,7 +273,8 @@ def kernel_vector(
     The coefficients take their powers from ``_conj_powers``, so entry k
     has a relative error of about k*eps (as the direct power would); the
     truncation and tail come from the real series and do not depend on
-    how the powers are formed.
+    how the powers are formed.  ``pad`` zeros follow them in ``frame``,
+    and the norm table ``h`` reaches h_(n+pad-1) where the space allows.
     """
     z = complex(z)
     if not abs(z) < 1:
@@ -229,33 +282,47 @@ def kernel_vector(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     r2 = abs(z) ** 2
-
+    # the norm table reaches past h_n by one entry for the loop (as a table
+    # of its own would) and by pad - 1 for the frame's weights; it is sized
+    # for a predicted stop: first that of the hardy series, whose relative
+    # tail is about r2^n, then, should that fall short, the geometric
+    # majorant of the last truncation tried, an upper bound on the stop
+    reach = max(pad - 1, 1)
+    series = (0, 1.0, r2, 1.0 / (1.0 - r2))  # (n, t_n, ratio, partial sum) to extrapolate
+    h = None
+    terms = np.empty(0)  # t_k = r2^k / h_k; t_0..t_(done-1) are formed
+    done = 0
     n = n_start
     while True:
-        try:
-            h = space.h_table(n + 1)
-        except TruncationError:
-            if not space.extendable and len(space.h) >= 2:
-                h = space.h_table(len(space.h) - 1)
-                n = len(h) - 1
-            else:
-                raise
-        terms = r2 ** np.arange(n) / h[:n]
-        partial = float(np.sum(terms))
+        if h is None or space.extendable and len(h) <= n + 1:
+            h = _norm_table(space, n, _first_doubling(n, tol, *series) + reach)
+        if n + 1 >= len(h):  # the end of a custom table
+            if len(h) < 2:
+                space.h_table(n + 1)  # raises: no table to truncate
+            n = len(h) - 1
+        if len(terms) < n:
+            grown = np.arange(min(_first_doubling(n, tol, *series) + reach, len(h)), dtype=float)
+            grown[:done] = terms[:done]
+            terms = grown
+        new = terms[done:n]
+        np.power(r2, new, out=new)
+        np.divide(new, h[done:n], out=new)
+        done = n
+        partial = float(np.sum(terms[:n]))
         # tail majorant: t_{k+1}/t_k = r2/a_k^2 <= r2/a_min^2 beyond index n;
         # built-in weight sequences are non-decreasing, so a_min^2 is the
         # ratio at the truncation point; custom tables use their smallest
         # ratio from that point to the end of the stored table (and are
         # assumed not to dip below it past their end)
         if r2 == 0.0:
-            tail_abs = 0.0
+            q = t_next = tail_abs = 0.0
         else:
             if space.extendable:
                 a_min_sq = h[n] / h[n - 1]
             else:
                 a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
             q = r2 / a_min_sq
-            t_next = r2 ** n / h[n] if n < len(h) else r2 ** n / h[-1]
+            t_next = r2 ** n / h[n]
             tail_abs = math.inf if q >= 1 else t_next / (1.0 - q)
         # Outward rounding.  With u = eps/2, r2 = fl(|z|^2) = |z|^2 (1 + d),
         # |d| <= 3u (an ulp from abs, half an ulp from squaring).  Where the
@@ -272,9 +339,12 @@ def kernel_vector(
         # (s - 1) r2/n^2, a far larger margin.
         rel = tail_abs / partial * (1.0 + 4.0 * n * _EPS)
         if rel < tol:
-            raw = _conj_powers(z, n) / np.sqrt(h[:n])
-            coeffs = raw / math.sqrt(partial)
-            return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel)
+            # the coefficients are normalized in place, in the padded frame
+            frame = _conj_powers(z, n, n + pad)
+            coeffs = frame[:n]
+            coeffs /= np.sqrt(h[:n], out=terms[:n])
+            coeffs /= math.sqrt(partial)
+            return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel, frame=frame, h=h)
         if not space.extendable and n >= len(space.h) - 1:
             raise TruncationError(
                 f"norm table of length {len(space.h)} cannot reach tail {tol:g} "
@@ -284,6 +354,7 @@ def kernel_vector(
             raise TruncationError(
                 f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}"
             )
+        series = (n, t_next, q, partial)
         n = min(2 * n, N_CAP)
 
 
@@ -294,17 +365,20 @@ def kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 
     least ``kv.n``) and a the shift weights of that frame.
 
     The truncation starts at max(32, pad), so every coordinate a ``Dense``
-    block of size ``pad`` reads holds a kernel value.
+    block of size ``pad`` reads holds a kernel value.  v and a come from
+    the frame and the norm table the kernel vector was built in.
     """
-    kv = kernel_vector(space, z, tol, n_start=max(32, pad))
-    if n is None:
-        n = kv.n + pad
-    if n < kv.n:
-        raise ValueError(f"truncation {n} below the adaptive kernel size {kv.n}")
-    a = space.shift_weights(max(n - 1, 0))
-    v = np.zeros(n, dtype=complex)
-    v[: kv.n] = kv.coeffs
-    return kv, a, v
+    kv = kernel_vector(space, z, tol, n_start=max(32, pad), pad=pad)
+    size = len(kv.frame) if n is None else n
+    if size < kv.n:
+        raise ValueError(f"truncation {size} below the adaptive kernel size {kv.n}")
+    v = kv.frame[:size]
+    if size > len(v):  # an explicit frame past the padded one
+        v = np.concatenate((v, np.zeros(size - len(v), dtype=complex)))
+    h = kv.h if len(kv.h) >= size else space.h_table(size - 1)
+    # the weights of ``shift_weights(size - 1)``, from the same table
+    a = h[1:size] / h[: size - 1]
+    return kv, np.sqrt(a, out=a), v
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from berezin_lab import exprs
-from berezin_lab.spaces import KernelSpace, kernel_vector
+from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, _conj_powers, kernel_vector
 
 
 def dense_tridiagonal(diag, off) -> np.ndarray:
@@ -114,3 +114,109 @@ def window_residuals(w, lam: complex, k: int, d: int):
 def reject_constant(name):
     """``parse_constant`` for ``json.loads`` that refuses NaN and infinities."""
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+# ---------------------------------------------------------------------------
+# allocating references for the in-place kernel loop and evaluator: every
+# truncation rebuilds its norm table and its terms, the frame is a fresh
+# zero vector with weights from a table of its own, and every operation of
+# the evaluator returns a new array.  Their bits are what the package must
+# reproduce.
+
+
+def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32):
+    """(coeffs, norm_sq, tail) of ``spaces.kernel_vector``, one norm table
+    and one power array per truncation tried."""
+    eps = float(np.finfo(float).eps)
+    z = complex(z)
+    r2 = abs(z) ** 2
+    n = n_start
+    while True:
+        try:
+            h = space.h_table(n + 1)
+        except TruncationError:
+            if not space.extendable and len(space.h) >= 2:
+                h = space.h_table(len(space.h) - 1)
+                n = len(h) - 1
+            else:
+                raise
+        terms = r2 ** np.arange(n) / h[:n]
+        partial = float(np.sum(terms))
+        if r2 == 0.0:
+            tail_abs = 0.0
+        else:
+            if space.extendable:
+                a_min_sq = h[n] / h[n - 1]
+            else:
+                a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
+            q = r2 / a_min_sq
+            tail_abs = math.inf if q >= 1 else r2 ** n / h[n] / (1.0 - q)
+        rel = tail_abs / partial * (1.0 + 4.0 * n * eps)
+        if rel < tol:
+            raw = _conj_powers(z, n) / np.sqrt(h[:n])
+            return raw / math.sqrt(partial), partial, rel
+        if not space.extendable and n >= len(space.h) - 1:
+            raise TruncationError(
+                f"norm table of length {len(space.h)} cannot reach tail {tol:g} "
+                f"at |z| = {abs(z):.4g} (reached {rel:.3g})"
+            )
+        if n >= N_CAP:
+            raise TruncationError(f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}")
+        n = min(2 * n, N_CAP)
+
+
+def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0):
+    """(coeffs, a, v) of ``spaces.kernel_frame`` without an explicit size."""
+    coeffs, _, _ = reference_kernel_vector(space, z, tol, n_start=max(32, pad))
+    n = len(coeffs) + pad
+    v = np.zeros(n, dtype=complex)
+    v[: len(coeffs)] = coeffs
+    return coeffs, space.shift_weights(max(n - 1, 0)), v
+
+
+def _reference_shift_series(coeffs, adjointed, a, v):
+    n = v.shape[0]
+    w = a[: n - 1].reshape((-1,) + (1,) * (v.ndim - 1))
+    src, dst = (slice(1, None), slice(None, -1)) if adjointed else (slice(None, -1), slice(1, None))
+    out = None
+    shifted = v
+    for j, c in enumerate(coeffs):
+        if j > 0:
+            nxt = np.zeros_like(v)
+            np.multiply(w, shifted[src], out=nxt[dst])
+            shifted = nxt
+        if c != 0:
+            term = (np.conj(c) if adjointed else c) * shifted
+            out = term if out is None else out + term
+    return np.zeros_like(v) if out is None else out
+
+
+def reference_apply(node, a, vec):
+    """``exprs.apply`` with a new array for every operation."""
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(vec, dtype=complex)
+    if isinstance(node, (exprs.Mz, exprs.MzAdj, exprs.MPoly, exprs.MPolyAdj)):
+        coeffs = node.coeffs if isinstance(node, (exprs.MPoly, exprs.MPolyAdj)) else (0.0, 1.0)
+        return _reference_shift_series(coeffs, isinstance(node, (exprs.MzAdj, exprs.MPolyAdj)), a, v)
+    if isinstance(node, exprs.Scale):
+        return node.c * reference_apply(node.node, a, v)
+    if isinstance(node, exprs.Product):
+        out = v
+        for f in reversed(node.factors):
+            out = reference_apply(f, a, out)
+        return out
+    if isinstance(node, exprs.Sum):
+        out = np.zeros_like(v)
+        for sign, term in node.terms:
+            out = out + sign * reference_apply(term, a, v)
+        return out
+    if isinstance(node, exprs.Dense):
+        out = np.zeros_like(v)
+        k = min(v.shape[0], node.mat.shape[0])
+        out[:k] = node.mat[:k, :k] @ v[:k]
+        return out
+    if isinstance(node, exprs.Commutator):
+        return reference_apply(node.a, a, reference_apply(node.b, a, v)) - reference_apply(
+            node.b, a, reference_apply(node.a, a, v)
+        )
+    raise TypeError(f"not an expression node: {node!r}")

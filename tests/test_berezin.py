@@ -296,6 +296,13 @@ def test_radial_path_geometry():
     gaps = 1 - np.abs(pts)
     ratios = gaps[1:] / gaps[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
+    assert abs(pts[0] - 0.5) < 1e-15
+    # at r_max <= 0.5 the path starts at r_max / 2
+    pts = radial_path(0.0, 0.4, 5)
+    assert abs(pts[0] - 0.2) < 1e-15 and abs(pts[-1] - 0.4) < 1e-15
+    for bad in (0.0, -0.1, 1.0):
+        with pytest.raises(ValueError, match="r_max"):
+            radial_path(0.0, bad, 5)
 
 
 def test_boundary_limit_symbol_reaches_one():

@@ -80,6 +80,22 @@ def test_gbt_json_to_stdout(capsys):
     assert len(doc["samples"]) == 8
 
 
+def test_gbt_rmax_at_or_below_half_runs_from_half_of_it(capsys):
+    # the radial path starts at r = 0.5, or at r_max / 2 when r_max <= 0.5
+    argv = ["gbt", "--space", "hardy", "--op", "Mz", "--samples", "3"]
+    assert run([*argv, "--rmax", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    radii = [abs(complex(s["z"]["re"], s["z"]["im"])) for s in doc["samples"]]
+    assert radii[0] == pytest.approx(0.25, abs=1e-15)
+    assert radii[-1] == pytest.approx(0.5, abs=1e-15)
+    # an empty or one-point path is a usage error that names the option
+    for option, value in (("--rmax", "0"), ("--samples", "1")):
+        assert run([*argv, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert option in captured.err
+
+
 def test_gbt_grid_path_and_custom_space(tmp_path, capsys):
     table = tmp_path / "h.csv"
     rows = ["k,h"] + [f"{k},{1.0 / (k + 1)}" for k in range(400)]

@@ -23,6 +23,7 @@ from berezin_lab.exprs import (
     raise_degree,
     to_text,
 )
+from oracles import reference_apply
 
 rng = np.random.default_rng(7340)
 
@@ -221,6 +222,58 @@ def test_apply_matches_materialize():
         block = rb.standard_normal((64, 3)) + 1j * rb.standard_normal((64, 3))
         direct = ref @ block
         assert np.linalg.norm(direct - apply(node, a, block)) <= 1e-12 * np.linalg.norm(direct)
+
+
+NODE_KINDS = (Mz, MzAdj, MPoly, MPolyAdj, Scale, Product, Sum, Commutator, Dense)
+
+
+def _trees_of_every_kind(r, per_kind=6):
+    """Random trees of ``random_ast``, ``per_kind`` with each node kind at
+    the root, plus ``Dense`` leaves inside products."""
+    trees = {kind: [] for kind in NODE_KINDS}
+    while any(len(trees[k]) < per_kind for k in NODE_KINDS if k is not Dense):
+        node = random_ast(r, depth=int(r.integers(0, 4)))
+        if len(trees[type(node)]) < per_kind:
+            trees[type(node)].append(node)
+    for size in (40, 64, 80):
+        mat = r.standard_normal((size, size)) + 1j * r.standard_normal((size, size))
+        trees[Dense] += [Dense(mat), Product((Mz(), Dense(mat), MzAdj()))]
+    return [node for kind in NODE_KINDS for node in trees[kind]]
+
+
+def _signed_zeros(r, shape):
+    """Complex entries with some real or imaginary parts +0 or -0, where
+    multiplications by (1+0j) and sums decide the sign of a zero."""
+    x = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    zeros = np.array([0.0, -0.0])[r.integers(0, 2, shape)]
+    x.real = np.where(r.random(shape) < 0.2, zeros, x.real)
+    x.imag = np.where(r.random(shape) < 0.2, zeros[::-1], x.imag)
+    return x
+
+
+def test_apply_leaves_input_and_returns_fresh_array():
+    # the buffer rule the in-place arithmetic relies on, for every node
+    # kind at the root, on a vector and on an (N x P) block
+    r = np.random.default_rng(4242)
+    a = r.uniform(0.3, 1.0, 64)
+    for node in _trees_of_every_kind(r):
+        for shape in ((64,), (64, 3)):
+            vec = _signed_zeros(r, shape)
+            before = vec.copy()
+            out = apply(node, a, vec)
+            assert not np.shares_memory(out, vec), node
+            assert vec.tobytes() == before.tobytes(), node
+
+
+def test_apply_bits_match_the_allocating_evaluator():
+    # in-place powers, scales, sums and differences keep every bit of the
+    # evaluator that allocates a new array per operation, signed zeros too
+    r = np.random.default_rng(977)
+    a = r.uniform(0.3, 1.0, 64)
+    for node in _trees_of_every_kind(r):
+        for shape in ((64,), (64, 3)):
+            vec = _signed_zeros(r, shape)
+            assert apply(node, a, vec).tobytes() == reference_apply(node, a, vec).tobytes(), node
 
 
 def test_raise_degree():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from berezin_lab.spaces import (
+    KernelSpace,
     KernelVector,
     TruncationError,
     _conj_powers,
@@ -14,11 +15,13 @@ from berezin_lab.spaces import (
     custom_space,
     da_norms,
     hardy_ball_norms,
+    kernel_frame,
     kernel_vector,
     load_h_table,
     monomial_norms,
     save_h_table,
 )
+from oracles import reference_kernel_frame, reference_kernel_vector
 
 rng = np.random.default_rng(20260808)
 
@@ -67,6 +70,19 @@ def test_mu_norms_match_measure_gram():
 def test_rs_family_interpolates_hardy_and_bergman():
     assert np.allclose(monomial_norms("rs", 10, s=1).h, monomial_norms("hardy", 10).h)
     assert np.allclose(monomial_norms("rs", 10, s=2).h, monomial_norms("bergman", 10).h)
+
+
+@pytest.mark.parametrize("kind,s", [("hardy", None), ("bergman", None), ("rs", 1.5), ("rs", 3.0), ("mu", None)])
+def test_builtin_tables_are_prefix_stable(kind, s):
+    # a kernel frame reads prefixes of one long table; they must hold the
+    # bits of a table of their own length, which for rs is the running
+    # product of (k + 1)/(s + k)
+    long = monomial_norms(kind, 70000, s=s).h
+    for n in (1, 2, 31, 32, 33, 4097, 65536):
+        assert monomial_norms(kind, n, s=s).h.tobytes() == long[: n + 1].tobytes(), n
+    if kind == "rs":
+        k = np.arange(70000, dtype=float)
+        assert long.tobytes() == np.concatenate(([1.0], np.cumprod((k + 1.0) / (s + k)))).tobytes()
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 4.5])
@@ -216,6 +232,73 @@ def test_kernel_tail_bounds_exact_omitted_mass(kind, s, tol):
             x = mpmath.mpf(complex(z).real) ** 2 + mpmath.mpf(complex(z).imag) ** 2
             assert kv.tail < tol
             assert kv.tail >= _exact_relative_tail(kind, s, x, kv.n), (z, kv.n)
+
+
+# one norm table, one buffer of terms and in-place normalization must give
+# the bits of the allocating reference loop; the custom table ends at 3000
+# entries, so the points near the boundary exhaust it
+BIT_SPACES = [
+    monomial_norms("hardy", 4),
+    monomial_norms("bergman", 4),
+    monomial_norms("rs", 4, s=3.0),
+    monomial_norms("mu", 4),
+    custom_space(np.arange(1.0, 3001.0) ** -0.7, label="custom"),
+]
+_rk = np.random.default_rng(1318)
+BIT_POINTS = [0j, 0.9999j] + [
+    ((1 - 10 ** -u) * np.exp(2j * np.pi * th)).item()
+    for u, th in zip(_rk.uniform(0.3, 4, 10), _rk.uniform(0, 1, 10))
+]
+
+
+def _kernel_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_kernel_vector_bits_match_the_allocating_loop(space, tol):
+    for z in BIT_POINTS:
+        got = _kernel_or_error(kernel_vector, space, z, tol)
+        want = _kernel_or_error(reference_kernel_vector, space, z, tol)
+        if isinstance(want, str):
+            assert got == want, z
+            continue
+        coeffs, norm_sq, tail = want
+        assert got.n == len(coeffs), z
+        assert got.coeffs.tobytes() == coeffs.tobytes(), z
+        assert (got.norm_sq, got.tail) == (norm_sq, tail), z
+
+
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
+    # the frame's vector and weights come from the kernel vector's buffers;
+    # a built-in space reads one norm table per frame, two when the
+    # predicted stop falls short
+    calls = []
+    h_table = KernelSpace.h_table
+    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    for i, z in enumerate(BIT_POINTS):
+        pad = i % 5
+        calls.clear()
+        got = _kernel_or_error(kernel_frame, space, z, 1e-12, pad)
+        if space.extendable:
+            assert 1 <= len(calls) <= 2, (z, calls)
+        want = _kernel_or_error(reference_kernel_frame, space, z, 1e-12, pad)
+        if isinstance(want, str):
+            assert got == want, z
+            continue
+        kv, a, v = got
+        coeffs, a_ref, v_ref = want
+        assert kv.coeffs.tobytes() == coeffs.tobytes(), z
+        assert a.tobytes() == a_ref.tobytes() and v.tobytes() == v_ref.tobytes(), z
+    # an explicit frame size past the padded frame
+    kv, a, v = kernel_frame(space, 0.5, 1e-12, 1, n=100)
+    assert len(v) == 100 and len(a) == 99 and not np.any(v[kv.n :])
+    assert np.array_equal(a, space.shift_weights(99))
 
 
 def test_kernel_vector_domain_errors():
