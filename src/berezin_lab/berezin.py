@@ -30,7 +30,7 @@ import numpy as np
 from . import exprs
 from .formats import read_columns, write_csv
 from .operators import circle_sup_precondition, poly_eval, sup_on_circle
-from .spaces import KernelSpace, kernel_frame
+from .spaces import KernelSpace, kernel_vector
 
 
 @dataclass(frozen=True)
@@ -59,15 +59,15 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
 
     ``node`` is an expression tree; a dense truncation enters it as an
     ``exprs.Dense`` leaf, i.e. as the compression onto its leading block.
-    The kernel sits in a ``kernel_frame`` padded by the expression's index
-    raise, so products never hit the top edge and every coordinate a
+    The kernel vector is padded by the expression's index raise, so
+    products never hit the top edge of its frame and every coordinate a
     ``Dense`` block reads holds a kernel value.  The reported tail is the
     kernel tail scaled by a coarse norm bound of the expression.
     """
-    kv, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
-    value = complex(np.vdot(v, exprs.apply(node, a, v)))
+    kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
+    value = complex(np.vdot(kv.v, exprs.apply(node, kv.a, kv.v)))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
-    return BerezinSample(z=complex(z), value=value, trunc_n=len(v), tail=float(tail))
+    return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,8 @@ def radial_path(theta: float, r_max: float, count: int):
 
 def disk_grid(n: int, r_max: float = 0.95):
     """Polar grid of about n points in the closed sub-disk of radius r_max."""
+    if not 0 < r_max < 1:
+        raise ValueError(f"need r_max in (0, 1), got {r_max}")
     if n < 1:
         raise ValueError("need n >= 1 grid points")
     rings = max(1, int(math.sqrt(n / 3.0)))
@@ -104,19 +106,15 @@ def disk_grid(n: int, r_max: float = 0.95):
     return pts
 
 
-def gbt_profile(space, node, path, op_label: str = "", tol: float = 1e-12) -> BerezinProfile:
-    if isinstance(path, dict):
-        spec = dict(path)
-        kind = spec.pop("kind")
-        pts = radial_path(**spec) if kind == "radial" else disk_grid(**spec)
-        path_desc = dict(path)
-    else:
-        pts = list(path)
-        path_desc = {"kind": "points", "count": len(pts)}
-    samples = tuple(gbt_sample(space, node, z, tol=tol) for z in pts)
-    if not op_label and not exprs.holds_dense(node):
-        op_label = exprs.to_text(node)
-    return BerezinProfile(op_label=op_label, samples=samples, path=path_desc)
+def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float = 1e-12) -> BerezinProfile:
+    """The transform of ``node`` at each of ``points``.  ``path`` records
+    where the points came from (default ``{"kind": "points", "count": m}``)
+    and ``op_label`` names the operator; both are only carried into the
+    profile."""
+    samples = tuple(gbt_sample(space, node, z, tol=tol) for z in points)
+    if path is None:
+        path = {"kind": "points", "count": len(samples)}
+    return BerezinProfile(op_label=op_label, samples=samples, path=path)
 
 
 # ---------------------------------------------------------------------------

@@ -179,18 +179,11 @@ def tridiagonal_parts(w: WeightSequence, lam: complex, n: int):
     return diag, off
 
 
-def gap_certificate(w: WeightSequence, lam: complex, n: int | None = None) -> GapEvidence | None:
-    """delta = inf |a_k - |lambda||; a positive delta certifies
-    X >= delta^2/2 and is checked against lambda_min of the truncation."""
-    n = min(w.n, n or w.n)
-    diag, off = tridiagonal_parts(w, lam, n)
-    lam_min = float(lambda_min_batch(diag[None, :], off[None, :])[0])
-    return _gap_from_lambda_min(w, lam, lam_min, n)
-
-
 def _gap_from_lambda_min(
     w: WeightSequence, lam: complex, lam_min: float, n: int
 ) -> GapEvidence | None:
+    """delta = inf |a_k - |lambda||; a positive delta certifies
+    X >= delta^2/2, checked against lambda_min of the truncation."""
     delta = float(np.min(np.abs(w.a - lambda_modulus(lam))))
     if delta <= 0.0:
         return None

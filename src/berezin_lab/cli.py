@@ -18,8 +18,9 @@ never gate verdicts.  Each ``cmd_*`` handler returns ``(body, passed)``;
 envelope, writes it and maps ``passed`` to the exit code: 0 all checks
 passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included).
-``gbt`` samples its path through ``berezin.gbt_profile`` and the one
-transform, ``berezin.gbt_sample``; space names resolve through
+``gbt`` resolves its path to points here (``_parse_path``) and samples
+them through ``berezin.gbt_profile`` and the one transform,
+``berezin.gbt_sample``; space names resolve through
 ``spaces.space_by_name``.
 """
 
@@ -65,29 +66,32 @@ def _complex_arg(text: str) -> complex:
     return complex(text.strip().replace("i", "j"))
 
 
-def _parse_path(args) -> dict:
+# --rmax when it is not given, by path kind
+_RMAX_DEFAULT = {"radial": 0.999, "grid": 0.95}
+
+
+def _parse_path(args):
+    """The points of ``gbt --path`` and the path record for the output:
+    ``radial:theta=T`` gives ``--samples`` points towards radius ``--rmax``,
+    ``grid:n=N`` about N points (default ``--samples``) within it."""
     kind, _, rest = args.path.partition(":")
-    if kind == "radial":
-        theta = 0.0
-        for item in filter(None, rest.split(",")):
-            k, _, v = item.partition("=")
-            if k != "theta":
-                raise ValueError(f"unknown radial path parameter {k!r}")
-            theta = float(v)
-        if not 0 < args.rmax < 1:
-            raise ValueError(f"--rmax must lie in (0, 1), got {args.rmax}")
-        if args.samples < 2:
-            raise ValueError(f"--samples must be at least 2 on a radial path, got {args.samples}")
-        return {"kind": "radial", "theta": theta, "r_max": args.rmax, "count": args.samples}
+    if kind not in _RMAX_DEFAULT:
+        raise ValueError(f"unknown path kind {kind!r}")
+    key, value, cast = ("theta", 0.0, float) if kind == "radial" else ("n", args.samples, int)
+    for item in filter(None, rest.split(",")):
+        k, _, v = item.partition("=")
+        if k != key:
+            raise ValueError(f"unknown {kind} path parameter {k!r}")
+        value = cast(v)
+    r_max = _RMAX_DEFAULT[kind] if args.rmax is None else args.rmax
+    if not 0 < r_max < 1:
+        raise ValueError(f"--rmax must lie in (0, 1), got {r_max}")
     if kind == "grid":
-        n = args.samples
-        for item in filter(None, rest.split(",")):
-            k, _, v = item.partition("=")
-            if k != "n":
-                raise ValueError(f"unknown grid path parameter {k!r}")
-            n = int(v)
-        return {"kind": "grid", "n": n}
-    raise ValueError(f"unknown path kind {kind!r}")
+        return bz.disk_grid(value, r_max), {"kind": "grid", "n": value, "r_max": r_max}
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2 on a radial path, got {args.samples}")
+    path = {"kind": "radial", "theta": value, "r_max": r_max, "count": args.samples}
+    return bz.radial_path(value, r_max, args.samples), path
 
 
 # largest lambda modulus whose doubled square is a finite float
@@ -135,7 +139,8 @@ def cmd_gbt(args):
         raise ValueError("--svg requires --out (the plot is built from the CSV)")
     space = space_by_name(args.space)
     node = parse_operator_expr(args.op)
-    profile = bz.gbt_profile(space, node, _parse_path(args), op_label=args.op, tol=args.tail_tol)
+    points, path = _parse_path(args)
+    profile = bz.gbt_profile(space, node, points, path, op_label=args.op, tol=args.tail_tol)
     # contractivity audit: |value| <= coarse norm bound + tail
     bound = exprs.norm_bound(node)
     passed = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--space", required=True)
     g.add_argument("--op", required=True)
     g.add_argument("--path", default="radial:theta=0")
-    g.add_argument("--rmax", type=float, default=0.999)
+    g.add_argument("--rmax", type=float)
     g.add_argument("--samples", type=int, default=50)
     g.add_argument("--out")
     g.add_argument("--svg")

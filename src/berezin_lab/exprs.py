@@ -315,22 +315,6 @@ def to_text(node) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def holds_dense(node) -> bool:
-    """Whether a ``Dense`` leaf occurs in the tree; such a tree has no text
-    form."""
-    if isinstance(node, Dense):
-        return True
-    if isinstance(node, Scale):
-        return holds_dense(node.node)
-    if isinstance(node, Product):
-        return any(holds_dense(f) for f in node.factors)
-    if isinstance(node, Sum):
-        return any(holds_dense(t) for _, t in node.terms)
-    if isinstance(node, Commutator):
-        return holds_dense(node.a) or holds_dense(node.b)
-    return False
-
-
 def _as_factor(node) -> str:
     if isinstance(node, (Sum, Product)):
         return "(" + to_text(node) + ")"

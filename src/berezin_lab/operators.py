@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import exprs
-from .spaces import BallSpace, KernelSpace, TruncationError, kernel_frame
+from .spaces import BallSpace, KernelSpace, TruncationError, kernel_vector
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
 from .tridiag import band_lambda_min, gamma_k
 
@@ -75,13 +75,7 @@ def circle_sup_precondition(coeffs):
     return sup
 
 
-def commutator_norm_PzMphi(
-    space: KernelSpace,
-    coeffs,
-    z: complex,
-    n: int | None = None,
-    tol: float = 1e-13,
-) -> float:
+def commutator_norm_PzMphi(space: KernelSpace, coeffs, z: complex, tol: float = 1e-13) -> float:
     """||[P_z, M_phi]|| for a polynomial symbol with sup-norm at most 1.
 
     [P, M] has rank at most two (P is rank one), so the norm comes from a
@@ -91,7 +85,8 @@ def commutator_norm_PzMphi(
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     circle_sup_precondition(coeffs)
     node = exprs.MPoly(tuple(coeffs))
-    _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node), n=n)
+    kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
+    a, v = kv.a, kv.v
     u = exprs.apply(node, a, v)            # M v
     w = exprs.apply(exprs.MPolyAdj(tuple(coeffs)), a, v)  # M^* v
     # [P, M] = v w^* - u v^*  =  [v, -u] [w, v]^*
@@ -470,8 +465,8 @@ def closed_range_probe(
     node = exprs.MPoly(tuple(coeffs))
     kernel_vals = {}
     for z in grid:
-        _, a, v = kernel_frame(space, z, tol, pad=exprs.raise_degree(node))
-        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, a, v)) ** 2)
+        kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
+        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, kv.a, kv.v)) ** 2)
 
     lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {
@@ -509,8 +504,8 @@ def fredholm_probe(
     z0 = complex(z0)
     coeffs = np.array([-z0, 1.0], dtype=complex)
     node = exprs.MPolyAdj(tuple(coeffs))
-    kv, a, v = kernel_frame(space, z0, tol, pad=exprs.raise_degree(node))
-    residual = float(np.linalg.norm(exprs.apply(node, a, v)))
+    kv = kernel_vector(space, z0, tol, pad=exprs.raise_degree(node))
+    residual = float(np.linalg.norm(exprs.apply(node, kv.a, kv.v)))
     lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {
         "z0": z0,

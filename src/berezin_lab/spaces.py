@@ -29,10 +29,10 @@ k*eps, the same as the direct power conj(z) ** k.
 The truncation loop of ``kernel_vector`` forms each real power r2^k and
 each term r2^k / h_k once: a doubling of the truncation adds only the new
 terms to one buffer, and one norm table, sized by a predicted stop, serves
-the loop and the shift weights of ``kernel_frame``.  Built-in tables are
-prefix-stable (h_0..h_n do not depend on how far the table reaches), so
-reading a prefix of a longer table gives the same bits.  The coefficients
-are normalized in place, inside the zero-padded frame vector.
+the loop and the shift weights of the padded frame it returns.  Built-in
+tables are prefix-stable (h_0..h_n do not depend on how far the table
+reaches), so reading a prefix of a longer table gives the same bits.  The
+coefficients are normalized in place, inside the zero-padded frame vector.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -208,7 +208,8 @@ def _conj_powers(z, n: int, size: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelVector:
-    """Truncated, normalized kernel vector at a point of the disk.
+    """Truncated, normalized kernel vector at a point of the disk, in a
+    frame for an expression that raises indices by at most ``pad``.
 
     ``coeffs`` is the exact unit vector spanning the range of the
     truncated kernel projection: entry k is conj(z)^k / sqrt(h_k),
@@ -217,19 +218,17 @@ class KernelVector:
     omitted relative mass (rounded outward by 1 + 4 n eps), so the true
     K(z,z) lies in [norm_sq, norm_sq * (1 + tail)].
 
-    ``frame`` is ``coeffs`` followed by the ``pad`` zeros asked of
-    ``kernel_vector`` (``coeffs`` is its leading view), and ``h`` the norm
-    table the truncation read: h_0..h_(n+1) at least of a built-in space,
-    the whole stored table of a custom one.  ``kernel_frame`` builds on
-    both.
+    ``v`` is ``coeffs`` followed by ``pad`` zeros (``coeffs`` is its
+    leading view), and ``a`` the shift weights a_0..a_(n+pad-2) of that
+    frame, read from the norm table the truncation read.
     """
 
     z: complex
     coeffs: np.ndarray
     norm_sq: float
     tail: float
-    frame: np.ndarray | None = field(default=None, repr=False, compare=False)
-    h: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray = field(repr=False, compare=False)
+    a: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -261,7 +260,7 @@ def _norm_table(space: KernelSpace, n: int, want: int) -> np.ndarray:
 
 
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32, pad: int = 0
+    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32
 ) -> KernelVector:
     """Adaptively truncated kernel vector with relative tail below ``tol``.
 
@@ -273,8 +272,13 @@ def kernel_vector(
     The coefficients take their powers from ``_conj_powers``, so entry k
     has a relative error of about k*eps (as the direct power would); the
     truncation and tail come from the real series and do not depend on
-    how the powers are formed.  ``pad`` zeros follow them in ``frame``,
-    and the norm table ``h`` reaches h_(n+pad-1) where the space allows.
+    how the powers are formed.
+
+    ``pad`` is the index raise of the expression the vector will meet: the
+    truncation starts at max(n_start, pad), so every coordinate a ``Dense``
+    block of size ``pad`` reads holds a kernel value, and ``pad`` zeros
+    follow the coefficients in ``v`` so that products never hit its top
+    edge.
     """
     z = complex(z)
     if not abs(z) < 1:
@@ -292,7 +296,7 @@ def kernel_vector(
     h = None
     terms = np.empty(0)  # t_k = r2^k / h_k; t_0..t_(done-1) are formed
     done = 0
-    n = n_start
+    n = max(n_start, pad)
     while True:
         if h is None or space.extendable and len(h) <= n + 1:
             h = _norm_table(space, n, _first_doubling(n, tol, *series) + reach)
@@ -340,11 +344,18 @@ def kernel_vector(
         rel = tail_abs / partial * (1.0 + 4.0 * n * _EPS)
         if rel < tol:
             # the coefficients are normalized in place, in the padded frame
-            frame = _conj_powers(z, n, n + pad)
-            coeffs = frame[:n]
+            v = _conj_powers(z, n, n + pad)
+            coeffs = v[:n]
             coeffs /= np.sqrt(h[:n], out=terms[:n])
             coeffs /= math.sqrt(partial)
-            return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel, frame=frame, h=h)
+            # the weights of ``shift_weights(n + pad - 1)``, from the same
+            # table; past the end of a custom table ``h_table`` raises
+            size = n + pad
+            if len(h) < size:
+                h = space.h_table(size - 1)
+            a = h[1:size] / h[: size - 1]
+            np.sqrt(a, out=a)
+            return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel, v=v, a=a)
         if not space.extendable and n >= len(space.h) - 1:
             raise TruncationError(
                 f"norm table of length {len(space.h)} cannot reach tail {tol:g} "
@@ -356,29 +367,6 @@ def kernel_vector(
             )
         series = (n, t_next, q, partial)
         n = min(2 * n, N_CAP)
-
-
-def kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n: int | None = None):
-    """The kernel vector at z in a frame for an expression that raises
-    indices by at most ``pad``: returns (kv, a, v), where v holds kv.coeffs
-    zero-padded to ``kv.n + pad`` coordinates (or to an explicit ``n`` of at
-    least ``kv.n``) and a the shift weights of that frame.
-
-    The truncation starts at max(32, pad), so every coordinate a ``Dense``
-    block of size ``pad`` reads holds a kernel value.  v and a come from
-    the frame and the norm table the kernel vector was built in.
-    """
-    kv = kernel_vector(space, z, tol, n_start=max(32, pad), pad=pad)
-    size = len(kv.frame) if n is None else n
-    if size < kv.n:
-        raise ValueError(f"truncation {size} below the adaptive kernel size {kv.n}")
-    v = kv.frame[:size]
-    if size > len(v):  # an explicit frame past the padded one
-        v = np.concatenate((v, np.zeros(size - len(v), dtype=complex)))
-    h = kv.h if len(kv.h) >= size else space.h_table(size - 1)
-    # the weights of ``shift_weights(size - 1)``, from the same table
-    a = h[1:size] / h[: size - 1]
-    return kv, np.sqrt(a, out=a), v
 
 
 # ---------------------------------------------------------------------------

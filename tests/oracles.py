@@ -166,7 +166,8 @@ def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, 
 
 
 def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0):
-    """(coeffs, a, v) of ``spaces.kernel_frame`` without an explicit size."""
+    """(coeffs, a, v) of ``spaces.kernel_vector(space, z, tol, pad)``: the
+    coefficients, the frame's shift weights and the zero-padded frame."""
     coeffs, _, _ = reference_kernel_vector(space, z, tol, n_start=max(32, pad))
     n = len(coeffs) + pad
     v = np.zeros(n, dtype=complex)

@@ -306,10 +306,7 @@ def test_radial_path_geometry():
 
 
 def test_boundary_limit_symbol_reaches_one():
-    prof = gbt_profile(
-        hardy, exprs.Mz(), {"kind": "radial", "theta": 0.0, "r_max": 1 - 2e-5, "count": 40},
-        tol=1e-9,
-    )
+    prof = gbt_profile(hardy, exprs.Mz(), radial_path(0.0, 1 - 2e-5, 40), tol=1e-9)
     last = prof.values()[-5:]
     assert np.max(np.abs(last - np.mean(last))) <= 1e-4
     assert last[-1] == pytest.approx(1.0, abs=1e-3)
@@ -317,10 +314,7 @@ def test_boundary_limit_symbol_reaches_one():
 
 def test_boundary_limit_commutator_dies():
     comm = exprs.Commutator(exprs.MzAdj(), exprs.Mz())
-    prof = gbt_profile(
-        hardy, comm, {"kind": "radial", "theta": 0.0, "r_max": 1 - 5e-5, "count": 30},
-        tol=1e-9,
-    )
+    prof = gbt_profile(hardy, comm, radial_path(0.0, 1 - 5e-5, 30), tol=1e-9)
     # oracle: Gamma([Mz^*, Mz])(r) = (1 - r^2)^2 / ... reduces to 1 - r^2
     # for the rank-one commutator e0 e0^* against |k_r(0)|^2
     for s in prof.samples[-3:]:
@@ -338,7 +332,8 @@ def test_boundary_limit_constant_exact():
 
 
 def test_profile_of_tree_holding_dense_leaf_has_empty_label():
-    # a Dense leaf has no text form, wherever it sits in the tree
+    # the label is the caller's (a Dense leaf has no text form), wherever
+    # the leaf sits in the tree; the path record defaults to the count
     for node in (
         exprs.Product((exprs.Mz(), Dense(np.eye(4)))),
         exprs.Sum(((1, exprs.Mz()), (-1, exprs.Scale(2.0, Dense(np.eye(4)))))),
@@ -346,13 +341,13 @@ def test_profile_of_tree_holding_dense_leaf_has_empty_label():
     ):
         prof = gbt_profile(hardy, node, [0.5])
         assert prof.op_label == ""
+        assert prof.path == {"kind": "points", "count": 1}
         assert len(prof.samples) == 1
-    assert gbt_profile(hardy, exprs.Product((exprs.Mz(), exprs.Mz())), [0.5]).op_label == "Mz Mz"
 
 
 def test_profile_contractivity_invariant():
     node = exprs.parse("[Mz^*, Mz]")
-    prof = gbt_profile(bergman, node, {"kind": "radial", "theta": 0.3, "r_max": 0.99, "count": 12})
+    prof = gbt_profile(bergman, node, radial_path(0.3, 0.99, 12))
     n = max(s.trunc_n for s in prof.samples)
     mat = exprs.materialize(node, bergman.shift_weights(n - 1), n)
     norm = np.linalg.svd(mat, compute_uv=False)[0]
@@ -373,6 +368,10 @@ def test_disk_grid_sizes():
     pts = disk_grid(40)
     assert len(pts) >= 30
     assert max(abs(p) for p in pts) <= 0.95 + 1e-12
+    assert max(abs(p) for p in disk_grid(40, r_max=0.3)) == pytest.approx(0.3)
+    for bad in (0.0, -0.1, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="r_max"):
+            disk_grid(40, r_max=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +391,7 @@ def test_profile_csv_roundtrip(tmp_path):
 def test_profile_report_json():
     import json
 
-    prof = gbt_profile(hardy, exprs.Mz(), [0.1, 0.2])
+    prof = gbt_profile(hardy, exprs.Mz(), [0.1, 0.2], op_label="Mz")
     doc = json.loads(to_json(profile_report(prof)))
     # the {command, spec_version} envelope is added by the CLI
     assert set(doc) == {"op", "path", "samples"}
@@ -401,7 +400,8 @@ def test_profile_report_json():
 
 
 def test_profile_determinism():
-    prof1 = gbt_profile(bergman, exprs.Mz(), {"kind": "radial", "theta": 0.1, "r_max": 0.9, "count": 8})
-    prof2 = gbt_profile(bergman, exprs.Mz(), {"kind": "radial", "theta": 0.1, "r_max": 0.9, "count": 8})
+    path = {"kind": "radial", "theta": 0.1, "r_max": 0.9, "count": 8}
+    prof1 = gbt_profile(bergman, exprs.Mz(), radial_path(0.1, 0.9, 8), path)
+    prof2 = gbt_profile(bergman, exprs.Mz(), radial_path(0.1, 0.9, 8), path)
     assert profile_report(prof1) == profile_report(prof2)
     assert isinstance(prof1, BerezinProfile)

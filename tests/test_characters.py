@@ -9,7 +9,6 @@ from berezin_lab.characters import (
     CharacterConfig,
     character_membership,
     character_set_scan,
-    gap_certificate,
     run_criterion,
     tridiagonal_parts,
     verdict_to_dict,
@@ -118,6 +117,11 @@ def test_tridiagonal_needs_two_rows():
 
 # ---------------------------------------------------------------------------
 # gap certificates
+
+
+def gap_certificate(w, lam):
+    """The gap channel of the membership verdict at lambda."""
+    return character_membership(w, lam).channels["gap"]
 
 
 def test_gap_certificate_constant_weights():

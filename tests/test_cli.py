@@ -106,8 +106,26 @@ def test_gbt_grid_path_and_custom_space(tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["path"]["kind"] == "grid"
+    assert doc["path"] == {"kind": "grid", "n": 15, "r_max": 0.9}
     assert len(doc["samples"]) >= 10
+    # the outer ring of the grid lies at --rmax
+    assert max(abs(complex(s["z"]["re"], s["z"]["im"])) for s in doc["samples"]) == pytest.approx(0.9)
+
+
+def test_gbt_grid_path_reads_rmax(capsys):
+    argv = ["gbt", "--space", "hardy", "--op", "Mz", "--path", "grid:n=7"]
+    assert run([*argv, "--rmax", "0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["path"]["r_max"] == 0.3
+    assert all(abs(complex(s["z"]["re"], s["z"]["im"])) <= 0.3 + 1e-15 for s in doc["samples"])
+    # without --rmax a grid reaches 0.95, a radial path 0.999
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["path"]["r_max"] == 0.95
+    assert run(["gbt", "--space", "hardy", "--op", "Mz", "--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["path"]["r_max"] == 0.999
+    for bad in ("1.5", "0", "nan"):
+        assert run([*argv, "--rmax", bad]) == 2
+        assert "--rmax" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

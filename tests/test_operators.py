@@ -229,9 +229,9 @@ def test_commutator_lowrank_matches_dense_svd():
             c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
             c /= np.abs(c).sum() * 1.01  # sup-norm below 1
             z = complex(rng.uniform(0, 0.6) * np.exp(2j * np.pi * rng.uniform()))
-            kv = kernel_vector(sp, z, tol=1e-13)
-            n = kv.n + deg + 1
-            got = commutator_norm_PzMphi(sp, c, z, n=n)
+            # the dense oracle at the adaptive frame the probe uses
+            n = len(kernel_vector(sp, z, tol=1e-13, pad=deg).v)
+            got = commutator_norm_PzMphi(sp, c, z)
             want = dense_commutator_oracle(sp, c, z, n)
             assert got == pytest.approx(want, abs=1e-10)
 

@@ -15,7 +15,6 @@ from berezin_lab.spaces import (
     custom_space,
     da_norms,
     hardy_ball_norms,
-    kernel_frame,
     kernel_vector,
     load_h_table,
     monomial_norms,
@@ -275,8 +274,8 @@ def test_kernel_vector_bits_match_the_allocating_loop(space, tol):
 
 @pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
 def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
-    # the frame's vector and weights come from the kernel vector's buffers;
-    # a built-in space reads one norm table per frame, two when the
+    # the frame's vector and weights come from the truncation's buffers; a
+    # built-in space reads one norm table per kernel vector, two when the
     # predicted stop falls short
     calls = []
     h_table = KernelSpace.h_table
@@ -284,21 +283,19 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
     for i, z in enumerate(BIT_POINTS):
         pad = i % 5
         calls.clear()
-        got = _kernel_or_error(kernel_frame, space, z, 1e-12, pad)
+        got = _kernel_or_error(kernel_vector, space, z, 1e-12, pad)
         if space.extendable:
             assert 1 <= len(calls) <= 2, (z, calls)
         want = _kernel_or_error(reference_kernel_frame, space, z, 1e-12, pad)
         if isinstance(want, str):
             assert got == want, z
             continue
-        kv, a, v = got
         coeffs, a_ref, v_ref = want
-        assert kv.coeffs.tobytes() == coeffs.tobytes(), z
-        assert a.tobytes() == a_ref.tobytes() and v.tobytes() == v_ref.tobytes(), z
-    # an explicit frame size past the padded frame
-    kv, a, v = kernel_frame(space, 0.5, 1e-12, 1, n=100)
-    assert len(v) == 100 and len(a) == 99 and not np.any(v[kv.n :])
-    assert np.array_equal(a, space.shift_weights(99))
+        assert got.coeffs.tobytes() == coeffs.tobytes(), z
+        assert got.a.tobytes() == a_ref.tobytes() and got.v.tobytes() == v_ref.tobytes(), z
+        assert np.shares_memory(got.coeffs, got.v), z
+        assert len(got.v) == got.n + pad and not np.any(got.v[got.n :]), z
+        assert len(got.a) == got.n + pad - 1, z
 
 
 def test_kernel_vector_domain_errors():
