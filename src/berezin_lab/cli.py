@@ -17,7 +17,11 @@ never gate verdicts.  Each ``cmd_*`` handler returns ``(body, passed)``;
 ``main`` alone wraps the body in the ``{command, spec_version}``
 envelope, writes it and maps ``passed`` to the exit code: 0 all checks
 passed, 1 a verdict failed, 2 usage or parameter error (any
-``ValueError`` or ``OSError``, ``spaces.TruncationError`` included).
+``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
+``MemoryError``).  Sizes are capped before anything is allocated:
+``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like the steps of
+the ``charspace`` lambda grid, and ``probe normbound --truncation`` at
+2^14.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -87,12 +91,18 @@ def _parse_path(args):
     if not 0 < r_max < 1:
         raise ValueError(f"--rmax must lie in (0, 1), got {r_max}")
     if kind == "grid":
+        if value > N_CAP:
+            raise ValueError(f"grid:n= (default --samples) must be at most {N_CAP}, got {value}")
         return bz.disk_grid(value, r_max), {"kind": "grid", "n": value, "r_max": r_max}
-    if args.samples < 2:
-        raise ValueError(f"--samples must be at least 2 on a radial path, got {args.samples}")
+    if not 2 <= args.samples <= N_CAP:
+        raise ValueError(f"--samples must lie in [2, {N_CAP}] on a radial path, got {args.samples}")
     path = {"kind": "radial", "theta": value, "r_max": r_max, "count": args.samples}
     return bz.radial_path(value, r_max, args.samples), path
 
+
+# largest normbound truncation: the band solve is O(N^2 q) time, about 24 s
+# per degree-5 family at this N on a 2-vCPU VM
+_TRUNCATION_CAP = 2 ** 14
 
 # largest lambda modulus whose doubled square is a finite float
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
@@ -233,6 +243,11 @@ def cmd_probe(args):
     # normbound
     if args.families < 1:
         raise ValueError(f"--families must be at least 1, got {args.families}")
+    if not args.degree < args.truncation <= _TRUNCATION_CAP:
+        raise ValueError(
+            f"--truncation must lie above --degree {args.degree} and at most {_TRUNCATION_CAP}, "
+            f"got {args.truncation}"
+        )
     rng = np.random.default_rng(args.seed)
     j = np.arange(args.degree + 1)
     scale = 1.0 / (1.0 + j) ** 2
@@ -399,6 +414,9 @@ def main(argv=None) -> int:
             write_text(args.out, _json_doc(" ".join(words), body))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     return 0 if passed else 1
 

@@ -15,7 +15,12 @@ over doubling truncations.  Both trends read one path,
 formed as a band straight from the norm table, by one GEMM, never from
 the multiplier; its lambda_min comes with a proven bracket from banded
 Cholesky factorizations (``tridiag.band_lambda_min``), and the verdict
-reads the ends of that bracket.
+reads the ends of that bracket.  The boundary lower bound forms no dense
+matrix either: sigma_max of the truncated sum is sqrt(lambda_max) of the
+band of A^H A, read off ``exprs.apply`` on one comb block and solved by
+LAPACK's band eigensolver (``_truncated_sum_sigma_max``).  Dense
+multipliers (``mult_matrix``) remain for the dilation probe's entrywise
+deviations.
 """
 
 from __future__ import annotations
@@ -97,6 +102,51 @@ def commutator_norm_PzMphi(space: KernelSpace, coeffs, z: complex, tol: float = 
     return float(np.linalg.svd(rl @ rr.conj().T, compute_uv=False)[0])
 
 
+def _truncated_sum_sigma_max(space: KernelSpace, phis, psis, n: int) -> float:
+    """sigma_max of A = sum_i P M_phi_i P M_psi_i^* P on the first n
+    coordinates, as sqrt(lambda_max) of H = A^H A, with no n x n array.
+
+    A reaches max deg(phi_i) below its diagonal and max deg(psi_i) above
+    it, so H has half-width q = min(max deg(phi_i) + max deg(psi_i),
+    n - 1).  Its lower band is read off A^H A C for one comb block C
+    whose column c holds e_k for every k = c mod (2q + 1): the columns
+    H e_k that one column of C sums have disjoint supports, each within q
+    of its k.  Both products are ``exprs.apply`` of the operator tree;
+    LAPACK's band solver (``?hbevx``) gives lambda_max in O(n^2 q) time
+    and O(n q) memory.
+    """
+    # imported here, as in ``tridiag``, so that importing the CLI stays
+    # free of scipy
+    from scipy.linalg import eigvals_banded
+
+    phis = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in phis]
+    psis = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in psis]
+    for c in (*phis, *psis):
+        if len(c) > n:
+            raise ValueError(f"polynomial degree {len(c) - 1} needs truncation above {n}")
+
+    def products(lefts, rights):
+        """The tree sum_i M_left_i M_right_i^*."""
+        return exprs.Sum(tuple(
+            (1, exprs.Product((exprs.MPoly(tuple(cl)), exprs.MPolyAdj(tuple(cr))))) for cl, cr in zip(lefts, rights)
+        ))
+
+    q = min(max(map(len, phis)) + max(map(len, psis)) - 2, n - 1)
+    width = min(n, 2 * q + 1)
+    k = np.arange(n)
+    comb = np.zeros((n, width), dtype=complex)
+    comb[k, k % width] = 1.0
+    a = space.shift_weights(max(n - 1, 0))
+    columns = exprs.apply(products(psis, phis), a, exprs.apply(products(phis, psis), a, comb)).reshape(-1)
+    band = np.zeros((q + 1, n), dtype=complex)
+    for d in range(q + 1):
+        # H[k + d, k] sits in row k + d, column k mod width, of A^H A C
+        band[d, : n - d] = columns[(k[: n - d] + d) * width + k[: n - d] % width]
+    # LAPACK reads the diagonal as real, dropping its rounding-level imaginary parts
+    lam = eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    return math.sqrt(max(float(lam[0]), 0.0))
+
+
 def norm_lower_bound_check(
     space: KernelSpace,
     phis,
@@ -118,12 +168,7 @@ def norm_lower_bound_check(
         raise ValueError("every polynomial needs at least one coefficient")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be non-negative and finite, got {tol}")
-    acc = np.zeros((n, n), dtype=complex)
-    for cp, cq in zip(phis, psis):
-        mp = mult_matrix(space, cp, n)
-        mq = mult_matrix(space, cq, n)
-        acc += mp @ mq.conj().T
-    sigma_max = float(np.linalg.svd(acc, compute_uv=False)[0])
+    sigma_max = _truncated_sum_sigma_max(space, phis, psis, n)
 
     theta = 2 * np.pi * np.arange(grid_n) / grid_n
     zs = np.exp(1j * theta)

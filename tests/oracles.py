@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from berezin_lab import exprs
+from berezin_lab.operators import mult_matrix
 from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, _conj_powers, kernel_vector
 
 
@@ -53,6 +54,15 @@ def tall_mult_matrix(space, coeffs, n_cols: int) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     n_rows = n_cols + len(coeffs) - 1
     return exprs.band_matrix(coeffs, space.shift_weights(max(n_rows - 1, 0)), n_rows, n_cols)
+
+
+def dense_sum_sigma_max(space, phis, psis, n: int) -> float:
+    """sigma_max of sum_i M_phi_i M_psi_i^* truncated to n x n, from the
+    dense multipliers and a full SVD."""
+    acc = np.zeros((n, n), dtype=complex)
+    for cp, cq in zip(phis, psis):
+        acc += mult_matrix(space, cp, n) @ mult_matrix(space, cq, n).conj().T
+    return float(np.linalg.svd(acc, compute_uv=False)[0])
 
 
 def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:

@@ -371,6 +371,57 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_memory_error_exits_2_with_an_error_line(monkeypatch, capsys):
+    # an allocation that fails is a parameter error, never a failed verdict
+    import berezin_lab.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    def exhausted_silently(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.bz, "radial_path", exhausted)
+    assert run(["gbt", "--space", "hardy", "--op", "Mz", "--samples", "3"]) == 2
+    monkeypatch.setattr(cli, "norm_lower_bound_check", exhausted)
+    assert run(["probe", "normbound", "--space", "hardy", "--families", "1"]) == 2
+    monkeypatch.setattr(cli.bz, "disk_grid", exhausted_silently)
+    assert run(["gbt", "--space", "hardy", "--op", "Mz", "--path", "grid:n=7"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: out of memory: Unable to allocate 7.28 TiB",
+        "error: out of memory: Unable to allocate 7.28 TiB",
+        "error: out of memory",
+    ]
+
+
+def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys):
+    import berezin_lab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized size reached the allocation")
+
+    for name in ("radial_path", "disk_grid", "gbt_profile"):
+        monkeypatch.setattr(cli.bz, name, never)
+    monkeypatch.setattr(cli, "norm_lower_bound_check", never)
+    monkeypatch.setattr(cli.np.random, "default_rng", never)
+    huge = str(10 ** 12)
+    gbt = ["gbt", "--space", "hardy", "--op", "Mz"]
+    assert run([*gbt, "--samples", huge]) == 2
+    assert run([*gbt, "--samples", str(2 ** 20 + 1)]) == 2
+    assert run([*gbt, "--path", f"grid:n={huge}"]) == 2
+    assert run([*gbt, "--path", "grid", "--samples", huge]) == 2
+    normbound = ["probe", "normbound", "--space", "hardy", "--families", "1"]
+    assert run([*normbound, "--truncation", huge]) == 2
+    assert run([*normbound, "--truncation", str(2 ** 14 + 1)]) == 2
+    assert run([*normbound, "--degree", huge]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 7 and all(line.startswith("error: ") for line in err), err
+    assert "--samples" in err[0] and "--samples" in err[1]
+    assert "grid:n=" in err[2] and "grid:n=" in err[3]
+    assert all("--truncation" in line for line in err[4:])
+
+
 def test_every_json_output_is_strict(tmp_path, capsys):
     # no NaN, Infinity or -Infinity in any subcommand's JSON
     argvs = [

@@ -153,7 +153,8 @@ FORMS = {
         arg("--space", SPACES, BAD_SPACES),
         arg("--families", ["1", "2"], ["0", "-1"]),
         arg("--degree", ["1", "3"], ["0", "-1"]),
-        arg("--truncation", ["16", "64"], ["2", *BAD_SIZES]),
+        # 4 lies below 2 * degree + 1, where the band of A^H A is full
+        arg("--truncation", ["4", "16", "64"], ["2", *BAD_SIZES]),
         opt("--tol", ["0.01", "0"], ["-1", "nan", "inf"]),
         opt("--seed", ["0", "1"], ["-1"]),
     )),

@@ -1,6 +1,7 @@
 """Truncated multiplication operators, projections, commutators, probes."""
 
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -24,13 +25,20 @@ from berezin_lab.operators import (
 )
 from berezin_lab.spaces import (
     TruncationError,
+    custom_space,
     da_norms,
     hardy_ball_norms,
     kernel_vector,
     monomial_norms,
 )
 
-from oracles import band_from_dense, column_sigma_min, projection_Pz, tall_mult_matrix
+from oracles import (
+    band_from_dense,
+    column_sigma_min,
+    dense_sum_sigma_max,
+    projection_Pz,
+    tall_mult_matrix,
+)
 
 rng = np.random.default_rng(515253)
 
@@ -333,6 +341,46 @@ def test_norm_lower_bound_random_families():
 def test_norm_lower_bound_empty_rejected():
     with pytest.raises(ValueError):
         norm_lower_bound_check(hardy, [], [], 16)
+
+
+def test_norm_sigma_max_matches_dense_svd():
+    # the band of A^H A against the dense sum and its SVD: five spaces,
+    # truncations 1-256, degrees 0-6 (so 2q + 1 >= N at small N, where
+    # the comb block is the identity), and families of 1-3 pairs whose
+    # phi and psi differ in length
+    r = np.random.default_rng(2024)
+    table = custom_space(np.cumprod(np.r_[1.0, r.uniform(0.5, 1.0, 299)]))
+    for space in (hardy, bergman, rs3, mu, table):
+        for n in (1, 2, 3, 8, 16, 64, 256):
+            for _ in range(6):
+                k = int(r.integers(1, 4))
+                lengths = r.integers(1, min(7, n) + 1, size=(2, k))
+                phis, psis = (
+                    [r.standard_normal(m) + 1j * r.standard_normal(m) for m in row] for row in lengths
+                )
+                got = norm_lower_bound_check(space, phis, psis, n)["sigma_max"]
+                want = dense_sum_sigma_max(space, phis, psis, n)
+                assert got == pytest.approx(want, rel=1e-12), (space.kind, n, lengths)
+
+
+def test_norm_lower_bound_degree_needs_truncation_above_it():
+    with pytest.raises(ValueError, match="degree 3 needs truncation above 3"):
+        norm_lower_bound_check(hardy, [[1, 0, 0, 1]], [[1]], 3)
+
+
+def test_norm_lower_bound_memory_is_banded():
+    # at N = 2048 one dense complex N x N array alone is 67 MB; the band
+    # path holds O(N q) entries, q = 10 here
+    r = np.random.default_rng(7)
+    phis, psis = _normalized_family(r, 3)
+    norm_lower_bound_check(hardy, phis, psis, 64)  # scipy.linalg imported outside the trace
+    tracemalloc.start()
+    try:
+        norm_lower_bound_check(hardy, phis, psis, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
