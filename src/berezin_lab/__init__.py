@@ -19,7 +19,7 @@ from .spaces import (
     monomial_norms,
 )
 from .shifts import WeightSequence, generate_weights, shift_power_norm, spectral_radius_estimate
-from .operators import BlaschkeProduct, mult_matrix
+from .operators import BlaschkeProduct
 from .berezin import BerezinProfile, BerezinSample, gbt_profile, gbt_sample
 from .characters import CharacterConfig, CharacterVerdict, character_membership, character_set_scan
 from .peaks import PeakCandidate, annulus_peak, ball_peak, product_peak_check
@@ -49,7 +49,6 @@ __all__ = [
     "hardy_ball_norms",
     "kernel_vector",
     "monomial_norms",
-    "mult_matrix",
     "parse_operator_expr",
     "product_peak_check",
     "shift_power_norm",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .formats import read_columns, write_csv
+from .formats import write_csv
 from .operators import circle_sup_precondition, poly_eval, sup_on_circle
 from .spaces import KernelSpace, kernel_vector
 
@@ -78,8 +78,8 @@ def radial_path(theta: float, r_max: float, count: int):
     """Radial points with 1 - r decaying geometrically from r = 0.5 (or
     r_max / 2 for r_max <= 0.5) towards r_max.
 
-    Geometric spacing near the boundary keeps the last samples tightly
-    clustered, which is what the dispersion estimate needs.
+    Geometric spacing puts most samples near the boundary circle, where
+    the transform's limits along the path are read.
     """
     if not 0 < r_max < 1:
         raise ValueError(f"need r_max in (0, 1), got {r_max}")
@@ -248,14 +248,6 @@ PROFILE_HEADER = ("re_z", "im_z", "re_val", "im_val", "trunc_N", "tail")
 def profile_to_csv(profile: BerezinProfile, path) -> None:
     rows = [(s.z.real, s.z.imag, s.value.real, s.value.imag, s.trunc_n, s.tail) for s in profile.samples]
     write_csv(path, PROFILE_HEADER, rows)
-
-
-def profile_from_csv(path) -> BerezinProfile:
-    samples = tuple(
-        BerezinSample(z=complex(re_z, im_z), value=complex(re_v, im_v), trunc_n=int(n), tail=tail)
-        for re_z, im_z, re_v, im_v, n, tail in zip(*read_columns(path, PROFILE_HEADER))
-    )
-    return BerezinProfile(op_label="", samples=samples, path={"kind": "points", "count": len(samples)})
 
 
 def profile_report(profile: BerezinProfile) -> dict:

@@ -20,8 +20,8 @@ passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
 ``MemoryError``).  Sizes are capped before anything is allocated:
 ``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like the steps of
-the ``charspace`` lambda grid, and ``probe normbound --truncation`` at
-2^14.
+the ``charspace`` lambda grid, and ``probe normbound --truncation`` and
+``probe wot --block`` at 2^14.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -100,8 +100,9 @@ def _parse_path(args):
     return bz.radial_path(value, r_max, args.samples), path
 
 
-# largest normbound truncation: the band solve is O(N^2 q) time, about 24 s
-# per degree-5 family at this N on a 2-vCPU VM
+# largest normbound truncation and wot block: the band solve is O(N^2 q)
+# time, about 24 s per degree-5 family at this N on a 2-vCPU VM, and the
+# wot deviations read O(block^2) norm ratios, a 0.5 s run at this block
 _TRUNCATION_CAP = 2 ** 14
 
 # largest lambda modulus whose doubled square is a finite float
@@ -233,6 +234,8 @@ def cmd_probe(args):
     if args.kind == "wot":
         if args.geometric is None and not args.phi:
             raise ValueError("wot probe needs --phi or --geometric")
+        if not 1 <= args.block <= _TRUNCATION_CAP:
+            raise ValueError(f"--block must lie in [1, {_TRUNCATION_CAP}], got {args.block}")
         coeffs = (
             [args.geometric ** j for j in range(args.block)]
             if args.geometric is not None

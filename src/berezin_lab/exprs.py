@@ -26,9 +26,8 @@ coefficient vector, or of an (N x P) block of them, without forming any
 matrix, which is what makes sampling near the boundary circle feasible;
 the four multiplier leaves share one weighted-shift loop.  Truncation
 has compression semantics: coordinates pushed to index >= N are dropped.
-``materialize`` is ``apply`` to the N x N identity.  ``band_matrix`` is
-the one builder of banded multiplier matrices, for the dense operators
-of ``operators``.
+``materialize`` is ``apply`` to the N x N identity, and the one builder
+of dense multiplier matrices.
 
 Buffer rule: ``apply`` never writes to its input and always returns a
 fresh array, which the caller may overwrite.  The evaluator relies on it:
@@ -333,30 +332,6 @@ def _as_term(node) -> str:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def band_matrix(coeffs, a: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Multiplication by sum_j c_j z^j over weights a, as a dense
-    n_rows x n_cols matrix: entry (i+j, i) is c_j a_i a_{i+1} ... a_{i+j-1}
-    for the columns i = 0..min(n_cols, n_rows - j) - 1.
-
-    Band j's weight products are band j-1's times one more weight, so each
-    product is formed left to right at O(1) cost per entry.
-    """
-    a = np.asarray(a, dtype=float)
-    m = np.zeros((n_rows, n_cols), dtype=complex)
-    flat = m.reshape(-1)
-    prods = np.ones(n_cols)
-    for j, c in enumerate(coeffs):
-        length = min(n_cols, n_rows - j)
-        if length <= 0:
-            break
-        if j > 0:
-            prods = prods[:length] * a[j - 1 : j - 1 + length]
-        if c != 0:
-            # entries (j, 0), (j + 1, 1), ... are n_cols + 1 apart in memory
-            flat[j * n_cols :: n_cols + 1][:length] += c * prods
-    return m
 
 
 def materialize(node, a: np.ndarray, n: int) -> np.ndarray:

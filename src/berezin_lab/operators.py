@@ -18,9 +18,10 @@ Cholesky factorizations (``tridiag.band_lambda_min``), and the verdict
 reads the ends of that bracket.  The boundary lower bound forms no dense
 matrix either: sigma_max of the truncated sum is sqrt(lambda_max) of the
 band of A^H A, read off ``exprs.apply`` on one comb block and solved by
-LAPACK's band eigensolver (``_truncated_sum_sigma_max``).  Dense
-multipliers (``mult_matrix``) remain for the dilation probe's entrywise
-deviations.
+LAPACK's band eigensolver (``_truncated_sum_sigma_max``).  The dilation
+probe's entrywise deviations have a closed form over the norm table, so
+no probe here builds a dense multiplier; ``exprs.materialize`` is the one
+builder of those.
 """
 
 from __future__ import annotations
@@ -36,19 +37,6 @@ from . import exprs
 from .spaces import BallSpace, KernelSpace, TruncationError, kernel_vector
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
 from .tridiag import band_lambda_min, gamma_k
-
-
-def mult_matrix(space: KernelSpace, coeffs, n: int) -> np.ndarray:
-    """Banded truncation of multiplication by sum_j c_j z^j.
-
-    Exact on polynomials of degree < n - deg(phi); the band entries come
-    from ``exprs.band_matrix``.
-    """
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    deg = len(coeffs) - 1
-    if deg >= n:
-        raise ValueError(f"polynomial degree {deg} needs truncation above {n}")
-    return exprs.band_matrix(coeffs, space.shift_weights(max(n - 1, 0)), n, n)
 
 
 def _short(coeffs) -> str:
@@ -237,27 +225,35 @@ def spherical_contraction_check(ball: BallSpace, tol: float = 1e-10) -> dict:
 
 
 def wot_dilation_probe(space: KernelSpace, coeffs, t_schedule, block: int = 20) -> dict:
-    """Entrywise deviation of M_{phi_t} from M_phi on a leading block,
-    phi_t(z) = phi(t z), i.e. coefficients c_j t^j.
+    """Entrywise deviation of M_{phi_t} from M_phi on the leading block x
+    block truncation, phi_t(z) = phi(t z), i.e. coefficients c_j t^j.
 
-    The deviations must be non-increasing along an increasing t-schedule
-    and tend to zero as t -> 1.
+    Band j of M_phi holds c_j sqrt(h_(i+j) / h_i) at (i+j, i), so the
+    deviation is max_j |c_j| (1 - t^j) W_j with W_j = max over i < block - j
+    of sqrt(h_(i+j) / h_i); no block x block array is formed.  t^j is
+    formed by repeated multiplication from 1.0, and rounding is monotone,
+    so each term is non-increasing in t: along an increasing schedule the
+    deviations are non-increasing exactly, and they vanish at t = 1.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
     ts = [float(t) for t in t_schedule]
     if any(not 0 <= t <= 1 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t schedule must increase within [0, 1]")
-    ncoef = min(len(coeffs), block)
-    base = mult_matrix(space, coeffs[:block], block)
+    h = space.h_table(block - 1)
+    # band 0 never moves; only the nonzero bands 1..block-1 can deviate
+    bands = np.flatnonzero(coeffs[1:block]) + 1
+    w2 = np.array([np.max(h[j:] / h[: block - j]) for j in bands])
+    scale = np.abs(coeffs[bands]) * np.sqrt(w2)
     deviations = []
     for t in ts:
-        ct = coeffs[:block].copy()
-        ct[:ncoef] = ct[:ncoef] * (t ** np.arange(ncoef))
-        dev = np.max(np.abs(mult_matrix(space, ct, block) - base))
+        powers = np.multiply.accumulate(np.full(block - 1, t))  # t^1 .. t^(block-1)
+        dev = np.max((1.0 - powers[bands - 1]) * scale, initial=0.0)
         deviations.append(float(dev))
-    monotone = all(b <= a + 1e-12 for a, b in zip(deviations, deviations[1:]))
+    monotone = all(b <= a for a, b in zip(deviations, deviations[1:]))
     return {
         "t_schedule": ts,
         "deviations": deviations,

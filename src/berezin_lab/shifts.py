@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formats import read_columns, write_csv
+from .formats import read_columns
 from .spaces import KernelSpace, space_by_name
 
 
@@ -204,10 +204,6 @@ def _kv_str(rest: str, key: str) -> str:
 def load_weights(path) -> WeightSequence:
     """Load weights from the ``a`` column of a CSV written with header ``n,a``."""
     return explicit_weights(read_columns(path, ("a",))[0])
-
-
-def save_weights(w: WeightSequence, path) -> None:
-    write_csv(path, ("n", "a"), enumerate(w.a))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .formats import read_columns, write_csv
+from .formats import read_columns
 
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
@@ -183,10 +183,6 @@ def space_by_name(name: str) -> KernelSpace:
     if name.startswith("custom:"):
         return load_h_table(name.split(":", 1)[1])
     return monomial_norms(name, 8)
-
-
-def save_h_table(space: KernelSpace, path) -> None:
-    write_csv(path, ("k", "h"), enumerate(space.h))
 
 
 def _conj_powers(z, n: int, size: int | None = None) -> np.ndarray:

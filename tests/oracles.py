@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from berezin_lab import exprs
-from berezin_lab.operators import mult_matrix
 from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, _conj_powers, kernel_vector
 
 
@@ -44,16 +43,45 @@ def band_from_dense(m, q: int) -> np.ndarray:
     return band
 
 
+def band_by_entries(coeffs, a, n_rows, n_cols):
+    """Multiplication by sum_j c_j z^j over weights a as a dense n_rows x
+    n_cols matrix, one entry at a time and independent of ``exprs``:
+    entry (i+j, i) = c_j a_i a_{i+1} ... a_{i+j-1}, the weight product
+    formed left to right."""
+    mat = np.zeros((n_rows, n_cols), dtype=complex)
+    for j, c in enumerate(coeffs):
+        for i in range(min(n_cols, n_rows - j)):
+            p = 1.0
+            for t in range(j):
+                p *= a[i + t]
+            mat[i + j, i] = c * p
+    return mat
+
+
+def dense_mult(space, coeffs, n: int) -> np.ndarray:
+    """M_phi truncated to n x n, as ``exprs.materialize`` builds it."""
+    return exprs.materialize(exprs.MPoly(tuple(coeffs)), space.shift_weights(n - 1), n)
+
+
 def tall_mult_matrix(space, coeffs, n_cols: int) -> np.ndarray:
     """Multiplication matrix keeping every output row.
 
     With rows up to n_cols + deg the matrix represents phi * p exactly for
     polynomials p of degree < n_cols, so B^H B is the true Gram of the
-    products -- no truncation loss at the top edge.
+    products -- no truncation loss at the top edge.  Entry (i+j, i) is
+    c_j sqrt(h_(i+j) / h_i), read off the norm table one band at a time
+    in O(n_cols * deg) work; ``materialize`` of the (n_cols + deg)-square
+    truncation would cost O((n_cols + deg)^2 * deg), about 4e9 complex
+    operations for the degree-1023 series at n_cols = 1024.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     n_rows = n_cols + len(coeffs) - 1
-    return exprs.band_matrix(coeffs, space.shift_weights(max(n_rows - 1, 0)), n_rows, n_cols)
+    h = space.h_table(n_rows - 1)
+    i = np.arange(n_cols)
+    b = np.zeros((n_rows, n_cols), dtype=complex)
+    for j, c in enumerate(coeffs):
+        b[i + j, i] = c * np.sqrt(h[i + j] / h[i])
+    return b
 
 
 def dense_sum_sigma_max(space, phis, psis, n: int) -> float:
@@ -61,8 +89,17 @@ def dense_sum_sigma_max(space, phis, psis, n: int) -> float:
     dense multipliers and a full SVD."""
     acc = np.zeros((n, n), dtype=complex)
     for cp, cq in zip(phis, psis):
-        acc += mult_matrix(space, cp, n) @ mult_matrix(space, cq, n).conj().T
+        acc += dense_mult(space, cp, n) @ dense_mult(space, cq, n).conj().T
     return float(np.linalg.svd(acc, compute_uv=False)[0])
+
+
+def wot_deviation(space, coeffs, t: float, block: int) -> float:
+    """The dilation probe's deviation by its definition: the largest entry
+    of M_phi - M_phi_t on the block x block truncation, phi_t having the
+    coefficients c_j t^j, both multipliers dense."""
+    c = np.asarray(coeffs, dtype=complex)[:block]
+    diff = dense_mult(space, c, block) - dense_mult(space, c * t ** np.arange(len(c)), block)
+    return float(np.max(np.abs(diff)))
 
 
 def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:

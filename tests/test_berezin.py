@@ -5,21 +5,23 @@ import pytest
 
 from berezin_lab import exprs
 from berezin_lab.berezin import (
+    PROFILE_HEADER,
     BerezinProfile,
     disk_grid,
     gbt_axiom_check,
     gbt_commutator_decay,
     gbt_profile,
     gbt_sample,
-    profile_from_csv,
     profile_report,
     profile_to_csv,
     radial_path,
 )
 from berezin_lab.exprs import Dense
-from berezin_lab.formats import to_json
-from berezin_lab.operators import mult_matrix, poly_eval
+from berezin_lab.formats import read_columns, to_json
+from berezin_lab.operators import poly_eval
 from berezin_lab.spaces import kernel_vector, monomial_norms
+
+from oracles import dense_mult
 
 rng = np.random.default_rng(616263)
 
@@ -35,22 +37,22 @@ SPACES = [hardy, bergman, rs3, mu]
 
 
 def test_symbol_value_hardy_shift():
-    op = Dense(mult_matrix(hardy, [0, 1], 64))
+    op = Dense(dense_mult(hardy, [0, 1], 64))
     assert gbt_sample(hardy, op, 0.3).value == pytest.approx(0.3, abs=1e-12)
 
 
 def test_value_products_at_origin():
     # Mz Mz^* kills the kernel line at 0; Mz^* Mz sees a0^2
-    mz = mult_matrix(hardy, [0, 1], 32)
+    mz = dense_mult(hardy, [0, 1], 32)
     down_up = Dense(mz @ mz.conj().T)
     assert gbt_sample(hardy, down_up, 0.0).value == pytest.approx(0.0, abs=1e-14)
-    mzb = mult_matrix(bergman, [0, 1], 32)
+    mzb = dense_mult(bergman, [0, 1], 32)
     up_down = Dense(mzb.conj().T @ mzb)
     assert gbt_sample(bergman, up_down, 0.0).value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_noncommutativity_witness():
-    mz = mult_matrix(hardy, [0, 1], 32)
+    mz = dense_mult(hardy, [0, 1], 32)
     a = gbt_sample(hardy, Dense(mz @ mz.conj().T), 0.0).value
     b = gbt_sample(hardy, Dense(mz.conj().T @ mz), 0.0).value
     assert a == pytest.approx(0.0, abs=1e-14)
@@ -60,7 +62,7 @@ def test_noncommutativity_witness():
 def test_short_truncation_is_compression_value():
     # an 8 x 8 truncation below the adaptive kernel size acts on the
     # leading block: the value is <X P_8 v, P_8 v> for the unit kernel vector v
-    op = mult_matrix(hardy, [0, 1], 8)
+    op = dense_mult(hardy, [0, 1], 8)
     v = kernel_vector(hardy, 0.95, 1e-12).coeffs
     assert len(v) > 8
     want = np.vdot(v[:8], op @ v[:8])
@@ -197,7 +199,7 @@ def test_axioms_identity_and_products():
     # Gamma(Mz Mz^*)(0.4) = 0.16 on hardy
     ident = Dense(np.eye(64, dtype=complex))
     assert gbt_sample(hardy, ident, 0.37).value == pytest.approx(1.0, abs=1e-12)
-    mz = mult_matrix(hardy, [0, 1], 256)
+    mz = dense_mult(hardy, [0, 1], 256)
     gz = gbt_sample(hardy, Dense(mz), 0.4).value
     gza = gbt_sample(hardy, Dense(mz.conj().T), 0.4).value
     assert gz + gza == pytest.approx(0.8, abs=1e-10)
@@ -211,7 +213,7 @@ def test_covariance_invariant(space):
     n = 520
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x /= np.linalg.svd(x, compute_uv=False)[0]
-    mz = mult_matrix(space, [0, 1], n)
+    mz = dense_mult(space, [0, 1], n)
     X = Dense(x)
     MzX = Dense(mz @ x)
     XMza = Dense(x @ mz.conj().T)
@@ -382,10 +384,11 @@ def test_profile_csv_roundtrip(tmp_path):
     prof = gbt_profile(hardy, exprs.Mz(), [0.1, 0.5j, -0.3])
     path = tmp_path / "p.csv"
     profile_to_csv(prof, path)
-    loaded = profile_from_csv(path)
-    assert np.array_equal(loaded.points(), prof.points())
-    assert np.array_equal(loaded.values(), prof.values())
-    assert [s.trunc_n for s in loaded.samples] == [s.trunc_n for s in prof.samples]
+    re_z, im_z, re_v, im_v, trunc_n, tail = read_columns(path, PROFILE_HEADER)
+    assert np.array_equal(np.array(re_z) + 1j * np.array(im_z), prof.points())
+    assert np.array_equal(np.array(re_v) + 1j * np.array(im_v), prof.values())
+    assert trunc_n == [s.trunc_n for s in prof.samples]
+    assert tail == [s.tail for s in prof.samples]
 
 
 def test_profile_report_json():

@@ -404,6 +404,7 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     for name in ("radial_path", "disk_grid", "gbt_profile"):
         monkeypatch.setattr(cli.bz, name, never)
     monkeypatch.setattr(cli, "norm_lower_bound_check", never)
+    monkeypatch.setattr(cli, "wot_dilation_probe", never)
     monkeypatch.setattr(cli.np.random, "default_rng", never)
     huge = str(10 ** 12)
     gbt = ["gbt", "--space", "hardy", "--op", "Mz"]
@@ -415,11 +416,15 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert run([*normbound, "--truncation", huge]) == 2
     assert run([*normbound, "--truncation", str(2 ** 14 + 1)]) == 2
     assert run([*normbound, "--degree", huge]) == 2
+    wot = ["probe", "wot", "--space", "hardy", "--geometric", "0.9"]
+    for block in (huge, str(2 ** 14 + 1), "0", "-1"):
+        assert run([*wot, "--block", block]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 7 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 11 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
-    assert all("--truncation" in line for line in err[4:])
+    assert all("--truncation" in line for line in err[4:7])
+    assert all("--block" in line for line in err[7:])
 
 
 def test_every_json_output_is_strict(tmp_path, capsys):

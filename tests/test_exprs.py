@@ -15,7 +15,6 @@ from berezin_lab.exprs import (
     Scale,
     Sum,
     apply,
-    band_matrix,
     format_complex,
     materialize,
     norm_bound,
@@ -23,7 +22,7 @@ from berezin_lab.exprs import (
     raise_degree,
     to_text,
 )
-from oracles import reference_apply
+from oracles import band_by_entries, reference_apply
 
 rng = np.random.default_rng(7340)
 
@@ -157,14 +156,15 @@ def test_materialize_polynomial_band():
 
 
 def dense_reference(node, a, n):
-    """The N x N truncation built recursively from ``band_matrix`` leaves
-    and matrix products, independent of ``apply``."""
+    """The N x N truncation built recursively from entry-by-entry leaves
+    (``oracles.band_by_entries``) and matrix products, independent of
+    ``apply``."""
     if isinstance(node, Mz):
-        return band_matrix((0.0, 1.0), a, n, n)
+        return band_by_entries((0.0, 1.0), a, n, n)
     if isinstance(node, MzAdj):
         return dense_reference(Mz(), a, n).conj().T
     if isinstance(node, MPoly):
-        return band_matrix(node.coeffs, a, n, n)
+        return band_by_entries(node.coeffs, a, n, n)
     if isinstance(node, MPolyAdj):
         return dense_reference(MPoly(node.coeffs), a, n).conj().T
     if isinstance(node, Scale):

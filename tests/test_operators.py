@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from berezin_lab.exprs import MPoly, band_matrix, materialize
+from berezin_lab.exprs import MPoly, materialize
 from berezin_lab.operators import (
     BlaschkeProduct,
     _gram_band,
@@ -16,7 +16,6 @@ from berezin_lab.operators import (
     closed_range_probe,
     commutator_norm_PzMphi,
     fredholm_probe,
-    mult_matrix,
     norm_lower_bound_check,
     poly_eval,
     spherical_contraction_check,
@@ -33,11 +32,14 @@ from berezin_lab.spaces import (
 )
 
 from oracles import (
+    band_by_entries,
     band_from_dense,
     column_sigma_min,
+    dense_mult,
     dense_sum_sigma_max,
     projection_Pz,
     tall_mult_matrix,
+    wot_deviation,
 )
 
 rng = np.random.default_rng(515253)
@@ -103,21 +105,21 @@ def quadrature_mult_oracle_bergman(coeffs, n):
 
 
 def test_mult_matrix_hardy_shift():
-    m = mult_matrix(hardy, [0, 1], 3)
+    m = dense_mult(hardy, [0, 1], 3)
     want = np.zeros((3, 3))
     want[1, 0] = want[2, 1] = 1.0
     assert np.array_equal(m, want)
 
 
 def test_mult_matrix_bergman_subdiagonal():
-    m = mult_matrix(bergman, [0, 1], 3)
+    m = dense_mult(bergman, [0, 1], 3)
     assert m[1, 0] == pytest.approx(np.sqrt(1 / 2), abs=1e-15)
     assert m[2, 1] == pytest.approx(np.sqrt(2 / 3), abs=1e-15)
 
 
 def test_mult_matrix_identity():
     for sp in SPACES:
-        assert np.array_equal(mult_matrix(sp, [1], 5), np.eye(5))
+        assert np.array_equal(dense_mult(sp, [1], 5), np.eye(5))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
@@ -126,30 +128,25 @@ def test_banded_matches_gram_construction(space):
         deg = int(rng.integers(0, 9))
         coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
         n = int(rng.integers(deg + 1, 257))
-        banded = mult_matrix(space, coeffs, n)
+        banded = dense_mult(space, coeffs, n)
         oracle = gram_mult_oracle(space, coeffs, n)
         assert np.max(np.abs(banded - oracle)) <= 1e-12 * max(1, np.abs(coeffs).sum())
 
 
 def test_banded_matches_quadrature_oracles():
     coeffs = np.array([0.3, -0.5 + 0.2j, 0.1, 0.7j])
-    got = mult_matrix(hardy, coeffs, 12)
+    got = dense_mult(hardy, coeffs, 12)
     assert np.max(np.abs(got - quadrature_mult_oracle_hardy(coeffs, 12))) < 1e-12
-    got = mult_matrix(bergman, coeffs, 12)
+    got = dense_mult(bergman, coeffs, 12)
     assert np.max(np.abs(got - quadrature_mult_oracle_bergman(coeffs, 12))) < 1e-11
 
 
 def test_nested_truncations():
     coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     for sp in SPACES:
-        big = mult_matrix(sp, coeffs, 33)
-        small = mult_matrix(sp, coeffs, 32)
+        big = dense_mult(sp, coeffs, 33)
+        small = dense_mult(sp, coeffs, 32)
         assert np.array_equal(big[:32, :32], small)
-
-
-def test_mult_matrix_degree_rejection():
-    with pytest.raises(ValueError):
-        mult_matrix(hardy, np.ones(10), 8)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
@@ -159,7 +156,7 @@ def test_truncation_contractivity(space):
     for _ in range(4):
         deg = int(rng.integers(1, 9))
         coeffs = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) / (deg + 1)
-        op = mult_matrix(space, coeffs, 128)
+        op = dense_mult(space, coeffs, 128)
         sup, _ = sup_on_circle(coeffs, 2**20)
         assert np.linalg.svd(op, compute_uv=False)[0] <= sup + 1e-8
 
@@ -167,7 +164,7 @@ def test_truncation_contractivity(space):
 def test_adjoint_coherence():
     coeffs = np.array([0.2, 0.4 - 0.3j, 0.1j])
     for sp in SPACES:
-        op = mult_matrix(sp, coeffs, 64)
+        op = dense_mult(sp, coeffs, 64)
         kv = kernel_vector(sp, 0.4 + 0.2j, tol=1e-14)
         v = np.zeros(64, dtype=complex)
         v[: kv.n] = kv.coeffs
@@ -208,7 +205,7 @@ def test_projection_reproduces_kernel_vector():
 
 def dense_commutator_oracle(space, coeffs, z, n):
     p = projection_Pz(space, z, n, tol=1e-14)
-    m = mult_matrix(space, coeffs, n)
+    m = dense_mult(space, coeffs, n)
     return np.linalg.svd(p @ m - m @ p, compute_uv=False)[0]
 
 
@@ -255,7 +252,7 @@ def test_commutator_supnorm_precondition():
 
 def test_column_sigma_min_shift_pair():
     n = 64
-    mz = mult_matrix(hardy, [0, 1], n)
+    mz = dense_mult(hardy, [0, 1], n)
     got = column_sigma_min([mz, mz.conj().T])
     # oracle: dense eigensolve of Mz^*Mz + Mz Mz^* = 2I - e0 e0^* (hardy)
     acc = mz.conj().T @ mz + mz @ mz.conj().T
@@ -268,7 +265,7 @@ def test_column_sigma_min_matches_stacked_svd():
     n = 48
     for sp in (hardy, bergman):
         blocks = [
-            mult_matrix(sp, rng.standard_normal(3) + 1j * rng.standard_normal(3), n)
+            dense_mult(sp, rng.standard_normal(3) + 1j * rng.standard_normal(3), n)
             for _ in range(3)
         ]
         flags = [bool(rng.integers(0, 2)) for _ in range(3)]
@@ -282,7 +279,7 @@ def test_column_boundary_point_trend_to_zero():
     # [Mz - 1; (Mz - 1)^*]: sigma_min decays as the truncation grows
     vals = []
     for n in (64, 128, 256, 512):
-        op = mult_matrix(hardy, [-1, 1], n)
+        op = dense_mult(hardy, [-1, 1], n)
         vals.append(column_sigma_min([op, op.conj().T]))
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.05
@@ -454,6 +451,67 @@ def test_wot_dilation_validation():
         wot_dilation_probe(hardy, [np.inf], [0.9])
     with pytest.raises(ValueError):
         wot_dilation_probe(hardy, [0, 1], [0.99, 0.9])
+    with pytest.raises(ValueError, match="block"):
+        wot_dilation_probe(hardy, [0, 1], [0.9], block=0)
+
+
+def _wot_cases(r, count):
+    """(space, coefficients, block): five spaces, a seeded custom table
+    among them; blocks 1-64 and degrees up to one past the block, so some
+    series are cut at it; about one coefficient in five is zero."""
+    table = custom_space(np.cumprod(np.r_[1.0, r.uniform(0.5, 1.0, 99)]))
+    for space in (hardy, bergman, rs3, mu, table):
+        for _ in range(count):
+            block = int(r.integers(1, 65))
+            deg = int(r.integers(0, block + 1))
+            c = r.standard_normal(deg + 1) + 1j * r.standard_normal(deg + 1)
+            c[r.uniform(size=deg + 1) < 0.2] = 0
+            yield space, c, block
+
+
+def test_wot_deviations_match_dense_oracle():
+    # the closed form against the definition, the largest entry of the
+    # dense M_phi - M_phi_t (``oracles.wot_deviation``).  Near t = 1 that
+    # difference cancels, to a relative error of about eps / (1 - t), so
+    # the random t stay below 0.99; t = 0 and t = 1 are exact on both sides
+    r = np.random.default_rng(1616)
+    for space, c, block in _wot_cases(r, 20):
+        ts = [0.0, *np.sort(r.uniform(0.0, 0.99, 4)), 1.0]
+        got = wot_dilation_probe(space, c, ts, block=block)["deviations"]
+        want = [wot_deviation(space, c, t, block) for t in ts]
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (space.kind, block, len(c))
+
+
+def test_wot_deviations_never_increase():
+    # no slack: every increasing schedule, t = 0 and t = 1 included, gives
+    # non-increasing deviations, also between neighbours one ulp apart,
+    # where only rounding separates the values
+    r = np.random.default_rng(1617)
+    below_one = np.nextafter(1.0, 0.0)
+    for space, c, block in _wot_cases(r, 20):
+        t = float(r.uniform(0.0, 1.0))
+        ts = sorted({
+            0.0, 1.0, t, float(np.nextafter(t, 0.0)), float(np.nextafter(t, 1.0)),
+            float(below_one), float(np.nextafter(below_one, 0.0)), *r.uniform(0.0, 1.0, 3),
+        })
+        rep = wot_dilation_probe(space, c, ts, block=block)
+        d = rep["deviations"]
+        assert all(b <= a for a, b in zip(d, d[1:])), (space.kind, block, ts, d)
+        assert rep["non_increasing"] and d[-1] == 0.0
+
+
+def test_wot_dilation_memory_is_linear_in_block():
+    # block = 2^14, the CLI's cap, with every band nonzero: one dense
+    # block x block complex array alone would be 4 GB
+    c = 1.0 / (1.0 + np.arange(2 ** 14))
+    tracemalloc.start()
+    try:
+        rep = wot_dilation_probe(bergman, c, [0.0, 0.9, 1.0], block=2 ** 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert rep["non_increasing"] and rep["deviations"][0] > 0.49
 
 
 # ---------------------------------------------------------------------------
@@ -698,19 +756,10 @@ def test_tall_mult_matrix_exact_products():
     p = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     prod = np.convolve(coeffs, p)
     assert np.max(np.abs(b @ p - prod)) < 1e-13
-
-
-def _band_by_entries(coeffs, a, n_rows, n_cols):
-    """Entry (i+j, i) = c_j a_i a_{i+1} ... a_{i+j-1}, one entry at a time,
-    the weight product formed left to right."""
-    mat = np.zeros((n_rows, n_cols), dtype=complex)
-    for j, c in enumerate(coeffs):
-        for i in range(min(n_cols, n_rows - j)):
-            p = 1.0
-            for t in range(j):
-                p *= a[i + t]
-            mat[i + j, i] = c * p
-    return mat
+    # the norm-table entries against the weight products, on every space
+    for sp in SPACES:
+        want = band_by_entries(coeffs, sp.shift_weights(9), 10, 8)
+        assert np.max(np.abs(tall_mult_matrix(sp, coeffs, 8) - want)) <= 1e-15
 
 
 def test_banded_multipliers_match_entry_build_exactly():
@@ -719,8 +768,5 @@ def test_banded_multipliers_match_entry_build_exactly():
     for deg, n in ((0, 5), (3, 9), (6, 7), (11, 6), (2, 1)):
         coeffs = r.standard_normal(deg + 1) + 1j * r.standard_normal(deg + 1)
         coeffs[1::3] = 0  # zero coefficients are skipped, not left as holes
-        want = _band_by_entries(coeffs, a, n, n)
+        want = band_by_entries(coeffs, a, n, n)
         assert np.array_equal(materialize(MPoly(tuple(coeffs)), a, n), want)
-        assert np.array_equal(band_matrix(coeffs, a, n, n), want)
-        tall = band_matrix(coeffs, a, n + deg, n)
-        assert np.array_equal(tall, _band_by_entries(coeffs, a, n + deg, n))

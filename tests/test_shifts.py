@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from berezin_lab.formats import write_csv
 from berezin_lab.shifts import (
     WeightSequence,
     cluster_weights,
@@ -11,7 +12,6 @@ from berezin_lab.shifts import (
     explicit_weights,
     generate_weights,
     load_weights,
-    save_weights,
     shift_power_norm,
     sigma_weights,
     simple_weights,
@@ -115,7 +115,7 @@ def test_generator_strings():
 def test_weights_csv_roundtrip(tmp_path):
     w = simple_weights(0.5, 20)
     path = tmp_path / "w.csv"
-    save_weights(w, path)
+    write_csv(path, ("n", "a"), enumerate(w.a))
     loaded = load_weights(path)
     assert np.array_equal(loaded.a, w.a)
 

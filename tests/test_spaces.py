@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from berezin_lab.formats import write_csv
 from berezin_lab.spaces import (
     KernelSpace,
     KernelVector,
@@ -18,7 +19,6 @@ from berezin_lab.spaces import (
     kernel_vector,
     load_h_table,
     monomial_norms,
-    save_h_table,
 )
 from oracles import reference_kernel_frame, reference_kernel_vector
 
@@ -358,7 +358,7 @@ def test_gram_closed_forms():
 def test_custom_space_roundtrip(tmp_path):
     space = monomial_norms("bergman", 12)
     path = tmp_path / "h.csv"
-    save_h_table(space, path)
+    write_csv(path, ("k", "h"), enumerate(space.h))
     loaded = load_h_table(path)
     assert np.array_equal(loaded.h, space.h)
     kv = kernel_vector(loaded, 0.2, tol=1e-10)
