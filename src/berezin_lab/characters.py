@@ -18,7 +18,8 @@ drive the verdicts:
   * gap evidence: delta = inf |a_k - |lambda|| > 0 forces X >= delta^2/2
     via its even/odd two-by-two block splitting, certifying
     non-membership; the bound is verified against lambda_min of the
-    truncation.
+    truncation.  delta is read off the run scan's distances |a_k - |lambda||,
+    formed once per modulus.
 
 A third channel tracks sigma_min = sqrt(lambda_min(X_N)) over a doubling
 truncation schedule and classifies the trend; it is heuristic (a finite
@@ -60,13 +61,17 @@ class CharacterConfig:
     n_schedule: tuple = (2 ** 8, 2 ** 9, 2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14)
     trend: TrendThresholds = field(default_factory=TrendThresholds)
 
+    def run_levels(self) -> tuple:
+        """The run schedules (eps_m, d_m) = (2^-m, 2^m), m <= m_max."""
+        return [2.0 ** -m for m in range(self.m_max + 1)], [2 ** m for m in range(self.m_max + 1)]
+
 
 @dataclass(frozen=True)
 class RunEvidence:
     kind: str
     levels: tuple  # per level: (eps, d, found, start_index, max_run)
     deepest: int   # deepest satisfied level, -1 if none
-    max_run: int   # longest qualifying run seen at the deepest failed level
+    delta: float   # inf_k |a_k - |lambda|| over every weight, the gap channel's delta
 
     @property
     def satisfied(self) -> bool:
@@ -126,9 +131,7 @@ def run_criterion(
 ) -> RunEvidence:
     """Scan for runs of d+2 consecutive weights within eps of |lambda|."""
     if eps_schedule is None or d_schedule is None:
-        cfg = CharacterConfig()
-        eps_schedule = [2.0 ** -m for m in range(cfg.m_max + 1)]
-        d_schedule = [2 ** m for m in range(cfg.m_max + 1)]
+        eps_schedule, d_schedule = CharacterConfig().run_levels()
     eps_schedule = list(eps_schedule)
     d_schedule = list(d_schedule)
     if not eps_schedule or len(eps_schedule) != len(d_schedule):
@@ -136,7 +139,6 @@ def run_criterion(
     dist = np.abs(w.a - lambda_modulus(lam))
     deepest = -1
     levels = []
-    max_run_at_fail = None
     for level, (eps, d) in enumerate(zip(eps_schedule, d_schedule)):
         km = k_max if k_max is not None else w.n - d - 2
         window = min(w.n, max(km, 0) + d + 2)
@@ -146,12 +148,7 @@ def run_criterion(
         levels.append((float(eps), int(d), bool(found), int(best_start), int(best)))
         if found and deepest == level - 1:
             deepest = level
-        if not found and max_run_at_fail is None:
-            max_run_at_fail = best
-    return RunEvidence(
-        kind="run", levels=tuple(levels), deepest=deepest,
-        max_run=max_run_at_fail if max_run_at_fail is not None else 0,
-    )
+    return RunEvidence(kind="run", levels=tuple(levels), deepest=deepest, delta=float(np.min(dist)))
 
 
 def _longest_run(mask: np.ndarray):
@@ -177,19 +174,6 @@ def tridiagonal_parts(w: WeightSequence, lam: complex, n: int):
     diag = asq + np.concatenate(([0.0], asq[: n - 1])) + 2 * abs(lam) ** 2
     off = -2.0 * lam * w.a[: n - 1]
     return diag, off
-
-
-def _gap_from_lambda_min(
-    w: WeightSequence, lam: complex, lam_min: float, n: int
-) -> GapEvidence | None:
-    """delta = inf |a_k - |lambda||; a positive delta certifies
-    X >= delta^2/2, checked against lambda_min of the truncation."""
-    delta = float(np.min(np.abs(w.a - lambda_modulus(lam))))
-    if delta <= 0.0:
-        return None
-    return GapEvidence(
-        kind="gap", delta=delta, bound=delta * delta / 2.0, lambda_min=lam_min, n=n
-    )
 
 
 def character_membership(
@@ -265,16 +249,15 @@ def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
         for r, v in zip(mods, lambda_min_batch(np.array(diags), np.array(offs))):
             sigma[r].append(math.sqrt(max(float(v), 0.0)))
 
+    eps_schedule, d_schedule = cfg.run_levels()
+    k_max = min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2
     evidence = {}
     for r in mods:
-        runs = run_criterion(
-            w,
-            r,
-            [2.0 ** -m for m in range(cfg.m_max + 1)],
-            [2 ** m for m in range(cfg.m_max + 1)],
-            k_max=min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2,
-        )
-        gap = _gap_from_lambda_min(w, r, sigma[r][-1] ** 2, usable_n[-1])
+        runs = run_criterion(w, r, eps_schedule, d_schedule, k_max=k_max)
+        # a positive delta certifies X >= delta^2/2, checked against
+        # lambda_min of the deepest truncation
+        d = runs.delta
+        gap = None if d <= 0.0 else GapEvidence("gap", d, d * d / 2.0, sigma[r][-1] ** 2, usable_n[-1])
         trend = TrendEvidence(
             kind="sigma_trend",
             ns=tuple(usable_n),

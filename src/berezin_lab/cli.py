@@ -20,8 +20,12 @@ passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
 ``MemoryError``).  Sizes are capped before anything is allocated:
 ``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like the steps of
-the ``charspace`` lambda grid, and ``probe normbound --truncation`` and
-``probe wot --block`` at 2^14.
+the ``charspace`` lambda grid, ``--weight-count`` of ``charspace`` and
+``shift``, the ``peaks`` grids (``--grid``, and ``--grid-s`` times
+``--grid-phi`` squared for the ball), and ``probe normbound --truncation``,
+``--families`` and ``probe wot --block`` at 2^14; normbound's estimated
+work per family (``_normbound_work``) is capped at its value at
+``--truncation`` 2^14, ``--degree`` 5.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -105,6 +109,19 @@ def _parse_path(args):
 # wot deviations read O(block^2) norm ratios, a 0.5 s run at this block
 _TRUNCATION_CAP = 2 ** 14
 
+
+def _normbound_work(n: int, degree: int) -> int:
+    """About the operations of one normbound family at truncation n: N^2 q
+    for the band solve and N w (d + 1) for the two applies on the N x w
+    comb block, with half-width q = min(2d, N - 1) and w = min(N, 2q + 1)."""
+    q = min(2 * degree, n - 1)
+    return n * (n * q + min(n, 2 * q + 1) * (degree + 1))
+
+
+# the work of one degree-5 family at the largest truncation, 24-34 s on a
+# 2-vCPU VM
+_NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
+
 # largest lambda modulus whose doubled square is a finite float
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
 
@@ -163,8 +180,15 @@ def cmd_gbt(args):
     return None, passed
 
 
+def _weights(args):
+    """The ``--weights`` sequence, its length capped before it is built."""
+    if args.weight_count > N_CAP:
+        raise ValueError(f"--weight-count must be at most {N_CAP}, got {args.weight_count}")
+    return generate_weights(args.weights, args.weight_count)
+
+
 def cmd_charspace(args):
-    w = generate_weights(args.weights, args.weight_count)
+    w = _weights(args)
     moduli, angles = _parse_lambda_grid(args.lambda_grid)
     ccfg = CharacterConfig(
         m_max=args.m_max,
@@ -178,6 +202,10 @@ def cmd_charspace(args):
 
 
 def cmd_peaks(args):
+    points = args.grid_s * args.grid_phi ** 2 if args.domain == "ball" else args.grid
+    if points > N_CAP:
+        option = "--grid-s times --grid-phi squared" if args.domain == "ball" else "--grid"
+        raise ValueError(f"{option} must be at most {N_CAP} points, got {points}")
     if args.domain == "annulus":
         cand = annulus_peak(
             args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
@@ -192,7 +220,7 @@ def cmd_peaks(args):
 
 
 def cmd_shift(args):
-    w = generate_weights(args.weights, args.weight_count)
+    w = _weights(args)
     if args.what == "spr":
         est = spectral_radius_estimate(w, args.kmax)
         return {"weights": args.weights, **est}, not est["sandwich_checked"] or est["sandwich_ok"]
@@ -244,12 +272,19 @@ def cmd_probe(args):
         rep = wot_dilation_probe(space, coeffs, [float(t) for t in args.t.split(",")], block=args.block)
         return rep, rep["non_increasing"]
     # normbound
-    if args.families < 1:
-        raise ValueError(f"--families must be at least 1, got {args.families}")
+    if not 1 <= args.families <= _TRUNCATION_CAP:
+        raise ValueError(f"--families must lie in [1, {_TRUNCATION_CAP}], got {args.families}")
     if not args.degree < args.truncation <= _TRUNCATION_CAP:
         raise ValueError(
             f"--truncation must lie above --degree {args.degree} and at most {_TRUNCATION_CAP}, "
             f"got {args.truncation}"
+        )
+    work = _normbound_work(args.truncation, args.degree)
+    if work > _NORMBOUND_WORK_CAP:
+        raise ValueError(
+            f"--truncation {args.truncation} with --degree {args.degree} needs about {work:.2g} "
+            f"operations per family, above the cap {_NORMBOUND_WORK_CAP:.2g} (--truncation "
+            f"{_TRUNCATION_CAP} at --degree 5)"
         )
     rng = np.random.default_rng(args.seed)
     j = np.arange(args.degree + 1)

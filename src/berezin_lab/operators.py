@@ -48,12 +48,19 @@ def poly_eval(coeffs, z):
     return np.polyval(coeffs[::-1], z)
 
 
+def circle_grid(n: int) -> np.ndarray:
+    """The n equispaced points e^(2 pi i k / n) of the unit circle: the one
+    grid that every circle sup (``sup_on_circle``, normbound's and the
+    product peak's) reads."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 def sup_on_circle(coeffs, n_grid: int = 4096):
-    """(max |phi|, argmax point) over an equispaced grid of the circle."""
-    theta = 2 * np.pi * np.arange(n_grid) / n_grid
-    vals = np.abs(poly_eval(coeffs, np.exp(1j * theta)))
+    """(max |phi|, argmax point) over ``circle_grid(n_grid)``."""
+    zs = circle_grid(n_grid)
+    vals = np.abs(poly_eval(coeffs, zs))
     j = int(np.argmax(vals))
-    return float(vals[j]), complex(np.exp(1j * theta[j]))
+    return float(vals[j]), complex(zs[j])
 
 
 def circle_sup_precondition(coeffs):
@@ -158,13 +165,13 @@ def norm_lower_bound_check(
         raise ValueError(f"tolerance must be non-negative and finite, got {tol}")
     sigma_max = _truncated_sum_sigma_max(space, phis, psis, n)
 
-    theta = 2 * np.pi * np.arange(grid_n) / grid_n
-    zs = np.exp(1j * theta)
+    zs = circle_grid(grid_n)
     total = np.zeros(grid_n, dtype=complex)
     for cp, cq in zip(phis, psis):
         total += poly_eval(cp, zs) * np.conj(poly_eval(cq, zs))
-    grid_sup = float(np.max(np.abs(total)))
-    j = int(np.argmax(np.abs(total)))
+    mags = np.abs(total)
+    j = int(np.argmax(mags))
+    grid_sup = float(mags[j])
     return {
         "sigma_max": sigma_max,
         "grid_sup": grid_sup,

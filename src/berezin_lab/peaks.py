@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import circle_sup_precondition, poly_eval
+from .operators import circle_grid, circle_sup_precondition, poly_eval
 
 
 @dataclass(frozen=True)
@@ -197,17 +197,20 @@ def product_peak_check(
     tol: float = 1e-9,
 ) -> dict:
     """sup over the product of circle grids of |phi psi| against the
-    product of the separate grid maxima attained at (alpha1, alpha2)."""
+    product of the separate grid maxima attained at (alpha1, alpha2).
+
+    Rounding is monotone, so the largest of the grid x grid products
+    fl(|phi(z)| |psi(w)|) is the product of the two grid maxima, exactly;
+    no grid x grid array is formed.
+    """
     phi_coeffs = np.atleast_1d(np.asarray(phi_coeffs, dtype=complex))
     psi_coeffs = np.atleast_1d(np.asarray(psi_coeffs, dtype=complex))
-    circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+    circle = circle_grid(grid_n)
     vphi = np.abs(poly_eval(phi_coeffs, circle))
     vpsi = np.abs(poly_eval(psi_coeffs, circle))
     a1 = complex(circle[int(np.argmax(vphi))])
     a2 = complex(circle[int(np.argmax(vpsi))])
-    product = np.outer(vphi, vpsi)
-    sup = float(product.max())
-    claimed = float(vphi.max() * vpsi.max())
+    sup = claimed = float(vphi.max() * vpsi.max())
     return {
         "sup": sup,
         "claimed": claimed,

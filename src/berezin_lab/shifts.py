@@ -4,7 +4,10 @@ A weight sequence a_0, a_1, ... with 0 < a_n <= 1 models coordinate
 multiplication T e_n = a_n e_{n+1}.  Because T^m shifts by m with weights
 given by products of m consecutive a's, the norm of T^m is the largest
 m-fold window product; everything here works on prefix sums of log a_n so
-windows of length 10^3 and beyond cause no underflow.
+windows of length 10^3 and beyond cause no underflow.  For the simple
+generator, ``spectral_radius_estimate`` and ``power_bounded_check`` each
+build one prefix table of the exact dyadic exponents and read every window
+and every sandwich test off it.
 
 Generators (CLI spellings in parentheses):
 
@@ -220,37 +223,32 @@ def shift_power_norm(w: WeightSequence, m: int) -> float:
     return float(np.exp(np.max(s[m:] - s[:-m])))
 
 
-def _simple_window_exponents(w: WeightSequence, m: int) -> np.ndarray:
-    """Window sums of the exact dyadic exponents; log_r of the window
-    products of the simple generator, exact in double precision."""
-    e = dyadic_exponents(w.n)
-    s = np.concatenate(([0.0], np.cumsum(e)))
-    return s[m:] - s[:-m]
+def _dyadic_prefix(length: int) -> np.ndarray:
+    """0, e_0, e_0 + e_1, ... over the exact dyadic exponents: each window
+    sum s[n + m] - s[n] is log_r of a window product of the simple
+    generator, exact in double precision."""
+    return np.concatenate(([0.0], np.cumsum(dyadic_exponents(length))))
 
 
-def _check_sandwich(w: WeightSequence, k: int) -> list:
-    """Exact check of r^(2^(1-k)/3) < r^(-2^k/3) b_n <= r^(-2^(-k)/3) for
-    every complete window product b_n of length 2^k.
-
-    In exponent form (r < 1 flips inequalities) with E = log_r b_n:
-    2^k - 2^(-k) <= 3 E < 2^k + 2^(1-k), and both sides are exact dyadic
-    doubles, so the comparison is exact.
-    """
-    m = 2**k
-    ex3 = 3.0 * _simple_window_exponents(w, m)
-    lo = float(m) - np.ldexp(1.0, -k)
-    hi = float(m) + np.ldexp(1.0, 1 - k)
-    bad = np.nonzero(~((lo <= ex3) & (ex3 < hi)))[0]
-    return [(k, int(n)) for n in bad]
+def _sandwich(win: np.ndarray, k: int) -> tuple:
+    """Lower and upper half, one flag per window, of the exact test
+    r^(2^(1-k)/3) < r^(-2^k/3) b_n <= r^(-2^(-k)/3) on the window products
+    b_n = r^E of length 2^k, given E = ``win``.  In exponent form (r < 1
+    flips inequalities) it reads 2^k - 2^(-k) <= 3 E < 2^k + 2^(1-k), and
+    both sides are exact dyadic doubles, so the comparison is exact."""
+    ex3 = 3.0 * win
+    return 2.0**k - np.ldexp(1.0, -k) <= ex3, ex3 < 2.0**k + np.ldexp(1.0, 1 - k)
 
 
 def spectral_radius_estimate(w: WeightSequence, k_max: int) -> dict:
     """Power norms along m = 2^k, k <= k_max, with root estimates.
 
-    For the ``simple`` generator the dyadic sandwich bounds are verified
-    for every complete window (``violations`` lists each failing (k, n)),
-    and per-m enclosures of the root estimate are reported; other
-    generators report no bounds and ``sandwich_checked`` false.
+    For the ``simple`` generator one prefix table of the exact dyadic
+    exponents serves every k: its windows give the power norm and the
+    root, and the dyadic sandwich bounds are verified for every complete
+    window (``violations`` lists each failing (k, n)), with per-m
+    enclosures of the root estimate.  Other generators report no bounds
+    and ``sandwich_checked`` false.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -259,29 +257,28 @@ def spectral_radius_estimate(w: WeightSequence, k_max: int) -> dict:
             f"need at least 2^(k_max+1) = {2 ** (k_max + 1)} weights for "
             f"complete windows at k_max = {k_max}, have {w.n}"
         )
+    checked = w.gen == "simple"
+    s = _dyadic_prefix(w.n) if checked else None
     power_norms = {}
     roots = {}
+    bounds = {}
+    violations: list = []
     for k in range(k_max + 1):
         m = 2**k
-        if w.gen == "simple":
+        if checked:
+            r = w.params["r"]
+            win = s[m:] - s[:-m]
             # exact dyadic window exponents: ||T^m|| = r^(min_n log_r b_n)
-            e_min = float(np.min(_simple_window_exponents(w, m)))
-            power_norms[m] = w.params["r"] ** e_min
-            roots[m] = w.params["r"] ** (e_min / m)
+            e_min = float(np.min(win))
+            power_norms[m] = r ** e_min
+            roots[m] = r ** (e_min / m)
+            # root estimate enclosure induced by the window sandwich
+            bounds[m] = (r ** (1 / 3 + 2 * 4.0 ** (-k) / 3), r ** (1 / 3 - 4.0 ** (-k) / 3))
+            lower, upper = _sandwich(win, k)
+            violations.extend((k, int(n)) for n in np.nonzero(~(lower & upper))[0])
         else:
             power_norms[m] = shift_power_norm(w, m)
             roots[m] = power_norms[m] ** (1.0 / m)
-
-    checked = w.gen == "simple"
-    bounds = {}
-    violations: list = []
-    if checked:
-        r = w.params["r"]
-        for k in range(k_max + 1):
-            m = 2**k
-            # root estimate enclosure induced by the window sandwich
-            bounds[m] = (r ** (1 / 3 + 2 * 4.0 ** (-k) / 3), r ** (1 / 3 - 4.0 ** (-k) / 3))
-            violations.extend(_check_sandwich(w, k))
     return {
         "power_norms": power_norms,
         "root_estimates": roots,
@@ -297,8 +294,9 @@ def power_bounded_check(w: WeightSequence, r: float, m_max: int | None = None) -
 
     Reports sup and inf over m <= m_max of the rescaled extreme window
     products r^(-m/3) * (max / min m-window product), and checks the
-    dyadic-power bound ||A^(2^k)|| <= r^(-2^(-k)/3) exactly for every k
-    with complete windows.
+    dyadic-power bound ||A^(2^k)|| <= r^(-2^(-k)/3), the lower half of the
+    sandwich, exactly for every k with complete windows.  One prefix table
+    of the exact dyadic exponents serves every m.
     """
     if w.gen != "simple":
         raise ValueError("power boundedness check applies to the simple generator")
@@ -311,12 +309,12 @@ def power_bounded_check(w: WeightSequence, r: float, m_max: int | None = None) -
     if not 1 <= m_max < w.n:
         raise ValueError(f"need 1 <= m_max < {w.n}, got {m_max}")
 
-    e = dyadic_exponents(w.n)
-    s = np.concatenate(([0.0], np.cumsum(e)))
+    s = _dyadic_prefix(w.n)
     sup_norm = 0.0
     sup_at = 0
     inf_low = np.inf
     inf_at = 0
+    dyadic = {}
     for m in range(1, m_max + 1):
         win = s[m:] - s[:-m]
         hi = r ** (float(np.min(win)) - m / 3.0)  # ||A^m||
@@ -325,20 +323,13 @@ def power_bounded_check(w: WeightSequence, r: float, m_max: int | None = None) -
             sup_norm, sup_at = hi, m
         if lo < inf_low:
             inf_low, inf_at = lo, m
-
-    dyadic = {}
-    k = 0
-    while 2**k <= m_max:
-        m = 2**k
-        win3 = 3.0 * (s[m:] - s[:-m])
-        # ||A^m|| <= r^(-2^(-k)/3)  <=>  3 min window exponent >= m - 2^(-k)
-        exact_ok = bool(np.min(win3) >= float(m) - np.ldexp(1.0, -k))
-        dyadic[m] = {
-            "norm": r ** (float(np.min(win3)) / 3.0 - m / 3.0),
-            "bound": r ** (-np.ldexp(1.0, -k) / 3.0),
-            "ok": exact_ok,
-        }
-        k += 1
+        if m & (m - 1) == 0:  # m = 2^k: the bound is the sandwich's lower half
+            k = m.bit_length() - 1
+            dyadic[m] = {
+                "norm": hi,
+                "bound": r ** (-np.ldexp(1.0, -k) / 3.0),
+                "ok": bool(np.all(_sandwich(win, k)[0])),
+            }
 
     return {
         "r": r,

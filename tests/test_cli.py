@@ -403,8 +403,9 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
 
     for name in ("radial_path", "disk_grid", "gbt_profile"):
         monkeypatch.setattr(cli.bz, name, never)
-    monkeypatch.setattr(cli, "norm_lower_bound_check", never)
-    monkeypatch.setattr(cli, "wot_dilation_probe", never)
+    for name in ("norm_lower_bound_check", "wot_dilation_probe", "annulus_peak", "ball_peak",
+                 "product_peak_check", "generate_weights"):
+        monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(cli.np.random, "default_rng", never)
     huge = str(10 ** 12)
     gbt = ["gbt", "--space", "hardy", "--op", "Mz"]
@@ -419,12 +420,65 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     wot = ["probe", "wot", "--space", "hardy", "--geometric", "0.9"]
     for block in (huge, str(2 ** 14 + 1), "0", "-1"):
         assert run([*wot, "--block", block]) == 2
+    # normbound's work per family and its family count
+    assert run([*normbound, "--truncation", str(2 ** 14), "--degree", str(2 ** 14 - 1)]) == 2
+    assert run([*normbound, "--truncation", "1200", "--degree", "1199"]) == 2
+    assert run([*normbound, "--truncation", str(2 ** 14), "--degree", "6"]) == 2
+    assert run(["probe", "normbound", "--space", "hardy", "--families", str(2 ** 14 + 1)]) == 2
+    # grids and weight counts of at most spaces.N_CAP = 2^20 points
+    for argv in (
+        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", huge],
+        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", str(2 ** 20 + 1)],
+        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20 + 1)],
+    ):
+        assert run(argv) == 2
+    assert run(["peaks", "ball", "--grid-s", "5", "--grid-phi", "512"]) == 2
+    assert run(["peaks", "ball", "--grid-s", "1", "--grid-phi", "1025"]) == 2
+    for argv in (
+        ["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0.5"],
+        ["shift", "spr", "--weights", "simple:r=0.5"],
+        ["shift", "powerbound", "--weights", "simple:r=0.5", "--r", "0.5"],
+    ):
+        assert run([*argv, "--weight-count", str(2 ** 20 + 1)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 11 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 23 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
-    assert all("--block" in line for line in err[7:])
+    assert all("--block" in line for line in err[7:11])
+    assert all("--truncation" in line and "--degree" in line for line in err[11:14])
+    assert "--families" in err[14]
+    assert all("--grid " in line for line in err[15:18])
+    assert all("--grid-s" in line and "--grid-phi" in line for line in err[18:20])
+    assert all("--weight-count" in line for line in err[20:])
+
+
+def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
+    # each cap admits its own bound: the run reaches a stub in place of the work
+    import berezin_lab.cli as cli
+
+    reached = []
+
+    def stub(name):
+        def work(*args, **kwargs):
+            reached.append(name)
+            raise ValueError("stub reached")
+        return work
+
+    for name in ("norm_lower_bound_check", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights"):
+        monkeypatch.setattr(cli, name, stub(name))
+    normbound = ["probe", "normbound", "--space", "hardy"]
+    assert run([*normbound, "--families", str(2 ** 14), "--truncation", str(2 ** 14)]) == 2
+    assert run([*normbound, "--families", "1", "--truncation", "1100", "--degree", "1099"]) == 2
+    assert run(["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", str(2 ** 20)]) == 2
+    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20)]) == 2
+    assert run(["peaks", "ball", "--grid-s", "4", "--grid-phi", "512"]) == 2
+    assert run(["shift", "spr", "--weights", "simple:r=0.5", "--weight-count", str(2 ** 20)]) == 2
+    assert reached == [
+        "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
+        "ball_peak", "generate_weights",
+    ]
+    assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
 
 
 def test_every_json_output_is_strict(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Peak functions on the annulus, the ball, and product domains."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,38 @@ def test_product_peak_constant_factor():
     rep = product_peak_check([0.7], [0, 0, 1], grid_n=256)
     assert rep["passed"]
     assert rep["sup"] == pytest.approx(0.7, abs=1e-12)
+
+
+def test_product_sup_equals_the_outer_product_max():
+    # reference: the largest entry of the grid x grid array of products,
+    # which the check no longer forms; rounding is monotone, so the product
+    # of the two grid maxima equals it exactly
+    r = np.random.default_rng(11)
+    for _ in range(300):
+        phi, psi = (
+            (r.standard_normal(d + 1) + 1j * r.standard_normal(d + 1)) * 10.0 ** r.uniform(-3, 3, d + 1)
+            for d in r.integers(0, 7, size=2)
+        )
+        grid_n = int(r.integers(1, 400))
+        circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+        vphi = np.abs(np.polyval(phi[::-1], circle))
+        vpsi = np.abs(np.polyval(psi[::-1], circle))
+        rep = product_peak_check(phi, psi, grid_n=grid_n)
+        assert rep["sup"] == float(np.outer(vphi, vpsi).max())
+        assert rep["passed"]
+
+
+def test_product_peak_memory_is_linear_in_grid():
+    # a grid x grid array at 2^16 points would take 32 GiB
+    product_peak_check([0.5, 0.5], [0, 0, 1], grid_n=64)
+    tracemalloc.start()
+    try:
+        rep = product_peak_check([0.5, 0.5], [0, 0, 1], grid_n=2 ** 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and rep["grid_n"] == 2 ** 16
+    assert peak < 8 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Weight generators, window power norms, spectral-radius sandwich checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from berezin_lab.formats import write_csv
 from berezin_lab.shifts import (
     WeightSequence,
+    _dyadic_prefix,
+    _sandwich,
     cluster_weights,
     constant_weights,
     dyadic_valuation,
@@ -230,6 +234,26 @@ def test_dyadic_exponent_window_counts():
         for j in range(k):
             assert np.count_nonzero(win == j) == 2 ** (k - 1 - j)
         assert np.count_nonzero(win >= k) == 1
+
+
+def test_sandwich_halves_match_exact_rationals():
+    # reference: 2^k - 2^(-k) <= 3 E < 2^k + 2^(1-k) in rational arithmetic,
+    # on the simple windows and on a grid of dyadic E straddling both ends
+    s = _dyadic_prefix(2**10)
+    for k in range(9):
+        m = 2**k
+        step = 2.0 ** -(k + 2)
+        lo_i = int((m - 2.0**-k) / 3 / step)
+        hi_i = int((m + 2.0 ** (1 - k)) / 3 / step)
+        grid = np.array([i * step for i in (*range(lo_i - 3, lo_i + 4), *range(hi_i - 3, hi_i + 4))])
+        win = np.concatenate((s[m:] - s[:-m], grid))
+        lower, upper = _sandwich(win, k)
+        three_e = [3 * Fraction(e) for e in win]
+        assert lower.tolist() == [x >= m - Fraction(1, m) for x in three_e]
+        assert upper.tolist() == [x < m + Fraction(2, m) for x in three_e]
+        assert lower[: len(s) - m].all() and upper[: len(s) - m].all()
+        # the grid reaches both bounds exactly and straddles them
+        assert set(lower[-14:-7].tolist()) == set(upper[-7:].tolist()) == {False, True}
 
 
 # ---------------------------------------------------------------------------
