@@ -152,15 +152,18 @@ def run_criterion(
 
 
 def _longest_run(mask: np.ndarray):
-    """Length and start of the longest run of True, vectorized."""
-    if len(mask) == 0 or not mask.any():
+    """Length and start of the first longest run of True, vectorized.
+
+    Only the run edges are indexed, so no full-length integer array is
+    formed: at 2^15 weights those were 256 KB each, allocated and faulted
+    in afresh several times per level.
+    """
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    if len(edges) == 0:
         return 0, -1
-    pos = np.arange(len(mask))
-    last_false = np.maximum.accumulate(np.where(~mask, pos, -1))
-    runlen = np.where(mask, pos - last_false, 0)
-    end = int(np.argmax(runlen))
-    best = int(runlen[end])
-    return best, end - best + 1
+    lengths = edges[1::2] - edges[::2]
+    i = int(np.argmax(lengths))
+    return int(lengths[i]), int(edges[2 * i])
 
 
 def tridiagonal_parts(w: WeightSequence, lam: complex, n: int):
@@ -237,32 +240,27 @@ def character_set_scan(
 
 def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
     """The one evidence path: X_N is built and solved once per distinct
-    |lambda| and truncation, and each lambda is stamped onto the run, gap
-    and trend evidence of its modulus."""
+    |lambda| and truncation, one at a time so that memory stays O(N), and
+    each lambda is stamped onto the run, gap and trend evidence of its
+    modulus."""
     if not lams:
         return []
     usable_n = _usable_schedule(cfg, w)
-    mods = list(dict.fromkeys(lambda_modulus(lam) for lam in lams))
-    sigma = {r: [] for r in mods}
-    for n in usable_n:
-        diags, offs = zip(*(tridiagonal_parts(w, r, n) for r in mods))
-        for r, v in zip(mods, lambda_min_batch(np.array(diags), np.array(offs))):
-            sigma[r].append(math.sqrt(max(float(v), 0.0)))
-
     eps_schedule, d_schedule = cfg.run_levels()
     k_max = min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2
     evidence = {}
-    for r in mods:
+    for r in dict.fromkeys(lambda_modulus(lam) for lam in lams):
+        sigma = [math.sqrt(max(float(lambda_min_batch(*tridiagonal_parts(w, r, n))[0]), 0.0)) for n in usable_n]
         runs = run_criterion(w, r, eps_schedule, d_schedule, k_max=k_max)
         # a positive delta certifies X >= delta^2/2, checked against
         # lambda_min of the deepest truncation
         d = runs.delta
-        gap = None if d <= 0.0 else GapEvidence("gap", d, d * d / 2.0, sigma[r][-1] ** 2, usable_n[-1])
+        gap = None if d <= 0.0 else GapEvidence("gap", d, d * d / 2.0, sigma[-1] ** 2, usable_n[-1])
         trend = TrendEvidence(
             kind="sigma_trend",
             ns=tuple(usable_n),
-            sigma_min=tuple(sigma[r]),
-            classification=classify_trend(sigma[r], cfg.trend),
+            sigma_min=tuple(sigma),
+            classification=classify_trend(sigma, cfg.trend),
         )
         evidence[r] = (runs, gap, trend)
     return [_assemble_verdict(lam, *evidence[lambda_modulus(lam)], cfg) for lam in lams]

@@ -1,0 +1,124 @@
+"""The LAPACK and BLAS routines the solvers call, from scipy's compiled
+extension modules, without importing ``scipy.linalg``.
+
+``import scipy.linalg`` costs about 0.3 s and 17 MB of start-up for six
+routines; loading ``scipy/linalg/_flapack`` and ``_fblas`` from their
+files costs about 10 ms and runs none of that package.  A module is
+loaded on first use.  Each wrapper makes the argument choices and the
+``info`` check of the scipy function it replaces (named in its
+docstring), so results are the same bit for bit: a negative info raises
+ValueError and a positive one ``numpy.linalg.LinAlgError`` (a ValueError
+too).  A missing module or routine raises OSError naming it; there is no
+fallback.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+
+def _linalg_dir() -> Path:
+    """scipy's ``linalg`` folder, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise OSError("scipy is not installed; its compiled LAPACK and BLAS modules are needed")
+    return Path(spec.submodule_search_locations[0]) / "linalg"
+
+
+@functools.cache
+def _load(module: str):
+    """scipy's extension module ``linalg/<module>``, loaded from its file
+    under its own name, so a later ``import scipy.linalg`` reuses it."""
+    folder = _linalg_dir()
+    paths = [folder / (module + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise OSError(f"scipy's compiled module {module} not found in {folder}")
+    spec = importlib.util.spec_from_file_location(f"scipy.linalg.{module}", path)
+    try:
+        ext = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ext)
+    except ImportError as exc:
+        raise OSError(f"cannot load scipy's compiled module {module} from {path}: {exc}") from exc
+    return ext
+
+
+def _routine(module: str, name: str):
+    try:
+        return getattr(_load(module), name)
+    except AttributeError:
+        raise OSError(f"scipy's compiled module {module} has no routine {name}") from None
+
+
+def _check(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
+
+
+def dstebz(d, e) -> float:
+    """Smallest eigenvalue of the real symmetric tridiagonal with diagonal
+    ``d`` and off-diagonal ``e``, by bisection on Sturm counts: scipy's
+    ``eigvalsh_tridiagonal(d, e, select='i', select_range=(0, 0),
+    lapack_driver='stebz')[0]``.  ValueError on non-finite input."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if len(d) == 1:
+        return d[0]
+    # range 2 selects eigenvalues il..iu by index (vl, vu unread); tol 0
+    # is LAPACK's default; order 'E' sorts the whole matrix's eigenvalues
+    _, w, _, _, info = _routine("_flapack", "dstebz")(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    _check(info, "dstebz")
+    return w[0]
+
+
+def zpbtrf(band: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the Hermitian matrix whose lower band is
+    ``band``: scipy's ``cholesky_banded(band, lower=True,
+    check_finite=False)``; LinAlgError when it is not positive definite."""
+    factor, info = _routine("_flapack", "zpbtrf")(band, lower=1)
+    _check(info, "zpbtrf")
+    return factor
+
+
+def zpbtrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b, A's lower band Cholesky factor ``factor`` from
+    ``zpbtrf``: scipy's ``cho_solve_banded((factor, True), b,
+    check_finite=False)``."""
+    x, info = _routine("_flapack", "zpbtrs")(factor, b, lower=1)
+    _check(info, "zpbtrs")
+    return x
+
+
+def zhbevx(band) -> float:
+    """Largest eigenvalue of the Hermitian matrix whose lower band is
+    ``band`` (N columns): scipy's ``eigvals_banded(band, lower=True,
+    select='i', select_range=(N - 1, N - 1))[0]``.  ValueError on
+    non-finite input."""
+    band = np.asarray_chkfinite(band)
+    n = band.shape[1]
+    # scipy's choices: the absolute tolerance dsbevx's manual advises, and
+    # room for one eigenvalue, the n-th by index
+    abstol = 2 * _routine("_flapack", "dlamch")("s")
+    w, _, _, _, info = _routine("_flapack", "zhbevx")(
+        band, 0.0, 1.0, n, n, compute_v=0, mmax=1, range=2, lower=1, overwrite_ab=0, abstol=abstol
+    )
+    _check(info, "zhbevx")
+    return w[0]
+
+
+def dgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c + a b, written into ``c`` (Fortran order) and returned: scipy's
+    ``blas.dgemm(1.0, a, b, beta=1.0, c=c, overwrite_c=1)``."""
+    return _routine("_fblas", "dgemm")(1.0, a, b, beta=1.0, c=c, overwrite_c=1)
+
+
+def zhbmv(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x for the Hermitian A whose lower band is ``band``: scipy's
+    ``blas.zhbmv(q, 1.0, band, x, lower=1)``, q the half-width."""
+    return _routine("_fblas", "zhbmv")(band.shape[0] - 1, 1.0, band, x, lower=1)

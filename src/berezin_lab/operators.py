@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import exprs
+from . import exprs, lapack
 from .spaces import BallSpace, KernelSpace, TruncationError, kernel_vector
 from .trends import BOUNDED_BELOW, INCONCLUSIVE, VANISHING, TrendThresholds, classify_trend
 from .tridiag import band_lambda_min, gamma_k
@@ -107,13 +107,9 @@ def _truncated_sum_sigma_max(space: KernelSpace, phis, psis, n: int) -> float:
     whose column c holds e_k for every k = c mod (2q + 1): the columns
     H e_k that one column of C sums have disjoint supports, each within q
     of its k.  Both products are ``exprs.apply`` of the operator tree;
-    LAPACK's band solver (``?hbevx``) gives lambda_max in O(n^2 q) time
-    and O(n q) memory.
+    LAPACK's band solver (``lapack.zhbevx``) gives lambda_max in O(n^2 q)
+    time and O(n q) memory.
     """
-    # imported here, as in ``tridiag``, so that importing the CLI stays
-    # free of scipy
-    from scipy.linalg import eigvals_banded
-
     phis = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in phis]
     psis = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in psis]
     for c in (*phis, *psis):
@@ -138,8 +134,7 @@ def _truncated_sum_sigma_max(space: KernelSpace, phis, psis, n: int) -> float:
         # H[k + d, k] sits in row k + d, column k mod width, of A^H A C
         band[d, : n - d] = columns[(k[: n - d] + d) * width + k[: n - d] % width]
     # LAPACK reads the diagonal as real, dropping its rounding-level imaginary parts
-    lam = eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
-    return math.sqrt(max(float(lam[0]), 0.0))
+    return math.sqrt(max(float(lapack.zhbevx(band)), 0.0))
 
 
 def norm_lower_bound_check(
@@ -373,11 +368,6 @@ def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
     coefficient products, summed over blocks of n_cols values of s, in
     O((q + 1) n_cols + p) memory.
     """
-    # scipy's BLAS: a numpy GEMM wakes numpy's own OpenBLAS threads, which
-    # then spin against the scipy Cholesky solves that follow (probes
-    # benchmark 1.37 -> 1.54 s on a 2-vCPU VM)
-    from scipy.linalg.blas import dgemm
-
     p = len(coeffs) - 1
     q = min(p, n_cols - 1)
     h = space.h_table(n_cols + p - 1)
@@ -392,7 +382,10 @@ def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
         # whose real and imaginary parts the GEMM sees as adjacent columns
         hankel = np.ascontiguousarray(sliding_window_view(h[s0 : s1 + n_cols - 1], s1 - s0))
         products = c[s0:s1, None].conj() * c_windows[s0:s1]
-        t = dgemm(1.0, products.view(float).T, hankel.T, beta=1.0, c=t, overwrite_c=1)
+        # scipy's BLAS (``lapack.dgemm``): a numpy GEMM wakes numpy's own
+        # OpenBLAS threads, which then spin against the Cholesky solves
+        # that follow (probes benchmark 1.37 -> 1.54 s on a 2-vCPU VM)
+        t = lapack.dgemm(products.view(float).T, hankel.T, t)
     t = t.T.view(complex)
     root = np.sqrt(h[:n_cols])
     band = np.zeros((q + 1, n_cols), dtype=complex)

@@ -3,7 +3,7 @@
 Eigenvalues of a Hermitian tridiagonal matrix depend on the off-diagonal
 entries only through their moduli (conjugation by a unimodular diagonal),
 so complex off-diagonals are accepted and replaced by their moduli.  The
-eigenvalue comes from LAPACK ``?stebz`` through scipy: bisection on Sturm
+eigenvalue comes from LAPACK ``dstebz`` (``lapack``): bisection on Sturm
 counts (W. Kahan, "Accurate eigenvalues of a symmetric tri-diagonal
 matrix", Stanford CS TR 41, 1966), O(N) work per step and O(N) memory,
 which keeps truncation sizes up to 10^6 practical.
@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from . import lapack
+
 _U = float(np.finfo(float).eps) / 2  # unit roundoff
 # bounds the absolute error of a product that underflows (Higham, §2.2);
 # sums of subnormals are exact
@@ -38,10 +40,6 @@ def lambda_min_batch(diags, offs) -> np.ndarray:
 
     ``diags`` has shape (B, N) and ``offs`` shape (B, N-1).
     """
-    # imported here because scipy.linalg takes about 0.3 s and 26 MB to
-    # load, which every CLI start-up would otherwise pay
-    from scipy.linalg import eigvalsh_tridiagonal
-
     diags = np.atleast_2d(np.asarray(diags, dtype=float))
     offs = np.atleast_2d(np.asarray(offs))
     b, n = diags.shape
@@ -49,15 +47,7 @@ def lambda_min_batch(diags, offs) -> np.ndarray:
         raise ValueError("empty matrix")
     if offs.shape != (b, n - 1):
         raise ValueError(f"off-diagonal shape {offs.shape} does not match {(b, n - 1)}")
-    return np.array(
-        [
-            eigvalsh_tridiagonal(
-                d, e, select="i", select_range=(0, 0), lapack_driver="stebz"
-            )[0]
-            for d, e in zip(diags, np.abs(offs))
-        ],
-        dtype=float,
-    )
+    return np.array([lapack.dstebz(d, e) for d, e in zip(diags, np.abs(offs))], dtype=float)
 
 
 def _shifted_cholesky(band: np.ndarray, sigma: float):
@@ -86,13 +76,11 @@ def _shifted_cholesky(band: np.ndarray, sigma: float):
     matrices of ``band_lambda_min`` (entries below 1, shifts above
     -2(2q + 1), so r_ii below sqrt(4q + 3)).
     """
-    from scipy.linalg import LinAlgError, cholesky_banded
-
     shifted = band.copy()
     shifted[0] = band[0].real - sigma
     try:
-        factor = cholesky_banded(shifted, lower=True, check_finite=False)
-    except LinAlgError:
+        factor = lapack.zpbtrf(shifted)
+    except np.linalg.LinAlgError:
         return None
     err = _cholesky_error(band.shape[0] - 1, band.shape[1], float(np.max(shifted[0].real)))
     return float(np.nextafter(sigma - err, -math.inf)), factor
@@ -124,9 +112,6 @@ def band_lambda_min(band) -> tuple:
     by a ``?hbmv`` product, and hi that quotient plus a bound on its
     rounding.
     """
-    from scipy.linalg import cho_solve_banded
-    from scipy.linalg.blas import zhbmv
-
     band = np.asarray(band, dtype=complex)
     n = band.shape[1]
     if n == 0:
@@ -195,7 +180,7 @@ def band_lambda_min(band) -> tuple:
     for _ in range(100):
         # z = (A - sigma I)^{-1} x for a unit x, so the Rayleigh quotient of
         # z is sigma + t and its residual (x - t z) / ||z||
-        z = cho_solve_banded((factor, True), x, check_finite=False)
+        z = lapack.zpbtrs(factor, x)
         z_norm = np.linalg.norm(z)
         t = float(np.vdot(x, z).real) / z_norm**2
         rho, res = sigma + t, float(np.linalg.norm(x - t * z)) / z_norm
@@ -213,7 +198,7 @@ def band_lambda_min(band) -> tuple:
             last_drop = math.inf
         elif settled:
             break
-    y = zhbmv(q, 1.0, band, x, lower=1)
+    y = lapack.zhbmv(band, x)
     # lambda_min(A) >= lo, so a quotient rounded below lo reads as lo
     best = max(float(np.vdot(x, y).real / np.vdot(x, x).real), lo)
     hi = best + slack(best)

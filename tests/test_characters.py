@@ -7,6 +7,7 @@ from berezin_lab.characters import (
     MEMBER,
     NON_MEMBER,
     CharacterConfig,
+    _longest_run,
     character_membership,
     character_set_scan,
     run_criterion,
@@ -70,6 +71,22 @@ def test_runs_cluster_set_unbounded():
         cur = cur + 1 if a == 0.5 else 0
         longest = max(longest, cur)
     assert longest >= 2 ** 6 + 2
+
+
+def test_longest_run_matches_loop():
+    # the first longest run of True, by a direct scan
+    def loop(mask):
+        best, start, cur = 0, -1, 0
+        for i, m in enumerate(mask):
+            cur = cur + 1 if m else 0
+            if cur > best:
+                best, start = cur, i - cur + 1
+        return best, start
+
+    for n in (0, 1, 2, 3, 7, 64, 1000):
+        for p in (0.0, 0.3, 0.7, 0.95, 1.0):
+            mask = rng.random(n) < p
+            assert _longest_run(mask) == loop(mask), (n, p)
 
 
 def test_runs_schedule_validation():

@@ -506,16 +506,31 @@ def test_every_json_output_is_strict(tmp_path, capsys):
         assert isinstance(doc, dict), argv
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # the tridiagonal solver imports scipy on first use, so start-up
-    # (every subcommand, including those that never solve) does not pay it
-    src = str(Path(berezin_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # start-up (every subcommand, including those that never solve) loads
+    # nothing of scipy, and the solvers load only its compiled LAPACK and
+    # BLAS modules (``lapack``): full charscan and probes benchmark passes
+    # never import the scipy.linalg package
+    src = Path(berezin_lab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = """
+import os, sys
+from pathlib import Path
+import berezin_lab.cli as cli
+print('scipy' in sys.modules)
+sys.path.insert(0, sys.argv[1])
+import workloads
+for w in ('charscan', 'probes'):
+    invocations = workloads.build(w, 0, Path(sys.argv[2]) / w)
+    os.chdir(Path(sys.argv[2]) / w)
+    ok = all(cli.main(list(inv.argv)) == inv.expect for inv in invocations)
+    print(w, ok, 'scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)
+"""
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, berezin_lab.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script, str(src.parent / "perfbench"), str(tmp_path)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[-4:] == ["False", "charscan True False True", "probes True False True", ""]
 
 
 def test_fail_exit_1(tmp_path):

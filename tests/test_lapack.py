@@ -1,0 +1,118 @@
+"""The LAPACK/BLAS wrappers against the scipy functions they replace, bit
+for bit, and the exit code when scipy's compiled modules are missing."""
+
+import types
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.linalg import blas
+
+from berezin_lab import lapack
+from berezin_lab.cli import main
+from berezin_lab.tridiag import _shifted_cholesky, lambda_min_batch
+
+rng = np.random.default_rng(1817)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def hpd_band(q, n):
+    """Lower band (q + 1, n) of a Hermitian positive definite matrix."""
+    band = rng.standard_normal((q + 1, n)) + 1j * rng.standard_normal((q + 1, n))
+    band[0] = 2 * q + 2 + rng.uniform(0, 1, n)
+    return band
+
+
+BANDS = [(0, 1), (0, 7), (1, 2), (1, 64), (3, 5), (4, 300), (9, 40)]
+
+
+@pytest.mark.parametrize("n", [1, 2, *map(int, rng.integers(1, 3001, 48))])
+def test_dstebz_matches_eigvalsh_tridiagonal(n):
+    d = rng.standard_normal(n) * rng.uniform(0.1, 10)
+    e = np.abs(rng.standard_normal(n - 1))
+    want = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), lapack_driver="stebz")
+    assert_same_bits(lapack.dstebz(d, e), want[0])
+
+
+def test_non_finite_input_raises_value_error():
+    d, e = np.ones(4), np.ones(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            lapack.dstebz(np.r_[d[:3], bad], e)
+        with pytest.raises(ValueError):
+            lapack.dstebz(d, np.r_[e[:2], -bad])
+        with pytest.raises(ValueError):
+            lapack.dstebz([bad], [])
+        with pytest.raises(ValueError):
+            lambda_min_batch([np.r_[d[:3], bad]], [e])
+        band = hpd_band(2, 6)
+        band[1, 2] = bad
+        with pytest.raises(ValueError):
+            lapack.zhbevx(band)
+
+
+@pytest.mark.parametrize("q, n", BANDS)
+def test_zpbtrf_and_zpbtrs_match_cholesky_banded(q, n):
+    band = hpd_band(q, n)
+    factor = lapack.zpbtrf(band)
+    assert_same_bits(factor, scipy.linalg.cholesky_banded(band, lower=True, check_finite=False))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = scipy.linalg.cho_solve_banded((factor, True), b, check_finite=False)
+    assert_same_bits(lapack.zpbtrs(factor, b), want)
+    # a shift past lambda_min fails in both, and reads as no certificate
+    shifted = band.copy()
+    shifted[0] -= 10 * (2 * q + 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False)
+    with pytest.raises(np.linalg.LinAlgError):
+        lapack.zpbtrf(shifted)
+    assert _shifted_cholesky(band, 10 * (2 * q + 2)) is None
+
+
+@pytest.mark.parametrize("q, n", BANDS)
+def test_zhbevx_matches_eigvals_banded(q, n):
+    band = hpd_band(q, n)
+    band[0] -= 2 * q + 2  # an indefinite matrix as well
+    want = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
+    assert_same_bits(lapack.zhbevx(band), want[0])
+
+
+@pytest.mark.parametrize("q, n", BANDS)
+def test_blas_matches_scipy_blas(q, n):
+    band = hpd_band(q, n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_same_bits(lapack.zhbmv(band, x), blas.zhbmv(q, 1.0, band, x, lower=1))
+    # the transposed views and Fortran-order accumulator of operators._gram_band
+    a = rng.standard_normal((q + 3, 2 * (q + 1))).T
+    b = rng.standard_normal((n, q + 3)).T
+    c = np.asfortranarray(rng.standard_normal((2 * (q + 1), n)))
+    want = blas.dgemm(1.0, a, b, beta=1.0, c=c.copy(order="F"), overwrite_c=1)
+    got = lapack.dgemm(a, b, c)
+    assert_same_bits(got, want)
+    assert np.shares_memory(got, c)
+
+
+CHARSPACE = ["charspace", "--weights", "simple:r=0.5", "--weight-count", "512",
+             "--lambda-grid", "mod=0:1:0.5,args=1"]
+FREDHOLM = ["probe", "fredholm", "--space", "bergman", "--z0", "0.9"]
+
+
+def test_missing_extension_module_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapack, "_linalg_dir", lambda: tmp_path)
+    lapack._load.cache_clear()
+    # charspace first needs dstebz; fredholm's Gram band first needs dgemm
+    for argv, module in ((CHARSPACE, "_flapack"), (FREDHOLM, "_fblas")):
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        assert f"module {module} not found in {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_missing_routine_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(lapack, "_load", lambda module: types.SimpleNamespace())
+    assert main(CHARSPACE + ["--out", str(tmp_path / "out.json")]) == 2
+    assert "_flapack has no routine dstebz" in capsys.readouterr().err

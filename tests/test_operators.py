@@ -370,7 +370,7 @@ def test_norm_lower_bound_memory_is_banded():
     # path holds O(N q) entries, q = 10 here
     r = np.random.default_rng(7)
     phis, psis = _normalized_family(r, 3)
-    norm_lower_bound_check(hardy, phis, psis, 64)  # scipy.linalg imported outside the trace
+    norm_lower_bound_check(hardy, phis, psis, 64)  # LAPACK modules loaded outside the trace
     tracemalloc.start()
     try:
         norm_lower_bound_check(hardy, phis, psis, 2048)
