@@ -65,7 +65,7 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
     kernel tail scaled by a coarse norm bound of the expression.
     """
     kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-    value = complex(np.vdot(kv.v, exprs.apply(node, kv.a, kv.v)))
+    value = exprs.inner(kv.v, exprs.apply(node, kv.a, kv.v))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 

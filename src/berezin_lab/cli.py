@@ -23,9 +23,10 @@ passed, 1 a verdict failed, 2 usage or parameter error (any
 the ``charspace`` lambda grid, ``--weight-count`` of ``charspace`` and
 ``shift``, the ``peaks`` grids (``--grid``, and ``--grid-s`` times
 ``--grid-phi`` squared for the ball), and ``probe normbound --truncation``,
-``--families`` and ``probe wot --block`` at 2^14; normbound's estimated
-work per family (``_normbound_work``) is capped at its value at
-``--truncation`` 2^14, ``--degree`` 5.
+``--families`` and ``probe wot --block`` at 2^14, ``probe spherical --n`` at
+256 and its n * C(n + degree, n)^2 coordinate-matrix entries at 2^23;
+normbound's estimated work per family (``_normbound_work``) is capped at
+its value at ``--truncation`` 2^14, ``--degree`` 5.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -35,6 +36,7 @@ them through ``berezin.gbt_profile`` and the one transform,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -121,6 +123,12 @@ def _normbound_work(n: int, degree: int) -> int:
 # the work of one degree-5 family at the largest truncation, 24-34 s on a
 # 2-vCPU VM
 _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
+
+# largest stacked coordinate matrix of ``probe spherical`` (its --n is at
+# most 2^8): n matrices of C(n + degree, n)^2 entries, 64 MiB of float64 in
+# each of its two stacks; at the cap's edge --n 1 --degree 2895 took 11.6 s
+# and 228 MB, --n 2 --degree 62 5.2 s and 220 MB on a 2-vCPU VM
+_SPHERICAL_CAP = 2 ** 23
 
 # largest lambda modulus whose doubled square is a finite float
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
@@ -257,7 +265,16 @@ def cmd_probe(args):
         passed = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
         return {**rep, "passed": passed}, passed
     if args.kind == "spherical":
-        rep = spherical_contraction_check(ball_space(args.n, args.degree, args.ball_kind))
+        # the entries reach (d + 1)^2, so bounding n and d first keeps the
+        # binomial small; n < 1 and d < 0 are left to ``ball_space``
+        n, d = args.n, args.degree
+        too_big = n > 2 ** 8 or d > math.isqrt(_SPHERICAL_CAP)
+        if too_big or n >= 1 and d >= 0 and n * math.comb(n + d, n) ** 2 > _SPHERICAL_CAP:
+            raise ValueError(
+                f"--n {n} with --degree {d}: probe spherical takes --n at most 256 and at most "
+                f"2^23 coordinate-matrix entries, n * C(n + degree, n)^2"
+            )
+        rep = spherical_contraction_check(ball_space(n, d, args.ball_kind))
         return rep, rep["passed"]
     if args.kind == "wot":
         if args.geometric is None and not args.phi:
@@ -304,7 +321,10 @@ def cmd_probe(args):
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it was and returns a fresh namespace on every call."""
     top = argparse.ArgumentParser(
         prog="berezin-lab",
         description="numerical probes for symbol transforms on disk kernel spaces",

@@ -421,6 +421,24 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def inner(v: np.ndarray, w: np.ndarray) -> complex:
+    """sum_i conj(v_i) w_i, the value of ``np.vdot(v, w)``, in one fixed
+    order: w is conjugated and multiplied by v in place (the caller gives
+    up w, as it may an ``apply`` result), and ``np.sum`` adds the products
+    by numpy's pairwise summation on one thread, so the bits do not depend
+    on how many threads the BLAS library runs.
+
+    Error bound (Higham, ch. 3 and 4; u = 2^-53, gamma_k = k u/(1 - k u)):
+    each complex product is within sqrt(2) gamma_2 <= gamma_3 of its exact
+    value, and the pairwise sum of n entries passes each through at most
+    L = ceil(log2 n) + 20 additions (blocks of at most 64 entries summed by
+    four accumulators and a three-add remainder), so
+    |inner - exact| <= gamma_(L+3) sum_i |v_i| |w_i|."""
+    np.conjugate(w, out=w)
+    w *= v
+    return complex(np.sum(w)).conjugate()
+
+
 def raise_degree(node) -> int:
     """Upper bound on how far the expression can push coefficients up."""
     if isinstance(node, Mz):

@@ -19,17 +19,22 @@ name, read through ``formats.read_columns``); their invariants are
 validated at load time, a malformed table raises ``ValueError``, and the
 table length bounds the usable truncation.
 
-Kernel coordinates need the powers conj(z)^0 .. conj(z)^(n-1), with n up
-to 2^18 near the boundary.  ``_conj_powers`` is the one place that forms
-them: with b = isqrt(n) it takes the short tables c^(b*j) and c^i and
-multiplies them, c^(b*j + i) = c^(b*j) * c^i, so about 2*sqrt(n) complex
-powers replace n of them.  Entry k carries a relative error of about
-k*eps, the same as the direct power conj(z) ** k.
+Kernel coordinates need the powers conj(z)^0 .. conj(z)^(n-1), with n
+from 1.38e5 (hardy) to 1.70e5 (rs(3)) at |z| = 0.9999, tol 1e-12.
+``_conj_powers`` is the one place that forms them: with b = isqrt(n) it
+takes the short tables c^(b*j) and c^i and multiplies them,
+c^(b*j + i) = c^(b*j) * c^i, so about 2*sqrt(n) complex powers replace n
+of them.  Entry k carries a relative error of about k*eps, the same as the
+direct power conj(z) ** k.
 
 The truncation loop of ``kernel_vector`` forms each real power r2^k and
-each term r2^k / h_k once: a doubling of the truncation adds only the new
-terms to one buffer, and one norm table, sized by a predicted stop, serves
-the loop and the shift weights of the padded frame it returns.  Built-in
+each term r2^k / h_k once: a longer truncation adds only the new terms to
+one buffer, and one norm table, sized by a predicted stop, serves the loop
+and the shift weights of the padded frame it returns.  After a truncation
+fails its tail test, the next one is the first index whose own tail bound,
+read off that table, passes against the failed partial sum; on the test
+points a kernel vector stops within 0.2% of the smallest truncation that
+passes, where the next power of two overshot by up to 2x.  Built-in
 tables are prefix-stable (h_0..h_n do not depend on how far the table
 reaches), so reading a prefix of a longer table gives the same bits.  The
 coefficients are normalized in place, inside the zero-padded frame vector.
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import combinations
 
 import numpy as np
 
@@ -231,15 +236,25 @@ class KernelVector:
         return len(self.coeffs)
 
 
-def _first_doubling(n: int, tol: float, n0: int, t0: float, q: float, partial: float) -> int:
-    """The first of n, 2n, 4n, ... (capped at ``N_CAP``) at which the
-    geometric tail t0 q^(m - n0) / (1 - q), relative to ``partial``, falls
-    below tol / 2; n itself when q >= 1."""
-    if not q < 1:
+def _predicted_stop(n: int, tol: float, n0: int, t0: float, q: float, partial: float) -> int:
+    """The first index m >= n (capped at ``N_CAP``) at which the geometric
+    majorant t0 q^(m - n0) / (1 - q) of the series' tail, relative to
+    ``partial``, falls below tol / 2; n itself when the majorant predicts
+    nothing (q >= 1) or vanishes (q = 0 or t0 = 0)."""
+    if not 0 < q < 1 or t0 == 0:
         return n
-    while n < N_CAP and 2.0 * t0 * q ** (n - n0) >= tol * (1.0 - q) * partial:
-        n = min(2 * n, N_CAP)
-    return n
+    bound = tol * (1.0 - q) * partial
+    if 2.0 * t0 * q ** (n - n0) < bound:
+        return n
+    if not bound > 0:
+        return N_CAP
+    # the logarithm's estimate, then the same float test at its neighbours
+    m = min(max(n0 + math.ceil(math.log(bound / (2.0 * t0)) / math.log(q)), n + 1), N_CAP)
+    while m > n + 1 and 2.0 * t0 * q ** (m - 1 - n0) < bound:
+        m -= 1
+    while m < N_CAP and not 2.0 * t0 * q ** (m - n0) < bound:
+        m += 1
+    return m
 
 
 def _norm_table(space: KernelSpace, n: int, want: int) -> np.ndarray:
@@ -260,10 +275,16 @@ def kernel_vector(
 ) -> KernelVector:
     """Adaptively truncated kernel vector with relative tail below ``tol``.
 
-    The truncation grows geometrically until the omitted mass of the
-    K(z,z) series, bounded by a geometric majorant with ratio
-    ``|z|^2 / a_N^2`` (the built-in weight sequences are non-decreasing),
-    drops below ``tol`` of the partial sum.  Capped at ``N_CAP``.
+    The truncation N grows until the omitted mass of the K(z,z) series,
+    bounded by a geometric majorant with ratio ``|z|^2 / a_N^2`` (the
+    built-in weight sequences are non-decreasing), drops below ``tol`` of
+    the partial sum.  From a failed N the search looks no further than
+    min(2N, m*), m* being the index at which N's own majorant predicts
+    tol / 2; within that range it steps to the first index whose tail
+    bound, against N's partial sum (a lower bound on the partial sum
+    there), is below ``tol``.  The test at the new index decides, so a
+    step that falls short costs one more step, never a looser tail.
+    Capped at ``N_CAP``.
 
     The coefficients take their powers from ``_conj_powers``, so entry k
     has a relative error of about k*eps (as the direct power would); the
@@ -282,62 +303,80 @@ def kernel_vector(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     r2 = abs(z) ** 2
+    # tail majorant: t_{k+1}/t_k = r2/a_k^2 <= r2/a_min^2 beyond index n;
+    # built-in weight sequences are non-decreasing, so a_min^2 is the
+    # ratio at the truncation point; custom tables use their smallest
+    # ratio from that point to the end of the stored table (and are
+    # assumed not to dip below it past their end)
+    floor = None if space.extendable else np.minimum.accumulate((space.h[1:] / space.h[:-1])[::-1])[::-1]
+
+    def tail(m: int, partial: float):
+        """(t_m, q, rel): the first term truncation m omits, the ratio that
+        bounds the terms past it, and the relative tail bound against
+        ``partial``, rounded outward."""
+        if r2 == 0.0:
+            return 0.0, 0.0, 0.0
+        q = r2 / (h[m] / h[m - 1] if floor is None else floor[m - 1])
+        t_m = r2 ** m / h[m]
+        tail_abs = math.inf if q >= 1 else t_m / (1.0 - q)
+        # Outward rounding.  With u = eps/2, r2 = fl(|z|^2) = |z|^2 (1 + d),
+        # |d| <= 3u (an ulp from abs, half an ulp from squaring).  Where the
+        # majorant is exact (a constant ratio past m: hardy, mu) rel equals
+        # r2^m / (1 - r2^m), whose logarithmic derivative in r2 is
+        # m (1 + rel), so d moves it by at most 3m (1 + tol) u.  The
+        # arithmetic adds 2u per term (power, division), log2(m) u for the
+        # pairwise sum, 2u for q and 2u for the two last divisions; 1/(1 - q)
+        # amplifies the error of q by q/(1 - q) <= m/ln(1 + 1/tol), because
+        # rel < tol forces r2^m < tol/(1 + tol).  For tol <= 1e-3 and
+        # m >= 32 all of it stays below 4mu = 2m eps; the factor doubles
+        # that and stays below 4 N_CAP eps < 1e-9.  On bergman and rs(s),
+        # s >= 2, the majorant's ratio exceeds the true one by about
+        # (s - 1) r2/m^2, a far larger margin.
+        return t_m, q, tail_abs / partial * (1.0 + 4.0 * m * _EPS)
+
     # the norm table reaches past h_n by one entry for the loop (as a table
-    # of its own would) and by pad - 1 for the frame's weights; it is sized
-    # for a predicted stop: first that of the hardy series, whose relative
-    # tail is about r2^n, then, should that fall short, the geometric
-    # majorant of the last truncation tried, an upper bound on the stop
+    # of its own would) and by pad - 1 for the frame's weights; it and the
+    # buffer of terms are sized for a predicted stop: first that of the
+    # hardy series, whose relative tail is about r2^n, then, should that
+    # fall short, the one the last failed truncation's majorant predicts
     reach = max(pad - 1, 1)
-    series = (0, 1.0, r2, 1.0 / (1.0 - r2))  # (n, t_n, ratio, partial sum) to extrapolate
     h = None
     terms = np.empty(0)  # t_k = r2^k / h_k; t_0..t_(done-1) are formed
     done = 0
     n = max(n_start, pad)
+    stop = _predicted_stop(n, tol, 0, 1.0, r2, 1.0 / (1.0 - r2))
+    failed = None  # (n, partial sum) of the last truncation that failed
     while True:
-        if h is None or space.extendable and len(h) <= n + 1:
-            h = _norm_table(space, n, _first_doubling(n, tol, *series) + reach)
+        if h is None or len(terms) < n or space.extendable and len(h) <= n + 1:
+            size = max(stop, n) + reach
+            if h is None or space.extendable:
+                h = _norm_table(space, n, size)
+            grown = np.arange(min(size, len(h)), dtype=float)
+            grown[:done] = terms[:done]
+            terms = grown
         if n + 1 >= len(h):  # the end of a custom table
             if len(h) < 2:
                 space.h_table(n + 1)  # raises: no table to truncate
             n = len(h) - 1
-        if len(terms) < n:
-            grown = np.arange(min(_first_doubling(n, tol, *series) + reach, len(h)), dtype=float)
-            grown[:done] = terms[:done]
-            terms = grown
+        if failed is not None and tail(n, failed[1])[2] < tol:
+            # the first index past the failed truncation whose own tail
+            # bound passes against that truncation's partial sum, which the
+            # partial sum at the index can only exceed (the bound falls
+            # with the index, so none does when n's own does not)
+            lo, below = failed[0], n
+            while below - lo > 1:
+                mid = (lo + below) // 2
+                if tail(mid, failed[1])[2] < tol:
+                    below = mid
+                else:
+                    lo = mid
+            n = below
         new = terms[done:n]
         np.power(r2, new, out=new)
         np.divide(new, h[done:n], out=new)
         done = n
         partial = float(np.sum(terms[:n]))
-        # tail majorant: t_{k+1}/t_k = r2/a_k^2 <= r2/a_min^2 beyond index n;
-        # built-in weight sequences are non-decreasing, so a_min^2 is the
-        # ratio at the truncation point; custom tables use their smallest
-        # ratio from that point to the end of the stored table (and are
-        # assumed not to dip below it past their end)
-        if r2 == 0.0:
-            q = t_next = tail_abs = 0.0
-        else:
-            if space.extendable:
-                a_min_sq = h[n] / h[n - 1]
-            else:
-                a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
-            q = r2 / a_min_sq
-            t_next = r2 ** n / h[n]
-            tail_abs = math.inf if q >= 1 else t_next / (1.0 - q)
-        # Outward rounding.  With u = eps/2, r2 = fl(|z|^2) = |z|^2 (1 + d),
-        # |d| <= 3u (an ulp from abs, half an ulp from squaring).  Where the
-        # majorant is exact (a constant ratio past n: hardy, mu) rel equals
-        # r2^n / (1 - r2^n), whose logarithmic derivative in r2 is
-        # n (1 + rel), so d moves it by at most 3n (1 + tol) u.  The
-        # arithmetic adds 2u per term (power, division), log2(n) u for the
-        # pairwise sum, 2u for q and 2u for the two last divisions; 1/(1 - q)
-        # amplifies the error of q by q/(1 - q) <= n/ln(1 + 1/tol), because
-        # rel < tol forces r2^n < tol/(1 + tol).  For tol <= 1e-3 and
-        # n >= 32 all of it stays below 4nu = 2n eps; the factor doubles
-        # that and stays below 4 N_CAP eps < 1e-9.  On bergman and rs(s),
-        # s >= 2, the majorant's ratio exceeds the true one by about
-        # (s - 1) r2/n^2, a far larger margin.
-        rel = tail_abs / partial * (1.0 + 4.0 * n * _EPS)
+        t_next, q, rel = tail(n, partial)
         if rel < tol:
             # the coefficients are normalized in place, in the padded frame
             v = _conj_powers(z, n, n + pad)
@@ -361,8 +400,12 @@ def kernel_vector(
             raise TruncationError(
                 f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}"
             )
-        series = (n, t_next, q, partial)
-        n = min(2 * n, N_CAP)
+        # the next truncation: at most twice this one and at most the stop
+        # that this one's majorant predicts, stepped back above as far as
+        # the tail bounds read off the table allow
+        stop = _predicted_stop(n, tol, n, float(t_next), float(q), partial)
+        failed = (n, partial)
+        n = min(2 * n, stop if stop > n else N_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +427,11 @@ class BallSpace:
 
 
 def _multi_indices(n: int, degree: int):
-    for alpha in iter_product(range(degree + 1), repeat=n):
-        if sum(alpha) <= degree:
-            yield alpha
+    """The C(n + degree, n) multi-indices alpha in N^n with |alpha| <= degree,
+    in lexicographic order, one step each: n bars among n + degree slots,
+    alpha_i counting the free slots between bar i - 1 and bar i."""
+    for bars in combinations(range(n + degree), n):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), bars))
 
 
 def da_norms(n: int, degree_cap: int) -> BallSpace:

@@ -171,34 +171,55 @@ def reject_constant(name):
 # reproduce.
 
 
+def _reference_table(space: KernelSpace, n: int):
+    """(h, n): h_0..h_(n+1) for truncation n, or the whole of a custom
+    table that ends before h_(n+1), with n moved to its last index."""
+    try:
+        return space.h_table(n + 1), n
+    except TruncationError:
+        if not space.extendable and len(space.h) >= 2:
+            h = space.h_table(len(space.h) - 1)
+            return h, len(h) - 1
+        raise
+
+
+def _reference_tail(space: KernelSpace, h, r2: float, n: int, partial: float):
+    """(t_n, q, rel) of truncation n against the partial sum ``partial``:
+    the first omitted term, the majorant's ratio and the rounded-out
+    relative tail bound of ``spaces.kernel_vector``."""
+    if r2 == 0.0:
+        return 0.0, 0.0, 0.0
+    if space.extendable:
+        a_min_sq = h[n] / h[n - 1]
+    else:
+        a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
+    q = r2 / a_min_sq
+    t = r2 ** n / h[n]
+    tail_abs = math.inf if q >= 1 else t / (1.0 - q)
+    return t, q, tail_abs / partial * (1.0 + 4.0 * n * float(np.finfo(float).eps))
+
+
 def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32):
     """(coeffs, norm_sq, tail) of ``spaces.kernel_vector``, one norm table
-    and one power array per truncation tried."""
-    eps = float(np.finfo(float).eps)
+    and one power array per truncation tried.
+
+    After truncation n fails, the candidate is the first m in (n, 2n)
+    (capped at ``N_CAP``) at which n's geometric majorant t_n q^(m - n) /
+    (1 - q) drops below tol / 2 of its partial sum, else 2n; the next
+    truncation is the first index past n whose own tail bound, against n's
+    partial sum, is below tol, else the candidate.  Both are linear scans."""
     z = complex(z)
     r2 = abs(z) ** 2
-    n = n_start
+    n, failed = n_start, None
     while True:
-        try:
-            h = space.h_table(n + 1)
-        except TruncationError:
-            if not space.extendable and len(space.h) >= 2:
-                h = space.h_table(len(space.h) - 1)
-                n = len(h) - 1
-            else:
-                raise
+        h, n = _reference_table(space, n)
+        if failed is not None:
+            prev, prev_partial = failed
+            n = next((m for m in range(prev + 1, n) if _reference_tail(space, h, r2, m, prev_partial)[2] < tol), n)
+            h, n = _reference_table(space, n)
         terms = r2 ** np.arange(n) / h[:n]
         partial = float(np.sum(terms))
-        if r2 == 0.0:
-            tail_abs = 0.0
-        else:
-            if space.extendable:
-                a_min_sq = h[n] / h[n - 1]
-            else:
-                a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
-            q = r2 / a_min_sq
-            tail_abs = math.inf if q >= 1 else r2 ** n / h[n] / (1.0 - q)
-        rel = tail_abs / partial * (1.0 + 4.0 * n * eps)
+        t, q, rel = _reference_tail(space, h, r2, n, partial)
         if rel < tol:
             raw = _conj_powers(z, n) / np.sqrt(h[:n])
             return raw / math.sqrt(partial), partial, rel
@@ -209,7 +230,13 @@ def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, 
             )
         if n >= N_CAP:
             raise TruncationError(f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}")
-        n = min(2 * n, N_CAP)
+        after = min(2 * n, N_CAP)
+        t, q = float(t), float(q)
+        if 0 < q < 1:
+            bound = tol * (1.0 - q) * partial
+            after = next((m for m in range(n + 1, after) if 2.0 * t * q ** (m - n) < bound), after)
+        failed = (n, partial)
+        n = after
 
 
 def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0):

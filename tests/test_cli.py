@@ -404,7 +404,7 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     for name in ("radial_path", "disk_grid", "gbt_profile"):
         monkeypatch.setattr(cli.bz, name, never)
     for name in ("norm_lower_bound_check", "wot_dilation_probe", "annulus_peak", "ball_peak",
-                 "product_peak_check", "generate_weights"):
+                 "product_peak_check", "generate_weights", "spherical_contraction_check", "ball_space"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(cli.np.random, "default_rng", never)
     huge = str(10 ** 12)
@@ -440,8 +440,13 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
         ["shift", "powerbound", "--weights", "simple:r=0.5", "--r", "0.5"],
     ):
         assert run([*argv, "--weight-count", str(2 ** 20 + 1)]) == 2
+    # spherical: n at most 2^8 and n C(n + degree, n)^2 coordinate-matrix
+    # entries at most 2^23, with n and degree bounded before the binomial
+    for n, degree in (("3", "60"), ("1", "2896"), ("3", "20"), ("7", "7"), ("203", "1"), ("257", "0"), (huge, "3"),
+                      ("3", huge), (huge, huge)):
+        assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 23 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 32 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -450,7 +455,8 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert "--families" in err[14]
     assert all("--grid " in line for line in err[15:18])
     assert all("--grid-s" in line and "--grid-phi" in line for line in err[18:20])
-    assert all("--weight-count" in line for line in err[20:])
+    assert all("--weight-count" in line for line in err[20:23])
+    assert all("--n " in line and "--degree " in line for line in err[23:])
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
@@ -465,7 +471,8 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
             raise ValueError("stub reached")
         return work
 
-    for name in ("norm_lower_bound_check", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights"):
+    for name in ("norm_lower_bound_check", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights",
+                 "spherical_contraction_check"):
         monkeypatch.setattr(cli, name, stub(name))
     normbound = ["probe", "normbound", "--space", "hardy"]
     assert run([*normbound, "--families", str(2 ** 14), "--truncation", str(2 ** 14)]) == 2
@@ -474,9 +481,11 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
     assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20)]) == 2
     assert run(["peaks", "ball", "--grid-s", "4", "--grid-phi", "512"]) == 2
     assert run(["shift", "spr", "--weights", "simple:r=0.5", "--weight-count", str(2 ** 20)]) == 2
+    for n, degree in (("1", "2895"), ("2", "62"), ("202", "1"), ("256", "0")):
+        assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
     assert reached == [
         "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
-        "ball_peak", "generate_weights",
+        "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4,
     ]
     assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
 
@@ -553,3 +562,57 @@ def test_charspace_determinism(tmp_path):
     run(argv + ["--out", str(out1)])
     run(argv + ["--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _cli_in_fresh_process(argv, env=None):
+    """(exit code, standard output) of ``berezin_lab.cli`` run in a new interpreter."""
+    src = Path(berezin_lab.__file__).resolve().parents[1]
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-m", "berezin_lab.cli", *argv], env=env, capture_output=True)
+    return out.returncode, out.stdout
+
+
+def test_parser_built_once_and_no_option_leaks_between_calls(tmp_path, capsys):
+    # one process, options first and the defaults after them: every output
+    # equals that of a fresh process, so no default or namespace value of an
+    # earlier call carries over
+    import berezin_lab.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    closed = ["probe", "closed-range", "--space", "hardy", "--blaschke", "0.5"]
+    gbt = ["gbt", "--space", "bergman", "--op", "Mz^* Mz", "--samples", "4", "--rmax", "0.9"]
+    runs = [
+        ([*closed, "--n-schedule", "64", "128", "--out", str(tmp_path / "cr-1.json")], "cr-1.json"),
+        ([*closed, "--out", str(tmp_path / "cr-2.json")], "cr-2.json"),
+        ([*gbt, "--out", str(tmp_path / "g.csv"), "--svg", str(tmp_path / "g.svg")], "g.csv"),
+        (gbt, None),
+    ]
+    for argv, name in runs:
+        code = main(argv)
+        got = capsys.readouterr().out.encode() if name is None else (tmp_path / name).read_bytes()
+        if name is not None:
+            (tmp_path / name).unlink()
+        assert _cli_in_fresh_process(argv) == (code, got if name is None else b""), argv
+        if name is not None:
+            assert (tmp_path / name).read_bytes() == got, argv
+    assert sorted(json.loads((tmp_path / "cr-1.json").read_text())["lambda_min"], key=int) == ["64", "128"]
+    assert sorted(json.loads((tmp_path / "cr-2.json").read_text())["lambda_min"], key=int) == [
+        "128", "256", "512", "1024"]
+    assert (tmp_path / "g.svg").is_file()
+
+
+def test_gbt_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # near the boundary the kernel vectors pass 2^14 entries, where a BLAS
+    # dot product splits its sum across threads; the transform's inner
+    # product adds in one fixed order instead
+    argv = ["gbt", "--space", "hardy", "--op", "M(0.5,0.3)^* Mz", "--rmax", "0.9999", "--samples", "12"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"gbt-{threads}.csv"
+        code, _ = _cli_in_fresh_process([*argv, "--out", str(out)], env={"OPENBLAS_NUM_THREADS": threads})
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    trunc = [int(row.split(",")[4]) for row in outs[0].decode().splitlines()[1:]]
+    assert max(trunc) >= 2 ** 14

@@ -1,5 +1,8 @@
 """Operator-expression grammar: parsing, printing, evaluation."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from berezin_lab.exprs import (
     Sum,
     apply,
     format_complex,
+    inner,
     materialize,
     norm_bound,
     parse,
@@ -274,6 +278,30 @@ def test_apply_bits_match_the_allocating_evaluator():
         for shape in ((64,), (64, 3)):
             vec = _signed_zeros(r, shape)
             assert apply(node, a, vec).tobytes() == reference_apply(node, a, vec).tobytes(), node
+
+
+def test_inner_is_vdot_within_its_gamma_bound():
+    # sum_i conj(v_i) w_i from numpy's pairwise sum of the in-place
+    # products, within gamma_(L+3) sum |v_i| |w_i| (L = ceil(log2 n) + 20)
+    # of the exact value; v is left as it was
+    r = np.random.default_rng(515)
+    u = 2.0**-53
+    for n in (1, 7, 64, 65, 129, 1000, 70001):
+        v = (r.standard_normal(n) + 1j * r.standard_normal(n)) * np.exp(3 * r.standard_normal(n))
+        w = (r.standard_normal(n) + 1j * r.standard_normal(n)) * np.exp(3 * r.standard_normal(n))
+        v_before, w_copy = v.copy(), w.copy()
+        got = inner(v, w)
+        assert v.tobytes() == v_before.tobytes()
+        assert abs(got - np.vdot(v, w_copy)) <= 1e-12 * float(np.sum(np.abs(v) * np.abs(w_copy)))
+        if n <= 1000:
+            exact_re = sum(Fraction(a.real) * Fraction(b.real) + Fraction(a.imag) * Fraction(b.imag)
+                           for a, b in zip(v, w_copy))
+            exact_im = sum(Fraction(a.real) * Fraction(b.imag) - Fraction(a.imag) * Fraction(b.real)
+                           for a, b in zip(v, w_copy))
+            k = math.ceil(math.log2(n)) + 23
+            gamma = k * u / (1 - k * u)
+            err = abs(complex(Fraction(got.real) - exact_re, Fraction(got.imag) - exact_im))
+            assert err <= gamma * float(np.sum(np.abs(v) * np.abs(w_copy))), n
 
 
 def test_raise_degree():

@@ -8,10 +8,12 @@ import pytest
 
 from berezin_lab.formats import write_csv
 from berezin_lab.spaces import (
+    N_CAP,
     KernelSpace,
     KernelVector,
     TruncationError,
     _conj_powers,
+    _predicted_stop,
     ball_space,
     custom_space,
     da_norms,
@@ -162,7 +164,7 @@ def test_reproducing_property(kind, s):
         assert abs(inner - p_z) <= 1e-10 * max(p_norm, 1.0)
 
 
-# |z| = 0.9999 reaches a truncation of 2^18 on hardy
+# |z| = 0.9999 reaches a truncation of 138149 on hardy
 POWER_POINTS = [0.5 * np.exp(0.7j), 0.99 * np.exp(2.1j), 0.9999 * np.exp(-1.3j)]
 
 
@@ -298,6 +300,86 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
         assert len(got.a) == got.n + pad - 1, z
 
 
+def _smallest_passing_truncation(space, z, tol, n0, n_max):
+    """Brute force: the smallest n in [n0, n_max] whose relative tail bound,
+    by kernel_vector's formula with partial sums from one cumulative sum,
+    is below tol (n_max when none is)."""
+    r2 = abs(z) ** 2
+    if r2 == 0:
+        return n0
+    h = space.h_table(n_max + 1) if space.extendable else space.h
+    ns = np.arange(n0, min(n_max, len(h) - 1) + 1)
+    partial = np.cumsum(r2 ** np.arange(len(h)) / h)[ns - 1]
+    if space.extendable:
+        a_min_sq = h[ns] / h[ns - 1]
+    else:
+        ratios = space.h[1:] / space.h[:-1]
+        a_min_sq = np.minimum.accumulate(ratios[::-1])[::-1][ns - 1]
+    q = r2 / a_min_sq
+    with np.errstate(divide="ignore"):
+        tail = np.where(q < 1, r2 ** ns / h[ns] / (1.0 - q), np.inf)
+    passing = ns[tail / partial * (1.0 + 4.0 * ns * 2.0**-52) < tol]
+    return int(passing[0]) if len(passing) else n_max
+
+
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_kernel_truncation_stops_within_5_percent_of_the_smallest_passing_one(space, tol):
+    # the stop test is unchanged, so the tail stays below tol and bounds
+    # the exact omitted mass; the step rule lands within 5% of the
+    # smallest truncation that passes the same test
+    s = {"hardy": 1, "bergman": 2, "rs(3)": 3}.get(space.label)
+    with mpmath.workdps(50):
+        for i, z in enumerate(BIT_POINTS):
+            pad = i % 5
+            try:
+                kv = kernel_vector(space, z, tol, pad)
+            except TruncationError:
+                assert not space.extendable, z  # only the custom table ends
+                continue
+            assert kv.tail < tol, z
+            n0 = max(32, pad)
+            assert kv.n <= 1.05 * _smallest_passing_truncation(space, z, tol, n0, kv.n), (z, kv.n)
+            x = mpmath.mpf(complex(z).real) ** 2 + mpmath.mpf(complex(z).imag) ** 2
+            if space.label == "custom":
+                # the mass its stored entries omit, relative to the kept mass
+                mass = [x**k / mpmath.mpf(space.h[k]) for k in range(len(space.h))]
+                exact = mpmath.fsum(mass[kv.n :]) / mpmath.fsum(mass[: kv.n])
+            else:
+                exact = _exact_relative_tail("mu" if space.label == "mu" else "rs", s, x, kv.n)
+            assert kv.tail >= exact, (z, kv.n)
+
+
+def test_truncation_stops_at_the_cap_and_the_table_end_keep_their_errors():
+    with pytest.raises(TruncationError, match=rf"^kernel tail \S+ still above 1e-12 at truncation cap {N_CAP}$"):
+        kernel_vector(monomial_norms("bergman", 4), 1 - 1e-7, tol=1e-12)
+    with pytest.raises(
+        TruncationError, match=r"^norm table of length 16 cannot reach tail 1e-12 at \|z\| = 0\.99 \(reached \S+\)$"
+    ):
+        kernel_vector(custom_space(np.ones(16)), 0.99, tol=1e-12)
+    # a stop predicted past the end of a custom table is moved to its end
+    with pytest.raises(TruncationError, match=r"^norm table of length 3000 cannot reach tail 1e-12"):
+        kernel_vector(BIT_SPACES[-1], 0.9999j, tol=1e-12)
+
+
+def test_predicted_stop_is_the_first_index_below_half_tol():
+    # the logarithm's estimate is corrected to the first index m >= n at
+    # which 2 t0 q^(m - n0) < tol (1 - q) partial holds in floats
+    r = np.random.default_rng(7)
+    for _ in range(300):
+        n0 = int(r.integers(0, 5000))
+        n = n0 + int(r.integers(0, 50))
+        q = float(1 - 10 ** r.uniform(-7, -0.1))
+        t0, partial, tol = float(10 ** r.uniform(-20, 0)), float(10 ** r.uniform(0, 8)), float(10 ** r.uniform(-15, -3))
+        got = _predicted_stop(n, tol, n0, t0, q, partial)
+        bound = tol * (1.0 - q) * partial
+        assert n <= got <= N_CAP
+        assert got == N_CAP or 2.0 * t0 * q ** (got - n0) < bound
+        assert got == n or not 2.0 * t0 * q ** (got - 1 - n0) < bound
+    assert _predicted_stop(40, 1e-12, 32, 0.5, 1.0, 3.0) == 40  # q >= 1 predicts nothing
+    assert _predicted_stop(40, 1e-12, 32, 0.0, 0.5, 3.0) == 40  # nothing omitted
+
+
 def test_kernel_vector_domain_errors():
     space = monomial_norms("hardy", 4)
     with pytest.raises(ValueError):
@@ -305,7 +387,7 @@ def test_kernel_vector_domain_errors():
     with pytest.raises(ValueError):
         kernel_vector(space, 1.2j)
     # a NaN point is rejected before any norm table is built, not after
-    # the truncation has doubled up to N_CAP
+    # the truncation has grown up to N_CAP
     for z in (complex("nan"), complex(0.3, math.nan)):
         with pytest.raises(ValueError, match="outside the open unit disk"):
             kernel_vector(space, z)
