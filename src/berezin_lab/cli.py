@@ -24,7 +24,7 @@ the ``charspace`` lambda grid, ``--weight-count`` of ``charspace`` and
 ``shift``, the ``peaks`` grids (``--grid``, and ``--grid-s`` times
 ``--grid-phi`` squared for the ball), and ``probe normbound --truncation``,
 ``--families`` and ``probe wot --block`` at 2^14, ``probe spherical --n`` at
-256 and its n * C(n + degree, n)^2 coordinate-matrix entries at 2^23;
+256 and its n * C(n + degree, n)^2 at 2^23;
 normbound's estimated work per family (``_normbound_work``) is capped at
 its value at ``--truncation`` 2^14, ``--degree`` 5.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
@@ -124,10 +124,10 @@ def _normbound_work(n: int, degree: int) -> int:
 # 2-vCPU VM
 _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
 
-# largest stacked coordinate matrix of ``probe spherical`` (its --n is at
-# most 2^8): n matrices of C(n + degree, n)^2 entries, 64 MiB of float64 in
-# each of its two stacks; at the cap's edge --n 1 --degree 2895 took 11.6 s
-# and 228 MB, --n 2 --degree 62 5.2 s and 220 MB on a 2-vCPU VM
+# largest n * C(n + degree, n)^2 of ``probe spherical`` (its --n is at most
+# 2^8), which reads two diagonals over the C(n + degree, n) monomials: at the
+# cap's edge --n 1 --degree 2895 took 1.05 s, mostly the norms' big-integer
+# factorials, and --n 2 --degree 62 0.27 s, each 30 MB, on a 2-vCPU VM
 _SPHERICAL_CAP = 2 ** 23
 
 # largest lambda modulus whose doubled square is a finite float
@@ -265,14 +265,14 @@ def cmd_probe(args):
         passed = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
         return {**rep, "passed": passed}, passed
     if args.kind == "spherical":
-        # the entries reach (d + 1)^2, so bounding n and d first keeps the
-        # binomial small; n < 1 and d < 0 are left to ``ball_space``
+        # n * C(n + d, n)^2 is at least (d + 1)^2, so bounding n and d first
+        # keeps the binomial small; n < 1 and d < 0 are left to ``ball_space``
         n, d = args.n, args.degree
         too_big = n > 2 ** 8 or d > math.isqrt(_SPHERICAL_CAP)
         if too_big or n >= 1 and d >= 0 and n * math.comb(n + d, n) ** 2 > _SPHERICAL_CAP:
             raise ValueError(
-                f"--n {n} with --degree {d}: probe spherical takes --n at most 256 and at most "
-                f"2^23 coordinate-matrix entries, n * C(n + degree, n)^2"
+                f"--n {n} with --degree {d}: probe spherical takes --n at most 256 and "
+                f"n * C(n + degree, n)^2 at most 2^23"
             )
         rep = spherical_contraction_check(ball_space(n, d, args.ball_kind))
         return rep, rep["passed"]

@@ -434,37 +434,29 @@ def _multi_indices(n: int, degree: int):
         yield tuple(b - a - 1 for a, b in zip((-1, *bars), bars))
 
 
-def da_norms(n: int, degree_cap: int) -> BallSpace:
-    """Monomial norms ||z^alpha||^2 = alpha!/|alpha|! of the n-variable
-    space with kernel 1/(1 - <z,w>)."""
+def ball_space(n: int, degree_cap: int, kind: str = "drury_arveson") -> BallSpace:
+    """Monomial norms ||z^alpha||^2 = alpha! (s-1)! / (|alpha| + s - 1)! of
+    the n-variable space with kernel 1/(1 - <z,w>)^s: s = 1 for
+    ``drury_arveson`` and s = n for ``hardy_ball``."""
+    if kind not in ("drury_arveson", "hardy_ball"):
+        raise ValueError(f"unknown ball space kind {kind!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 variables, got {n}")
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
+    s = 1 if kind == "drury_arveson" else n
     norms = {}
     for alpha in _multi_indices(n, degree_cap):
-        num = math.prod(math.factorial(a) for a in alpha)
-        norms[alpha] = num / math.factorial(sum(alpha))
-    return BallSpace(n=n, kind="drury_arveson", degree_cap=degree_cap, norms=norms)
+        num = math.prod(math.factorial(a) for a in alpha) * math.factorial(s - 1)
+        norms[alpha] = num / math.factorial(sum(alpha) + s - 1)
+    return BallSpace(n=n, kind=kind, degree_cap=degree_cap, norms=norms)
+
+
+def da_norms(n: int, degree_cap: int) -> BallSpace:
+    """Drury-Arveson norms, ||z^alpha||^2 = alpha!/|alpha|!."""
+    return ball_space(n, degree_cap, "drury_arveson")
 
 
 def hardy_ball_norms(n: int, degree_cap: int) -> BallSpace:
-    """Monomial norms of the kernel 1/(1 - <z,w>)^n on the ball,
-    ||z^alpha||^2 = alpha! (n-1)! / (|alpha| + n - 1)!."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 variables, got {n}")
-    if degree_cap < 0:
-        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
-    norms = {}
-    for alpha in _multi_indices(n, degree_cap):
-        num = math.prod(math.factorial(a) for a in alpha) * math.factorial(n - 1)
-        norms[alpha] = num / math.factorial(sum(alpha) + n - 1)
-    return BallSpace(n=n, kind="hardy_ball", degree_cap=degree_cap, norms=norms)
-
-
-def ball_space(n: int, degree_cap: int, kind: str = "drury_arveson") -> BallSpace:
-    if kind == "drury_arveson":
-        return da_norms(n, degree_cap)
-    if kind == "hardy_ball":
-        return hardy_ball_norms(n, degree_cap)
-    raise ValueError(f"unknown ball space kind {kind!r}")
+    """Hardy-space norms on the ball, ||z^alpha||^2 = alpha! (n-1)! / (|alpha| + n - 1)!."""
+    return ball_space(n, degree_cap, "hardy_ball")

@@ -135,6 +135,25 @@ def column_sigma_min(blocks) -> float:
     return math.sqrt(max(lam, 0.0))
 
 
+def ball_coordinate_matrices(ball) -> list:
+    """The n coordinate multipliers of a ``spaces.BallSpace`` as dense
+    matrices on its degree-graded monomial basis: column alpha of M_i holds
+    sqrt(h_(alpha+e_i) / h_alpha) in row alpha + e_i, zero past the cap."""
+    basis = ball.basis()
+    index = {alpha: i for i, alpha in enumerate(basis)}
+    mats = []
+    for i in range(ball.n):
+        m = np.zeros((len(basis), len(basis)))
+        for alpha, col in index.items():
+            beta = list(alpha)
+            beta[i] += 1
+            beta = tuple(beta)
+            if beta in index:
+                m[index[beta], col] = math.sqrt(ball.norms[beta] / ball.norms[alpha])
+        mats.append(m)
+    return mats
+
+
 def window_residuals(w, lam: complex, k: int, d: int):
     """Residual norms ||(T-l)x|| and ||(T-l)^*x|| of the oscillatory
     window vector x = d^(-1/2) sum_{j=1..d} e^(-ij theta) e_{k+j}."""

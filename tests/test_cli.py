@@ -616,3 +616,18 @@ def test_gbt_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outs[0] == outs[1]
     trunc = [int(row.split(",")[4]) for row in outs[0].decode().splitlines()[1:]]
     assert max(trunc) >= 2 ** 14
+
+
+@pytest.mark.parametrize("argv", [
+    # |z| = 0.999: a kernel vector of about 1.5e4 entries, past the length
+    # at which a BLAS reduction splits its sums across threads
+    ["probe", "commutator", "--space", "hardy", "--phi=0.1558-0.3572i,-0.1426+0.3057i,-0.1190-0.2173i",
+     "--z=-0.48383674612998318-0.87401544785795982i"],
+    # a Blaschke series of degree p = 511 >= N: the Gram's block sum and its GEMMs
+    ["probe", "closed-range", "--space", "bergman", "--blaschke", "0.9", "--n-schedule", "128", "256", "512"],
+    ["probe", "normbound", "--space", "bergman", "--truncation", "512", "--degree", "20", "--families", "2"],
+], ids=lambda argv: argv[1])
+def test_probe_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    outs = [_cli_in_fresh_process(argv, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+    assert outs[0][0] in (0, 1)
+    assert outs[0] == outs[1]

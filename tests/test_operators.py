@@ -1,5 +1,6 @@
 """Truncated multiplication operators, projections, commutators, probes."""
 
+import math
 import time
 import tracemalloc
 
@@ -7,12 +8,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from berezin_lab.exprs import MPoly, materialize
+from berezin_lab.exprs import MPoly, MPolyAdj, apply, materialize
 from berezin_lab.operators import (
     BlaschkeProduct,
     _gram_band,
     _gram_lambda_min,
-    ball_coordinate_matrices,
     closed_range_probe,
     commutator_norm_PzMphi,
     fredholm_probe,
@@ -24,6 +24,7 @@ from berezin_lab.operators import (
 )
 from berezin_lab.spaces import (
     TruncationError,
+    ball_space,
     custom_space,
     da_norms,
     hardy_ball_norms,
@@ -32,6 +33,7 @@ from berezin_lab.spaces import (
 )
 
 from oracles import (
+    ball_coordinate_matrices,
     band_by_entries,
     band_from_dense,
     column_sigma_min,
@@ -246,6 +248,35 @@ def test_commutator_supnorm_precondition():
         commutator_norm_PzMphi(hardy, [0, 2.0], 0.3)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="np.longdouble is no wider than float64 here, so it cannot be the extended-precision reference",
+)
+@pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.kind)
+def test_commutator_matches_extended_precision_projections(space):
+    # the probe's value is max ||(I - P) x|| over x in {M v, M^* v}, P the
+    # orthogonal projection onto the kernel vector v; the reference takes
+    # the same float64 vectors and projects them in np.clongdouble, so what
+    # is left is the probe's own rounding
+    r = np.random.default_rng(2020)
+    for _ in range(3):
+        deg = int(r.integers(1, 4))
+        c = r.standard_normal(deg + 1) + 1j * r.standard_normal(deg + 1)
+        c *= 0.95 / sup_on_circle(c)[0]
+        node = MPoly(tuple(c))
+        for rad in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            z = rad * np.exp(2j * np.pi * r.uniform())
+            kv = kernel_vector(space, z, tol=1e-13, pad=deg)
+            v = kv.v.astype(np.clongdouble)
+            want = 0.0
+            for x in (apply(node, kv.a, kv.v), apply(MPolyAdj(tuple(c)), kv.a, kv.v)):
+                x = x.astype(np.clongdouble)
+                x -= np.sum(np.conj(v) * x) / np.sum(v.real ** 2 + v.imag ** 2) * v
+                want = max(want, np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))
+            got = commutator_norm_PzMphi(space, c, z)
+            assert abs(got - want) <= 1e-13 * want, (space.kind, c, z, got, float(want))
+
+
 # ---------------------------------------------------------------------------
 # column operators
 
@@ -407,6 +438,42 @@ def test_spherical_contraction_one_variable_reduces_to_disk():
     mats = ball_coordinate_matrices(da_norms(1, 12))
     sub = np.diag(mats[0], -1)
     assert np.allclose(sub, 1.0)  # hardy weights
+
+
+def _stack_sigma_max(mats) -> float:
+    return float(np.linalg.svd(np.vstack(mats), compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("kind", ["drury_arveson", "hardy_ball"])
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 10), (3, 8), (4, 6), (7, 3), (1, 0), (3, 0)])
+def test_spherical_diagonals_match_dense_svd(kind, n, d):
+    # both Grams are diagonal on the monomial basis; the probe reads them
+    # without the dense coordinate matrices the oracle stacks and factors
+    ball = ball_space(n, d, kind)
+    rep = spherical_contraction_check(ball)
+    mats = ball_coordinate_matrices(ball)
+    for got, want in (
+        (rep["row_norm"], _stack_sigma_max([m.T for m in mats])),
+        (rep["column_norm_literal"], _stack_sigma_max(mats)),
+    ):
+        if d == 0:
+            assert got == want == 0.0
+        else:
+            assert abs(got - want) <= 4 * np.spacing(want), (got, want)
+
+
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 10), (3, 8), (4, 6), (7, 3), (2, 62)])
+def test_spherical_analytic_values(n, d):
+    # Drury-Arveson: sum_i M_i M_i^* is 1 off the constants and the literal
+    # column reaches sqrt(n) there; Hardy ball: the row peaks at degree d
+    # with d / (d + n - 1), and sum_i M_i^* M_i is 1 below the cap
+    da = spherical_contraction_check(da_norms(n, d))
+    assert da["row_norm"] == 1.0
+    assert da["column_norm_literal"] == math.sqrt(n)
+    hb = spherical_contraction_check(hardy_ball_norms(n, d))
+    want = math.sqrt(d / (d + n - 1))
+    assert abs(hb["row_norm"] - want) <= 2 * np.spacing(want)
+    assert abs(hb["column_norm_literal"] - 1.0) <= 2 * np.spacing(1.0)
 
 
 def test_constant_function_row_vs_column():

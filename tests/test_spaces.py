@@ -1,5 +1,6 @@
 """Kernel-space construction, kernel vectors, Gram matrices, ball norms."""
 
+import itertools
 import math
 
 import mpmath
@@ -555,6 +556,32 @@ def test_da_norms_examples():
     assert space.norms[(1, 1)] == pytest.approx(0.5)
     assert space.norms[(2, 0)] == pytest.approx(1.0)
     assert space.norms[(0, 0)] == 1.0
+
+
+def _separate_ball_norms(n, degree_cap, kind):
+    """The two per-kind formulas ``ball_space`` merged: alpha!/|alpha|! for
+    Drury-Arveson, alpha! (n-1)! / (|alpha| + n - 1)! for the Hardy ball."""
+    norms = {}
+    for alpha in sorted(a for a in itertools.product(range(degree_cap + 1), repeat=n) if sum(a) <= degree_cap):
+        num = math.prod(math.factorial(a) for a in alpha)
+        if kind == "drury_arveson":
+            norms[alpha] = num / math.factorial(sum(alpha))
+        else:
+            norms[alpha] = num * math.factorial(n - 1) / math.factorial(sum(alpha) + n - 1)
+    return norms
+
+
+@pytest.mark.parametrize("kind", ["drury_arveson", "hardy_ball"])
+def test_ball_norms_bits_match_the_separate_formulas(kind):
+    # s = 1 folds (s - 1)! = 0! = 1 into the numerator, an exact integer product
+    for n in range(1, 5):
+        for d in range(9):
+            got = ball_space(n, d, kind).norms
+            want = _separate_ball_norms(n, d, kind)
+            assert list(got) == list(want)
+            assert all(got[a].hex() == want[a].hex() for a in want), (kind, n, d)
+    assert da_norms(3, 4).norms == ball_space(3, 4).norms
+    assert hardy_ball_norms(3, 4).norms == ball_space(3, 4, "hardy_ball").norms
 
 
 def test_ball_space_dispatch_and_errors():
