@@ -61,11 +61,14 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
     ``exprs.Dense`` leaf, i.e. as the compression onto its leading block.
     The kernel vector is padded by the expression's index raise, so
     products never hit the top edge of its frame and every coordinate a
-    ``Dense`` block reads holds a kernel value.  The reported tail is the
-    kernel tail scaled by a coarse norm bound of the expression.
+    ``Dense`` block reads holds a kernel value.  k_z = U p for the real
+    kernel line p at |z| and the diagonal unitary U = diag(conj(w)^k),
+    w = z/|z|, so the value is <(U^* X U) p, p>: the tree is rotated once
+    (``exprs.rotate``) and applied to p.  The reported tail is the kernel
+    tail scaled by a coarse norm bound of the expression.
     """
     kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-    value = exprs.inner(kv.v, exprs.apply(node, kv.a, kv.v))
+    value = exprs.inner(kv.v, exprs.apply(exprs.rotate(node, kv.w), kv.a, kv.v))
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 

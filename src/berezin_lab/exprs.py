@@ -30,10 +30,17 @@ has compression semantics: coordinates pushed to index >= N are dropped.
 of dense multiplier matrices.
 
 Buffer rule: ``apply`` never writes to its input and always returns a
-fresh array, which the caller may overwrite.  The evaluator relies on it:
-the shift series builds its powers in two alternating buffers and scales
-each in place, and ``Scale``, ``Sum`` and ``Commutator`` finish their
-arithmetic in the arrays their operands returned.
+fresh complex array, which the caller may overwrite.  The evaluator
+relies on it: the shift series builds its powers in two alternating
+buffers and scales each in place, and ``Scale``, ``Sum`` and
+``Commutator`` finish their arithmetic in the arrays their operands
+returned.  The input may be real (a kernel line is): every buffer is
+created complex, so the input is read as it is and never copied.
+
+``rotate`` is the one phase map: for a unit w and U = diag(conj(w)^k) it
+gives the tree of U^* X U, in which every term that moves indices by d
+carries w^d.  A kernel vector is U times a real line, so the transform
+evaluates the rotated tree on that real line.
 """
 
 from __future__ import annotations
@@ -334,6 +341,36 @@ def _as_term(node) -> str:
 # evaluation
 
 
+def rotate(node, w: complex):
+    """The tree of U^* X U for U = diag(conj(w)^k), |w| = 1: entry (i, j)
+    of X gains the factor w^(i - j).  ``Mz`` becomes ``MPoly((0, w))`` and
+    ``Mz^*`` ``MPolyAdj((0, w))``, a coefficient c_m of either multiplier
+    becomes c_m w^m, a ``Dense`` entry D_ij becomes D_ij w^i conj(w)^j, and
+    the other nodes recurse.  w = 1 returns the tree itself."""
+    w = complex(w)
+    if w == 1:
+        return node
+    if isinstance(node, Mz):
+        return MPoly((0j, w))
+    if isinstance(node, MzAdj):
+        return MPolyAdj((0j, w))
+    if isinstance(node, (MPoly, MPolyAdj)):
+        phases = w ** np.arange(len(node.coeffs))
+        return type(node)(tuple(complex(c * p) for c, p in zip(node.coeffs, phases)))
+    if isinstance(node, Scale):
+        return Scale(node.c, rotate(node.node, w))
+    if isinstance(node, Product):
+        return Product(tuple(rotate(f, w) for f in node.factors))
+    if isinstance(node, Sum):
+        return Sum(tuple((sign, rotate(t, w)) for sign, t in node.terms))
+    if isinstance(node, Dense):
+        phases = w ** np.arange(node.mat.shape[0])
+        return Dense(node.mat * np.multiply.outer(phases, phases.conj()))
+    if isinstance(node, Commutator):
+        return Commutator(rotate(node.a, w), rotate(node.b, w))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
     """Dense N x N truncation of the expression over weights a: the
     expression applied to the N x N identity."""
@@ -359,19 +396,19 @@ def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.n
         src, dst, edge = slice(None, -1), slice(1, None), slice(None, 1)
     last = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
     if last < 0:
-        return np.zeros_like(v)
+        return np.zeros(v.shape, dtype=complex)
     out = None
     power, spare = v, None
     for j in range(last + 1):
         nxt = None
         if j < last:
-            nxt = np.empty_like(v) if spare is None else spare
+            nxt = np.empty(v.shape, dtype=complex) if spare is None else spare
             nxt[edge] = 0
             np.multiply(w, power[src], out=nxt[dst])
         spare = None
         if coeffs[j] != 0:
             # the first term becomes the accumulator
-            term = coeffs[j] * v if power is v else np.multiply(coeffs[j], power, out=power)
+            term = np.multiply(coeffs[j], v, dtype=complex) if power is v else np.multiply(coeffs[j], power, out=power)
             if out is None:
                 out = term
             else:
@@ -388,10 +425,13 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Equals the dense N x N truncation times ``vec`` without building the
     matrix; cost is O(N * P * bandwidth) per shift factor.  The result is
-    a fresh array and ``vec`` is left as it was (the buffer rule above).
+    a fresh complex array and ``vec``, real or complex, is read as it is
+    (the buffer rule above).
     """
     a = np.asarray(a, dtype=float)
-    v = np.asarray(vec, dtype=complex)
+    v = np.asarray(vec)
+    if v.dtype != float:
+        v = v.astype(complex, copy=False)
     if isinstance(node, (Mz, MzAdj, MPoly, MPolyAdj)):
         coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
         return _shift_series(coeffs, isinstance(node, (MzAdj, MPolyAdj)), a, v)
@@ -402,15 +442,15 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
         out = v
         for f in reversed(node.factors):
             out = apply(f, a, out)
-        return out if out is not v else v.copy()
+        return out if out is not v else v.astype(complex)
     if isinstance(node, Sum):
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape, dtype=complex)
         for sign, term in node.terms:
             t = apply(term, a, v)
             out += np.multiply(sign, t, out=t)
         return out
     if isinstance(node, Dense):
-        out = np.zeros_like(v)
+        out = np.zeros(v.shape, dtype=complex)
         k = min(v.shape[0], node.mat.shape[0])
         out[:k] = node.mat[:k, :k] @ v[:k]
         return out

@@ -83,19 +83,22 @@ def commutator_norm_PzMphi(space: KernelSpace, coeffs, z: complex, tol: float = 
     [P, M] = v ((I - P) w)^* - ((I - P) u) v^*: two rank-one pieces with
     orthogonal ranges and orthogonal co-ranges, so the norm is the larger of
     ||(I - P) u|| and ||(I - P) w|| (on the full space the second is 0 and
-    the first sqrt(B(M_phi^* M_phi)(z) - |phi(z)|^2)).  Both are formed in
-    place and summed by pairwise ``np.sum``, as in ``exprs.inner``: the
-    error is a few ulps of ||u||, as a QR's, and the bits do not depend on
-    the BLAS thread count.
+    the first sqrt(B(M_phi^* M_phi)(z) - |phi(z)|^2)).  The unitary U of
+    the kernel line (``KernelVector``) leaves both norms as they are, so v
+    is the real line and M its rotated tree, and c = sum_i v_i u_i.  Both
+    are formed in place and summed by pairwise ``np.sum``, as in
+    ``exprs.inner``: the error is a few ulps of ||u||, as a QR's, and the
+    bits do not depend on the BLAS thread count.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     circle_sup_precondition(coeffs)
     node = exprs.MPoly(tuple(coeffs))
     kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
     a, v = kv.a, kv.v
-    u = exprs.apply(node, a, v)            # M v
-    w = exprs.apply(exprs.MPolyAdj(tuple(coeffs)), a, v)  # M^* v
-    c = complex(np.sum(np.conj(v) * u))
+    node = exprs.rotate(node, kv.w)
+    u = exprs.apply(node, a, v)  # M v
+    w = exprs.apply(exprs.MPolyAdj(node.coeffs), a, v)  # M^* v
+    c = complex(np.sum(v * u))
     u -= c * v
     w -= np.conj(c) * v
     return max(math.sqrt(float(np.sum(x.real * x.real + x.imag * x.imag))) for x in (u, w))
@@ -511,7 +514,8 @@ def closed_range_probe(
     kernel_vals = {}
     for z in grid:
         kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(node, kv.a, kv.v)) ** 2)
+        # ||M_phi k_z|| = ||U^* M_phi U p|| for the real line p
+        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(exprs.rotate(node, kv.w), kv.a, kv.v)) ** 2)
 
     lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {
@@ -550,7 +554,7 @@ def fredholm_probe(
     coeffs = np.array([-z0, 1.0], dtype=complex)
     node = exprs.MPolyAdj(tuple(coeffs))
     kv = kernel_vector(space, z0, tol, pad=exprs.raise_degree(node))
-    residual = float(np.linalg.norm(exprs.apply(node, kv.a, kv.v)))
+    residual = float(np.linalg.norm(exprs.apply(exprs.rotate(node, kv.w), kv.a, kv.v)))
     lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {
         "z0": z0,

@@ -19,25 +19,31 @@ name, read through ``formats.read_columns``); their invariants are
 validated at load time, a malformed table raises ``ValueError``, and the
 table length bounds the usable truncation.
 
-Kernel coordinates need the powers conj(z)^0 .. conj(z)^(n-1), with n
-from 1.38e5 (hardy) to 1.70e5 (rs(3)) at |z| = 0.9999, tol 1e-12.
-``_conj_powers`` is the one place that forms them: with b = isqrt(n) it
-takes the short tables c^(b*j) and c^i and multiplies them,
-c^(b*j + i) = c^(b*j) * c^i, so about 2*sqrt(n) complex powers replace n
-of them.  Entry k carries a relative error of about k*eps, the same as the
-direct power conj(z) ** k.
+A kernel line is real.  With w = z/|z| (w = 1 at z = 0) and the unitary
+U = diag(conj(w)^k), the kernel vector is k_z = U p, p holding the real
+coordinates |z|^k / sqrt(h_k) of the kernel at |z|; so the transform
+<X k_z, k_z> is <(U^* X U) p, p>, and ``exprs.rotate(X, w)`` is U^* X U.
+``kernel_vector`` forms no complex power: each coefficient is the square
+root of its term r2^k / h_k, r2 = fl(|z|^2), and so within a few ulps of
+r~^k / sqrt(h_k) with r~ = sqrt(r2).  Where the terms underflow
+(|z| below about 1e-5 at the shortest truncation) the coefficients are
+the powers of |z| itself instead, which keep their digits down to the
+subnormal |z|.
 
 The truncation loop of ``kernel_vector`` forms each real power r2^k and
 each term r2^k / h_k once: a longer truncation adds only the new terms to
-one buffer, and one norm table, sized by a predicted stop, serves the loop
-and the shift weights of the padded frame it returns.  After a truncation
+one buffer, and one norm table serves the loop and the shift weights of
+the padded frame it returns.  A built-in table is sized from the kind's
+own closed-form terms, by ``_stop_bound``, past every truncation the loop
+can try; a custom table is read whole.  After a truncation
 fails its tail test, the next one is the first index whose own tail bound,
 read off that table, passes against the failed partial sum; on the test
 points a kernel vector stops within 0.2% of the smallest truncation that
 passes, where the next power of two overshot by up to 2x.  Built-in
 tables are prefix-stable (h_0..h_n do not depend on how far the table
 reaches), so reading a prefix of a longer table gives the same bits.  The
-coefficients are normalized in place, inside the zero-padded frame vector.
+buffer of terms becomes the zero-padded frame vector: the coefficients
+are formed and normalized in place.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -60,6 +66,7 @@ from .formats import read_columns
 N_CAP = 2 ** 20
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 BUILTIN_KINDS = ("hardy", "bergman", "rs", "mu")
 
@@ -190,32 +197,18 @@ def space_by_name(name: str) -> KernelSpace:
     return monomial_norms(name, 8)
 
 
-def _conj_powers(z, n: int, size: int | None = None) -> np.ndarray:
-    """conj(z)^k for k = 0..n-1 along the last axis, for a point or an
-    array of points, from two power tables of about sqrt(n) entries;
-    zeros follow up to ``size`` entries (default n)."""
-    c = np.conj(np.asarray(z, dtype=complex))[..., None]
-    b = max(math.isqrt(n), 1)
-    m = -(-n // b)
-    size = n if size is None else size
-    out = np.empty((*c.shape[:-1], max(m, -(-size // b)), b), dtype=complex)
-    np.multiply(
-        (c ** (b * np.arange(m)))[..., :, None], (c ** np.arange(b))[..., None, :], out=out[..., :m, :]
-    )
-    flat = out.reshape(*c.shape[:-1], -1)
-    flat[..., n:] = 0
-    return flat[..., :size]
-
-
 @dataclass(frozen=True)
 class KernelVector:
-    """Truncated, normalized kernel vector at a point of the disk, in a
+    """Truncated, normalized kernel line at a point of the disk, in a
     frame for an expression that raises indices by at most ``pad``.
 
-    ``coeffs`` is the exact unit vector spanning the range of the
-    truncated kernel projection: entry k is conj(z)^k / sqrt(h_k),
-    renormalized over the kept indices.  ``norm_sq`` is the partial sum
-    of the K(z,z) series over those indices, and ``tail`` bounds the
+    ``coeffs`` is the real unit vector p of the kernel line at |z|: entry
+    k is |z|^k / sqrt(h_k), renormalized over the kept indices.  The
+    kernel vector itself is U p with U = diag(conj(w)^k) and the phase
+    ``w`` = z/|z| (1 at z = 0); U is diagonal and unitary, so the truncated
+    kernel projection is U p p^T U^*, and a tree X meets p as
+    ``exprs.rotate(X, w)`` = U^* X U.  ``norm_sq`` is the partial sum of
+    the K(z,z) series over the kept indices, and ``tail`` bounds the
     omitted relative mass (rounded outward by 1 + 4 n eps), so the true
     K(z,z) lies in [norm_sq, norm_sq * (1 + tail)].
 
@@ -225,6 +218,7 @@ class KernelVector:
     """
 
     z: complex
+    w: complex
     coeffs: np.ndarray
     norm_sq: float
     tail: float
@@ -257,6 +251,66 @@ def _predicted_stop(n: int, tol: float, n0: int, t0: float, q: float, partial: f
     return m
 
 
+def _stop_bound(space: KernelSpace, r2: float, tol: float, n: int) -> int:
+    """An index that no truncation ``kernel_vector`` tries from n at
+    |z|^2 = r2 exceeds, for a built-in space, read off closed forms: the
+    terms t_m = C(s + m - 1, m) r2^m (s = 1 for hardy and mu, 2 for
+    bergman; mu differs from hardy only in t_0) sum to K = (1 - r2)^-s,
+    less 1/2 on mu.
+
+    The ratios q_m = t_m / t_(m-1) = r2 (s + m - 1) / m (m >= 2) never
+    grow with m, so where q_m < 1 the tail past m is at most
+    t_m / (1 - q_m), and the sum of the first m terms at least
+    L_m = K - t_m / (1 - q_m).  Let S be the first index whose stop test
+    passes with L_m for the partial sum: every truncation that fails lies
+    below S.  The loop's next candidate after a failed truncation m is at
+    most 2m <= S for m <= S/2; past S/2 it is at most the stop that m's
+    majorant predicts, which, the ratios falling, is at most the one
+    predicted from ceil(S/2) with L for its partial sum.  The bound is the
+    larger of S and that stop, with a relative slack of 1e-6 and two
+    indices against rounding; it only sizes the table, and a shortfall
+    costs a second one."""
+    if r2 == 0.0:
+        return n
+    s = space.s if space.kind == "rs" else (2.0 if space.kind == "bergman" else 1.0)
+    log_r2, log_gamma_s = math.log(r2), math.lgamma(s)
+    log_full = -s * math.log1p(-r2)
+    if space.kind == "mu":
+        log_full += math.log1p(-0.5 * (1.0 - r2))
+    log_tol = math.log(tol * (1.0 - 1e-6))
+
+    def majorant(m: int):
+        """(log t_m, q_m, log L_m, log of the tail bound), or None where the
+        majorant bounds nothing (q_m >= 1 or a tail bound of K or more)."""
+        q = r2 * (s + m - 1.0) / m
+        if not q < 1.0:
+            return None
+        log_t = m * log_r2 + math.lgamma(s + m) - log_gamma_s - math.lgamma(m + 1.0)
+        log_tail = log_t - math.log1p(-q)
+        if not log_tail < log_full:
+            return None
+        return log_t, q, log_full + math.log1p(-math.exp(log_tail - log_full)), log_tail
+
+    def passes(m: int) -> bool:
+        mj = majorant(m)
+        return mj is not None and mj[3] - mj[2] + math.log1p(4.0 * m * _EPS) < log_tol
+
+    lo, hi = max(n, 2) - 1, N_CAP
+    if not passes(hi):
+        return N_CAP
+    while hi - lo > 1:  # passes() is false, then true, along the indices
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    m0 = max(n, 2, (hi + 1) // 2)
+    mj = majorant(m0)
+    if mj is None:
+        return min(2 * hi, N_CAP)
+    log_t, q, log_low, _ = mj
+    # the first m with 2 t q^(m - m0) < tol (1 - q) L, the loop's test
+    steps = (log_tol + math.log1p(-q) + log_low - math.log(2.0) - log_t) / math.log(q)
+    return min(max(hi, m0 + max(math.ceil(steps), 0) + 2), N_CAP)
+
+
 def _norm_table(space: KernelSpace, n: int, want: int) -> np.ndarray:
     """A norm table for truncation n: h_0..h_want of a built-in space, the
     whole stored table of a custom one.  A built-in table that underflows
@@ -286,10 +340,11 @@ def kernel_vector(
     step that falls short costs one more step, never a looser tail.
     Capped at ``N_CAP``.
 
-    The coefficients take their powers from ``_conj_powers``, so entry k
-    has a relative error of about k*eps (as the direct power would); the
-    truncation and tail come from the real series and do not depend on
-    how the powers are formed.
+    The vector is the real kernel line at |z| with the phase w = z/|z|
+    beside it (``KernelVector``): coefficient k is sqrt(t_k / partial) for
+    the term t_k = r2^k / h_k the truncation loop formed, in the buffer
+    that held the terms, or |z|^k / sqrt(h_k partial) where the terms
+    underflow.  The truncation and tail come from the real series alone.
 
     ``pad`` is the index raise of the expression the vector will meet: the
     truncation starts at max(n_start, pad), so every coordinate a ``Dense``
@@ -335,19 +390,23 @@ def kernel_vector(
         return t_m, q, tail_abs / partial * (1.0 + 4.0 * m * _EPS)
 
     # the norm table reaches past h_n by one entry for the loop (as a table
-    # of its own would) and by pad - 1 for the frame's weights; it and the
-    # buffer of terms are sized for a predicted stop: first that of the
-    # hardy series, whose relative tail is about r2^n, then, should that
-    # fall short, the one the last failed truncation's majorant predicts
-    reach = max(pad - 1, 1)
+    # of its own would) and by pad - 1 for the frame's weights, the buffer
+    # of terms, which becomes the frame, by pad; both are sized for a stop:
+    # a built-in space's bound on every truncation the loop tries, the
+    # hardy series' stop for a custom one, and then, should that fall
+    # short, the one the last failed truncation's majorant predicts
+    reach = max(pad, 1)
     h = None
     terms = np.empty(0)  # t_k = r2^k / h_k; t_0..t_(done-1) are formed
     done = 0
     n = max(n_start, pad)
-    stop = _predicted_stop(n, tol, 0, 1.0, r2, 1.0 / (1.0 - r2))
+    if space.extendable:
+        stop = _stop_bound(space, r2, tol, n)
+    else:
+        stop = _predicted_stop(n, tol, 0, 1.0, r2, 1.0 / (1.0 - r2))
     failed = None  # (n, partial sum) of the last truncation that failed
     while True:
-        if h is None or len(terms) < n or space.extendable and len(h) <= n + 1:
+        if h is None or len(terms) < n + pad or space.extendable and len(h) <= n + 1:
             size = max(stop, n) + reach
             if h is None or space.extendable:
                 h = _norm_table(space, n, size)
@@ -378,11 +437,6 @@ def kernel_vector(
         partial = float(np.sum(terms[:n]))
         t_next, q, rel = tail(n, partial)
         if rel < tol:
-            # the coefficients are normalized in place, in the padded frame
-            v = _conj_powers(z, n, n + pad)
-            coeffs = v[:n]
-            coeffs /= np.sqrt(h[:n], out=terms[:n])
-            coeffs /= math.sqrt(partial)
             # the weights of ``shift_weights(n + pad - 1)``, from the same
             # table; past the end of a custom table ``h_table`` raises
             size = n + pad
@@ -390,7 +444,20 @@ def kernel_vector(
                 h = space.h_table(size - 1)
             a = h[1:size] / h[: size - 1]
             np.sqrt(a, out=a)
-            return KernelVector(z=z, coeffs=coeffs, norm_sq=partial, tail=rel, v=v, a=a)
+            # the terms become the padded frame, normalized in place; a
+            # term below the normal range has lost digits, and then the
+            # powers of |z| itself keep them (|z| < 1e-5, where n is short)
+            v = terms[:size]
+            v[n:] = 0.0
+            coeffs = v[:n]
+            if coeffs[-1] >= _TINY:
+                np.sqrt(coeffs, out=coeffs)
+            else:
+                np.power(abs(z), np.arange(n, dtype=float), out=coeffs)
+                coeffs /= np.sqrt(h[:n])
+            coeffs /= math.sqrt(partial)
+            w = z / abs(z) if z else 1 + 0j
+            return KernelVector(z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=rel, v=v, a=a)
         if not space.extendable and n >= len(space.h) - 1:
             raise TruncationError(
                 f"norm table of length {len(space.h)} cannot reach tail {tol:g} "

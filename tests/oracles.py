@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from berezin_lab import exprs
-from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, _conj_powers, kernel_vector
+from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, kernel_vector
 
 
 def dense_tridiagonal(diag, off) -> np.ndarray:
@@ -102,12 +102,19 @@ def wot_deviation(space, coeffs, t: float, block: int) -> float:
     return float(np.max(np.abs(diff)))
 
 
+def kernel_at(kv) -> np.ndarray:
+    """The kernel vector k_z in the frame of ``kv`` (its coefficients, then
+    the pad zeros): the real line times conj(w)^k, with each power formed
+    directly."""
+    return kv.v * np.conj(kv.w) ** np.arange(len(kv.v))
+
+
 def projection_Pz(space: KernelSpace, z: complex, n: int, tol: float = 1e-13) -> np.ndarray:
     """Rank-one orthogonal projection onto the truncated kernel line at z."""
     kv = kernel_vector(space, z, tol)
     v = np.zeros(n, dtype=complex)
     m = min(kv.n, n)
-    v[:m] = kv.coeffs[:m]
+    v[:m] = kernel_at(kv)[:m]
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("kernel vector truncates to zero at this size")
@@ -218,15 +225,35 @@ def _reference_tail(space: KernelSpace, h, r2: float, n: int, partial: float):
     return t, q, tail_abs / partial * (1.0 + 4.0 * n * float(np.finfo(float).eps))
 
 
+def _reference_tails(space: KernelSpace, h, r2: float, ms, partial: float):
+    """The relative tail bounds of ``_reference_tail`` at the indices ms,
+    all against the partial sum ``partial``, as one array."""
+    if r2 == 0.0:
+        return np.zeros(len(ms))
+    if space.extendable:
+        a_min_sq = h[ms] / h[ms - 1]
+    else:
+        ratios = space.h[1:] / space.h[:-1]
+        a_min_sq = np.minimum.accumulate(ratios[::-1])[::-1][ms - 1]
+    q = r2 / a_min_sq
+    t = r2 ** ms.astype(float) / h[ms]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail_abs = np.where(q < 1, t / (1.0 - q), np.inf)
+    return tail_abs / partial * (1.0 + 4.0 * ms * float(np.finfo(float).eps))
+
+
 def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32):
     """(coeffs, norm_sq, tail) of ``spaces.kernel_vector``, one norm table
-    and one power array per truncation tried.
+    and one power array per truncation tried; coeffs is the real line,
+    sqrt(r2^k / h_k) / sqrt(norm_sq), or (|z|^k / sqrt(h_k)) / sqrt(norm_sq)
+    when r2^(n-1) / h_(n-1) is below the normal range.
 
     After truncation n fails, the candidate is the first m in (n, 2n)
     (capped at ``N_CAP``) at which n's geometric majorant t_n q^(m - n) /
     (1 - q) drops below tol / 2 of its partial sum, else 2n; the next
     truncation is the first index past n whose own tail bound, against n's
-    partial sum, is below tol, else the candidate.  Both are linear scans."""
+    partial sum, is below tol, else the candidate.  Both are scans over
+    every index of the range, evaluated as arrays."""
     z = complex(z)
     r2 = abs(z) ** 2
     n, failed = n_start, None
@@ -234,13 +261,18 @@ def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, 
         h, n = _reference_table(space, n)
         if failed is not None:
             prev, prev_partial = failed
-            n = next((m for m in range(prev + 1, n) if _reference_tail(space, h, r2, m, prev_partial)[2] < tol), n)
+            ms = np.arange(prev + 1, n)
+            passing = np.flatnonzero(_reference_tails(space, h, r2, ms, prev_partial) < tol)
+            n = int(ms[passing[0]]) if len(passing) else n
             h, n = _reference_table(space, n)
         terms = r2 ** np.arange(n) / h[:n]
         partial = float(np.sum(terms))
         t, q, rel = _reference_tail(space, h, r2, n, partial)
         if rel < tol:
-            raw = _conj_powers(z, n) / np.sqrt(h[:n])
+            if terms[-1] >= np.finfo(float).tiny:
+                raw = np.sqrt(terms)
+            else:
+                raw = abs(z) ** np.arange(n, dtype=float) / np.sqrt(h[:n])
             return raw / math.sqrt(partial), partial, rel
         if not space.extendable and n >= len(space.h) - 1:
             raise TruncationError(
@@ -253,7 +285,9 @@ def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, 
         t, q = float(t), float(q)
         if 0 < q < 1:
             bound = tol * (1.0 - q) * partial
-            after = next((m for m in range(n + 1, after) if 2.0 * t * q ** (m - n) < bound), after)
+            ms = np.arange(n + 1, after)
+            below = np.flatnonzero(2.0 * t * q ** (ms - n) < bound)
+            after = int(ms[below[0]]) if len(below) else after
         failed = (n, partial)
         n = after
 
@@ -263,7 +297,7 @@ def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, p
     coefficients, the frame's shift weights and the zero-padded frame."""
     coeffs, _, _ = reference_kernel_vector(space, z, tol, n_start=max(32, pad))
     n = len(coeffs) + pad
-    v = np.zeros(n, dtype=complex)
+    v = np.zeros(n)
     v[: len(coeffs)] = coeffs
     return coeffs, space.shift_weights(max(n - 1, 0)), v
 

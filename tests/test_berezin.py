@@ -1,5 +1,8 @@
 """Symbol transform values, axioms, commutator decay, boundary limits."""
 
+import cmath
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,9 +22,9 @@ from berezin_lab.berezin import (
 from berezin_lab.exprs import Dense
 from berezin_lab.formats import read_columns, to_json
 from berezin_lab.operators import poly_eval
-from berezin_lab.spaces import kernel_vector, monomial_norms
+from berezin_lab.spaces import custom_space, kernel_vector, monomial_norms
 
-from oracles import dense_mult
+from oracles import dense_mult, kernel_at, reference_apply
 
 rng = np.random.default_rng(616263)
 
@@ -63,7 +66,7 @@ def test_short_truncation_is_compression_value():
     # an 8 x 8 truncation below the adaptive kernel size acts on the
     # leading block: the value is <X P_8 v, P_8 v> for the unit kernel vector v
     op = dense_mult(hardy, [0, 1], 8)
-    v = kernel_vector(hardy, 0.95, 1e-12).coeffs
+    v = kernel_at(kernel_vector(hardy, 0.95, 1e-12))
     assert len(v) > 8
     want = np.vdot(v[:8], op @ v[:8])
     got = gbt_sample(hardy, Dense(op), 0.95, tol=1e-12).value
@@ -80,7 +83,7 @@ def test_dense_block_tail_is_honest(space):
         x = r.standard_normal((m, m)) + 1j * r.standard_normal((m, m))
         x /= np.linalg.norm(x, 2)
         for z in (0.3, 0.89j, -0.95):
-            v = kernel_vector(space, z, 1e-30, n_start=256).coeffs
+            v = kernel_at(kernel_vector(space, z, 1e-30, n_start=256))
             n = len(v)
             big = np.zeros((n, n), dtype=complex)
             big[:m, :m] = x
@@ -89,6 +92,89 @@ def test_dense_block_tail_is_honest(space):
             for node, mat in ((exprs.Dense(x), big), (mz_x, mz @ big)):
                 smp = gbt_sample(space, node, z, tol=1e-12)
                 assert abs(smp.value - np.vdot(v, mat @ v)) <= smp.tail + 1e-14
+
+
+def _kernel_from_50_digit_powers(space, z, n, size):
+    """The unit kernel vector on its first n coordinates, then zeros up to
+    ``size``: conj(z)^k in 50-digit arithmetic, rounded, over sqrt(h_k),
+    normalized; no rotation and no real line."""
+    k_z = np.zeros(size, dtype=complex)
+    with mpmath.workdps(50):
+        c = mpmath.conj(mpmath.mpc(z.real, z.imag))
+        power = mpmath.mpc(1)
+        for k in range(n):
+            k_z[k] = complex(power)
+            power *= c
+    k_z[:n] /= np.sqrt(space.h_table(n - 1)[:n])
+    k_z /= np.linalg.norm(k_z)
+    return k_z
+
+
+def _random_tree(r, depth):
+    """A random tree whose nodes may be of every kind, ``Dense`` leaves of
+    size 1 to 12 among them; coefficients in the unit square."""
+    leaves = ["Mz", "MzAdj", "MPoly", "MPolyAdj", "Dense"]
+    kind = r.choice(leaves + (["Scale", "Product", "Sum", "Commutator"] if depth > 0 else []))
+
+    def coeffs(m):
+        return tuple(complex(*r.uniform(-1, 1, 2)) for _ in range(m))
+
+    if kind == "Mz":
+        return exprs.Mz()
+    if kind == "MzAdj":
+        return exprs.MzAdj()
+    if kind in ("MPoly", "MPolyAdj"):
+        node = exprs.MPoly if kind == "MPoly" else exprs.MPolyAdj
+        return node(coeffs(int(r.integers(1, 5))))
+    if kind == "Dense":
+        m = int(r.integers(1, 13))
+        return Dense(r.uniform(-1, 1, (m, m)) + 1j * r.uniform(-1, 1, (m, m)))
+    if kind == "Scale":
+        return exprs.Scale(coeffs(1)[0], _random_tree(r, depth - 1))
+    if kind == "Product":
+        return exprs.Product(tuple(_random_tree(r, depth - 1) for _ in range(int(r.integers(2, 4)))))
+    if kind == "Sum":
+        return exprs.Sum(((1, _random_tree(r, depth - 1)), (-1, _random_tree(r, depth - 1))))
+    return exprs.Commutator(_random_tree(r, depth - 1), _random_tree(r, depth - 1))
+
+
+ORACLE_SPACES = SPACES + [custom_space((1.0 + np.arange(40000.0)) ** -0.5, label="custom")]
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=[s.label for s in ORACLE_SPACES])
+def test_rotated_sample_matches_the_kernel_from_50_digit_powers(space):
+    # the sample applies the tree rotated by w = z/|z| to the real kernel
+    # line; the oracle applies the tree itself (the allocating evaluator)
+    # to k_z built from 50-digit powers conj(z)^k, on the same frame, with
+    # arguments spread around the circle
+    r = np.random.default_rng([ord(ch) for ch in space.label])
+    every_kind = exprs.Sum((
+        (1, exprs.Product((exprs.Mz(), Dense(r.uniform(-1, 1, (7, 7)) + 0.5j)))),
+        (-1, exprs.Scale(0.5 - 0.25j, exprs.Commutator(exprs.MzAdj(), exprs.MPoly((0.1, 0.2j, -0.3))))),
+        (1, exprs.MPolyAdj((0.3, -0.1 + 0.4j))),
+    ))
+    for j, rad in enumerate((0.999, 0.95, 0.6, 0.2, 0.0)):
+        z = rad * cmath.exp(2j * np.pi * (j + r.uniform()) / 5)
+        powers = {}
+        for node in [every_kind] + [_random_tree(r, 2) for _ in range(4)]:
+            smp = gbt_sample(space, node, z)
+            kv = kernel_vector(space, z, pad=exprs.raise_degree(node))
+            if kv.n not in powers:
+                powers[kv.n] = _kernel_from_50_digit_powers(space, z, kv.n, kv.n)
+            k_z = np.concatenate((powers[kv.n], np.zeros(len(kv.v) - kv.n)))
+            want = np.vdot(k_z, reference_apply(node, kv.a, k_z))
+            assert abs(smp.value - want) <= smp.tail + 1e-14, (z, node)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
+def test_transform_of_mz_at_tiny_points(space):
+    # below |z| = 1.5e-154 the squared modulus is subnormal or 0, so the
+    # kernel line is formed from |z| itself: B(M_z)(z) = z to 1e-14
+    for rad in (1e-100, 1e-155, 1e-160, 1e-200, 1e-310):
+        for theta in (0.0, 2.1, -1.3):
+            z = rad * cmath.exp(1j * theta)
+            got = gbt_sample(space, exprs.Mz(), z).value
+            assert abs(got - z) <= 1e-14 * abs(z), (rad, theta, got)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])

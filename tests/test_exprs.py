@@ -24,6 +24,7 @@ from berezin_lab.exprs import (
     norm_bound,
     parse,
     raise_degree,
+    rotate,
     to_text,
 )
 from oracles import band_by_entries, reference_apply
@@ -278,6 +279,40 @@ def test_apply_bits_match_the_allocating_evaluator():
         for shape in ((64,), (64, 3)):
             vec = _signed_zeros(r, shape)
             assert apply(node, a, vec).tobytes() == reference_apply(node, a, vec).tobytes(), node
+
+
+def test_apply_reads_a_real_vector_as_its_complex_cast():
+    # a real input is read in place, never copied: the result equals the
+    # one for the complex cast, for every node kind, on a vector and a block
+    r = np.random.default_rng(1861)
+    a = r.uniform(0.3, 1.0, 64)
+    for node in _trees_of_every_kind(r):
+        for shape in ((64,), (64, 3)):
+            vec = r.standard_normal(shape)
+            before = vec.copy()
+            out = apply(node, a, vec)
+            assert out.dtype == complex and not np.shares_memory(out, vec), node
+            assert vec.tobytes() == before.tobytes(), node
+            assert np.array_equal(out, apply(node, a, vec.astype(complex))), node
+
+
+def test_rotate_is_conjugation_by_the_diagonal_phase():
+    # materialize(rotate(X, w)) = U^* materialize(X) U for U = diag(conj(w)^k),
+    # entry (i, j) scaled by w^i conj(w)^j, to within ulps of the entries;
+    # w = 1 returns the tree itself
+    r = np.random.default_rng(3141)
+    a = r.uniform(0.3, 1.0, 64)
+    for node in _trees_of_every_kind(r):
+        assert rotate(node, 1.0) is node
+        w = complex(np.exp(2j * np.pi * r.uniform()))
+        phases = w ** np.arange(64)
+        ref = materialize(node, a, 64)
+        want = phases[:, None] * ref * phases.conj()[None, :]
+        got = materialize(rotate(node, w), a, 64)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), node
+    assert rotate(Mz(), -1.0) == MPoly((0j, -1 + 0j))
+    assert rotate(MzAdj(), 1j) == MPolyAdj((0j, 1j))
+    assert rotate(MPoly((2.0, 1.0, 3.0)), 1j) == MPoly((2 + 0j, 1j, -3 + 0j))
 
 
 def test_inner_is_vdot_within_its_gamma_bound():

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from berezin_lab.exprs import MPoly, MPolyAdj, apply, materialize
+from berezin_lab.exprs import MPoly, MPolyAdj, apply, materialize, rotate
 from berezin_lab.operators import (
     BlaschkeProduct,
     _gram_band,
@@ -39,6 +39,7 @@ from oracles import (
     column_sigma_min,
     dense_mult,
     dense_sum_sigma_max,
+    kernel_at,
     projection_Pz,
     tall_mult_matrix,
     wot_deviation,
@@ -169,7 +170,7 @@ def test_adjoint_coherence():
         op = dense_mult(sp, coeffs, 64)
         kv = kernel_vector(sp, 0.4 + 0.2j, tol=1e-14)
         v = np.zeros(64, dtype=complex)
-        v[: kv.n] = kv.coeffs
+        v[: kv.n] = kernel_at(kv)
         val = np.vdot(v, op.conj().T @ v)
         assert val == pytest.approx(np.conj(poly_eval(coeffs, 0.4 + 0.2j)), abs=1e-10)
 
@@ -197,7 +198,7 @@ def test_projection_at_origin():
 def test_projection_reproduces_kernel_vector():
     kv = kernel_vector(hardy, 0.5, tol=1e-13)
     p = projection_Pz(hardy, 0.5, kv.n)
-    v = kv.coeffs
+    v = kernel_at(kv)
     assert np.linalg.norm(p @ v - v) <= 1e-10
 
 
@@ -255,9 +256,10 @@ def test_commutator_supnorm_precondition():
 @pytest.mark.parametrize("space", SPACES, ids=lambda sp: sp.kind)
 def test_commutator_matches_extended_precision_projections(space):
     # the probe's value is max ||(I - P) x|| over x in {M v, M^* v}, P the
-    # orthogonal projection onto the kernel vector v; the reference takes
-    # the same float64 vectors and projects them in np.clongdouble, so what
-    # is left is the probe's own rounding
+    # orthogonal projection onto the real kernel line v and M the tree
+    # rotated by its phase; the reference takes the same float64 vectors
+    # and projects them in np.clongdouble, so what is left is the probe's
+    # own rounding
     r = np.random.default_rng(2020)
     for _ in range(3):
         deg = int(r.integers(1, 4))
@@ -269,7 +271,8 @@ def test_commutator_matches_extended_precision_projections(space):
             kv = kernel_vector(space, z, tol=1e-13, pad=deg)
             v = kv.v.astype(np.clongdouble)
             want = 0.0
-            for x in (apply(node, kv.a, kv.v), apply(MPolyAdj(tuple(c)), kv.a, kv.v)):
+            rotated = rotate(node, kv.w)
+            for x in (apply(rotated, kv.a, kv.v), apply(MPolyAdj(rotated.coeffs), kv.a, kv.v)):
                 x = x.astype(np.clongdouble)
                 x -= np.sum(np.conj(v) * x) / np.sum(v.real ** 2 + v.imag ** 2) * v
                 want = max(want, np.sqrt(np.sum(x.real ** 2 + x.imag ** 2)))

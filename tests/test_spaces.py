@@ -13,7 +13,6 @@ from berezin_lab.spaces import (
     KernelSpace,
     KernelVector,
     TruncationError,
-    _conj_powers,
     _predicted_stop,
     ball_space,
     custom_space,
@@ -23,7 +22,7 @@ from berezin_lab.spaces import (
     load_h_table,
     monomial_norms,
 )
-from oracles import reference_kernel_frame, reference_kernel_vector
+from oracles import kernel_at, reference_kernel_frame, reference_kernel_vector
 
 rng = np.random.default_rng(20260808)
 
@@ -115,8 +114,9 @@ def test_monomial_norms_rejections():
 
 def test_kernel_vector_at_origin_is_first_basis_vector():
     kv = kernel_vector(monomial_norms("hardy", 4), 0.0)
-    assert kv.coeffs[0] == 1.0
-    assert np.all(kv.coeffs[1:] == 0)
+    k_z = kernel_at(kv)
+    assert k_z[0] == 1.0
+    assert np.all(k_z[1:] == 0)
     assert kv.norm_sq == 1.0
 
 
@@ -159,7 +159,7 @@ def test_reproducing_property(kind, s):
         p_coords = np.zeros(kv.n, dtype=complex)
         p_coords[: deg + 1] = c * np.sqrt(h[: deg + 1])
         # unnormalized kernel vector = coeffs * sqrt(norm_sq)
-        inner = np.vdot(kv.coeffs, p_coords) * np.sqrt(kv.norm_sq)
+        inner = np.vdot(kernel_at(kv), p_coords) * np.sqrt(kv.norm_sq)
         p_z = np.polyval(c[::-1], z)
         p_norm = np.linalg.norm(p_coords)
         assert abs(inner - p_z) <= 1e-10 * max(p_norm, 1.0)
@@ -171,9 +171,9 @@ POWER_POINTS = [0.5 * np.exp(0.7j), 0.99 * np.exp(2.1j), 0.9999 * np.exp(-1.3j)]
 
 @pytest.mark.parametrize("kind,s", [("hardy", None), ("rs", 3.0)])
 def test_kernel_powers_match_mpmath(kind, s):
-    # oracle: conj(z)^k in 50-digit arithmetic; the coefficients times
-    # sqrt(norm_sq * h_k) recover the power, with relative error of about
-    # k*eps, bounded here by 8*n*2^-52 as the direct power is
+    # oracle: |z|^k in 50-digit arithmetic; the real line times
+    # sqrt(norm_sq * h_k) recovers the power, with relative error of about
+    # k*eps, bounded here by 8*n*2^-52 as for the direct power
     space = monomial_norms(kind, 4, s=s)
     kvs = [kernel_vector(space, z) for z in POWER_POINTS]
     r = np.random.default_rng(52)
@@ -183,23 +183,11 @@ def test_kernel_powers_match_mpmath(kind, s):
             h = space.h_table(n)[:n]
             b = math.isqrt(n)
             ks = {0, 1, b - 1, b, b + 1, n // 2, n - 1, *r.integers(0, n, 24).tolist()}
-            c = mpmath.conj(mpmath.mpc(z.real, z.imag))
+            rad = abs(mpmath.mpc(z.real, z.imag))
             for k in sorted(ks):
                 got = kv.coeffs[k] * math.sqrt(kv.norm_sq) * math.sqrt(h[k])
-                want = c**k
-                assert abs(got - complex(want)) <= 8 * n * 2.0**-52 * float(abs(want))
-    # the array form, all points at the truncation of the largest modulus
-    # (the last point), against the same oracle
-    n = kvs[-1].n
-    powers = _conj_powers(np.array(POWER_POINTS), n)
-    assert powers.shape == (len(POWER_POINTS), n)
-    with mpmath.workdps(50):
-        for z, kv, row in zip(POWER_POINTS, kvs, powers):
-            ks = {0, 1, kv.n - 1, *r.integers(0, kv.n, 8).tolist()}
-            c = mpmath.conj(mpmath.mpc(z.real, z.imag))
-            for k in sorted(ks):
-                want = c**k
-                assert abs(row[k] - complex(want)) <= 8 * n * 2.0**-52 * float(abs(want))
+                want = rad**k
+                assert abs(got - float(want)) <= 8 * n * 2.0**-52 * float(want)
 
 
 # at |z| = 0.9838 and 0.9999 an unrounded hardy tail falls below the exact
@@ -278,8 +266,8 @@ def test_kernel_vector_bits_match_the_allocating_loop(space, tol):
 @pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
 def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
     # the frame's vector and weights come from the truncation's buffers; a
-    # built-in space reads one norm table per kernel vector, two when the
-    # predicted stop falls short
+    # built-in space reads one norm table per kernel vector, sized by a
+    # bound on every truncation the loop tries
     calls = []
     h_table = KernelSpace.h_table
     monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
@@ -288,7 +276,7 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
         calls.clear()
         got = _kernel_or_error(kernel_vector, space, z, 1e-12, pad)
         if space.extendable:
-            assert 1 <= len(calls) <= 2, (z, calls)
+            assert len(calls) == 1, (z, calls)
         want = _kernel_or_error(reference_kernel_frame, space, z, 1e-12, pad)
         if isinstance(want, str):
             assert got == want, z
@@ -299,6 +287,23 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
         assert np.shares_memory(got.coeffs, got.v), z
         assert len(got.v) == got.n + pad and not np.any(got.v[got.n :]), z
         assert len(got.a) == got.n + pad - 1, z
+
+
+@pytest.mark.parametrize("kind,s", [("hardy", None), ("bergman", None), ("rs", 1.5), ("rs", 7.0), ("mu", None)])
+def test_one_norm_table_across_points_tolerances_and_pads(kind, s, monkeypatch):
+    # the first table's size bounds every truncation the loop tries, so a
+    # built-in space never builds a second one
+    space = monomial_norms(kind, 4, s=s)
+    calls = []
+    h_table = KernelSpace.h_table
+    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    r = np.random.default_rng(2113)
+    for _ in range(60):
+        z = ((1 - 10 ** -r.uniform(0, 3.3)) * np.exp(2j * np.pi * r.uniform())).item()
+        tol, pad = float(10 ** -r.uniform(2, 15)), int(r.choice([0, 1, 2, 5, 40]))
+        calls.clear()
+        kv = kernel_vector(space, z, tol, pad)
+        assert len(calls) == 1 and calls[0] >= kv.n + pad - 1, (z, tol, pad, calls)
 
 
 def _smallest_passing_truncation(space, z, tol, n0, n_max):
@@ -403,7 +408,7 @@ def kernel_gram(space, points, tol):
     kernel vectors, all at the truncation of the largest modulus."""
     n = max(kernel_vector(space, z, tol).n for z in points)
     kvs = [kernel_vector(space, z, tol, n_start=n) for z in points]
-    cols = np.array([kv.coeffs * math.sqrt(kv.norm_sq) for kv in kvs])
+    cols = np.array([kernel_at(kv) * math.sqrt(kv.norm_sq) for kv in kvs])
     return cols.conj() @ cols.T
 
 
