@@ -126,8 +126,8 @@ _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
 
 # largest n * C(n + degree, n)^2 of ``probe spherical`` (its --n is at most
 # 2^8), which reads two diagonals over the C(n + degree, n) monomials: at the
-# cap's edge --n 1 --degree 2895 took 1.05 s, mostly the norms' big-integer
-# factorials, and --n 2 --degree 62 0.27 s, each 30 MB, on a 2-vCPU VM
+# cap's edge --n 1 --degree 2895 took 0.34 s and --n 2 --degree 62 0.31 s,
+# each 35 MB, interpreter start-up included, on a 2-vCPU VM
 _SPHERICAL_CAP = 2 ** 23
 
 # largest lambda modulus whose doubled square is a finite float

@@ -30,20 +30,13 @@ r~^k / sqrt(h_k) with r~ = sqrt(r2).  Where the terms underflow
 the powers of |z| itself instead, which keep their digits down to the
 subnormal |z|.
 
-The truncation loop of ``kernel_vector`` forms each real power r2^k and
-each term r2^k / h_k once: a longer truncation adds only the new terms to
-one buffer, and one norm table serves the loop and the shift weights of
-the padded frame it returns.  A built-in table is sized from the kind's
-own closed-form terms, by ``_stop_bound``, past every truncation the loop
-can try; a custom table is read whole.  After a truncation
-fails its tail test, the next one is the first index whose own tail bound,
-read off that table, passes against the failed partial sum; on the test
-points a kernel vector stops within 0.2% of the smallest truncation that
-passes, where the next power of two overshot by up to 2x.  Built-in
-tables are prefix-stable (h_0..h_n do not depend on how far the table
-reaches), so reading a prefix of a longer table gives the same bits.  The
-buffer of terms becomes the zero-padded frame vector: the coefficients
-are formed and normalized in place.
+``kernel_vector`` truncates at the smallest index whose tail test passes
+(its docstring gives the rule and the bracket the test decides in).  Each
+term r2^k / h_k is formed once, in one buffer that becomes the zero-padded
+frame vector, normalized in place; one norm table serves the test and the
+frame's shift weights.  Built-in tables are prefix-stable (h_0..h_n do
+not depend on how far the table reaches), so a prefix of a longer table
+has the same bits.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -230,48 +223,37 @@ class KernelVector:
         return len(self.coeffs)
 
 
-def _predicted_stop(n: int, tol: float, n0: int, t0: float, q: float, partial: float) -> int:
-    """The first index m >= n (capped at ``N_CAP``) at which the geometric
-    majorant t0 q^(m - n0) / (1 - q) of the series' tail, relative to
-    ``partial``, falls below tol / 2; n itself when the majorant predicts
-    nothing (q >= 1) or vanishes (q = 0 or t0 = 0)."""
-    if not 0 < q < 1 or t0 == 0:
-        return n
-    bound = tol * (1.0 - q) * partial
-    if 2.0 * t0 * q ** (n - n0) < bound:
-        return n
-    if not bound > 0:
-        return N_CAP
-    # the logarithm's estimate, then the same float test at its neighbours
-    m = min(max(n0 + math.ceil(math.log(bound / (2.0 * t0)) / math.log(q)), n + 1), N_CAP)
-    while m > n + 1 and 2.0 * t0 * q ** (m - 1 - n0) < bound:
-        m -= 1
-    while m < N_CAP and not 2.0 * t0 * q ** (m - n0) < bound:
-        m += 1
-    return m
+def _first_passing(passes, lo: int, hi: int) -> int:
+    """The smallest index in (lo, hi] at which ``passes``, false and then
+    true along the indices, holds; hi (never tested) when none below does."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
-def _stop_bound(space: KernelSpace, r2: float, tol: float, n: int) -> int:
-    """An index that no truncation ``kernel_vector`` tries from n at
-    |z|^2 = r2 exceeds, for a built-in space, read off closed forms: the
-    terms t_m = C(s + m - 1, m) r2^m (s = 1 for hardy and mu, 2 for
+def _stop_bound(space: KernelSpace, r2: float, tol: float, n0: int) -> int:
+    """For a built-in space, an index from n0 at which ``kernel_vector``'s
+    stop test passes at |z|^2 = r2 (unless it is ``N_CAP``), from closed
+    forms.
+
+    The terms t_m = C(s + m - 1, m) r2^m (s = 1 for hardy and mu, 2 for
     bergman; mu differs from hardy only in t_0) sum to K = (1 - r2)^-s,
-    less 1/2 on mu.
+    less 1/2 on mu.  Their ratios q_m = r2 (s + m - 1) / m (m >= 2) never
+    grow, so where q_m < 1 the tail past m is at most T_m = t_m / (1 - q_m),
+    falling with m, and the partial sum at least L_m = K - T_m.  The bound
+    is the first index S at which T_m / L_m, rounded out as the test
+    rounds, is below tol (1 - 1e-6).
 
-    The ratios q_m = t_m / t_(m-1) = r2 (s + m - 1) / m (m >= 2) never
-    grow with m, so where q_m < 1 the tail past m is at most
-    t_m / (1 - q_m), and the sum of the first m terms at least
-    L_m = K - t_m / (1 - q_m).  Let S be the first index whose stop test
-    passes with L_m for the partial sum: every truncation that fails lies
-    below S.  The loop's next candidate after a failed truncation m is at
-    most 2m <= S for m <= S/2; past S/2 it is at most the stop that m's
-    majorant predicts, which, the ratios falling, is at most the one
-    predicted from ceil(S/2) with L for its partial sum.  The bound is the
-    larger of S and that stop, with a relative slack of 1e-6 and two
-    indices against rounding; it only sizes the table, and a shortfall
-    costs a second one."""
+    The test reads the same T_m against a partial sum of at least L_m, so
+    the slack covers rounding alone: the norm table's cumulative product
+    (below m eps < 3e-10), the pairwise sum (a few ulps), ``math.lgamma``
+    (below 1e-8 in the logarithm up to N_CAP) and q_m (a few ulps, which
+    1/(1 - q_m) amplifies to below 1e-7 where 1 - q_m > 1e-8).  With normal
+    norms h_m the test passes at S; ``kernel_vector`` still confirms it and
+    raises if it fails, so rounding never loosens a tail."""
     if r2 == 0.0:
-        return n
+        return n0
     s = space.s if space.kind == "rs" else (2.0 if space.kind == "bergman" else 1.0)
     log_r2, log_gamma_s = math.log(r2), math.lgamma(s)
     log_full = -s * math.log1p(-r2)
@@ -279,72 +261,50 @@ def _stop_bound(space: KernelSpace, r2: float, tol: float, n: int) -> int:
         log_full += math.log1p(-0.5 * (1.0 - r2))
     log_tol = math.log(tol * (1.0 - 1e-6))
 
-    def majorant(m: int):
-        """(log t_m, q_m, log L_m, log of the tail bound), or None where the
-        majorant bounds nothing (q_m >= 1 or a tail bound of K or more)."""
+    def passes(m: int) -> bool:
         q = r2 * (s + m - 1.0) / m
         if not q < 1.0:
-            return None
-        log_t = m * log_r2 + math.lgamma(s + m) - log_gamma_s - math.lgamma(m + 1.0)
-        log_tail = log_t - math.log1p(-q)
+            return False
+        log_tail = m * log_r2 + math.lgamma(s + m) - log_gamma_s - math.lgamma(m + 1.0) - math.log1p(-q)
         if not log_tail < log_full:
-            return None
-        return log_t, q, log_full + math.log1p(-math.exp(log_tail - log_full)), log_tail
+            return False
+        log_low = log_full + math.log1p(-math.exp(log_tail - log_full))
+        return log_tail - log_low + math.log1p(4.0 * m * _EPS) < log_tol
 
-    def passes(m: int) -> bool:
-        mj = majorant(m)
-        return mj is not None and mj[3] - mj[2] + math.log1p(4.0 * m * _EPS) < log_tol
-
-    lo, hi = max(n, 2) - 1, N_CAP
-    if not passes(hi):
-        return N_CAP
-    while hi - lo > 1:  # passes() is false, then true, along the indices
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    m0 = max(n, 2, (hi + 1) // 2)
-    mj = majorant(m0)
-    if mj is None:
-        return min(2 * hi, N_CAP)
-    log_t, q, log_low, _ = mj
-    # the first m with 2 t q^(m - m0) < tol (1 - q) L, the loop's test
-    steps = (log_tol + math.log1p(-q) + log_low - math.log(2.0) - log_t) / math.log(q)
-    return min(max(hi, m0 + max(math.ceil(steps), 0) + 2), N_CAP)
-
-
-def _norm_table(space: KernelSpace, n: int, want: int) -> np.ndarray:
-    """A norm table for truncation n: h_0..h_want of a built-in space, the
-    whole stored table of a custom one.  A built-in table that underflows
-    before h_want is asked again for h_0..h_(n+1), the entries truncation n
-    reads, so it raises exactly where a table of that length does."""
-    if not space.extendable:
-        return space.h_table(len(space.h) - 1)
-    try:
-        return space.h_table(want)
-    except TruncationError:
-        return space.h_table(n + 1)
+    return _first_passing(passes, max(n0, 2) - 1, N_CAP)
 
 
 def kernel_vector(
     space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32
 ) -> KernelVector:
-    """Adaptively truncated kernel vector with relative tail below ``tol``.
+    """Truncated kernel vector with relative tail below ``tol``.
 
-    The truncation N grows until the omitted mass of the K(z,z) series,
-    bounded by a geometric majorant with ratio ``|z|^2 / a_N^2`` (the
-    built-in weight sequences are non-decreasing), drops below ``tol`` of
-    the partial sum.  From a failed N the search looks no further than
-    min(2N, m*), m* being the index at which N's own majorant predicts
-    tol / 2; within that range it steps to the first index whose tail
-    bound, against N's partial sum (a lower bound on the partial sum
-    there), is below ``tol``.  The test at the new index decides, so a
-    step that falls short costs one more step, never a looser tail.
-    Capped at ``N_CAP``.
+    The truncation is the smallest N >= n0 = max(n_start, pad) (for a
+    custom table shorter than that, its last index) whose stop test
+    passes: rel_N = t_N / (1 - q_N) / partial_N * (1 + 4 N eps) < tol, with
+    t_N = r2^N / h_N, partial_N the pairwise ``np.sum`` of the first N
+    terms, and q_N = r2 / a^2 the ratio of a geometric majorant of the
+    omitted terms: a^2 = h_N / h_(N-1) on a built-in space (whose weights
+    never decrease), the smallest ratio h_(k+1) / h_k from k = N - 1 to
+    the end of a custom table (assumed not to dip below it past the end).
+    The bound falls and the partial sum grows with N, so the test fails
+    below N and passes from N on.  Capped at ``N_CAP``.
+
+    A lower bound on the partial sum gives hi, where the test passes:
+    ``_stop_bound`` on a built-in space; on a custom table the first index
+    (by doubling from n0, then bisection) that passes against
+    (1 - r2^n) / ((1 - r2) h_0 g^n), g >= 1 bounding the ratios below it,
+    or the table's end.  The terms are formed up to hi and the test is
+    confirmed there, else the table-end or cap ``TruncationError`` is
+    raised.  partial_hi bounds every shorter partial sum, so lo, the last
+    index that fails even against it, takes no sum to find (it is hi - 1
+    at every benchmark point), and the test decides from lo + 1.
 
     The vector is the real kernel line at |z| with the phase w = z/|z|
     beside it (``KernelVector``): coefficient k is sqrt(t_k / partial) for
-    the term t_k = r2^k / h_k the truncation loop formed, in the buffer
-    that held the terms, or |z|^k / sqrt(h_k partial) where the terms
-    underflow.  The truncation and tail come from the real series alone.
+    the term t_k, in the buffer that held the terms, or
+    |z|^k / sqrt(h_k partial) where the terms underflow.  The truncation
+    and tail come from the real series alone.
 
     ``pad`` is the index raise of the expression the vector will meet: the
     truncation starts at max(n_start, pad), so every coordinate a ``Dense``
@@ -358,22 +318,27 @@ def kernel_vector(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     r2 = abs(z) ** 2
-    # tail majorant: t_{k+1}/t_k = r2/a_k^2 <= r2/a_min^2 beyond index n;
-    # built-in weight sequences are non-decreasing, so a_min^2 is the
-    # ratio at the truncation point; custom tables use their smallest
-    # ratio from that point to the end of the stored table (and are
-    # assumed not to dip below it past their end)
-    floor = None if space.extendable else np.minimum.accumulate((space.h[1:] / space.h[:-1])[::-1])[::-1]
+    n0 = max(n_start, pad)
+    if space.extendable:
+        floor = None
+        hi = _stop_bound(space, r2, tol, n0)
+        # one norm table: h_hi for the test, h_(N+pad-1) for the frame's weights
+        h = space.h_table(hi + max(pad, 1) - 1)
+    else:
+        h = space.h
+        if len(h) < 2:
+            space.h_table(n0 + 1)  # raises: no table to truncate
+        ratios = h[1:] / h[:-1]
+        floor = np.minimum.accumulate(ratios[::-1])[::-1]
+        end = min(len(h) - 1, N_CAP)
+        n0 = min(n0, end)
 
-    def tail(m: int, partial: float):
-        """(t_m, q, rel): the first term truncation m omits, the ratio that
-        bounds the terms past it, and the relative tail bound against
-        ``partial``, rounded outward."""
+    def tail(m: int, partial: float) -> float:
+        """rel_m against ``partial``, rounded outward."""
         if r2 == 0.0:
-            return 0.0, 0.0, 0.0
+            return 0.0
         q = r2 / (h[m] / h[m - 1] if floor is None else floor[m - 1])
-        t_m = r2 ** m / h[m]
-        tail_abs = math.inf if q >= 1 else t_m / (1.0 - q)
+        tail_abs = math.inf if q >= 1 else r2 ** m / h[m] / (1.0 - q)
         # Outward rounding.  With u = eps/2, r2 = fl(|z|^2) = |z|^2 (1 + d),
         # |d| <= 3u (an ulp from abs, half an ulp from squaring).  Where the
         # majorant is exact (a constant ratio past m: hardy, mu) rel equals
@@ -387,92 +352,74 @@ def kernel_vector(
         # that and stays below 4 N_CAP eps < 1e-9.  On bergman and rs(s),
         # s >= 2, the majorant's ratio exceeds the true one by about
         # (s - 1) r2/m^2, a far larger margin.
-        return t_m, q, tail_abs / partial * (1.0 + 4.0 * m * _EPS)
+        return tail_abs / partial * (1.0 + 4.0 * m * _EPS)
 
-    # the norm table reaches past h_n by one entry for the loop (as a table
-    # of its own would) and by pad - 1 for the frame's weights, the buffer
-    # of terms, which becomes the frame, by pad; both are sized for a stop:
-    # a built-in space's bound on every truncation the loop tries, the
-    # hardy series' stop for a custom one, and then, should that fall
-    # short, the one the last failed truncation's majorant predicts
-    reach = max(pad, 1)
-    h = None
-    terms = np.empty(0)  # t_k = r2^k / h_k; t_0..t_(done-1) are formed
-    done = 0
-    n = max(n_start, pad)
-    if space.extendable:
-        stop = _stop_bound(space, r2, tol, n)
-    else:
-        stop = _predicted_stop(n, tol, 0, 1.0, r2, 1.0 / (1.0 - r2))
-    failed = None  # (n, partial sum) of the last truncation that failed
-    while True:
-        if h is None or len(terms) < n + pad or space.extendable and len(h) <= n + 1:
-            size = max(stop, n) + reach
-            if h is None or space.extendable:
-                h = _norm_table(space, n, size)
-            grown = np.arange(min(size, len(h)), dtype=float)
-            grown[:done] = terms[:done]
-            terms = grown
-        if n + 1 >= len(h):  # the end of a custom table
-            if len(h) < 2:
-                space.h_table(n + 1)  # raises: no table to truncate
-            n = len(h) - 1
-        if failed is not None and tail(n, failed[1])[2] < tol:
-            # the first index past the failed truncation whose own tail
-            # bound passes against that truncation's partial sum, which the
-            # partial sum at the index can only exceed (the bound falls
-            # with the index, so none does when n's own does not)
-            lo, below = failed[0], n
-            while below - lo > 1:
-                mid = (lo + below) // 2
-                if tail(mid, failed[1])[2] < tol:
-                    below = mid
-                else:
-                    lo = mid
-            n = below
-        new = terms[done:n]
-        np.power(r2, new, out=new)
-        np.divide(new, h[done:n], out=new)
-        done = n
-        partial = float(np.sum(terms[:n]))
-        t_next, q, rel = tail(n, partial)
-        if rel < tol:
-            # the weights of ``shift_weights(n + pad - 1)``, from the same
-            # table; past the end of a custom table ``h_table`` raises
-            size = n + pad
-            if len(h) < size:
-                h = space.h_table(size - 1)
-            a = h[1:size] / h[: size - 1]
-            np.sqrt(a, out=a)
-            # the terms become the padded frame, normalized in place; a
-            # term below the normal range has lost digits, and then the
-            # powers of |z| itself keep them (|z| < 1e-5, where n is short)
-            v = terms[:size]
-            v[n:] = 0.0
-            coeffs = v[:n]
-            if coeffs[-1] >= _TINY:
-                np.sqrt(coeffs, out=coeffs)
-            else:
-                np.power(abs(z), np.arange(n, dtype=float), out=coeffs)
-                coeffs /= np.sqrt(h[:n])
-            coeffs /= math.sqrt(partial)
-            w = z / abs(z) if z else 1 + 0j
-            return KernelVector(z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=rel, v=v, a=a)
-        if not space.extendable and n >= len(space.h) - 1:
+    if not space.extendable:
+        # the bound on partial_m, with a slack of 1e-6 against its rounding;
+        # ``growth`` is g for every index up to hi
+        def bound_passes(m: int) -> bool:
+            low = (1.0 - r2 ** m) / ((1.0 - r2) * h[0] * growth ** m)
+            return tail(m, low) * (1.0 + 1e-6) < tol
+
+        lo, hi = n0 - 1, n0
+        growth = float(ratios[:hi].max(initial=1.0))
+        while hi < end and not bound_passes(hi):
+            lo, hi = hi, min(2 * hi, end)
+            growth = float(ratios[:hi].max(initial=1.0))
+        hi = _first_passing(bound_passes, lo, hi)
+
+    # the buffer of terms t_k = r2^k / h_k, formed up to hi, becomes the frame
+    terms = np.arange(hi + pad, dtype=float)
+    formed = terms[:hi]
+    np.power(r2, formed, out=formed)
+    np.divide(formed, h[:hi], out=formed)
+    partials = {}
+
+    def passes(m: int) -> bool:
+        partials[m] = float(terms[:m].sum())
+        return tail(m, partials[m]) < tol
+
+    if not passes(hi):
+        rel = tail(hi, partials[hi])
+        if not space.extendable and hi >= len(space.h) - 1:
             raise TruncationError(
                 f"norm table of length {len(space.h)} cannot reach tail {tol:g} "
                 f"at |z| = {abs(z):.4g} (reached {rel:.3g})"
             )
-        if n >= N_CAP:
-            raise TruncationError(
-                f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}"
-            )
-        # the next truncation: at most twice this one and at most the stop
-        # that this one's majorant predicts, stepped back above as far as
-        # the tail bounds read off the table allow
-        stop = _predicted_stop(n, tol, n, float(t_next), float(q), partial)
-        failed = (n, partial)
-        n = min(2 * n, stop if stop > n else N_CAP)
+        raise TruncationError(f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}")
+    # the partial sums below hi are at most partial_hi (with a slack of 1e-6
+    # against their rounding), so a test that fails against it fails
+    top = partials[hi] * (1.0 + 1e-6)
+    lo = hi - 1
+    if lo >= n0 and tail(lo, top) < tol:
+        lo = _first_passing(lambda m: tail(m, top) < tol, n0 - 1, lo) - 1
+    n = lo + 1  # where the test almost always passes
+    if n < hi and not passes(n):
+        n = _first_passing(passes, n, hi)
+    partial = partials[n]
+    if partial == math.inf:  # where it overflows, the test passes spuriously
+        raise TruncationError(f"the kernel series of {space.label} overflows at |z| = {abs(z):.4g}")
+    # the weights of ``shift_weights(n + pad - 1)``, from the same table;
+    # past the end of a custom table ``h_table`` raises
+    size = n + pad
+    if len(h) < size:
+        h = space.h_table(size - 1)
+    a = h[1:size] / h[: size - 1]
+    np.sqrt(a, out=a)
+    # the terms become the padded frame, normalized in place; a term below
+    # the normal range has lost digits, and then the powers of |z| itself
+    # keep them (|z| < 1e-5, where n is short)
+    v = terms[:size]
+    v[n:] = 0.0
+    coeffs = v[:n]
+    if coeffs[-1] >= _TINY:
+        np.sqrt(coeffs, out=coeffs)
+    else:
+        np.power(abs(z), np.arange(n, dtype=float), out=coeffs)
+        coeffs /= np.sqrt(h[:n])
+    coeffs /= math.sqrt(partial)
+    w = z / abs(z) if z else 1 + 0j
+    return KernelVector(z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=tail(n, partial), v=v, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +459,13 @@ def ball_space(n: int, degree_cap: int, kind: str = "drury_arveson") -> BallSpac
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     s = 1 if kind == "drury_arveson" else n
+    fact = [1]  # 0!..(degree_cap + s - 1)!, one product each
+    for k in range(1, degree_cap + s):
+        fact.append(fact[-1] * k)
     norms = {}
     for alpha in _multi_indices(n, degree_cap):
-        num = math.prod(math.factorial(a) for a in alpha) * math.factorial(s - 1)
-        norms[alpha] = num / math.factorial(sum(alpha) + s - 1)
+        num = math.prod(fact[a] for a in alpha) * fact[s - 1]
+        norms[alpha] = num / fact[sum(alpha) + s - 1]
     return BallSpace(n=n, kind=kind, degree_cap=degree_cap, norms=norms)
 
 

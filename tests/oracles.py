@@ -190,11 +190,11 @@ def reject_constant(name):
 
 
 # ---------------------------------------------------------------------------
-# allocating references for the in-place kernel loop and evaluator: every
-# truncation rebuilds its norm table and its terms, the frame is a fresh
-# zero vector with weights from a table of its own, and every operation of
-# the evaluator returns a new array.  Their bits are what the package must
-# reproduce.
+# allocating references for the in-place kernel vector and evaluator: every
+# table size tried rebuilds its norm table and its terms, the frame is a
+# fresh zero vector with weights from a table of its own, and every
+# operation of the evaluator returns a new array.  Their bits are what the
+# package must reproduce.
 
 
 def _reference_table(space: KernelSpace, n: int):
@@ -210,24 +210,22 @@ def _reference_table(space: KernelSpace, n: int):
 
 
 def _reference_tail(space: KernelSpace, h, r2: float, n: int, partial: float):
-    """(t_n, q, rel) of truncation n against the partial sum ``partial``:
-    the first omitted term, the majorant's ratio and the rounded-out
-    relative tail bound of ``spaces.kernel_vector``."""
+    """The rounded-out relative tail bound of ``spaces.kernel_vector`` for
+    truncation n against the partial sum ``partial``."""
     if r2 == 0.0:
-        return 0.0, 0.0, 0.0
+        return 0.0
     if space.extendable:
         a_min_sq = h[n] / h[n - 1]
     else:
         a_min_sq = float(np.min(space.h[n:] / space.h[n - 1 : -1]))
     q = r2 / a_min_sq
-    t = r2 ** n / h[n]
-    tail_abs = math.inf if q >= 1 else t / (1.0 - q)
-    return t, q, tail_abs / partial * (1.0 + 4.0 * n * float(np.finfo(float).eps))
+    tail_abs = math.inf if q >= 1 else r2 ** n / h[n] / (1.0 - q)
+    return tail_abs / partial * (1.0 + 4.0 * n * float(np.finfo(float).eps))
 
 
-def _reference_tails(space: KernelSpace, h, r2: float, ms, partial: float):
+def _reference_tails(space: KernelSpace, h, r2: float, ms, partial):
     """The relative tail bounds of ``_reference_tail`` at the indices ms,
-    all against the partial sum ``partial``, as one array."""
+    against the partial sums ``partial`` (one per index), as one array."""
     if r2 == 0.0:
         return np.zeros(len(ms))
     if space.extendable:
@@ -243,53 +241,54 @@ def _reference_tails(space: KernelSpace, h, r2: float, ms, partial: float):
 
 
 def reference_kernel_vector(space: KernelSpace, z: complex, tol: float = 1e-12, n_start: int = 32):
-    """(coeffs, norm_sq, tail) of ``spaces.kernel_vector``, one norm table
-    and one power array per truncation tried; coeffs is the real line,
-    sqrt(r2^k / h_k) / sqrt(norm_sq), or (|z|^k / sqrt(h_k)) / sqrt(norm_sq)
-    when r2^(n-1) / h_(n-1) is below the normal range.
+    """(coeffs, norm_sq, tail) of ``spaces.kernel_vector``: the smallest
+    truncation n >= n_start (the last index of a custom table shorter than
+    that) whose stop test passes, with its partial sum from ``np.sum``;
+    coeffs is the real line, sqrt(r2^k / h_k) / sqrt(norm_sq), or
+    (|z|^k / sqrt(h_k)) / sqrt(norm_sq) when r2^(n-1) / h_(n-1) is below
+    the normal range.
 
-    After truncation n fails, the candidate is the first m in (n, 2n)
-    (capped at ``N_CAP``) at which n's geometric majorant t_n q^(m - n) /
-    (1 - q) drops below tol / 2 of its partial sum, else 2n; the next
-    truncation is the first index past n whose own tail bound, against n's
-    partial sum, is below tol, else the candidate.  Both are scans over
-    every index of the range, evaluated as arrays."""
+    Tables reaching 2 n_start, 4 n_start, ... (capped at ``N_CAP``, or the
+    end of a custom table) are tried in turn, each with one power array:
+    its cumulative sum gives every partial sum at once, and the first index
+    that passes with those proposes a candidate.  The test with the
+    pairwise sum decides around it: the candidate steps down while the
+    index below it passes and up while it fails.  No closed form is read."""
     z = complex(z)
     r2 = abs(z) ** 2
-    n, failed = n_start, None
+    size = 2 * n_start
     while True:
-        h, n = _reference_table(space, n)
-        if failed is not None:
-            prev, prev_partial = failed
-            ms = np.arange(prev + 1, n)
-            passing = np.flatnonzero(_reference_tails(space, h, r2, ms, prev_partial) < tol)
-            n = int(ms[passing[0]]) if len(passing) else n
-            h, n = _reference_table(space, n)
-        terms = r2 ** np.arange(n) / h[:n]
-        partial = float(np.sum(terms))
-        t, q, rel = _reference_tail(space, h, r2, n, partial)
-        if rel < tol:
-            if terms[-1] >= np.finfo(float).tiny:
-                raw = np.sqrt(terms)
-            else:
-                raw = abs(z) ** np.arange(n, dtype=float) / np.sqrt(h[:n])
-            return raw / math.sqrt(partial), partial, rel
-        if not space.extendable and n >= len(space.h) - 1:
+        h, size = _reference_table(space, min(size, N_CAP))
+        n0 = min(n_start, size)
+        terms = r2 ** np.arange(size) / h[:size]
+
+        def decide(m):
+            partial = float(np.sum(terms[:m]))
+            return partial, _reference_tail(space, h, r2, m, partial)
+
+        ms = np.arange(n0, size + 1)
+        passing = np.flatnonzero(_reference_tails(space, h, r2, ms, np.cumsum(terms)[ms - 1]) < tol)
+        if len(passing):
+            n = int(ms[passing[0]])
+            while n > n0 and decide(n - 1)[1] < tol:
+                n -= 1
+            while n < size and not decide(n)[1] < tol:
+                n += 1
+            partial, rel = decide(n)
+            if rel < tol:
+                if terms[n - 1] >= np.finfo(float).tiny:
+                    raw = np.sqrt(terms[:n])
+                else:
+                    raw = abs(z) ** np.arange(n, dtype=float) / np.sqrt(h[:n])
+                return raw / math.sqrt(partial), partial, rel
+        if not space.extendable and size >= len(space.h) - 1:
             raise TruncationError(
                 f"norm table of length {len(space.h)} cannot reach tail {tol:g} "
-                f"at |z| = {abs(z):.4g} (reached {rel:.3g})"
+                f"at |z| = {abs(z):.4g} (reached {decide(size)[1]:.3g})"
             )
-        if n >= N_CAP:
-            raise TruncationError(f"kernel tail {rel:.3g} still above {tol:g} at truncation cap {N_CAP}")
-        after = min(2 * n, N_CAP)
-        t, q = float(t), float(q)
-        if 0 < q < 1:
-            bound = tol * (1.0 - q) * partial
-            ms = np.arange(n + 1, after)
-            below = np.flatnonzero(2.0 * t * q ** (ms - n) < bound)
-            after = int(ms[below[0]]) if len(below) else after
-        failed = (n, partial)
-        n = after
+        if size >= N_CAP:
+            raise TruncationError(f"kernel tail {decide(size)[1]:.3g} still above {tol:g} at truncation cap {N_CAP}")
+        size *= 2
 
 
 def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0):
