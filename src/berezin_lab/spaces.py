@@ -84,11 +84,12 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
         h = np.empty(n + 1)
         h[0] = 1.0
         np.cumprod(ratio, out=h[1:])
-        # for large s the product underflows to 0, which is no norm
-        # (``custom_space`` rejects it too); h is non-increasing
-        if h[-1] == 0.0:
-            zero = int(np.argmax(h == 0.0))
-            raise TruncationError(f"rs({s:g}) norm h_{zero} underflows to 0")
+        # for large s the product leaves the normal range, where the norms
+        # and every term and tail read from them lose their digits, and
+        # then underflows to 0, which is no norm; h is non-increasing
+        if h[-1] < _TINY:
+            k = int(np.argmax(h < _TINY))
+            raise TruncationError(f"rs({s:g}) norm h_{k} = {h[k]:.3g} underflows below the normal range")
         return h
     if kind == "mu":
         h = np.ones(n + 1)
@@ -99,12 +100,20 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpace:
-    """A disk kernel space given by its squared monomial norms."""
+    """A disk kernel space given by its squared monomial norms.
+
+    A custom table also keeps its ratios h_(k+1) / h_k and, as ``floor``,
+    their suffix minima (the smallest ratio from k to the table's end),
+    formed once where the table is validated and read by every kernel
+    vector; both are ``None`` on a built-in kind.
+    """
 
     kind: str
     h: np.ndarray
     label: str
     s: float | None = None
+    ratios: np.ndarray | None = field(default=None, compare=False, repr=False)
+    floor: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def extendable(self) -> bool:
@@ -156,7 +165,8 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ValueError(f"h_{k} = {h[k]} is not positive and finite")
-    a = np.sqrt(h[1:] / h[:-1])
+    ratios = h[1:] / h[:-1]
+    a = np.sqrt(ratios)
     bad = ~(a <= 1 + tol)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -168,7 +178,8 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
     if not np.all(a > 0):
         k = int(np.argmin(a))
         raise ValueError(f"h_{k + 1}/h_{k} = {h[k + 1]:.6g}/{h[k]:.6g} underflows to a zero weight")
-    return KernelSpace(kind="custom", h=h, label=label)
+    floor = np.minimum.accumulate(ratios[::-1])[::-1]
+    return KernelSpace(kind="custom", h=h, label=label, ratios=ratios, floor=floor)
 
 
 def load_h_table(path, label: str | None = None) -> KernelSpace:
@@ -325,11 +336,7 @@ def kernel_vector(
         # one norm table: h_hi for the test, h_(N+pad-1) for the frame's weights
         h = space.h_table(hi + max(pad, 1) - 1)
     else:
-        h = space.h
-        if len(h) < 2:
-            space.h_table(n0 + 1)  # raises: no table to truncate
-        ratios = h[1:] / h[:-1]
-        floor = np.minimum.accumulate(ratios[::-1])[::-1]
+        h, ratios, floor = space.h, space.ratios, space.floor
         end = min(len(h) - 1, N_CAP)
         n0 = min(n0, end)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from berezin_lab import exprs
+from berezin_lab.shifts import _dyadic_prefix, _sandwich
 from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, kernel_vector
 
 
@@ -347,3 +348,41 @@ def reference_apply(node, a, vec):
             node.b, a, reference_apply(node.a, a, v)
         )
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def reference_power_bounded_check(w, r: float, m_max: int) -> dict:
+    """``shifts.power_bounded_check`` by a scan of every m-window for each
+    m <= m_max, O(N m_max): the extremes read off the windows themselves,
+    and each dyadic entry's sandwich tested on every window."""
+    s = _dyadic_prefix(w.n)
+    sup_norm = 0.0
+    sup_at = 0
+    inf_low = np.inf
+    inf_at = 0
+    dyadic = {}
+    for m in range(1, m_max + 1):
+        win = s[m:] - s[:-m]
+        hi = r ** (float(np.min(win)) - m / 3.0)  # ||A^m||
+        lo = r ** (float(np.max(win)) - m / 3.0)  # min rescaled window product
+        if hi > sup_norm:
+            sup_norm, sup_at = hi, m
+        if lo < inf_low:
+            inf_low, inf_at = lo, m
+        if m & (m - 1) == 0:  # m = 2^k: the bound is the sandwich's lower half
+            k = m.bit_length() - 1
+            dyadic[m] = {
+                "norm": hi,
+                "bound": r ** (-np.ldexp(1.0, -k) / 3.0),
+                "ok": bool(np.all(_sandwich(win, k)[0])),
+            }
+
+    return {
+        "r": r,
+        "m_max": m_max,
+        "sup_power_norm": sup_norm,
+        "sup_at": sup_at,
+        "inf_lower_window": inf_low,
+        "inf_at": inf_at,
+        "dyadic_bounds": dyadic,
+        "all_dyadic_ok": all(d["ok"] for d in dyadic.values()),
+    }

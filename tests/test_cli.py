@@ -298,11 +298,12 @@ def test_probe_fredholm_reads_the_trend_thresholds(tmp_path):
 
 
 def test_rs_norm_underflow_is_rejected_where_the_table_is_built(capsys):
-    # h_k of rs(5000) is 0 from k = 171; nothing may divide by it first
+    # h_k of rs(5000) is subnormal from k = 160 (and 0 from k = 171);
+    # nothing may divide by it first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["probe", "closed-range", "--space", "rs(5000)", "--phi=0.5,1"]) == 2
-    assert "h_171" in capsys.readouterr().err
+    assert "h_160" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from berezin_lab.shifts import (
     WeightSequence,
     _dyadic_prefix,
     _sandwich,
+    _window_extremes,
     cluster_weights,
     constant_weights,
     dyadic_valuation,
@@ -24,6 +25,7 @@ from berezin_lab.shifts import (
     power_bounded_check,
 )
 from berezin_lab.spaces import monomial_norms
+from oracles import reference_power_bounded_check
 
 rng = np.random.default_rng(96017)
 
@@ -275,6 +277,45 @@ def test_power_bound_sup_reported():
     assert rep["sup_power_norm"] >= 1.0
     # powers stay uniformly bounded below as well
     assert rep["inf_lower_window"] > 0.0
+
+
+def test_window_extremes_match_every_window_up_to_400():
+    # brute force from the longest prefix (each shorter one is its prefix):
+    # row m - 1 of ``lows`` and ``highs`` holds at column j the extreme over
+    # the m-windows starting at n <= j, so for N weights column N - m
+    s = _dyadic_prefix(400)
+    lows, highs = np.zeros((2, 399, 400))
+    for m in range(1, 400):
+        win = s[m:] - s[:-m]
+        lows[m - 1, : len(win)] = np.minimum.accumulate(win)
+        highs[m - 1, : len(win)] = np.maximum.accumulate(win)
+    for n_w in range(2, 401):
+        m = np.arange(1, n_w)
+        e_min, e_max = _window_extremes(s[: n_w + 1], n_w - 1)
+        assert e_min.tobytes() == lows[m - 1, n_w - m].tobytes(), n_w
+        assert e_max.tobytes() == highs[m - 1, n_w - m].tobytes(), n_w
+
+
+@pytest.mark.parametrize("n_w", [511, 512, 513, 1000, 1023, 1024, 1025, 4095, 4097, 6000, 8192, 16383, 16384])
+def test_window_extremes_match_every_window_at_larger_lengths(n_w):
+    s = _dyadic_prefix(n_w)
+    e_min, e_max = _window_extremes(s, n_w - 1)
+    # every m up to 1025; beyond, the shortest and longest 128 and every 61st
+    ms = range(1, n_w) if n_w <= 1025 else sorted({*range(1, 129), *range(n_w - 128, n_w), *range(1, n_w, 61)})
+    for m in ms:
+        win = s[m:] - s[:-m]
+        assert e_min[m - 1].tobytes() == win.min().tobytes(), m
+        assert e_max[m - 1].tobytes() == win.max().tobytes(), m
+
+
+@pytest.mark.parametrize(
+    "n_w, m_max, r",
+    [(2**14, 8192, 0.5), (2**13, 2**12, 0.5), (64, 16, 0.5), (1000, 999, 0.3), (777, 300, 0.9), (1024, 256, 0.5),
+     (2**16, 2**15, 0.7)],
+)
+def test_power_bound_equals_the_scan_of_every_window(n_w, m_max, r):
+    w = simple_weights(r, n_w)
+    assert power_bounded_check(w, r, m_max) == reference_power_bounded_check(w, r, m_max)
 
 
 def test_power_bound_rejects_degenerate():

@@ -400,10 +400,24 @@ def test_truncation_stops_at_the_cap_and_the_table_end_keep_their_errors():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_kernel_series_raises():
-    # K(z, z) = (1 - |z|^2)^-300 exceeds the largest float at |z| = 0.99; an
-    # infinite partial sum would pass the stop test with a zero tail
-    with pytest.raises(TruncationError, match=r"^the kernel series of rs\(300\) overflows at \|z\| = 0\.99$"):
+    # an infinite partial sum would pass the stop test with a zero tail.
+    # Here 1/h_k = 1e307 for k >= 1, so K(z, z) exceeds the largest float at
+    # |z| = 0.99 while every norm is normal
+    table = custom_space(np.r_[1.0, np.full(4095, 1e-307)], label="flat")
+    with pytest.raises(TruncationError, match=r"^the kernel series of flat overflows at \|z\| = 0\.99$"):
+        kernel_vector(table, 0.99, tol=1e-4)
+    # K(z, z) = (1 - |z|^2)^-300 overflows too, but on rs(300) the norms
+    # leave the normal range first (from h_1044), and that is what raises
+    with pytest.raises(TruncationError, match=r"^rs\(300\) norm h_1044 = \S+ underflows below the normal range$"):
         kernel_vector(monomial_norms("rs", 4, s=300.0), 0.99, tol=1e-4)
+
+
+def test_rs_norms_below_the_normal_range_raise():
+    # h_14343 of rs(124.6) is subnormal; a truncation near 2 * 10^4 would
+    # read norms down to 4e-322 that have lost their digits
+    with pytest.raises(TruncationError, match=r"^rs\(124\.6\) norm h_14343 = \S+ underflows below the normal range$"):
+        kernel_vector(monomial_norms("rs", 4, s=124.6), 0.99574, tol=1.9e-8)
+    assert monomial_norms("rs", 14342, s=124.6).h[-1] >= np.finfo(float).tiny
 
 
 def test_kernel_vector_domain_errors():
