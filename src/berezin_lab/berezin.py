@@ -64,11 +64,15 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
     ``Dense`` block reads holds a kernel value.  k_z = U p for the real
     kernel line p at |z| and the diagonal unitary U = diag(conj(w)^k),
     w = z/|z|, so the value is <(U^* X U) p, p>: the tree is rotated once
-    (``exprs.rotate``) and applied to p.  The reported tail is the kernel
-    tail scaled by a coarse norm bound of the expression.
+    (``exprs.rotate``), which collects the phases of each product and
+    commutator into one scalar c, and the value is ``exprs.quadratic`` of
+    the rotated tree on p: c times <core p, p>, in real arithmetic
+    wherever the core's coefficients are real.  The
+    reported tail is the kernel tail scaled by a coarse norm bound of the
+    expression.
     """
     kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-    value = exprs.inner(kv.v, exprs.apply(exprs.rotate(node, kv.w), kv.a, kv.v))
+    value = exprs.quadratic(exprs.rotate(node, kv.w), kv.a, kv.v)
     tail = 4.0 * exprs.norm_bound(node) * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 

@@ -175,10 +175,12 @@ def cmd_gbt(args):
         raise ValueError("--svg requires --out (the plot is built from the CSV)")
     space = space_by_name(args.space)
     node = parse_operator_expr(args.op)
+    bound = exprs.norm_bound(node)
+    if not math.isfinite(4.0 * bound):
+        raise ValueError(f"--op {args.op!r} overflows: 4 times its norm bound {bound:.3g} (the tail factor) is not finite")
     points, path = _parse_path(args)
     profile = bz.gbt_profile(space, node, points, path, op_label=args.op, tol=args.tail_tol)
     # contractivity audit: |value| <= coarse norm bound + tail
-    bound = exprs.norm_bound(node)
     passed = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
     if not args.out:
         return bz.profile_report(profile), passed

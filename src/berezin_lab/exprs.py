@@ -30,17 +30,29 @@ has compression semantics: coordinates pushed to index >= N are dropped.
 of dense multiplier matrices.
 
 Buffer rule: ``apply`` never writes to its input and always returns a
-fresh complex array, which the caller may overwrite.  The evaluator
-relies on it: the shift series builds its powers in two alternating
-buffers and scales each in place, and ``Scale``, ``Sum`` and
-``Commutator`` finish their arithmetic in the arrays their operands
-returned.  The input may be real (a kernel line is): every buffer is
-created complex, so the input is read as it is and never copied.
+fresh array, which the caller may overwrite.  The evaluator relies on
+it: the shift series builds its powers in two alternating buffers and
+scales each in place, and ``Scale``, ``Sum`` and ``Commutator`` finish
+their arithmetic in the arrays their operands returned.  The result
+keeps the dtype of the data: a real input that meets only real
+coefficients and scalars gives a real result, with the real part of the
+bits the complex evaluation gives.  A multiplier with a complex
+coefficient casts its real input once (its first power or term is a
+complex buffer), and a complex scalar or operand makes the rest complex.
 
 ``rotate`` is the one phase map: for a unit w and U = diag(conj(w)^k) it
-gives the tree of U^* X U, in which every term that moves indices by d
-carries w^d.  A kernel vector is U times a real line, so the transform
-evaluates the rotated tree on that real line.
+gives the tree of U^* X U.  U^* S U = w S exactly, so ``Mz`` becomes
+``w*Mz`` and ``Mz^*`` ``conj(w)*Mz^*``, and a product or commutator
+collects its factors' scalars into one ``Scale`` at its top; multiplier
+coefficients c_m become c_m w^m.  A kernel vector is U times a real
+line, so the transform evaluates the rotated tree on that real line,
+with ``Mz^* Mz`` and ``[Mz^*, Mz]`` wholly in real arithmetic.
+
+``quadratic`` is <X v, v> for a real v.  It is linear over ``Sum`` and
+``Scale``; at a multiplier leaf it sums c_j <S^j v, v> over real powers
+and real pairwise dots, which it forms only to dot them with v, and at
+every other node it is ``inner(v, apply(X, a, v))``.  Its docstring
+states a gamma bound that holds for both ways of forming the value.
 """
 
 from __future__ import annotations
@@ -343,32 +355,49 @@ def _as_term(node) -> str:
 
 def rotate(node, w: complex):
     """The tree of U^* X U for U = diag(conj(w)^k), |w| = 1: entry (i, j)
-    of X gains the factor w^(i - j).  ``Mz`` becomes ``MPoly((0, w))`` and
-    ``Mz^*`` ``MPolyAdj((0, w))``, a coefficient c_m of either multiplier
-    becomes c_m w^m, a ``Dense`` entry D_ij becomes D_ij w^i conj(w)^j, and
-    the other nodes recurse.  w = 1 returns the tree itself."""
+    of X gains the factor w^(i - j).  ``Mz`` becomes ``Scale(w, Mz())`` and
+    ``Mz^*`` ``Scale(conj(w), MzAdj())``, a coefficient c_m of either
+    multiplier becomes c_m w^m, and a ``Dense`` entry D_ij becomes
+    D_ij w^i conj(w)^j.  A ``Scale``, ``Product`` or ``Commutator``
+    multiplies its operands' scalars into one ``Scale`` at its top
+    ([cX, dY] = cd [X, Y]), and each ``Sum`` term keeps its own.  w = 1
+    returns the tree itself."""
     w = complex(w)
     if w == 1:
         return node
     if isinstance(node, Mz):
-        return MPoly((0j, w))
+        return Scale(w, node)
     if isinstance(node, MzAdj):
-        return MPolyAdj((0j, w))
+        return Scale(w.conjugate(), node)
     if isinstance(node, (MPoly, MPolyAdj)):
         phases = w ** np.arange(len(node.coeffs))
         return type(node)(tuple(complex(c * p) for c, p in zip(node.coeffs, phases)))
     if isinstance(node, Scale):
-        return Scale(node.c, rotate(node.node, w))
+        return _hoisted(node.c, (rotate(node.node, w),), lambda core: core)
     if isinstance(node, Product):
-        return Product(tuple(rotate(f, w) for f in node.factors))
+        return _hoisted(None, [rotate(f, w) for f in node.factors], lambda *fs: Product(fs))
     if isinstance(node, Sum):
         return Sum(tuple((sign, rotate(t, w)) for sign, t in node.terms))
     if isinstance(node, Dense):
         phases = w ** np.arange(node.mat.shape[0])
         return Dense(node.mat * np.multiply.outer(phases, phases.conj()))
     if isinstance(node, Commutator):
-        return Commutator(rotate(node.a, w), rotate(node.b, w))
+        return _hoisted(None, (rotate(node.a, w), rotate(node.b, w)), Commutator)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _hoisted(c, parts, build):
+    """``build(*cores)`` for the parts with their top scalars taken off,
+    scaled by c (None for 1) times those scalars in order; unscaled when
+    there are none."""
+    cores = []
+    for part in parts:
+        if isinstance(part, Scale):
+            c = part.c if c is None else c * part.c
+            part = part.node
+        cores.append(part)
+    node = build(*cores)
+    return node if c is None else Scale(c, node)
 
 
 def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
@@ -382,7 +411,8 @@ def materialize(node, a: np.ndarray, n: int) -> np.ndarray:
 
 def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_j c_j S^j v for the weighted shift S, or, adjointed, the sum of
-    conj(c_j) (S^*)^j v; S acts along axis 0.
+    conj(c_j) (S^*)^j v; S acts along axis 0.  Real when v and every c_j
+    are real, else complex.
 
     S^(j+1) v is formed before c_j S^j v, so the power is scaled in place;
     the powers alternate between two buffers (a fresh one replaces a
@@ -391,24 +421,34 @@ def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.n
     w = a[: n - 1].reshape((-1,) + (1,) * (v.ndim - 1))
     if adjointed:
         src, dst, edge = slice(1, None), slice(None, -1), slice(-1, None)
-        coeffs = [np.conj(c) for c in coeffs]
+        coeffs = [c.conjugate() for c in coeffs]
     else:
         src, dst, edge = slice(None, -1), slice(1, None), slice(None, 1)
+    dtype = complex
+    if v.dtype == float and not any(c.imag for c in coeffs):
+        dtype = float
+        coeffs = [c.real for c in coeffs]
     last = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
     if last < 0:
-        return np.zeros(v.shape, dtype=complex)
+        return np.zeros(v.shape, dtype=dtype)
     out = None
     power, spare = v, None
     for j in range(last + 1):
         nxt = None
         if j < last:
-            nxt = np.empty(v.shape, dtype=complex) if spare is None else spare
+            nxt = np.empty(v.shape, dtype=dtype) if spare is None else spare
             nxt[edge] = 0
             np.multiply(w, power[src], out=nxt[dst])
         spare = None
         if coeffs[j] != 0:
-            # the first term becomes the accumulator
-            term = np.multiply(coeffs[j], v, dtype=complex) if power is v else np.multiply(coeffs[j], power, out=power)
+            # the first term becomes the accumulator; a real power times 1
+            # is itself, bit for bit
+            if power is v:
+                term = np.multiply(coeffs[j], v, dtype=dtype)
+            elif coeffs[j] == 1 and dtype is float:
+                term = power
+            else:
+                term = np.multiply(coeffs[j], power, out=power)
             if out is None:
                 out = term
             else:
@@ -419,14 +459,20 @@ def _shift_series(coeffs, adjointed: bool, a: np.ndarray, v: np.ndarray) -> np.n
     return out
 
 
+def _into(ufunc, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """ufunc(x, y) in whichever of the two fresh arrays holds its type."""
+    return ufunc(x, y, out=x if x.dtype == np.result_type(x, y) else y)
+
+
 def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Expression applied along axis 0 of a coefficient vector or of an
     (N x P) block of them, truncation semantics.
 
     Equals the dense N x N truncation times ``vec`` without building the
     matrix; cost is O(N * P * bandwidth) per shift factor.  The result is
-    a fresh complex array and ``vec``, real or complex, is read as it is
-    (the buffer rule above).
+    a fresh array, real only when ``vec`` is real and so is every
+    coefficient and scalar it meets, and ``vec`` is read as it is (the
+    buffer rule above).
     """
     a = np.asarray(a, dtype=float)
     v = np.asarray(vec)
@@ -437,34 +483,38 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
         return _shift_series(coeffs, isinstance(node, (MzAdj, MPolyAdj)), a, v)
     if isinstance(node, Scale):
         out = apply(node.node, a, v)
-        return np.multiply(node.c, out, out=out)
+        c = node.c
+        if out.dtype == float:
+            if c.imag:
+                return np.multiply(c, out)
+            c = c.real
+        return np.multiply(c, out, out=out)
     if isinstance(node, Product):
         out = v
         for f in reversed(node.factors):
             out = apply(f, a, out)
-        return out if out is not v else v.astype(complex)
+        return out if out is not v else v.copy()
     if isinstance(node, Sum):
-        out = np.zeros(v.shape, dtype=complex)
+        out = np.zeros(v.shape, dtype=v.dtype)
         for sign, term in node.terms:
             t = apply(term, a, v)
-            out += np.multiply(sign, t, out=t)
+            out = _into(np.add, out, np.multiply(sign, t, out=t))
         return out
     if isinstance(node, Dense):
-        out = np.zeros(v.shape, dtype=complex)
+        out = np.zeros(v.shape, dtype=np.result_type(node.mat, v))
         k = min(v.shape[0], node.mat.shape[0])
         out[:k] = node.mat[:k, :k] @ v[:k]
         return out
     if isinstance(node, Commutator):
-        out = apply(node.a, a, apply(node.b, a, v))
-        out -= apply(node.b, a, apply(node.a, a, v))
-        return out
+        return _into(np.subtract, apply(node.a, a, apply(node.b, a, v)), apply(node.b, a, apply(node.a, a, v)))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def inner(v: np.ndarray, w: np.ndarray) -> complex:
     """sum_i conj(v_i) w_i, the value of ``np.vdot(v, w)``, in one fixed
-    order: w is conjugated and multiplied by v in place (the caller gives
-    up w, as it may an ``apply`` result), and ``np.sum`` adds the products
+    order: w is multiplied in place by v, or for a complex v conjugated
+    and multiplied by v with the sum conjugated back (the caller gives up
+    w, as it may an ``apply`` result), and ``np.sum`` adds the products
     by numpy's pairwise summation on one thread, so the bits do not depend
     on how many threads the BLAS library runs.
 
@@ -474,9 +524,65 @@ def inner(v: np.ndarray, w: np.ndarray) -> complex:
     L = ceil(log2 n) + 20 additions (blocks of at most 64 entries summed by
     four accumulators and a three-add remainder), so
     |inner - exact| <= gamma_(L+3) sum_i |v_i| |w_i|."""
+    if v.dtype == float:
+        w *= v
+        return complex(np.sum(w))
     np.conjugate(w, out=w)
     w *= v
     return complex(np.sum(w)).conjugate()
+
+
+def quadratic(node, a: np.ndarray, v: np.ndarray) -> complex:
+    """<X v, v> = sum_i v_i (X v)_i for a real vector v: the value of
+    ``inner(v, apply(node, a, v))``, passed through the tree's linear root.
+
+    A ``Sum`` adds its terms' values in order and a ``Scale`` multiplies
+    its core's value by its scalar.  A multiplier leaf is sum_j c_j d_j
+    (conj(c_j) for an adjoint) over the real dots d_j = <S^j v, v> =
+    <(S^*)^j v, v>, each the pairwise ``np.sum`` of v S^j v, the powers
+    formed in real arithmetic.  Any other node is ``inner`` of its
+    ``apply``.
+
+    Error bound (u and L as in ``inner``): let |X| be the tree with every
+    scalar, coefficient and ``Dense`` entry replaced by its modulus, every
+    sign by +1 and every [A, B] by AB + BA, and let its rounding depth K
+    be 2m + 3 for a multiplier of degree m, k + 3 for a k x k ``Dense``
+    leaf, 3 more than its core for a ``Scale``, the sum over a product's
+    factors, 1 more than the sum over a commutator's sides, and T more
+    than the largest over a ``Sum`` of T terms.  Then ``quadratic`` and
+    ``inner(v, apply(node, a, v))`` are each within
+    gamma_(K+L+3) <|X| |v|, |v|> of <X v, v>."""
+    if isinstance(node, Sum):
+        return sum(sign * quadratic(t, a, v) for sign, t in node.terms)
+    if isinstance(node, Scale):
+        return node.c * quadratic(node.node, a, v)
+    if isinstance(node, (Mz, MzAdj, MPoly, MPolyAdj)) and v.dtype == float:
+        coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
+        if isinstance(node, (MzAdj, MPolyAdj)):
+            coeffs = [c.conjugate() for c in coeffs]
+        return complex(_power_dots(coeffs, np.asarray(a, dtype=float), v))
+    return inner(v, apply(node, a, v))
+
+
+def _power_dots(coeffs, a: np.ndarray, v: np.ndarray):
+    """sum_j c_j <S^j v, v> for a real v: each power is formed before the
+    last one is multiplied by v in place, in two alternating buffers."""
+    w = a[: v.shape[0] - 1]
+    last = max((j for j, c in enumerate(coeffs) if c != 0), default=-1)
+    total = 0.0
+    power, spare = v, None
+    for j in range(last + 1):
+        nxt = None
+        if j < last:
+            nxt = np.empty(v.shape) if spare is None else spare
+            nxt[0] = 0.0
+            np.multiply(w, power[:-1], out=nxt[1:])
+        if coeffs[j] != 0:
+            prod = v * v if power is v else np.multiply(v, power, out=power)
+            total += coeffs[j] * float(np.sum(prod))
+        spare = None if power is v else power
+        power = nxt
+    return total
 
 
 def raise_degree(node) -> int:

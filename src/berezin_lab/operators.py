@@ -98,7 +98,7 @@ def commutator_norm_PzMphi(space: KernelSpace, coeffs, z: complex, tol: float = 
     node = exprs.rotate(node, kv.w)
     u = exprs.apply(node, a, v)  # M v
     w = exprs.apply(exprs.MPolyAdj(node.coeffs), a, v)  # M^* v
-    c = complex(np.sum(v * u))
+    c = np.sum(v * u)  # real when M's rotated coefficients are, as then u and w are
     u -= c * v
     w -= np.conj(c) * v
     return max(math.sqrt(float(np.sum(x.real * x.real + x.imag * x.imag))) for x in (u, w))

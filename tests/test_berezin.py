@@ -166,6 +166,41 @@ def test_rotated_sample_matches_the_kernel_from_50_digit_powers(space):
             assert abs(smp.value - want) <= smp.tail + 1e-14, (z, node)
 
 
+def _closed_form_transform(s, op, z):
+    """B(X)(z) on the space with kernel (1 - |z|^2)^-s (h_k = k! / (s)_k,
+    a_k^2 = (k + 1) / (k + s)), in 50 digits.  M_z^* k_z = conj(z) k_z gives
+    B(S S^* ...) in terms of the diagonal S^* S; the series of S^* S and
+    S^* S S are hypergeometric:
+    B(S^* S) = 1 - (s - 1)/s (1 - t)^s 2F1(s, s; s + 1; t) and
+    B(S^* S S) = z (1 - (s - 1)/(s + 1) (1 - t)^s 2F1(s, s + 1; s + 2; t)),
+    t = |z|^2, so B([S^*, S] S) = B(S^* S S) - z B(S^* S)."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z.real, z.imag)
+        t = abs(z) ** 2
+        s_s = 1 - mpmath.mpf(s - 1) / s * (1 - t) ** s * mpmath.hyp2f1(s, s, s + 1, t)
+        s_ss = z * (1 - mpmath.mpf(s - 1) / (s + 1) * (1 - t) ** s * mpmath.hyp2f1(s, s + 1, s + 2, t))
+        return complex({"Mz^* Mz": s_s, "[Mz^*, Mz] Mz": s_ss - z * s_s, "2i*M(0,0,1)": 2j * z * z}[op])
+
+
+@pytest.mark.parametrize("space,s", [(hardy, 1), (bergman, 2), (rs3, 3)], ids=["hardy", "bergman", "rs3"])
+def test_transform_off_the_axis_matches_50_digit_closed_forms(space, s):
+    # at theta = 0.7 the rotated tree carries the phase conj(w) w (or
+    # conj(w) w w) as one scalar over a real core; at tol 1e-16 the tail is
+    # at the rounding level, and every value lies within its tail plus
+    # 8 eps times the norm bound (the largest error measured is 2.0 eps
+    # times the norm bound, at rs(3), 2i*M(0,0,1), |z| = 0.999).
+    # On Hardy the weights are 1, so [S^*, S] S is 0 exactly
+    for op in ("Mz^* Mz", "[Mz^*, Mz] Mz", "2i*M(0,0,1)"):
+        node = exprs.parse(op)
+        for rad in (0.9, 0.999, 0.9999):
+            z = rad * cmath.exp(0.7j)
+            smp = gbt_sample(space, node, z, tol=1e-16)
+            err = abs(smp.value - _closed_form_transform(s, op, z))
+            assert err <= smp.tail + 8 * np.finfo(float).eps * exprs.norm_bound(node), (op, rad, err)
+            if s == 1 and op == "[Mz^*, Mz] Mz":
+                assert smp.value == 0, (rad, smp.value)
+
+
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
 def test_transform_of_mz_at_tiny_points(space):
     # below |z| = 1.5e-154 the squared modulus is subnormal or 0, so the

@@ -96,6 +96,24 @@ def test_gbt_rmax_at_or_below_half_runs_from_half_of_it(capsys):
         assert option in captured.err
 
 
+def test_gbt_rejects_an_overflowing_expression_before_sampling(tmp_path, capsys):
+    # the tail is 4 norm_bound(X) times the kernel tail: where that factor
+    # is not finite the expression is a usage error, with no numpy warning
+    # and no output file
+    out = tmp_path / "f.csv"
+    for op in ("1e200*M(1e200)", "1e308*Mz^* Mz"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gbt", "--space", "hardy", "--op", op, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --op") and "not finite" in lines[0], lines
+        assert not out.exists()
+    # the largest factor that stays finite still runs
+    assert run(["gbt", "--space", "hardy", "--op", "1e307*Mz^* Mz", "--samples", "3", "--rmax", "0.9"]) == 0
+
+
 def test_gbt_grid_path_and_custom_space(tmp_path, capsys):
     table = tmp_path / "h.csv"
     rows = ["k,h"] + [f"{k},{1.0 / (k + 1)}" for k in range(400)]

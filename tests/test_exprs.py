@@ -23,6 +23,7 @@ from berezin_lab.exprs import (
     materialize,
     norm_bound,
     parse,
+    quadratic,
     raise_degree,
     rotate,
     to_text,
@@ -270,20 +271,36 @@ def test_apply_leaves_input_and_returns_fresh_array():
             assert vec.tobytes() == before.tobytes(), node
 
 
+def _same_bits_as_complex(out, want):
+    """A complex result has every bit of ``want``; a real one has the bits
+    of its real part, and its imaginary part is 0."""
+    if out.dtype == complex:
+        return out.tobytes() == want.tobytes()
+    return out.dtype == float and out.tobytes() == want.real.tobytes() and not np.any(want.imag)
+
+
 def test_apply_bits_match_the_allocating_evaluator():
     # in-place powers, scales, sums and differences keep every bit of the
-    # evaluator that allocates a new array per operation, signed zeros too
+    # evaluator that allocates a new array per operation, signed zeros too;
+    # a real vector that stays real keeps the bits of the real part
     r = np.random.default_rng(977)
     a = r.uniform(0.3, 1.0, 64)
-    for node in _trees_of_every_kind(r):
+    real_trees = [parse(text) for text in ("Mz^* Mz", "0.5*[Mz^*, Mz] Mz", "2*M(1,-3)^* - Mz + M(0,0,0.25)")]
+    for node in _trees_of_every_kind(r) + real_trees:
         for shape in ((64,), (64, 3)):
             vec = _signed_zeros(r, shape)
             assert apply(node, a, vec).tobytes() == reference_apply(node, a, vec).tobytes(), node
+            real = vec.real.copy()
+            got = apply(node, a, real)
+            if got.dtype == float:
+                assert _same_bits_as_complex(got, reference_apply(node, a, real)), node
 
 
 def test_apply_reads_a_real_vector_as_its_complex_cast():
     # a real input is read in place, never copied: the result equals the
-    # one for the complex cast, for every node kind, on a vector and a block
+    # one for the complex cast, for every node kind, on a vector and a
+    # block; where it stays real, the complex cast's imaginary part is 0
+    # and its real part has the same bits
     r = np.random.default_rng(1861)
     a = r.uniform(0.3, 1.0, 64)
     for node in _trees_of_every_kind(r):
@@ -291,15 +308,55 @@ def test_apply_reads_a_real_vector_as_its_complex_cast():
             vec = r.standard_normal(shape)
             before = vec.copy()
             out = apply(node, a, vec)
-            assert out.dtype == complex and not np.shares_memory(out, vec), node
+            assert not np.shares_memory(out, vec), node
             assert vec.tobytes() == before.tobytes(), node
-            assert np.array_equal(out, apply(node, a, vec.astype(complex))), node
+            cast = apply(node, a, vec.astype(complex))
+            if out.dtype == float:
+                assert _same_bits_as_complex(out, cast), node
+            else:
+                assert out.dtype == complex and np.array_equal(out, cast), node
+
+
+def _real_data(node) -> bool:
+    """Every coefficient, scalar and matrix entry of the tree is real."""
+    if isinstance(node, (Mz, MzAdj)):
+        return True
+    if isinstance(node, (MPoly, MPolyAdj)):
+        return not any(complex(c).imag for c in node.coeffs)
+    if isinstance(node, Scale):
+        return complex(node.c).imag == 0 and _real_data(node.node)
+    if isinstance(node, Product):
+        return all(map(_real_data, node.factors))
+    if isinstance(node, Sum):
+        return all(_real_data(t) for _, t in node.terms)
+    if isinstance(node, Dense):
+        return not np.iscomplexobj(node.mat)
+    return _real_data(node.a) and _real_data(node.b)
+
+
+def test_apply_keeps_real_data_real():
+    # a real vector that meets only real coefficients and scalars gives a
+    # float64 result; any complex one makes it complex
+    r = np.random.default_rng(6021)
+    a = r.uniform(0.3, 1.0, 64)
+    trees = _trees_of_every_kind(r) + [parse(text) for text in (
+        "Mz^* Mz", "[Mz^*, Mz]", "[Mz^*, Mz] Mz", "M(0.5,0,2)", "2*M(1,-3)^* - Mz", "2i*M(0,0,1)", "M(1,1i) Mz^*")]
+    trees.append(Dense(r.standard_normal((9, 9))))
+    kinds = set()
+    for node in trees:
+        for shape in ((64,), (64, 3)):
+            out = apply(node, a, r.standard_normal(shape))
+            assert out.dtype == (float if _real_data(node) else complex), node
+            assert apply(node, a, r.standard_normal(shape) + 0j).dtype == complex, node
+            kinds.add((out.dtype, type(node)))
+    assert {kind for dtype, kind in kinds if dtype == float} >= set(NODE_KINDS), kinds
 
 
 def test_rotate_is_conjugation_by_the_diagonal_phase():
     # materialize(rotate(X, w)) = U^* materialize(X) U for U = diag(conj(w)^k),
     # entry (i, j) scaled by w^i conj(w)^j, to within ulps of the entries;
-    # w = 1 returns the tree itself
+    # w = 1 returns the tree itself.  The phase of a shift is a scalar,
+    # collected at the top of a product or commutator
     r = np.random.default_rng(3141)
     a = r.uniform(0.3, 1.0, 64)
     for node in _trees_of_every_kind(r):
@@ -310,9 +367,22 @@ def test_rotate_is_conjugation_by_the_diagonal_phase():
         want = phases[:, None] * ref * phases.conj()[None, :]
         got = materialize(rotate(node, w), a, 64)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), node
-    assert rotate(Mz(), -1.0) == MPoly((0j, -1 + 0j))
-    assert rotate(MzAdj(), 1j) == MPolyAdj((0j, 1j))
+    assert rotate(Mz(), -1.0) == Scale(-1 + 0j, Mz())
+    assert rotate(MzAdj(), 1j) == Scale(-1j, MzAdj())
     assert rotate(MPoly((2.0, 1.0, 3.0)), 1j) == MPoly((2 + 0j, 1j, -3 + 0j))
+
+
+def test_rotate_hoists_the_phases_of_products_and_commutators():
+    # [cX, dY] = cd [X, Y]: each product or commutator carries one scalar,
+    # the product of its factors' scalars in order, and each sum term its own
+    w = complex(np.exp(0.7j))
+    assert rotate(parse("Mz^* Mz"), w) == Scale(w.conjugate() * w, Product((MzAdj(), Mz())))
+    assert rotate(parse("[Mz^*, Mz]"), w) == Scale(w.conjugate() * w, Commutator(MzAdj(), Mz()))
+    assert rotate(parse("[Mz^*, Mz] Mz"), w) == Scale(w.conjugate() * w * w, Product((Commutator(MzAdj(), Mz()), Mz())))
+    assert rotate(parse("2i*(Mz Mz)"), w) == Scale(2j * (w * w), Product((Mz(), Mz())))
+    assert rotate(parse("Mz + Mz^*"), w) == Sum(((1, Scale(w, Mz())), (1, Scale(w.conjugate(), MzAdj()))))
+    rotated = rotate(parse("M(0.5,0.25i) Mz"), w)
+    assert rotated == Scale(w, Product((MPoly((0.5 + 0j, 0.25j * w)), Mz())))
 
 
 def test_inner_is_vdot_within_its_gamma_bound():
@@ -337,6 +407,86 @@ def test_inner_is_vdot_within_its_gamma_bound():
             gamma = k * u / (1 - k * u)
             err = abs(complex(Fraction(got.real) - exact_re, Fraction(got.imag) - exact_im))
             assert err <= gamma * float(np.sum(np.abs(v) * np.abs(w_copy))), n
+
+
+def _modulus_tree(node):
+    """|X|: every scalar, coefficient and Dense entry by its modulus, every
+    sign by +1, every [A, B] by AB + BA."""
+    if isinstance(node, (Mz, MzAdj)):
+        return node
+    if isinstance(node, (MPoly, MPolyAdj)):
+        return type(node)(tuple(complex(abs(c)) for c in node.coeffs))
+    if isinstance(node, Scale):
+        return Scale(complex(abs(node.c)), _modulus_tree(node.node))
+    if isinstance(node, Product):
+        return Product(tuple(map(_modulus_tree, node.factors)))
+    if isinstance(node, Sum):
+        return Sum(tuple((1, _modulus_tree(t)) for _, t in node.terms))
+    if isinstance(node, Dense):
+        return Dense(np.abs(node.mat))
+    x, y = _modulus_tree(node.a), _modulus_tree(node.b)
+    return Sum(((1, Product((x, y))), (1, Product((y, x)))))
+
+
+def _rounding_depth(node) -> int:
+    """K of the ``quadratic`` docstring."""
+    if isinstance(node, (Mz, MzAdj)):
+        return 5
+    if isinstance(node, (MPoly, MPolyAdj)):
+        return 2 * (len(node.coeffs) - 1) + 3
+    if isinstance(node, Scale):
+        return 3 + _rounding_depth(node.node)
+    if isinstance(node, Product):
+        return sum(map(_rounding_depth, node.factors))
+    if isinstance(node, Sum):
+        return max(_rounding_depth(t) for _, t in node.terms) + len(node.terms)
+    if isinstance(node, Dense):
+        return node.mat.shape[0] + 3
+    return _rounding_depth(node.a) + _rounding_depth(node.b) + 1
+
+
+def test_quadratic_is_the_inner_product_of_apply_within_its_gamma_bound():
+    # <X v, v> through the linear root (sums, scales, real multiplier dots)
+    # against inner(v, apply(X, a, v)): each is within
+    # gamma_(K+L+3) <|X| |v|, |v|> of the exact value, for every node kind
+    # at the root and for the rotated trees, whose top scalars are phases
+    r = np.random.default_rng(8128)
+    u = 2.0**-53
+    for n in (64, 300):
+        a = r.uniform(0.3, 1.0, n)
+        trees = _trees_of_every_kind(r) + [parse("Mz^* Mz"), parse("[Mz^*, Mz] Mz"), parse("2i*M(0,0,1)")]
+        for node in trees + [rotate(t, complex(np.exp(2j * np.pi * r.uniform()))) for t in trees]:
+            v = r.standard_normal(n) * np.exp(2 * r.standard_normal(n))
+            got = quadratic(node, a, v)
+            want = inner(v, apply(node, a, v))
+            assert type(got) is complex, node
+            k = _rounding_depth(node) + math.ceil(math.log2(n)) + 23
+            gamma = k * u / (1 - k * u)
+            size = float(np.abs(v) @ materialize(_modulus_tree(node), a, n).real @ np.abs(v))
+            assert abs(got - want) <= 2 * gamma * size, node
+    # at a multiplier leaf the value sums c_j <S^j v, v> over real dots
+    v = r.standard_normal(64)
+    a = r.uniform(0.3, 1.0, 64)
+    shifted = np.concatenate(([0.0], a[:63] * v[:63]))
+    assert quadratic(Mz(), a, v) == complex(float(np.sum(v * shifted)))
+    assert quadratic(MzAdj(), a, v) == quadratic(Mz(), a, v)
+    d0, d1 = float(np.sum(v * v)), float(np.sum(v * shifted))
+    assert quadratic(MPolyAdj((1j, 2 + 1j)), a, v) == 0.0 + (-1j) * d0 + (2 - 1j) * d1
+
+
+def test_inner_of_a_real_vector_skips_the_conjugation():
+    # for a real v the products v_i w_i are summed as they are, real or
+    # complex w: the value of np.vdot within the same gamma bound
+    r = np.random.default_rng(516)
+    u = 2.0**-53
+    for n in (1, 64, 1000, 70001):
+        v = r.standard_normal(n) * np.exp(3 * r.standard_normal(n))
+        for w in (r.standard_normal(n), r.standard_normal(n) + 1j * r.standard_normal(n)):
+            w_copy = w.copy()
+            got = inner(v, w)
+            k = math.ceil(math.log2(n)) + 23
+            assert abs(got - np.vdot(v, w_copy)) <= 2 * k * u * float(np.sum(np.abs(v) * np.abs(w_copy))), n
+            assert got == complex(np.sum(v * w_copy)), n
 
 
 def test_raise_degree():
