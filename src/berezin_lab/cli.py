@@ -19,14 +19,17 @@ envelope, writes it and maps ``passed`` to the exit code: 0 all checks
 passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
 ``MemoryError``).  Sizes are capped before anything is allocated:
-``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like the steps of
-the ``charspace`` lambda grid, ``--weight-count`` of ``charspace`` and
-``shift``, the ``peaks`` grids (``--grid``, and ``--grid-s`` times
-``--grid-phi`` squared for the ball), and ``probe normbound --truncation``,
+``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like
+``--weight-count`` of ``charspace`` and ``shift`` and the ``peaks``
+grids (``--grid``, and ``--grid-s`` times ``--grid-phi`` squared for
+the ball), and ``probe normbound --truncation``,
 ``--families`` and ``probe wot --block`` at 2^14, ``probe spherical --n`` at
 256 and its n * C(n + degree, n)^2 at 2^23;
 normbound's estimated work per family (``_normbound_work``) is capped at
-its value at ``--truncation`` 2^14, ``--degree`` 5.
+its value at ``--truncation`` 2^14, ``--degree`` 5.  The ``charspace``
+lambda grid is capped at 2^14 points and its scan's work
+(``_scan_work``) at 2^24 rows, and ``--m-max`` and ``--n-max-log2`` at
+20 = log2 ``N_CAP``; ``shift spr --kmax`` past the weights exits 2.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -133,9 +136,29 @@ _SPHERICAL_CAP = 2 ** 23
 # largest lambda modulus whose doubled square is a finite float
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
 
+# largest --lambda-grid point count (moduli times args=): each point keeps
+# its verdict and evidence until the document is written, about 5 KB.  At
+# the cap, simple:r=0.5 --weight-count 4096 mod=0:0:1,args=16384 took
+# 1.2 s and 121 MB max RSS on a 2-vCPU VM, interpreter start-up included
+_LAMBDA_POINTS_CAP = 2 ** 14
+
+# largest charspace work (``_scan_work``), in rows of the tridiagonal
+# solves, about 0.55 us each.  At the cap, simple:r=0.5 mod=0:0.922:0.001,args=1
+# (923 moduli, each 16128 rows and a 2^15-weight run scan) took 9.3 s and
+# 40 MB, and --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1
+# (7 moduli) 8.5 s and 134 MB, on a 2-vCPU VM, interpreter start-up included
+_SCAN_WORK_CAP = 2 ** 24
+
+# largest --m-max and --n-max-log2: a run at level m needs 2^m + 2
+# weights, and truncations above the weights are dropped, so nothing past
+# log2 of the largest --weight-count can change a verdict
+_LOG2_N_CAP = N_CAP.bit_length() - 1
+
 
 def _parse_lambda_grid(text: str):
-    moduli = None
+    """The moduli and angle count of ``mod=lo:hi:step[,args=K]``, its
+    moduli times K capped before the moduli are listed."""
+    mod = None
     angles = 8
     for part in text.split(","):
         key, _, val = part.partition("=")
@@ -143,23 +166,33 @@ def _parse_lambda_grid(text: str):
             lo, hi, step = (float(x) for x in val.split(":"))
             if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
                 raise ValueError(f"lambda grid mod={val} needs finite lo <= hi and step > 0")
-            steps = (hi - lo) / step
-            if not steps <= N_CAP:
-                raise ValueError(f"lambda grid mod={val} needs at most {N_CAP} steps")
             # X carries 2 |lambda|^2 on its diagonal, which must stay finite
             if not max(abs(lo), abs(hi)) <= _MODULUS_CAP:
                 raise ValueError(f"lambda grid mod={val} needs moduli at most {_MODULUS_CAP:.3g}")
-            count = int(round(steps)) + 1
-            moduli = [round(lo + i * step, 12) for i in range(count)]
+            mod = (lo, step, (hi - lo) / step)
         elif key == "args":
             angles = int(val)
             if angles < 1:
                 raise ValueError(f"lambda grid args={val} needs at least one angle")
         else:
             raise ValueError(f"unknown lambda grid parameter {key!r}")
-    if moduli is None:
+    if mod is None:
         raise ValueError("lambda grid needs mod=lo:hi:step")
-    return moduli, angles
+    lo, step, steps = mod
+    # the step count may be inf: it is bounded before it is rounded to an int
+    count = int(round(steps)) + 1 if steps <= _LAMBDA_POINTS_CAP else math.inf
+    if count * angles > _LAMBDA_POINTS_CAP:
+        raise ValueError(f"--lambda-grid {text} must give at most {_LAMBDA_POINTS_CAP} points (moduli times args=)")
+    return [round(lo + i * step, 12) for i in range(count)], angles
+
+
+def _scan_work(moduli, n_schedule, weight_count: int) -> int:
+    """About the work of a charspace scan: distinct |moduli| times the
+    rows they solve, the sum of the truncations at most ``weight_count``
+    (or ``weight_count`` when none is), plus a sixteenth of a row per
+    weight for the run scan (about 20 ns a weight against 550 ns a row)."""
+    rows = sum(n for n in n_schedule if n <= weight_count) or weight_count
+    return len({abs(m) for m in moduli}) * (rows + weight_count // 16)
 
 
 def _json_doc(command: str, body: dict) -> str:
@@ -190,20 +223,36 @@ def cmd_gbt(args):
     return None, passed
 
 
-def _weights(args):
-    """The ``--weights`` sequence, its length capped before it is built."""
+def _weight_count(args) -> int:
+    """``--weight-count``, capped."""
     if args.weight_count > N_CAP:
         raise ValueError(f"--weight-count must be at most {N_CAP}, got {args.weight_count}")
-    return generate_weights(args.weights, args.weight_count)
+    return args.weight_count
+
+
+def _weights(args):
+    """The ``--weights`` sequence, its length capped before it is built."""
+    return generate_weights(args.weights, _weight_count(args))
 
 
 def cmd_charspace(args):
-    w = _weights(args)
+    count = _weight_count(args)
+    for option, value in (("--m-max", args.m_max), ("--n-max-log2", args.n_max_log2)):
+        if value > _LOG2_N_CAP:
+            raise ValueError(f"{option} must be at most {_LOG2_N_CAP} (2^{_LOG2_N_CAP} weights), got {value}")
     moduli, angles = _parse_lambda_grid(args.lambda_grid)
+    n_schedule = tuple(2 ** k for k in range(8, args.n_max_log2 + 1))
+    work = _scan_work(moduli, n_schedule, count)
+    if work > _SCAN_WORK_CAP:
+        raise ValueError(
+            f"--lambda-grid {args.lambda_grid} asks about {work} rows of work (distinct moduli times the "
+            f"truncations up to --n-max-log2 and the --weight-count scan), above the cap {_SCAN_WORK_CAP}"
+        )
+    w = generate_weights(args.weights, count)
     ccfg = CharacterConfig(
         m_max=args.m_max,
-        scan_len=min(args.weight_count, w.n),
-        n_schedule=tuple(2 ** k for k in range(8, args.n_max_log2 + 1)),
+        scan_len=min(count, w.n),
+        n_schedule=n_schedule,
         trend=args.trend,
     )
     verdicts = character_set_scan(w, moduli, n_angles=angles, config=ccfg)
@@ -232,6 +281,9 @@ def cmd_peaks(args):
 def cmd_shift(args):
     w = _weights(args)
     if args.what == "spr":
+        # 2^(kmax + 1) weights, compared by bit length before the power is formed
+        if args.kmax + 1 >= w.n.bit_length():
+            raise ValueError(f"--kmax {args.kmax} needs 2^{args.kmax + 1} weights, more than the {w.n} of --weight-count")
         est = spectral_radius_estimate(w, args.kmax)
         return {"weights": args.weights, **est}, not est["sandwich_checked"] or est["sandwich_ok"]
     if args.what == "powernorm":

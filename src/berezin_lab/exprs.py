@@ -4,19 +4,23 @@ Grammar (whitespace insignificant)::
 
     expr   := term (('+' | '-') term)*
     term   := factor+                       juxtaposition is composition
-    factor := 'Mz' | 'Mz^*'
-            | 'M(' coeffs ')' | 'M(' coeffs ')^*'
+    factor := 'M(' coeffs ')' | 'M(' coeffs ')^*'
+            | 'Mz' | 'Mz^*'                 M(0,1) and M(0,1)^*
             | '[' expr ',' expr ']'         commutator
             | '(' expr ')'
             | complex '*' factor            scalar multiple
     coeffs := complex (',' complex)*        Taylor coefficients c0, c1, ...
 
 Complex literals use the form ``a+bi`` (also ``a``, ``bi``, ``i``); a
-leading '-' is accepted where a factor starts.  ``Mz`` is coordinate
-multiplication, i.e. the weighted shift e_k -> a_k e_{k+1} of whichever
-space or weight sequence the expression is evaluated against, and
-``M(c0,c1,...)`` multiplies by the polynomial/series with those
-coefficients.
+leading '-' is accepted where a factor starts.  ``M(c0,c1,...)``
+multiplies by the polynomial/series with those coefficients, in the
+weighted shift S: e_k -> a_k e_{k+1} of whichever space or weight
+sequence the expression is evaluated against.  ``Mz``, coordinate
+multiplication, is the multiplier M(0,1) = S, not a node of its own:
+``Mz()`` builds ``MPoly((0.0, 1.0))``, and the printer writes a
+multiplier with coefficients (0, 1) as ``Mz``.  The tree has seven node
+kinds: two multipliers, ``Scale``, ``Product``, ``Sum``, ``Commutator``
+and ``Dense``.
 
 A ``Dense`` leaf carries an explicit M x M matrix into a tree (it has no
 text form); it acts by compression on the leading M coordinates.
@@ -24,7 +28,7 @@ text form); it acts by compression on the leading M coordinates.
 ``apply`` is the one evaluator of expressions.  It acts along axis 0 of a
 coefficient vector, or of an (N x P) block of them, without forming any
 matrix, which is what makes sampling near the boundary circle feasible;
-the four multiplier leaves share one weighted-shift loop.  Truncation
+the two multiplier leaves share one weighted-shift loop.  Truncation
 has compression semantics: coordinates pushed to index >= N are dropped.
 ``materialize`` is ``apply`` to the N x N identity, and the one builder
 of dense multiplier matrices.
@@ -41,12 +45,14 @@ coefficient casts its real input once (its first power or term is a
 complex buffer), and a complex scalar or operand makes the rest complex.
 
 ``rotate`` is the one phase map: for a unit w and U = diag(conj(w)^k) it
-gives the tree of U^* X U.  U^* S U = w S exactly, so ``Mz`` becomes
-``w*Mz`` and ``Mz^*`` ``conj(w)*Mz^*``, and a product or commutator
-collects its factors' scalars into one ``Scale`` at its top; multiplier
-coefficients c_m become c_m w^m.  A kernel vector is U times a real
-line, so the transform evaluates the rotated tree on that real line,
-with ``Mz^* Mz`` and ``[Mz^*, Mz]`` wholly in real arithmetic.
+gives the tree of U^* X U.  U^* S U = w S exactly, so a multiplier
+whose one nonzero coefficient is c_1 (``Mz``, ``M(0,c)``) becomes w
+times itself and its adjoint conj(w) times itself, and a product or
+commutator collects its factors' scalars into one ``Scale`` at its top;
+the coefficients c_m of any other multiplier become c_m w^m.  A kernel
+vector is U times a real line, so the transform evaluates the rotated
+tree on that real line, with ``Mz^* Mz`` and ``[Mz^*, Mz]``, spelt with
+``Mz`` or with ``M(0,1)``, wholly in real arithmetic.
 
 ``quadratic`` is <X v, v> for a real v.  It is linear over ``Sum`` and
 ``Scale``; at a multiplier leaf it sums c_j <S^j v, v> over real powers
@@ -74,16 +80,6 @@ class ExprSyntaxError(ValueError):
 
 
 @dataclass(frozen=True)
-class Mz:
-    pass
-
-
-@dataclass(frozen=True)
-class MzAdj:
-    pass
-
-
-@dataclass(frozen=True)
 class MPoly:
     coeffs: tuple
 
@@ -91,6 +87,16 @@ class MPoly:
 @dataclass(frozen=True)
 class MPolyAdj:
     coeffs: tuple
+
+
+def Mz() -> MPoly:
+    """Coordinate multiplication, the multiplier M(0,1)."""
+    return MPoly((0.0, 1.0))
+
+
+def MzAdj() -> MPolyAdj:
+    """Its adjoint, M(0,1)^*."""
+    return MPolyAdj((0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -308,14 +314,11 @@ def format_complex(c: complex) -> str:
 
 def to_text(node) -> str:
     """Canonical form; parse(to_text(node)) reproduces the tree."""
-    if isinstance(node, Mz):
-        return "Mz"
-    if isinstance(node, MzAdj):
-        return "Mz^*"
-    if isinstance(node, MPoly):
-        return "M(" + ",".join(format_complex(c) for c in node.coeffs) + ")"
-    if isinstance(node, MPolyAdj):
-        return "M(" + ",".join(format_complex(c) for c in node.coeffs) + ")^*"
+    if isinstance(node, (MPoly, MPolyAdj)):
+        adj = "^*" if isinstance(node, MPolyAdj) else ""
+        if node.coeffs == (0, 1):
+            return "Mz" + adj
+        return "M(" + ",".join(format_complex(c) for c in node.coeffs) + ")" + adj
     if isinstance(node, Scale):
         return format_complex(node.c) + "*" + _as_factor(node.node)
     if isinstance(node, Product):
@@ -355,9 +358,10 @@ def _as_term(node) -> str:
 
 def rotate(node, w: complex):
     """The tree of U^* X U for U = diag(conj(w)^k), |w| = 1: entry (i, j)
-    of X gains the factor w^(i - j).  ``Mz`` becomes ``Scale(w, Mz())`` and
-    ``Mz^*`` ``Scale(conj(w), MzAdj())``, a coefficient c_m of either
-    multiplier becomes c_m w^m, and a ``Dense`` entry D_ij becomes
+    of X gains the factor w^(i - j).  A multiplier whose one nonzero
+    coefficient is c_1 (``Mz``, ``M(0,c)``) becomes ``Scale(w, itself)``
+    and its adjoint ``Scale(conj(w), itself)``, a coefficient c_m of any
+    other multiplier becomes c_m w^m, and a ``Dense`` entry D_ij becomes
     D_ij w^i conj(w)^j.  A ``Scale``, ``Product`` or ``Commutator``
     multiplies its operands' scalars into one ``Scale`` at its top
     ([cX, dY] = cd [X, Y]), and each ``Sum`` term keeps its own.  w = 1
@@ -365,11 +369,9 @@ def rotate(node, w: complex):
     w = complex(w)
     if w == 1:
         return node
-    if isinstance(node, Mz):
-        return Scale(w, node)
-    if isinstance(node, MzAdj):
-        return Scale(w.conjugate(), node)
     if isinstance(node, (MPoly, MPolyAdj)):
+        if [m for m, c in enumerate(node.coeffs) if c != 0] == [1]:
+            return Scale(w if isinstance(node, MPoly) else w.conjugate(), node)
         phases = w ** np.arange(len(node.coeffs))
         return type(node)(tuple(complex(c * p) for c, p in zip(node.coeffs, phases)))
     if isinstance(node, Scale):
@@ -478,9 +480,8 @@ def apply(node, a: np.ndarray, vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec)
     if v.dtype != float:
         v = v.astype(complex, copy=False)
-    if isinstance(node, (Mz, MzAdj, MPoly, MPolyAdj)):
-        coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
-        return _shift_series(coeffs, isinstance(node, (MzAdj, MPolyAdj)), a, v)
+    if isinstance(node, (MPoly, MPolyAdj)):
+        return _shift_series(node.coeffs, isinstance(node, MPolyAdj), a, v)
     if isinstance(node, Scale):
         out = apply(node.node, a, v)
         c = node.c
@@ -556,9 +557,9 @@ def quadratic(node, a: np.ndarray, v: np.ndarray) -> complex:
         return sum(sign * quadratic(t, a, v) for sign, t in node.terms)
     if isinstance(node, Scale):
         return node.c * quadratic(node.node, a, v)
-    if isinstance(node, (Mz, MzAdj, MPoly, MPolyAdj)) and v.dtype == float:
-        coeffs = node.coeffs if isinstance(node, (MPoly, MPolyAdj)) else (0.0, 1.0)
-        if isinstance(node, (MzAdj, MPolyAdj)):
+    if isinstance(node, (MPoly, MPolyAdj)) and v.dtype == float:
+        coeffs = node.coeffs
+        if isinstance(node, MPolyAdj):
             coeffs = [c.conjugate() for c in coeffs]
         return complex(_power_dots(coeffs, np.asarray(a, dtype=float), v))
     return inner(v, apply(node, a, v))
@@ -587,9 +588,7 @@ def _power_dots(coeffs, a: np.ndarray, v: np.ndarray):
 
 def raise_degree(node) -> int:
     """Upper bound on how far the expression can push coefficients up."""
-    if isinstance(node, Mz):
-        return 1
-    if isinstance(node, (MzAdj, MPolyAdj)):
+    if isinstance(node, MPolyAdj):
         return 0
     if isinstance(node, MPoly):
         return max(len(node.coeffs) - 1, 0)
@@ -609,8 +608,6 @@ def raise_degree(node) -> int:
 def norm_bound(node) -> float:
     """Coarse upper bound on the operator norm over contractive weights
     (every a_k at most 1)."""
-    if isinstance(node, (Mz, MzAdj)):
-        return 1.0
     if isinstance(node, (MPoly, MPolyAdj)):
         return float(sum(abs(c) for c in node.coeffs))
     if isinstance(node, Scale):

@@ -95,9 +95,8 @@ def commutator_norm_PzMphi(space: KernelSpace, coeffs, z: complex, tol: float = 
     node = exprs.MPoly(tuple(coeffs))
     kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
     a, v = kv.a, kv.v
-    node = exprs.rotate(node, kv.w)
-    u = exprs.apply(node, a, v)  # M v
-    w = exprs.apply(exprs.MPolyAdj(node.coeffs), a, v)  # M^* v
+    u = exprs.apply(exprs.rotate(node, kv.w), a, v)  # M v
+    w = exprs.apply(exprs.rotate(exprs.MPolyAdj(node.coeffs), kv.w), a, v)  # M^* v
     c = np.sum(v * u)  # real when M's rotated coefficients are, as then u and w are
     u -= c * v
     w -= np.conj(c) * v

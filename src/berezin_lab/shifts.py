@@ -254,11 +254,9 @@ def spectral_radius_estimate(w: WeightSequence, k_max: int) -> dict:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if w.n < 2 ** (k_max + 1):
-        raise ValueError(
-            f"need at least 2^(k_max+1) = {2 ** (k_max + 1)} weights for "
-            f"complete windows at k_max = {k_max}, have {w.n}"
-        )
+    # w.n >= 2^(k_max+1), read off its bit length: the power is never formed
+    if k_max + 1 >= w.n.bit_length():
+        raise ValueError(f"need at least 2^(k_max+1) = 2^{k_max + 1} weights for complete windows, have {w.n}")
     checked = w.gen == "simple"
     s = _dyadic_prefix(w.n) if checked else None
     power_norms = {}

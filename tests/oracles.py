@@ -323,9 +323,8 @@ def reference_apply(node, a, vec):
     """``exprs.apply`` with a new array for every operation."""
     a = np.asarray(a, dtype=float)
     v = np.asarray(vec, dtype=complex)
-    if isinstance(node, (exprs.Mz, exprs.MzAdj, exprs.MPoly, exprs.MPolyAdj)):
-        coeffs = node.coeffs if isinstance(node, (exprs.MPoly, exprs.MPolyAdj)) else (0.0, 1.0)
-        return _reference_shift_series(coeffs, isinstance(node, (exprs.MzAdj, exprs.MPolyAdj)), a, v)
+    if isinstance(node, (exprs.MPoly, exprs.MPolyAdj)):
+        return _reference_shift_series(node.coeffs, isinstance(node, exprs.MPolyAdj), a, v)
     if isinstance(node, exprs.Scale):
         return node.c * reference_apply(node.node, a, v)
     if isinstance(node, exprs.Product):

@@ -201,6 +201,22 @@ def test_transform_off_the_axis_matches_50_digit_closed_forms(space, s):
                 assert smp.value == 0, (rad, smp.value)
 
 
+@pytest.mark.parametrize("space", [hardy, bergman, rs3, mu], ids=["hardy", "bergman", "rs3", "mu"])
+def test_mz_and_its_multiplier_spelling_give_the_same_bits(space):
+    # Mz is the multiplier M(0,1): the parser builds equal trees, the
+    # printer writes both as Mz, and the rotation gives both the scalar
+    # phase w over a real core, so every sample has the same bits
+    assert exprs.parse("Mz") == exprs.parse("M(0,1)") == exprs.MPoly((0.0, 1.0))
+    assert exprs.to_text(exprs.parse("M(0,1)^* M(0,1)")) == exprs.to_text(exprs.parse("Mz^* Mz")) == "Mz^* Mz"
+    z = 0.9 * cmath.exp(0.7j)
+    for short, spelled in (("Mz^* Mz", "M(0,1)^* M(0,1)"), ("[Mz^*, Mz] Mz", "[M(0,1)^*, M(0,1)] M(0,1)"),
+                           ("Mz + 2*Mz^*", "M(0,1) + 2*M(0,1)^*")):
+        want = gbt_sample(space, exprs.parse(short), z)
+        got = gbt_sample(space, exprs.parse(spelled), z)
+        assert (got.value, got.trunc_n, got.tail) == (want.value, want.trunc_n, want.tail), short
+        assert repr(got.value) == repr(want.value), short
+
+
 @pytest.mark.parametrize("space", SPACES, ids=[s.label for s in SPACES])
 def test_transform_of_mz_at_tiny_points(space):
     # below |z| = 1.5e-154 the squared modulus is subnormal or 0, so the

@@ -13,6 +13,7 @@ import pytest
 import berezin_lab
 from berezin_lab.cli import main, parse_operator_expr
 from berezin_lab.exprs import Commutator, MPoly, MPolyAdj, Mz, MzAdj, Product, Scale, Sum
+from berezin_lab.shifts import generate_weights, spectral_radius_estimate
 from oracles import reject_constant
 
 
@@ -222,6 +223,20 @@ def test_shift_spr(tmp_path):
     assert doc["sandwich_ok"] is True
     root = doc["root_estimates"]["1024"]
     assert abs(root - 0.5 ** (1 / 3)) < 0.01
+
+
+def test_shift_spr_kmax_past_the_weights_names_the_option(tmp_path, capsys):
+    # 2^(kmax + 1) weights are compared by bit length: a kmax far past the
+    # 4096 default weights is a usage error about --kmax, not a failure to
+    # print 2^(kmax + 1); kmax = 11 needs exactly the 4096 weights
+    spr = ["shift", "spr", "--weights", "simple:r=0.5"]
+    for kmax in ("12", "100000", str(10 ** 12)):
+        assert run([*spr, "--kmax", kmax]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: --kmax ") and "--weight-count" in line for line in err), err
+    assert run([*spr, "--kmax", "11", "--out", str(tmp_path / "s.json")]) == 0
+    with pytest.raises(ValueError, match="2\\^100001 weights"):
+        spectral_radius_estimate(generate_weights("simple:r=0.5", 100), 100000)
 
 
 def test_shift_powernorm_and_powerbound(tmp_path):
@@ -464,8 +479,26 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     for n, degree in (("3", "60"), ("1", "2896"), ("3", "20"), ("7", "7"), ("203", "1"), ("257", "0"), (huge, "3"),
                       ("3", huge), (huge, huge)):
         assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
+    # charspace: at most 2^14 lambda points (moduli times args=), at most
+    # 2^24 rows of scan work, and --m-max and --n-max-log2 at most 20
+    charspace = ["charspace", "--weights", "simple:r=0.5"]
+    for extra in (
+        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=16385"],
+        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=100000"],
+        ["--lambda-grid", "mod=0:1:0.0001,args=2"],
+        ["--lambda-grid", f"mod=0:{huge}:1e-300,args=1"],
+        ["--lambda-grid", "mod=0:0.923:0.001,args=1"],
+        ["--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", "12"],
+        ["--weight-count", str(2 ** 20), "--n-max-log2", "20", "--lambda-grid", "mod=0:0.7:0.1,args=1"],
+        ["--weight-count", str(2 ** 20), "--n-max-log2", "8", "--lambda-grid", "mod=0:1:0.003,args=1"],
+        ["--m-max", "21", "--lambda-grid", "mod=0:1:0.5"],
+        ["--m-max", "100000", "--lambda-grid", "mod=0:1:0.5"],
+        ["--n-max-log2", "21", "--lambda-grid", "mod=0:1:0.5"],
+        ["--n-max-log2", "100000", "--lambda-grid", "mod=0:1:0.5"],
+    ):
+        assert run([*charspace, *extra]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 32 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 44 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -475,7 +508,11 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert all("--grid " in line for line in err[15:18])
     assert all("--grid-s" in line and "--grid-phi" in line for line in err[18:20])
     assert all("--weight-count" in line for line in err[20:23])
-    assert all("--n " in line and "--degree " in line for line in err[23:])
+    assert all("--n " in line and "--degree " in line for line in err[23:32])
+    assert all("--lambda-grid" in line and "points" in line for line in err[32:36])
+    assert all("--lambda-grid" in line and "rows of work" in line for line in err[36:40])
+    assert all("--m-max" in line for line in err[40:42])
+    assert all("--n-max-log2" in line for line in err[42:44])
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
@@ -502,9 +539,17 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
     assert run(["shift", "spr", "--weights", "simple:r=0.5", "--weight-count", str(2 ** 20)]) == 2
     for n, degree in (("1", "2895"), ("2", "62"), ("202", "1"), ("256", "0")):
         assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
+    charspace = ["charspace", "--weights", "simple:r=0.5"]
+    for extra in (
+        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=16384"],
+        ["--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", "8", "--weight-count", "4096"],
+        ["--lambda-grid", "mod=0:0.922:0.001,args=1"],
+        ["--weight-count", str(2 ** 20), "--n-max-log2", "20", "--m-max", "20", "--lambda-grid", "mod=0:0.6:0.1,args=1"],
+    ):
+        assert run([*charspace, *extra]) == 2
     assert reached == [
         "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
-        "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4,
+        "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4, *["generate_weights"] * 4,
     ]
     assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
 

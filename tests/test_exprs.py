@@ -165,10 +165,6 @@ def dense_reference(node, a, n):
     """The N x N truncation built recursively from entry-by-entry leaves
     (``oracles.band_by_entries``) and matrix products, independent of
     ``apply``."""
-    if isinstance(node, Mz):
-        return band_by_entries((0.0, 1.0), a, n, n)
-    if isinstance(node, MzAdj):
-        return dense_reference(Mz(), a, n).conj().T
     if isinstance(node, MPoly):
         return band_by_entries(node.coeffs, a, n, n)
     if isinstance(node, MPolyAdj):
@@ -230,7 +226,7 @@ def test_apply_matches_materialize():
         assert np.linalg.norm(direct - apply(node, a, block)) <= 1e-12 * np.linalg.norm(direct)
 
 
-NODE_KINDS = (Mz, MzAdj, MPoly, MPolyAdj, Scale, Product, Sum, Commutator, Dense)
+NODE_KINDS = (MPoly, MPolyAdj, Scale, Product, Sum, Commutator, Dense)
 
 
 def _trees_of_every_kind(r, per_kind=6):
@@ -319,8 +315,6 @@ def test_apply_reads_a_real_vector_as_its_complex_cast():
 
 def _real_data(node) -> bool:
     """Every coefficient, scalar and matrix entry of the tree is real."""
-    if isinstance(node, (Mz, MzAdj)):
-        return True
     if isinstance(node, (MPoly, MPolyAdj)):
         return not any(complex(c).imag for c in node.coeffs)
     if isinstance(node, Scale):
@@ -412,8 +406,6 @@ def test_inner_is_vdot_within_its_gamma_bound():
 def _modulus_tree(node):
     """|X|: every scalar, coefficient and Dense entry by its modulus, every
     sign by +1, every [A, B] by AB + BA."""
-    if isinstance(node, (Mz, MzAdj)):
-        return node
     if isinstance(node, (MPoly, MPolyAdj)):
         return type(node)(tuple(complex(abs(c)) for c in node.coeffs))
     if isinstance(node, Scale):
@@ -430,8 +422,6 @@ def _modulus_tree(node):
 
 def _rounding_depth(node) -> int:
     """K of the ``quadratic`` docstring."""
-    if isinstance(node, (Mz, MzAdj)):
-        return 5
     if isinstance(node, (MPoly, MPolyAdj)):
         return 2 * (len(node.coeffs) - 1) + 3
     if isinstance(node, Scale):

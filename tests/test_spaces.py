@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from berezin_lab import spaces
 from berezin_lab.formats import write_csv
 from berezin_lab.spaces import (
     N_CAP,
@@ -276,6 +277,40 @@ def test_long_custom_table_bits_and_its_end():
         coeffs, norm_sq, tail = want
         assert got.coeffs.tobytes() == coeffs.tobytes(), r
         assert (got.norm_sq, got.tail) == (norm_sq, tail), r
+
+
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+def test_kernel_vector_bisects_the_real_sums_where_the_bound_is_loose(space, monkeypatch):
+    # at a loose tolerance the partial sums still grow between the bottom
+    # that the bound against partial_hi leaves and hi, so the test with the
+    # real sums fails at that bottom and bisects (its predicate is
+    # ``passes``); N and the bits of coeffs and tail are the oracle's
+    names = []
+    first_passing = spaces._first_passing
+    monkeypatch.setattr(spaces, "_first_passing", lambda test, lo, hi: names.append(test.__name__) or first_passing(test, lo, hi))
+    r = np.random.default_rng(4051)
+    bisected = 0
+    for tol in (0.5, 0.3):
+        for mod in r.uniform(0.95, 0.999, 8):
+            z = complex(mod * np.exp(2j * np.pi * r.uniform()))
+            names.clear()
+            got = kernel_vector(space, z, tol)
+            coeffs, norm_sq, tail = reference_kernel_vector(space, z, tol)
+            assert got.n == len(coeffs), z
+            assert got.coeffs.tobytes() == coeffs.tobytes(), z
+            assert (got.norm_sq, got.tail) == (norm_sq, tail), z
+            bisected += "passes" in names
+    assert bisected >= 8, bisected
+
+
+def test_kernel_frame_past_a_custom_tables_end_raises():
+    # the frame's weights reach h_(N + pad - 1); past the end of a custom
+    # table that is a TruncationError naming the table, not a short frame.
+    # N = 32 here, so pad 8 reads h_0..h_39, the whole table
+    space = custom_space(np.arange(1.0, 41.0) ** -0.7, label="short")
+    assert len(kernel_vector(space, 0.1, 1e-12, pad=8).a) == 39
+    with pytest.raises(TruncationError, match=r"custom norm table of length 40 exhausted; requested h_0\.\.h_40$"):
+        kernel_vector(space, 0.1, 1e-12, pad=9)
 
 
 @pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
