@@ -30,7 +30,7 @@ import numpy as np
 from . import exprs
 from .formats import write_csv
 from .operators import circle_sup_precondition, poly_eval, sup_on_circle
-from .spaces import KernelSpace, kernel_vector
+from .spaces import KernelSpace, KernelTables, kernel_vector, profile_tables
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,26 @@ class BerezinProfile:
         return np.array([s.z for s in self.samples])
 
 
-def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> BerezinSample:
+class _Tree:
+    """``node`` with the parts of a sample that do not depend on |z|: its
+    index raise, its norm bound, and its rotation by the last phase w it
+    was asked for (kept while consecutive points share w bit for bit)."""
+
+    def __init__(self, node):
+        self.node = node
+        self.pad = exprs.raise_degree(node)
+        self.bound = exprs.norm_bound(node)
+        self._w = self._rotated = None
+
+    def rotated(self, w: complex):
+        if w != self._w:
+            self._w, self._rotated = w, exprs.rotate(self.node, w)
+        return self._rotated
+
+
+def gbt_sample(
+    space: KernelSpace, node, z: complex, tol: float = 1e-12, tables: KernelTables | None = None, tree=None
+) -> BerezinSample:
     """<X k_z, k_z> at adaptive truncation, applied without forming a matrix.
 
     ``node`` is an expression tree; a dense truncation enters it as an
@@ -70,10 +89,15 @@ def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> Bere
     wherever the core's coefficients are real.  The
     reported tail is the kernel tail scaled by a coarse norm bound of the
     expression.
+
+    ``tables`` and ``tree`` (``_Tree(node)``) carry what ``gbt_profile``'s
+    samples share; a lone call forms both itself, with the same bits.
     """
-    kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-    value = exprs.quadratic(exprs.rotate(node, kv.w), kv.a, kv.v)
-    tail = 4.0 * exprs.norm_bound(node) * kv.tail
+    if tree is None:
+        tree = _Tree(node)
+    kv = kernel_vector(space, z, tol, pad=tree.pad, tables=tables)
+    value = exprs.quadratic(tree.rotated(kv.w), kv.a, kv.v)
+    tail = 4.0 * tree.bound * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 
 
@@ -117,8 +141,20 @@ def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float =
     """The transform of ``node`` at each of ``points``.  ``path`` records
     where the points came from (default ``{"kind": "points", "count": m}``)
     and ``op_label`` names the operator; both are only carried into the
-    profile."""
-    samples = tuple(gbt_sample(space, node, z, tol=tol) for z in points)
+    profile.
+
+    Every point goes through ``gbt_sample``, with one workspace for the
+    profile: the kernel vectors share one ``spaces.KernelTables``, sized
+    for the outermost point (``spaces.profile_tables``; none where that
+    point raises, so the samples raise as lone calls do), and the tree's
+    index raise and norm bound are formed once and its rotation only when
+    the phase w changes.  The values are those of lone ``gbt_sample``
+    calls, bit for bit."""
+    points = list(points)
+    tree = _Tree(node)
+    r_max = max((abs(complex(z)) for z in points), default=0.0)
+    tables = profile_tables(space, r_max, tol, tree.pad)
+    samples = tuple(gbt_sample(space, node, z, tol=tol, tables=tables, tree=tree) for z in points)
     if path is None:
         path = {"kind": "points", "count": len(samples)}
     return BerezinProfile(op_label=op_label, samples=samples, path=path)

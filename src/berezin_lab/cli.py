@@ -29,7 +29,8 @@ normbound's estimated work per family (``_normbound_work``) is capped at
 its value at ``--truncation`` 2^14, ``--degree`` 5.  The ``charspace``
 lambda grid is capped at 2^14 points and its scan's work
 (``_scan_work``) at 2^24 rows, and ``--m-max`` and ``--n-max-log2`` at
-20 = log2 ``N_CAP``; ``shift spr --kmax`` past the weights exits 2.
+20 = log2 ``N_CAP`` (from below at 0 and 8, where the truncation
+schedule starts); ``shift spr --kmax`` past the weights exits 2.
 ``gbt`` resolves its path to points here (``_parse_path``) and samples
 them through ``berezin.gbt_profile`` and the one transform,
 ``berezin.gbt_sample``; space names resolve through
@@ -154,6 +155,10 @@ _SCAN_WORK_CAP = 2 ** 24
 # log2 of the largest --weight-count can change a verdict
 _LOG2_N_CAP = N_CAP.bit_length() - 1
 
+# smallest --n-max-log2: the truncation schedule starts at 2^8, and an
+# empty one would fall back to a single truncation at --weight-count
+_LOG2_N_MIN = 8
+
 
 def _parse_lambda_grid(text: str):
     """The moduli and angle count of ``mod=lo:hi:step[,args=K]``, its
@@ -237,11 +242,13 @@ def _weights(args):
 
 def cmd_charspace(args):
     count = _weight_count(args)
-    for option, value in (("--m-max", args.m_max), ("--n-max-log2", args.n_max_log2)):
+    for option, value, low in (("--m-max", args.m_max, 0), ("--n-max-log2", args.n_max_log2, _LOG2_N_MIN)):
         if value > _LOG2_N_CAP:
             raise ValueError(f"{option} must be at most {_LOG2_N_CAP} (2^{_LOG2_N_CAP} weights), got {value}")
+        if value < low:
+            raise ValueError(f"{option} must be at least {low}, got {value}")
     moduli, angles = _parse_lambda_grid(args.lambda_grid)
-    n_schedule = tuple(2 ** k for k in range(8, args.n_max_log2 + 1))
+    n_schedule = tuple(2 ** k for k in range(_LOG2_N_MIN, args.n_max_log2 + 1))
     work = _scan_work(moduli, n_schedule, count)
     if work > _SCAN_WORK_CAP:
         raise ValueError(

@@ -34,9 +34,12 @@ subnormal |z|.
 (its docstring gives the rule and the bracket the test decides in).  Each
 term r2^k / h_k is formed once, in one buffer that becomes the zero-padded
 frame vector, normalized in place; one norm table serves the test and the
-frame's shift weights.  Built-in tables are prefix-stable (h_0..h_n do
-not depend on how far the table reaches), so a prefix of a longer table
-has the same bits.
+frame's shift weights.  Table, weights, exponent indices and buffer make
+up a ``KernelTables`` workspace: a lone vector builds its own, and the
+samples of a transform profile share one (``profile_tables``), sized for
+the profile's outermost point.  Built-in tables are prefix-stable
+(h_0..h_n do not depend on how far the table reaches), so a prefix of a
+longer table has the same bits.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -77,13 +80,14 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
         h = np.arange(1.0, n + 2.0)
         return np.divide(1.0, h, out=h)
     if kind == "rs":
-        # h_{k+1} = h_k * (k+1)/(s+k); avoids binomials of large arguments
+        # h_{k+1} = h_k * (k+1)/(s+k); avoids binomials of large arguments.
+        # The ratios are formed in h itself, and the product runs in place
         k = np.arange(n, dtype=float)
-        ratio = k + 1.0
-        ratio /= np.add(k, s, out=k)
         h = np.empty(n + 1)
         h[0] = 1.0
-        np.cumprod(ratio, out=h[1:])
+        ratio = np.add(k, 1.0, out=h[1:])
+        ratio /= np.add(k, s, out=k)
+        np.cumprod(ratio, out=ratio)
         # for large s the product leaves the normal range, where the norms
         # and every term and tail read from them lose their digits, and
         # then underflows to 0, which is no norm; h is non-increasing
@@ -218,7 +222,11 @@ class KernelVector:
 
     ``v`` is ``coeffs`` followed by ``pad`` zeros (``coeffs`` is its
     leading view), and ``a`` the shift weights a_0..a_(n+pad-2) of that
-    frame, read from the norm table the truncation read.
+    frame, read from the norm table the truncation read.  All three are
+    views of the ``KernelTables`` the vector was formed in: those of a
+    lone ``kernel_vector`` call are its own, while ``v`` and ``coeffs`` of
+    a vector formed in shared tables stay valid only until the next
+    ``kernel_vector`` call on the same tables overwrites its buffer.
     """
 
     z: complex
@@ -232,6 +240,55 @@ class KernelVector:
     @property
     def n(self) -> int:
         return len(self.coeffs)
+
+
+class KernelTables:
+    """The workspace of the kernel vectors of ``space`` whose frames end
+    by index ``size``: the norms ``h`` = h_0..h_size, the shift weights
+    ``a`` = a_0..a_(size-1), the exponents ``idx`` = 0..min(size, N_CAP)
+    (a truncation never passes ``N_CAP``, so int32 holds them) and
+    ``buf``, size + 1 entries for the terms and the frame vector.  Each
+    prefix has the bits of ``space.h_table`` and ``space.shift_weights``
+    of its length.  The weights are formed when first read, so a vector
+    whose tail test raises never forms them."""
+
+    __slots__ = ("space", "h", "idx", "buf", "_a")
+
+    def __init__(self, space: KernelSpace, size: int):
+        self.space = space
+        self.h = space.h_table(size)
+        self.idx = np.arange(min(size, N_CAP) + 1, dtype=np.int32)
+        self.buf = np.empty(size + 1)
+        self._a = None
+
+    @property
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            a = self.h[1:] / self.h[:-1]
+            self._a = np.sqrt(a, out=a)
+        return self._a
+
+
+def profile_tables(space: KernelSpace, r_max: float, tol: float, pad: int, n_start: int = 32):
+    """One ``KernelTables`` for every ``kernel_vector(space, z, tol, pad,
+    n_start)`` with |z| <= ``r_max``, or None where the calls had better
+    build their own: r_max or tol outside the range ``kernel_vector``
+    takes, a stop bound at ``N_CAP`` (such a profile raises), or a norm
+    table that leaves the normal range.  A built-in table is sized from
+    ``_stop_bound`` at r_max, which does not fall as |z| grows; a custom
+    table is taken whole.  Either way a vector whose frame would outgrow
+    the tables builds its own."""
+    if not (0 <= r_max < 1 and 0 < tol < math.inf):
+        return None
+    if not space.extendable:
+        return KernelTables(space, min(len(space.h) - 1, N_CAP + max(pad, 1) - 1))
+    hi = _stop_bound(space, r_max ** 2, tol, max(n_start, pad))
+    if hi >= N_CAP:
+        return None
+    try:
+        return KernelTables(space, hi + max(pad, 1) - 1)
+    except TruncationError:
+        return None
 
 
 def _first_passing(passes, lo: int, hi: int) -> int:
@@ -286,7 +343,8 @@ def _stop_bound(space: KernelSpace, r2: float, tol: float, n0: int) -> int:
 
 
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32
+    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32,
+    tables: KernelTables | None = None,
 ) -> KernelVector:
     """Truncated kernel vector with relative tail below ``tol``.
 
@@ -322,6 +380,14 @@ def kernel_vector(
     block of size ``pad`` reads holds a kernel value, and ``pad`` zeros
     follow the coefficients in ``v`` so that products never hit its top
     edge.
+
+    The norm table reaches h_(hi+pad-1) (h_hi at pad 0, and no further
+    than a custom table's end), and the vector is formed in ``tables``
+    where they reach that far, else in tables of its own built by the same
+    ``KernelTables``; the bits are the same either way.  The powers r2^k
+    are formed with an array base (``buf.fill(r2)``, then ``np.power``
+    against the indices), which takes numpy's contiguous loop and gives
+    the bits of ``np.power(r2, k)``.
     """
     z = complex(z)
     if not abs(z) < 1:
@@ -333,8 +399,6 @@ def kernel_vector(
     if space.extendable:
         floor = None
         hi = _stop_bound(space, r2, tol, n0)
-        # one norm table: h_hi for the test, h_(N+pad-1) for the frame's weights
-        h = space.h_table(hi + max(pad, 1) - 1)
     else:
         h, ratios, floor = space.h, space.ratios, space.floor
         end = min(len(h) - 1, N_CAP)
@@ -375,10 +439,20 @@ def kernel_vector(
             growth = float(ratios[:hi].max(initial=1.0))
         hi = _first_passing(bound_passes, lo, hi)
 
+    # one norm table: h_hi for the test, h_(N+pad-1) for the frame's weights
+    top = hi + max(pad, 1) - 1
+    if not space.extendable:
+        top = min(top, len(space.h) - 1)
+    if tables is None or len(tables.h) <= top:
+        tables = KernelTables(space, top)
+    elif tables.space is not space:
+        raise ValueError(f"kernel tables of {tables.space.label} passed for {space.label}")
+    h = tables.h
     # the buffer of terms t_k = r2^k / h_k, formed up to hi, becomes the frame
-    terms = np.arange(hi + pad, dtype=float)
+    terms = tables.buf
     formed = terms[:hi]
-    np.power(r2, formed, out=formed)
+    formed.fill(r2)
+    np.power(formed, tables.idx[:hi], out=formed)
     np.divide(formed, h[:hi], out=formed)
     partials = {}
 
@@ -410,9 +484,8 @@ def kernel_vector(
     # past the end of a custom table ``h_table`` raises
     size = n + pad
     if len(h) < size:
-        h = space.h_table(size - 1)
-    a = h[1:size] / h[: size - 1]
-    np.sqrt(a, out=a)
+        space.h_table(size - 1)
+    a = tables.a[: size - 1]
     # the terms become the padded frame, normalized in place; a term below
     # the normal range has lost digits, and then the powers of |z| itself
     # keep them (|z| < 1e-5, where n is short)

@@ -22,7 +22,7 @@ from berezin_lab.berezin import (
 from berezin_lab.exprs import Dense
 from berezin_lab.formats import read_columns, to_json
 from berezin_lab.operators import poly_eval
-from berezin_lab.spaces import custom_space, kernel_vector, monomial_norms
+from berezin_lab.spaces import KernelSpace, TruncationError, custom_space, kernel_vector, monomial_norms
 
 from oracles import dense_mult, kernel_at, reference_apply
 
@@ -482,6 +482,76 @@ def test_profile_of_tree_holding_dense_leaf_has_empty_label():
         assert prof.op_label == ""
         assert prof.path == {"kind": "points", "count": 1}
         assert len(prof.samples) == 1
+
+
+def _lone_samples(space, node, points, tol):
+    """The samples of separate ``gbt_sample`` calls, up to the first error."""
+    out = []
+    for z in points:
+        try:
+            out.append(gbt_sample(space, node, z, tol=tol))
+        except TruncationError as exc:
+            return out, str(exc)
+    return out, None
+
+
+_rs25 = monomial_norms("rs", 4, s=2.5)
+_short_custom = custom_space(np.arange(1.0, 3001.0) ** -0.7, label="custom")
+
+
+@pytest.mark.parametrize("space", [*SPACES, _rs25, _short_custom], ids=lambda sp: sp.label)
+def test_profile_samples_are_lone_samples_bit_for_bit(space):
+    # one workspace per profile changes no bit of any value, trunc_n or
+    # tail: radial paths to the boundary, a grid path (whose rings share
+    # |z| and whose points change w) and a tree holding a Dense leaf
+    r = np.random.default_rng(9127)
+    dense = Dense(r.normal(size=(6, 6)) + 1j * r.normal(size=(6, 6)))
+    nodes = [
+        exprs.parse("[Mz^*, Mz] Mz"),
+        exprs.parse("M(0.3,-0.2i,0.1)^* M(0.1,0.4,0.2i,-0.1)"),
+        exprs.Sum(((1, exprs.Product((exprs.Mz(), dense))), (-1, exprs.MzAdj()))),
+    ]
+    r_max = 0.99 if space.label == "custom" else 0.9999
+    paths = [radial_path(0.7, r_max, 10), radial_path(2.0, r_max, 6), disk_grid(20, 0.9)]
+    for node in nodes:
+        for points in paths:
+            prof = gbt_profile(space, node, points, tol=1e-10)
+            lone, error = _lone_samples(space, node, points, 1e-10)
+            assert error is None
+            for got, want in zip(prof.samples, lone, strict=True):
+                assert got.z == want.z
+                assert (got.value.real, got.value.imag) == (want.value.real, want.value.imag), got.z
+                assert (got.trunc_n, got.tail) == (want.trunc_n, want.tail), got.z
+
+
+def test_profile_builds_one_norm_table(monkeypatch):
+    # a built-in profile reads one table, sized for its outermost point
+    calls = []
+    h_table = KernelSpace.h_table
+    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    node = exprs.parse("[Mz^*, Mz] Mz")
+    for space in (bergman, rs3):
+        calls.clear()
+        prof = gbt_profile(space, node, radial_path(0.4, 0.999, 12))
+        assert len(calls) == 1 and calls[0] >= max(s.trunc_n for s in prof.samples) - 1, calls
+
+
+@pytest.mark.parametrize("space,r_max,tol", [
+    (monomial_norms("rs", 4, s=200.0), 0.999, 1e-12),  # the norms underflow at the fourth point
+    (hardy, 0.9999, 1e-300),  # the outermost stop bound is at the cap
+    (_short_custom, 0.9999, 1e-12),  # the custom table ends
+])
+def test_profile_whose_outer_points_raise_raises_as_lone_samples(space, r_max, tol):
+    # no built-in workspace is built where the outermost point raises, and
+    # a custom one raises the table's end per sample: either way the
+    # samples raise as lone calls do, in order
+    node = exprs.parse("Mz^* Mz")
+    points = radial_path(0.3, r_max, 8)
+    lone, error = _lone_samples(space, node, points, tol)
+    assert error is not None and 0 < len(lone) < len(points)
+    with pytest.raises(TruncationError) as info:
+        gbt_profile(space, node, points, tol=tol)
+    assert str(info.value) == error
 
 
 def test_profile_contractivity_invariant():

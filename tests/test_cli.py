@@ -495,10 +495,14 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
         ["--m-max", "100000", "--lambda-grid", "mod=0:1:0.5"],
         ["--n-max-log2", "21", "--lambda-grid", "mod=0:1:0.5"],
         ["--n-max-log2", "100000", "--lambda-grid", "mod=0:1:0.5"],
+        # and from below: an empty level or truncation schedule
+        ["--m-max", "-1", "--lambda-grid", "mod=0:1:0.5"],
+        ["--n-max-log2", "7", "--lambda-grid", "mod=0:1:0.5"],
+        ["--n-max-log2", "-3", "--lambda-grid", "mod=0:1:0.5"],
     ):
         assert run([*charspace, *extra]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 44 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 47 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -513,6 +517,8 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert all("--lambda-grid" in line and "rows of work" in line for line in err[36:40])
     assert all("--m-max" in line for line in err[40:42])
     assert all("--n-max-log2" in line for line in err[42:44])
+    assert "--m-max" in err[44] and "at least 0" in err[44]
+    assert all("--n-max-log2" in line and "at least 8" in line for line in err[45:47])
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):

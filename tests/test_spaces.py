@@ -12,6 +12,7 @@ from berezin_lab.formats import write_csv
 from berezin_lab.spaces import (
     N_CAP,
     KernelSpace,
+    KernelTables,
     KernelVector,
     TruncationError,
     ball_space,
@@ -21,6 +22,7 @@ from berezin_lab.spaces import (
     kernel_vector,
     load_h_table,
     monomial_norms,
+    profile_tables,
 )
 from oracles import kernel_at, reference_kernel_frame, reference_kernel_vector
 
@@ -337,6 +339,68 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
         assert np.shares_memory(got.coeffs, got.v), z
         assert len(got.v) == got.n + pad and not np.any(got.v[got.n :]), z
         assert len(got.a) == got.n + pad - 1, z
+
+
+# ---------------------------------------------------------------------------
+# the per-profile workspace
+
+
+@pytest.mark.parametrize("space", [*BIT_SPACES, monomial_norms("rs", 4, s=2.5)], ids=lambda sp: sp.label)
+def test_kernel_tables_prefixes_are_the_spaces_tables(space):
+    # every prefix of a workspace has the bits of the space's own table and
+    # weights of that length: at every n of a 300-entry workspace, and at
+    # sizes spread over one sized for |z| = 0.9999
+    tables = KernelTables(space, 300)
+    assert np.array_equal(tables.idx, np.arange(301)) and tables.idx.dtype == np.int32
+    assert len(tables.buf) == 301
+    for n in range(1, 301):
+        assert np.array_equal(tables.h[: n + 1], space.h_table(n)), n
+        assert np.array_equal(tables.a[:n], space.shift_weights(n)), n
+    big = profile_tables(space, 0.9999, 1e-12, 3)
+    size = len(big.h) - 1
+    assert size == (len(space.h) - 1 if not space.extendable else spaces._stop_bound(space, 0.9999**2, 1e-12, 32) + 2)
+    for n in (1, 2, 33, 1000, size // 2, size - 1, size):
+        n = min(n, size)
+        assert np.array_equal(big.h[: n + 1], space.h_table(n)), n
+        assert np.array_equal(big.a[:n], space.shift_weights(n)), n
+
+
+def test_profile_tables_are_not_built_where_the_vectors_raise():
+    hardy = monomial_norms("hardy", 4)
+    # outside the range kernel_vector takes, its own error is raised per point
+    for r_max, tol in ((1.0, 1e-12), (1.5, 1e-12), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan)):
+        assert profile_tables(hardy, r_max, tol, 0) is None
+    # a stop bound at the cap: the outermost vector raises, so no workspace
+    assert spaces._stop_bound(hardy, 0.9999**2, 1e-300, 32) == N_CAP
+    assert profile_tables(hardy, 0.9999, 1e-300, 0) is None
+    # a norm table that leaves the normal range at the outermost point
+    assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.999, 1e-12, 1) is None
+    assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.9, 1e-12, 1) is not None
+
+
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
+    # a vector formed in shared tables has the lone vector's bits until the
+    # next vector on the same tables overwrites the buffer; lone vectors
+    # keep arrays of their own
+    tables = profile_tables(space, 0.95, 1e-12, 2)
+    first = kernel_vector(space, 0.9, 1e-12, pad=2, tables=tables)
+    lone_first = kernel_vector(space, 0.9, 1e-12, pad=2)
+    assert first.v.tobytes() == lone_first.v.tobytes() and first.a.tobytes() == lone_first.a.tobytes()
+    kept = first.v.copy()
+    second = kernel_vector(space, 0.5j, 1e-12, pad=2, tables=tables)
+    lone_second = kernel_vector(space, 0.5j, 1e-12, pad=2)
+    assert second.v.tobytes() == lone_second.v.tobytes() and second.a.tobytes() == lone_second.a.tobytes()
+    assert np.shares_memory(first.v, second.v) and np.shares_memory(first.v, tables.buf)
+    assert not np.array_equal(first.v, kept)
+    assert not np.shares_memory(lone_first.v, lone_second.v)
+    assert lone_first.v.tobytes() == kept.tobytes()
+    # past a built-in workspace's reach a vector forms tables of its own; a
+    # custom workspace holds the whole table
+    far = kernel_vector(space, 0.99, 1e-12, pad=2, tables=tables)
+    assert np.shares_memory(far.v, tables.buf) == (not space.extendable)
+    with pytest.raises(ValueError, match="kernel tables of"):
+        kernel_vector(monomial_norms("rs", 4, s=7.0), 0.5, 1e-12, tables=tables)
 
 
 # (|z|, tol, pad) at which a table sized from a majorant at half the stop
