@@ -55,24 +55,19 @@ class BerezinProfile:
 
 
 class _Tree:
-    """``node`` with the parts of a sample that do not depend on |z|: its
-    index raise, its norm bound, and its rotation by the last phase w it
-    was asked for (kept while consecutive points share w bit for bit)."""
+    """``node`` with the parts of a sample that do not depend on z: its
+    index raise and its norm bound."""
+
+    __slots__ = ("node", "pad", "bound")
 
     def __init__(self, node):
         self.node = node
         self.pad = exprs.raise_degree(node)
         self.bound = exprs.norm_bound(node)
-        self._w = self._rotated = None
-
-    def rotated(self, w: complex):
-        if w != self._w:
-            self._w, self._rotated = w, exprs.rotate(self.node, w)
-        return self._rotated
 
 
 def gbt_sample(
-    space: KernelSpace, node, z: complex, tol: float = 1e-12, tables: KernelTables | None = None, tree=None
+    space: KernelSpace, node, z: complex, tol: float = 1e-12, tables: KernelTables | None = None
 ) -> BerezinSample:
     """<X k_z, k_z> at adaptive truncation, applied without forming a matrix.
 
@@ -90,13 +85,13 @@ def gbt_sample(
     reported tail is the kernel tail scaled by a coarse norm bound of the
     expression.
 
-    ``tables`` and ``tree`` (``_Tree(node)``) carry what ``gbt_profile``'s
-    samples share; a lone call forms both itself, with the same bits.
+    ``node`` may also be ``_Tree(node)``, which ``gbt_profile`` forms once
+    for its samples, and ``tables`` the workspace they share; a lone call
+    forms both itself, with the same bits.
     """
-    if tree is None:
-        tree = _Tree(node)
+    tree = node if isinstance(node, _Tree) else _Tree(node)
     kv = kernel_vector(space, z, tol, pad=tree.pad, tables=tables)
-    value = exprs.quadratic(tree.rotated(kv.w), kv.a, kv.v)
+    value = exprs.quadratic(exprs.rotate(tree.node, kv.w), kv.a, kv.v)
     tail = 4.0 * tree.bound * kv.tail
     return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
 
@@ -145,16 +140,15 @@ def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float =
 
     Every point goes through ``gbt_sample``, with one workspace for the
     profile: the kernel vectors share one ``spaces.KernelTables``, sized
-    for the outermost point (``spaces.profile_tables``; none where that
-    point raises, so the samples raise as lone calls do), and the tree's
-    index raise and norm bound are formed once and its rotation only when
-    the phase w changes.  The values are those of lone ``gbt_sample``
-    calls, bit for bit."""
+    for the outermost point (``spaces.profile_tables``; none on a custom
+    table or where that point raises, so the samples raise as lone calls
+    do), and the tree's index raise and norm bound are formed once.  The
+    values are those of lone ``gbt_sample`` calls, bit for bit."""
     points = list(points)
     tree = _Tree(node)
     r_max = max((abs(complex(z)) for z in points), default=0.0)
     tables = profile_tables(space, r_max, tol, tree.pad)
-    samples = tuple(gbt_sample(space, node, z, tol=tol, tables=tables, tree=tree) for z in points)
+    samples = tuple(gbt_sample(space, tree, z, tol=tol, tables=tables) for z in points)
     if path is None:
         path = {"kind": "points", "count": len(samples)}
     return BerezinProfile(op_label=op_label, samples=samples, path=path)

@@ -60,6 +60,8 @@ from .formats import read_columns
 
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
+#: the shortest truncation ``kernel_vector`` takes by default
+_N_START = 32
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -269,20 +271,17 @@ class KernelTables:
         return self._a
 
 
-def profile_tables(space: KernelSpace, r_max: float, tol: float, pad: int, n_start: int = 32):
-    """One ``KernelTables`` for every ``kernel_vector(space, z, tol, pad,
-    n_start)`` with |z| <= ``r_max``, or None where the calls had better
-    build their own: r_max or tol outside the range ``kernel_vector``
+def profile_tables(space: KernelSpace, r_max: float, tol: float, pad: int):
+    """One ``KernelTables`` for every ``kernel_vector(space, z, tol, pad)``
+    with |z| <= ``r_max``, or None where the calls had better build their
+    own: a custom table, r_max or tol outside the range ``kernel_vector``
     takes, a stop bound at ``N_CAP`` (such a profile raises), or a norm
-    table that leaves the normal range.  A built-in table is sized from
-    ``_stop_bound`` at r_max, which does not fall as |z| grows; a custom
-    table is taken whole.  Either way a vector whose frame would outgrow
-    the tables builds its own."""
-    if not (0 <= r_max < 1 and 0 < tol < math.inf):
+    table that leaves the normal range.  The tables are sized from
+    ``_stop_bound`` at r_max, which does not fall as |z| grows; a vector
+    whose frame would outgrow them still builds its own."""
+    if not (space.extendable and 0 <= r_max < 1 and 0 < tol < math.inf):
         return None
-    if not space.extendable:
-        return KernelTables(space, min(len(space.h) - 1, N_CAP + max(pad, 1) - 1))
-    hi = _stop_bound(space, r_max ** 2, tol, max(n_start, pad))
+    hi = _stop_bound(space, r_max ** 2, tol, max(_N_START, pad))
     if hi >= N_CAP:
         return None
     try:
@@ -343,7 +342,7 @@ def _stop_bound(space: KernelSpace, r2: float, tol: float, n0: int) -> int:
 
 
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32,
+    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = _N_START,
     tables: KernelTables | None = None,
 ) -> KernelVector:
     """Truncated kernel vector with relative tail below ``tol``.

@@ -542,9 +542,8 @@ def test_profile_builds_one_norm_table(monkeypatch):
     (_short_custom, 0.9999, 1e-12),  # the custom table ends
 ])
 def test_profile_whose_outer_points_raise_raises_as_lone_samples(space, r_max, tol):
-    # no built-in workspace is built where the outermost point raises, and
-    # a custom one raises the table's end per sample: either way the
-    # samples raise as lone calls do, in order
+    # no workspace is built where the outermost point raises or the table
+    # is custom, so the samples raise as lone calls do, in order
     node = exprs.parse("Mz^* Mz")
     points = radial_path(0.3, r_max, 8)
     lone, error = _lone_samples(space, node, points, tol)

@@ -348,17 +348,19 @@ def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
 @pytest.mark.parametrize("space", [*BIT_SPACES, monomial_norms("rs", 4, s=2.5)], ids=lambda sp: sp.label)
 def test_kernel_tables_prefixes_are_the_spaces_tables(space):
     # every prefix of a workspace has the bits of the space's own table and
-    # weights of that length: at every n of a 300-entry workspace, and at
-    # sizes spread over one sized for |z| = 0.9999
+    # weights of that length: at every n of a 300-entry workspace, and on a
+    # built-in space at sizes spread over one sized for |z| = 0.9999
     tables = KernelTables(space, 300)
     assert np.array_equal(tables.idx, np.arange(301)) and tables.idx.dtype == np.int32
     assert len(tables.buf) == 301
     for n in range(1, 301):
         assert np.array_equal(tables.h[: n + 1], space.h_table(n)), n
         assert np.array_equal(tables.a[:n], space.shift_weights(n)), n
+    if not space.extendable:
+        return
     big = profile_tables(space, 0.9999, 1e-12, 3)
     size = len(big.h) - 1
-    assert size == (len(space.h) - 1 if not space.extendable else spaces._stop_bound(space, 0.9999**2, 1e-12, 32) + 2)
+    assert size == spaces._stop_bound(space, 0.9999**2, 1e-12, spaces._N_START) + 2
     for n in (1, 2, 33, 1000, size // 2, size - 1, size):
         n = min(n, size)
         assert np.array_equal(big.h[: n + 1], space.h_table(n)), n
@@ -376,9 +378,11 @@ def test_profile_tables_are_not_built_where_the_vectors_raise():
     # a norm table that leaves the normal range at the outermost point
     assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.999, 1e-12, 1) is None
     assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.9, 1e-12, 1) is not None
+    # the vectors of a custom table build their own
+    assert profile_tables(BIT_SPACES[-1], 0.5, 1e-12, 0) is None
 
 
-@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+@pytest.mark.parametrize("space", [sp for sp in BIT_SPACES if sp.extendable], ids=lambda sp: sp.label)
 def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
     # a vector formed in shared tables has the lone vector's bits until the
     # next vector on the same tables overwrites the buffer; lone vectors
@@ -395,10 +399,9 @@ def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
     assert not np.array_equal(first.v, kept)
     assert not np.shares_memory(lone_first.v, lone_second.v)
     assert lone_first.v.tobytes() == kept.tobytes()
-    # past a built-in workspace's reach a vector forms tables of its own; a
-    # custom workspace holds the whole table
+    # past the workspace's reach a vector forms tables of its own
     far = kernel_vector(space, 0.99, 1e-12, pad=2, tables=tables)
-    assert np.shares_memory(far.v, tables.buf) == (not space.extendable)
+    assert not np.shares_memory(far.v, tables.buf)
     with pytest.raises(ValueError, match="kernel tables of"):
         kernel_vector(monomial_norms("rs", 4, s=7.0), 0.5, 1e-12, tables=tables)
 
