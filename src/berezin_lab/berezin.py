@@ -13,10 +13,11 @@ some unimodular-peaking symbol exists.  The radial profiles here are the
 desk-scale surrogate for those limits: samples carry their truncation
 and a propagated tail estimate, and no limit is asserted.
 
-There is one transform, ``gbt_sample``: operators are expression syntax
-trees applied to the kernel coefficients without materializing matrices,
-which is what makes r = 0.999 feasible, and a dense truncation enters the
-tree as an ``exprs.Dense`` leaf acting on its leading block.
+There is one transform path, ``gbt_profile``, and ``gbt_sample`` is its
+one-point case: operators are expression syntax trees applied to the
+kernel coefficients without materializing matrices, which is what makes
+r = 0.999 feasible, and a dense truncation enters the tree as an
+``exprs.Dense`` leaf acting on its leading block.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import exprs
 from .formats import write_csv
 from .operators import circle_sup_precondition, poly_eval, sup_on_circle
-from .spaces import KernelSpace, KernelTables, kernel_vector, profile_tables
+from .spaces import KernelSpace, kernel_vector
 
 
 @dataclass(frozen=True)
@@ -54,46 +55,10 @@ class BerezinProfile:
         return np.array([s.z for s in self.samples])
 
 
-class _Tree:
-    """``node`` with the parts of a sample that do not depend on z: its
-    index raise and its norm bound."""
-
-    __slots__ = ("node", "pad", "bound")
-
-    def __init__(self, node):
-        self.node = node
-        self.pad = exprs.raise_degree(node)
-        self.bound = exprs.norm_bound(node)
-
-
-def gbt_sample(
-    space: KernelSpace, node, z: complex, tol: float = 1e-12, tables: KernelTables | None = None
-) -> BerezinSample:
-    """<X k_z, k_z> at adaptive truncation, applied without forming a matrix.
-
-    ``node`` is an expression tree; a dense truncation enters it as an
-    ``exprs.Dense`` leaf, i.e. as the compression onto its leading block.
-    The kernel vector is padded by the expression's index raise, so
-    products never hit the top edge of its frame and every coordinate a
-    ``Dense`` block reads holds a kernel value.  k_z = U p for the real
-    kernel line p at |z| and the diagonal unitary U = diag(conj(w)^k),
-    w = z/|z|, so the value is <(U^* X U) p, p>: the tree is rotated once
-    (``exprs.rotate``), which collects the phases of each product and
-    commutator into one scalar c, and the value is ``exprs.quadratic`` of
-    the rotated tree on p: c times <core p, p>, in real arithmetic
-    wherever the core's coefficients are real.  The
-    reported tail is the kernel tail scaled by a coarse norm bound of the
-    expression.
-
-    ``node`` may also be ``_Tree(node)``, which ``gbt_profile`` forms once
-    for its samples, and ``tables`` the workspace they share; a lone call
-    forms both itself, with the same bits.
-    """
-    tree = node if isinstance(node, _Tree) else _Tree(node)
-    kv = kernel_vector(space, z, tol, pad=tree.pad, tables=tables)
-    value = exprs.quadratic(exprs.rotate(tree.node, kv.w), kv.a, kv.v)
-    tail = 4.0 * tree.bound * kv.tail
-    return BerezinSample(z=complex(z), value=value, trunc_n=len(kv.v), tail=float(tail))
+def gbt_sample(space: KernelSpace, node, z: complex, tol: float = 1e-12) -> BerezinSample:
+    """<X k_z, k_z> at adaptive truncation, applied without forming a
+    matrix: the one-point ``gbt_profile``, whose docstring gives the rule."""
+    return gbt_profile(space, node, [z], tol=tol).samples[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +98,50 @@ def disk_grid(n: int, r_max: float = 0.95):
 
 
 def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float = 1e-12) -> BerezinProfile:
-    """The transform of ``node`` at each of ``points``.  ``path`` records
-    where the points came from (default ``{"kind": "points", "count": m}``)
-    and ``op_label`` names the operator; both are only carried into the
-    profile.
+    """The transform <X k_z, k_z> of ``node`` at each of ``points``, at
+    adaptive truncation.  ``path`` records where the points came from
+    (default ``{"kind": "points", "count": m}``) and ``op_label`` names the
+    operator; both are only carried into the profile.
 
-    Every point goes through ``gbt_sample``, with one workspace for the
-    profile: the kernel vectors share one ``spaces.KernelTables``, sized
-    for the outermost point (``spaces.profile_tables``; none on a custom
-    table or where that point raises, so the samples raise as lone calls
-    do), and the tree's index raise and norm bound are formed once.  The
-    values are those of lone ``gbt_sample`` calls, bit for bit."""
+    ``node`` is an expression tree; a dense truncation enters it as an
+    ``exprs.Dense`` leaf, i.e. as the compression onto its leading block.
+    Each kernel vector is padded by the tree's index raise, so products
+    never hit the top edge of its frame and every coordinate a ``Dense``
+    block reads holds a kernel value.  k_z = U p for the real kernel line
+    p at |z| and the diagonal unitary U = diag(conj(w)^k), w = z/|z|, so
+    the value is <(U^* X U) p, p>: the tree is rotated (``exprs.rotate``),
+    which collects the phases of each product and commutator into one
+    scalar c, and the value is ``exprs.quadratic`` of the rotated tree on
+    p: c times <core p, p>, in real arithmetic wherever the core's
+    coefficients are real.  The reported tail is the kernel tail scaled
+    by a coarse norm bound of the tree.
+
+    The index raise and the norm bound are formed once.  The outermost
+    point is sampled first, by a lone ``kernel_vector`` call, and its
+    vector's tables, sized for it alone, are the workspace of every other
+    point: the stop bound does not fall as |z| grows, and a vector they do
+    not reach builds its own.  The values are those of one-point profiles,
+    bit for bit.  The tail test and every truncation
+    error are monotone in |z|, so a profile raises where its outermost
+    point does, with that point's error."""
     points = list(points)
-    tree = _Tree(node)
-    r_max = max((abs(complex(z)) for z in points), default=0.0)
-    tables = profile_tables(space, r_max, tol, tree.pad)
-    samples = tuple(gbt_sample(space, tree, z, tol=tol, tables=tables) for z in points)
+    pad, bound = exprs.raise_degree(node), exprs.norm_bound(node)
+
+    def sample(kv) -> BerezinSample:
+        value = exprs.quadratic(exprs.rotate(node, kv.w), kv.a, kv.v)
+        return BerezinSample(z=kv.z, value=value, trunc_n=len(kv.v), tail=float(4.0 * bound * kv.tail))
+
+    samples = [None] * len(points)
+    if points:
+        outer = max(range(len(points)), key=lambda i: abs(complex(points[i])))
+        first = kernel_vector(space, points[outer], tol, pad=pad)
+        samples[outer] = sample(first)
+        for i, z in enumerate(points):
+            if i != outer:
+                samples[i] = sample(kernel_vector(space, z, tol, pad=pad, tables=first.tables))
     if path is None:
         path = {"kind": "points", "count": len(samples)}
-    return BerezinProfile(op_label=op_label, samples=samples, path=path)
+    return BerezinProfile(op_label=op_label, samples=tuple(samples), path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +237,20 @@ def gbt_commutator_decay(
         np.linalg.svd(exprs.materialize(s_node, a_small, s_norm_n), compute_uv=False)[0]
     )
 
-    samples = []
+    points = [r * cmath.exp(1j * theta) for r in r_schedule]
+    path = {"kind": "radial", "theta": theta, "r_schedule": list(r_schedule)}
+    profile = gbt_profile(space, node, points, path, op_label=exprs.to_text(node), tol=tol)
     bounds = []
     ok = True
-    for r in r_schedule:
-        z = r * cmath.exp(1j * theta)
-        smp = gbt_sample(space, node, z, tol=tol)
+    for z, smp in zip(points, profile.samples):
         phi_z = abs(poly_eval(phi_coeffs, z))
         bound = 3.0 * psi_sup * s_norm * math.sqrt(max(1.0 - phi_z**2, 0.0))
-        samples.append(smp)
         bounds.append(bound)
         if abs(smp.value) > bound + smp.tail + 1e-6:
             ok = False
-    values = [abs(s.value) for s in samples]
+    values = [abs(s.value) for s in profile.samples]
     return {
-        "profile": BerezinProfile(
-            op_label=exprs.to_text(node),
-            samples=tuple(samples),
-            path={"kind": "radial", "theta": theta, "r_schedule": list(r_schedule)},
-        ),
+        "profile": profile,
         "values": values,
         "bounds": bounds,
         "bound_ok": ok,

@@ -31,9 +31,13 @@ lambda grid is capped at 2^14 points and its scan's work
 (``_scan_work``) at 2^24 rows, and ``--m-max`` and ``--n-max-log2`` at
 20 = log2 ``N_CAP`` (from below at 0 and 8, where the truncation
 schedule starts); ``shift spr --kmax`` past the weights exits 2.
-``gbt`` resolves its path to points here (``_parse_path``) and samples
-them through ``berezin.gbt_profile`` and the one transform,
-``berezin.gbt_sample``; space names resolve through
+The ``peaks`` grids are bounded from below too (at least 2 annulus
+points, one product point, one ``--grid-s`` and ``--grid-phi`` row), as
+is ``charspace --allow-inconclusive`` (at 0), and a float power that
+leaves the float range (``probe wot --geometric``, ``peaks annulus``
+r^-n - R^-n) exits 2 naming its options.  ``gbt`` resolves its path to
+points here (``_parse_path``) and samples them through the one transform
+path, ``berezin.gbt_profile``; space names resolve through
 ``spaces.space_by_name``.
 """
 
@@ -242,6 +246,8 @@ def _weights(args):
 
 def cmd_charspace(args):
     count = _weight_count(args)
+    if args.allow_inconclusive < 0:
+        raise ValueError(f"--allow-inconclusive must be at least 0, got {args.allow_inconclusive}")
     for option, value, low in (("--m-max", args.m_max, 0), ("--n-max-log2", args.n_max_log2, _LOG2_N_MIN)):
         if value > _LOG2_N_CAP:
             raise ValueError(f"{option} must be at most {_LOG2_N_CAP} (2^{_LOG2_N_CAP} weights), got {value}")
@@ -268,15 +274,28 @@ def cmd_charspace(args):
 
 
 def cmd_peaks(args):
+    # each grid needs a point: the annulus reads --grid // 2 per circle
+    if args.domain == "ball":
+        lows = (("--grid-s", args.grid_s, 1), ("--grid-phi", args.grid_phi, 1))
+    else:
+        lows = (("--grid", args.grid, 2 if args.domain == "annulus" else 1),)
+    for option, value, low in lows:
+        if value < low:
+            raise ValueError(f"{option} must be at least {low}, got {value}")
     points = args.grid_s * args.grid_phi ** 2 if args.domain == "ball" else args.grid
     if points > N_CAP:
         option = "--grid-s times --grid-phi squared" if args.domain == "ball" else "--grid"
         raise ValueError(f"{option} must be at most {N_CAP} points, got {points}")
     if args.domain == "annulus":
-        cand = annulus_peak(
-            args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
-            n=args.n, lam_abs=args.lam, grid_n=args.grid,
-        )
+        try:
+            cand = annulus_peak(
+                args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
+                n=args.n, lam_abs=args.lam, grid_n=args.grid,
+            )
+        except (OverflowError, ZeroDivisionError):  # r^-n overflows, or it and R^-n underflow to 0
+            raise ValueError(
+                f"--r {args.r:g} and --R {args.R:g} with --n {args.n}: r^-n - R^-n leaves the float range"
+            ) from None
         return peak_report(cand), cand.certified or args.lam == 0.0
     if args.domain == "ball":
         cand = ball_peak(_coeff_list(args.h), grid=(args.grid_s, args.grid_phi))
@@ -342,11 +361,15 @@ def cmd_probe(args):
             raise ValueError("wot probe needs --phi or --geometric")
         if not 1 <= args.block <= _TRUNCATION_CAP:
             raise ValueError(f"--block must lie in [1, {_TRUNCATION_CAP}], got {args.block}")
-        coeffs = (
-            [args.geometric ** j for j in range(args.block)]
-            if args.geometric is not None
-            else _coeff_list(args.phi)
-        )
+        if args.geometric is None:
+            coeffs = _coeff_list(args.phi)
+        else:
+            try:
+                coeffs = [args.geometric ** j for j in range(args.block)]
+            except OverflowError:
+                raise ValueError(
+                    f"--geometric {args.geometric:g} with --block {args.block}: its powers overflow a float"
+                ) from None
         rep = wot_dilation_probe(space, coeffs, [float(t) for t in args.t.split(",")], block=args.block)
         return rep, rep["non_increasing"]
     # normbound

@@ -35,11 +35,13 @@ subnormal |z|.
 term r2^k / h_k is formed once, in one buffer that becomes the zero-padded
 frame vector, normalized in place; one norm table serves the test and the
 frame's shift weights.  Table, weights, exponent indices and buffer make
-up a ``KernelTables`` workspace: a lone vector builds its own, and the
-samples of a transform profile share one (``profile_tables``), sized for
-the profile's outermost point.  Built-in tables are prefix-stable
-(h_0..h_n do not depend on how far the table reaches), so a prefix of a
-longer table has the same bits.
+up a ``KernelTables`` workspace, sized by ``kernel_vector`` alone and
+kept on the vector (``KernelVector.tables``): a lone vector builds its
+own, and a vector passed the tables of another reuses them where they
+reach far enough.  A transform profile passes its outermost point's tables
+to its other points.  Built-in tables are prefix-stable (h_0..h_n do not
+depend on how far the table reaches), so a prefix of a longer table has
+the same bits.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -60,8 +62,6 @@ from .formats import read_columns
 
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
-#: the shortest truncation ``kernel_vector`` takes by default
-_N_START = 32
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -225,10 +225,9 @@ class KernelVector:
     ``v`` is ``coeffs`` followed by ``pad`` zeros (``coeffs`` is its
     leading view), and ``a`` the shift weights a_0..a_(n+pad-2) of that
     frame, read from the norm table the truncation read.  All three are
-    views of the ``KernelTables`` the vector was formed in: those of a
-    lone ``kernel_vector`` call are its own, while ``v`` and ``coeffs`` of
-    a vector formed in shared tables stay valid only until the next
-    ``kernel_vector`` call on the same tables overwrites its buffer.
+    views of ``tables``, the ``KernelTables`` the vector was formed in,
+    and stay valid only until the next ``kernel_vector`` call passed
+    those tables overwrites their buffer.
     """
 
     z: complex
@@ -238,6 +237,7 @@ class KernelVector:
     tail: float
     v: np.ndarray = field(repr=False, compare=False)
     a: np.ndarray = field(repr=False, compare=False)
+    tables: KernelTables = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -269,25 +269,6 @@ class KernelTables:
             a = self.h[1:] / self.h[:-1]
             self._a = np.sqrt(a, out=a)
         return self._a
-
-
-def profile_tables(space: KernelSpace, r_max: float, tol: float, pad: int):
-    """One ``KernelTables`` for every ``kernel_vector(space, z, tol, pad)``
-    with |z| <= ``r_max``, or None where the calls had better build their
-    own: a custom table, r_max or tol outside the range ``kernel_vector``
-    takes, a stop bound at ``N_CAP`` (such a profile raises), or a norm
-    table that leaves the normal range.  The tables are sized from
-    ``_stop_bound`` at r_max, which does not fall as |z| grows; a vector
-    whose frame would outgrow them still builds its own."""
-    if not (space.extendable and 0 <= r_max < 1 and 0 < tol < math.inf):
-        return None
-    hi = _stop_bound(space, r_max ** 2, tol, max(_N_START, pad))
-    if hi >= N_CAP:
-        return None
-    try:
-        return KernelTables(space, hi + max(pad, 1) - 1)
-    except TruncationError:
-        return None
 
 
 def _first_passing(passes, lo: int, hi: int) -> int:
@@ -342,7 +323,7 @@ def _stop_bound(space: KernelSpace, r2: float, tol: float, n0: int) -> int:
 
 
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = _N_START,
+    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32,
     tables: KernelTables | None = None,
 ) -> KernelVector:
     """Truncated kernel vector with relative tail below ``tol``.
@@ -382,11 +363,11 @@ def kernel_vector(
 
     The norm table reaches h_(hi+pad-1) (h_hi at pad 0, and no further
     than a custom table's end), and the vector is formed in ``tables``
-    where they reach that far, else in tables of its own built by the same
-    ``KernelTables``; the bits are the same either way.  The powers r2^k
-    are formed with an array base (``buf.fill(r2)``, then ``np.power``
-    against the indices), which takes numpy's contiguous loop and gives
-    the bits of ``np.power(r2, k)``.
+    (another vector's ``.tables``) where they reach that far, else in
+    tables of its own, sized to that reach; the bits are the same either
+    way.  The powers r2^k are formed with an array base (``buf.fill(r2)``,
+    then ``np.power`` against the indices), which takes numpy's contiguous
+    loop and gives the bits of ``np.power(r2, k)``.
     """
     z = complex(z)
     if not abs(z) < 1:
@@ -498,7 +479,9 @@ def kernel_vector(
         coeffs /= np.sqrt(h[:n])
     coeffs /= math.sqrt(partial)
     w = z / abs(z) if z else 1 + 0j
-    return KernelVector(z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=tail(n, partial), v=v, a=a)
+    return KernelVector(
+        z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=tail(n, partial), v=v, a=a, tables=tables
+    )
 
 
 # ---------------------------------------------------------------------------

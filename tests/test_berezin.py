@@ -1,12 +1,13 @@
 """Symbol transform values, axioms, commutator decay, boundary limits."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from berezin_lab import exprs
+from berezin_lab import exprs, spaces
 from berezin_lab.berezin import (
     PROFILE_HEADER,
     BerezinProfile,
@@ -536,21 +537,54 @@ def test_profile_builds_one_norm_table(monkeypatch):
         assert len(calls) == 1 and calls[0] >= max(s.trunc_n for s in prof.samples) - 1, calls
 
 
-@pytest.mark.parametrize("space,r_max,tol", [
-    (monomial_norms("rs", 4, s=200.0), 0.999, 1e-12),  # the norms underflow at the fourth point
-    (hardy, 0.9999, 1e-300),  # the outermost stop bound is at the cap
-    (_short_custom, 0.9999, 1e-12),  # the custom table ends
+@pytest.mark.parametrize("space,points,tol", [
+    pytest.param(monomial_norms("rs", 4, s=200.0), radial_path(0.3, 0.999, 8), 1e-12, id="underflow"),
+    pytest.param(hardy, radial_path(0.3, 0.9999, 8), 1e-300, id="cap"),  # the outermost stop bound
+    pytest.param(_short_custom, radial_path(0.3, 0.9999, 8), 1e-12, id="table-end"),
+    pytest.param(hardy, [0.5, 1.0j, 0.9], 1e-12, id="on-circle"),
+    pytest.param(bergman, [0.5, -1.5, 0.9], 1e-12, id="outside"),
+    pytest.param(hardy, [0.5, 0.9], 0.0, id="tol-zero"),
+    pytest.param(rs3, [0.5, 0.9], math.nan, id="tol-nan"),
 ])
-def test_profile_whose_outer_points_raise_raises_as_lone_samples(space, r_max, tol):
-    # no workspace is built where the outermost point raises or the table
-    # is custom, so the samples raise as lone calls do, in order
+def test_profile_raises_its_outermost_lone_samples_error(space, points, tol):
+    # the tail test and the truncation errors are monotone in |z|, and the
+    # outermost point is sampled first: a profile raises that point's lone
+    # error, whichever point would fail first in order
     node = exprs.parse("Mz^* Mz")
-    points = radial_path(0.3, r_max, 8)
-    lone, error = _lone_samples(space, node, points, tol)
-    assert error is not None and 0 < len(lone) < len(points)
-    with pytest.raises(TruncationError) as info:
+    points = [*points[1::2], *points[::2]]  # the outermost point is not last
+    outer = max(points, key=abs)
+    assert abs(points[-1]) < abs(outer)
+    with pytest.raises(ValueError) as lone:
+        gbt_sample(space, node, outer, tol=tol)
+    with pytest.raises(ValueError) as info:
         gbt_profile(space, node, points, tol=tol)
-    assert str(info.value) == error
+    assert info.type is lone.type and str(info.value) == str(lone.value)
+    # on the custom table a point inside the outermost fails first in order
+    if space is _short_custom:
+        _, first_error = _lone_samples(space, node, points, tol)
+        assert first_error is not None and first_error != str(info.value)
+
+
+@pytest.mark.parametrize("points", [radial_path(0.7, 0.99, 10), disk_grid(20, 0.9)], ids=["radial", "grid"])
+def test_custom_table_profile_builds_one_workspace(points, monkeypatch):
+    # the workspace is the outermost point's own tables: one KernelTables,
+    # as large as a lone call's there and short of the whole table
+    built = []
+
+    class Counted(spaces.KernelTables):
+        __slots__ = ()
+
+        def __init__(self, space, size):
+            super().__init__(space, size)
+            built.append(size)
+
+    node = exprs.parse("[Mz^*, Mz] Mz")
+    outer = max(points, key=abs)
+    lone = kernel_vector(_short_custom, outer, 1e-10, pad=exprs.raise_degree(node))
+    monkeypatch.setattr(spaces, "KernelTables", Counted)
+    gbt_profile(_short_custom, node, points, tol=1e-10)
+    assert built == [len(lone.tables.h) - 1]
+    assert len(lone.tables.h) < len(_short_custom.h)
 
 
 def test_profile_contractivity_invariant():

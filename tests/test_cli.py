@@ -171,6 +171,16 @@ def test_charspace_verdicts(tmp_path):
     assert by_mod[0.5] == {"non_member"}
 
 
+def test_charspace_rejects_a_negative_allow_inconclusive(tmp_path, capsys):
+    # every verdict of this scan is conclusive, so -1 could only read as a
+    # failed verdict; it is a parameter error
+    scan = ["charspace", "--weights", "constant:c=1", "--weight-count", "1024",
+            "--lambda-grid", "mod=0.5:1:0.5,args=1", "--n-max-log2", "9", "--out", str(tmp_path / "v.json")]
+    assert run([*scan, "--allow-inconclusive", "0"]) == 0
+    assert run([*scan, "--allow-inconclusive", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --allow-inconclusive must be at least 0, got -1\n"
+
+
 def test_charspace_cluster_file(tmp_path):
     pts = tmp_path / "c.csv"
     pts.write_text("p\n1.0\n0.5\n")
@@ -204,6 +214,28 @@ def test_peaks_annulus(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["certified"] is True
     assert doc["margin"] > 0
+
+
+def test_float_powers_that_overflow_exit_2_naming_the_option(tmp_path, capsys):
+    # a float ** that overflows raises OverflowError, and a float division
+    # by 0 ZeroDivisionError; neither is a ValueError
+    for argv in (
+        ["probe", "wot", "--space", "hardy", "--geometric", "10", "--block", "400"],
+        ["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "4"],
+        ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100"],
+        ["peaks", "annulus", "--R", "1e200", "--r", "1e-200", "--n", "2"],
+        # r^-n and R^-n both underflow to 0, and their difference divides
+        ["peaks", "annulus", "--R", "3", "--r", "2", "--n", "2000"],
+    ):
+        assert run([*argv, "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err), err
+    assert all("--geometric " in line and "overflow" in line for line in err[:2])
+    assert all("--r " in line and "--n " in line and "float range" in line for line in err[2:])
+    # the powers that do not overflow keep their bits
+    assert run(["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "2",
+                "--out", str(tmp_path / "w.json")]) in (0, 1)
+    assert run(["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1000", "--out", str(tmp_path / "a.json")]) == 0
 
 
 def test_peaks_ball_and_product(tmp_path):
@@ -501,8 +533,18 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
         ["--n-max-log2", "-3", "--lambda-grid", "mod=0:1:0.5"],
     ):
         assert run([*charspace, *extra]) == 2
+    # peaks grids with no point: the annulus reads --grid // 2 per circle
+    for argv in (
+        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "1"],
+        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "-4"],
+        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", "0"],
+        ["peaks", "ball", "--grid-s", "0"],
+        ["peaks", "ball", "--grid-s", "-2", "--grid-phi", "-2"],
+        ["peaks", "ball", "--grid-phi", "0"],
+    ):
+        assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 47 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 53 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -519,6 +561,10 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert all("--n-max-log2" in line for line in err[42:44])
     assert "--m-max" in err[44] and "at least 0" in err[44]
     assert all("--n-max-log2" in line and "at least 8" in line for line in err[45:47])
+    assert all("--grid " in line and "at least 2" in line for line in err[47:49])
+    assert "--grid " in err[49] and "at least 1" in err[49]
+    assert all("--grid-s " in line and "at least 1" in line for line in err[50:52])
+    assert "--grid-phi " in err[52] and "at least 1" in err[52]
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
@@ -542,6 +588,10 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
     assert run(["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", str(2 ** 20)]) == 2
     assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20)]) == 2
     assert run(["peaks", "ball", "--grid-s", "4", "--grid-phi", "512"]) == 2
+    # and each grid's lower bound its own
+    assert run(["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", "1"]) == 2
+    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "2"]) == 2
+    assert run(["peaks", "ball", "--grid-s", "1", "--grid-phi", "1"]) == 2
     assert run(["shift", "spr", "--weights", "simple:r=0.5", "--weight-count", str(2 ** 20)]) == 2
     for n, degree in (("1", "2895"), ("2", "62"), ("202", "1"), ("256", "0")):
         assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
@@ -555,7 +605,7 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
         assert run([*charspace, *extra]) == 2
     assert reached == [
         "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
-        "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4, *["generate_weights"] * 4,
+        "ball_peak", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4, *["generate_weights"] * 4,
     ]
     assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
 

@@ -6,9 +6,9 @@ be strict (no NaN or infinity).  A document from an exit 0 or 1 carries
 the ``{command, spec_version}`` envelope, and exit 0 holds exactly when
 the form's verdict, read back from the document, holds.  The draws mix
 valid values with 0, -1, nan, inf, empty strings and points outside the
-disk.  Every size (weight counts, samples, truncations, grid steps,
-Blaschke moduli) is bounded so that no example allocates more than a few
-MB.
+disk, and two pinned argvs reach the float powers that overflow.  Every
+size (weight counts, samples, truncations, grid steps, Blaschke moduli)
+is bounded so that no example allocates more than a few MB.
 """
 
 import contextlib
@@ -91,7 +91,7 @@ FORMS = {
     "peaks annulus": cmd("peaks", "annulus", parts=(
         arg("--R", ["2", "1.5"], ["1", *BAD]),
         arg("--r", ["1", "0.5"], ["2", *BAD]),
-        opt("--n", ["1", "2"], ["0", "-1"]),
+        opt("--n", ["1", "2", "1100"], ["0", "-1"]),  # 0.5 ** -1100 overflows a float
         opt("--alpha", ["2", "-2", "2i"], ["1.5", "0", "nan", ""]),
         opt("--lam", ["0.1", "0"], ["-1", "nan", "inf"]),
         arg("--grid", ["64", "200"], ["1", "0", "-1"]),
@@ -145,7 +145,7 @@ FORMS = {
     )),
     "probe wot": cmd("probe", "wot", parts=(
         arg("--space", SPACES, BAD_SPACES),
-        symbol(["--phi", "--geometric"], ["0.9", "0.5"], ["2", *BAD]),
+        symbol(["--phi", "--geometric"], ["0.9", "0.5", "1e300"], ["2", *BAD]),  # 1e300 ** 2 overflows
         opt("--t-schedule", ["0.9,0.99", "0.5"], ["1,0.5", "-1", "2", "nan", ""]),
         arg("--block", SIZES, BAD_SIZES),
     )),
@@ -207,6 +207,30 @@ def _input_tables(tmp_path) -> dict:
     return {key: str(path) for key, path in files.items()}
 
 
+def _check_contract(tmp_path, form, head, body):
+    """Run ``head + body`` and check the exit-code contract on it."""
+    out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
+    # gbt writes its JSON report to stdout; the others write to --out
+    argv = [*head, *body] if form == "gbt" else [*head, *body, "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv
+    if code == 2:
+        return code
+    # exit 0 or 1: main wrapped the body in the envelope, and the exit code
+    # is the form's verdict on that document
+    text = out.read_text() if out.exists() else stdout.getvalue()
+    doc = json.loads(text, parse_constant=reject_constant)
+    assert isinstance(doc, dict), argv
+    assert doc["command"] == form and doc["spec_version"] == SPEC_VERSION, argv
+    assert (code == 0) == VERDICTS[form](doc, body), argv
+    return code
+
+
 @pytest.mark.parametrize("form", sorted(FORMS))
 @settings(
     derandomize=True,
@@ -220,22 +244,17 @@ def test_exit_code_contract_holds_for_drawn_argvs(tmp_path, form, data):
     tables = _input_tables(tmp_path)
     head = data.draw(GLOBAL, label="global")
     body = [w.format(**tables) for w in data.draw(FORMS[form], label="argv")]
-    out = tmp_path / "out.json"
-    out.unlink(missing_ok=True)
-    # gbt writes its JSON report to stdout; the others write to --out
-    argv = [*head, *body] if form == "gbt" else [*head, *body, "--out", str(out)]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            np.errstate(all="ignore"):
-        code = main(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in stderr.getvalue(), argv
-    if code == 2:
-        return
-    # exit 0 or 1: main wrapped the body in the envelope, and the exit code
-    # is the form's verdict on that document
-    text = out.read_text() if out.exists() else stdout.getvalue()
-    doc = json.loads(text, parse_constant=reject_constant)
-    assert isinstance(doc, dict), argv
-    assert doc["command"] == form and doc["spec_version"] == SPEC_VERSION, argv
-    assert (code == 0) == VERDICTS[form](doc, body), argv
+    _check_contract(tmp_path, form, head, body)
+
+
+# draws that every run makes, whatever the strategies draw: float powers
+# that overflow, which Python raises as OverflowError
+PINNED = [
+    ("probe wot", ["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "4"]),
+    ("peaks annulus", ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100"]),
+]
+
+
+@pytest.mark.parametrize("form,body", PINNED, ids=[" ".join(body[:2]) for _, body in PINNED])
+def test_exit_code_contract_holds_for_pinned_argvs(tmp_path, form, body):
+    assert _check_contract(tmp_path, form, [], body) == 2

@@ -22,7 +22,6 @@ from berezin_lab.spaces import (
     kernel_vector,
     load_h_table,
     monomial_norms,
-    profile_tables,
 )
 from oracles import kernel_at, reference_kernel_frame, reference_kernel_vector
 
@@ -358,38 +357,24 @@ def test_kernel_tables_prefixes_are_the_spaces_tables(space):
         assert np.array_equal(tables.a[:n], space.shift_weights(n)), n
     if not space.extendable:
         return
-    big = profile_tables(space, 0.9999, 1e-12, 3)
+    big = kernel_vector(space, 0.9999, 1e-12, pad=3).tables
     size = len(big.h) - 1
-    assert size == spaces._stop_bound(space, 0.9999**2, 1e-12, spaces._N_START) + 2
+    assert size == spaces._stop_bound(space, 0.9999**2, 1e-12, 32) + 2
     for n in (1, 2, 33, 1000, size // 2, size - 1, size):
         n = min(n, size)
         assert np.array_equal(big.h[: n + 1], space.h_table(n)), n
         assert np.array_equal(big.a[:n], space.shift_weights(n)), n
 
 
-def test_profile_tables_are_not_built_where_the_vectors_raise():
-    hardy = monomial_norms("hardy", 4)
-    # outside the range kernel_vector takes, its own error is raised per point
-    for r_max, tol in ((1.0, 1e-12), (1.5, 1e-12), (0.5, 0.0), (0.5, math.inf), (0.5, math.nan)):
-        assert profile_tables(hardy, r_max, tol, 0) is None
-    # a stop bound at the cap: the outermost vector raises, so no workspace
-    assert spaces._stop_bound(hardy, 0.9999**2, 1e-300, 32) == N_CAP
-    assert profile_tables(hardy, 0.9999, 1e-300, 0) is None
-    # a norm table that leaves the normal range at the outermost point
-    assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.999, 1e-12, 1) is None
-    assert profile_tables(monomial_norms("rs", 4, s=200.0), 0.9, 1e-12, 1) is not None
-    # the vectors of a custom table build their own
-    assert profile_tables(BIT_SPACES[-1], 0.5, 1e-12, 0) is None
-
-
-@pytest.mark.parametrize("space", [sp for sp in BIT_SPACES if sp.extendable], ids=lambda sp: sp.label)
+@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
 def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
-    # a vector formed in shared tables has the lone vector's bits until the
-    # next vector on the same tables overwrites the buffer; lone vectors
-    # keep arrays of their own
-    tables = profile_tables(space, 0.95, 1e-12, 2)
+    # a vector formed in another vector's tables has the lone vector's bits
+    # until the next vector on the same tables overwrites the buffer; lone
+    # vectors keep tables of their own
+    tables = kernel_vector(space, 0.95, 1e-12, pad=2).tables
     first = kernel_vector(space, 0.9, 1e-12, pad=2, tables=tables)
     lone_first = kernel_vector(space, 0.9, 1e-12, pad=2)
+    assert first.tables is tables and lone_first.tables is not tables
     assert first.v.tobytes() == lone_first.v.tobytes() and first.a.tobytes() == lone_first.a.tobytes()
     kept = first.v.copy()
     second = kernel_vector(space, 0.5j, 1e-12, pad=2, tables=tables)
@@ -399,9 +384,10 @@ def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
     assert not np.array_equal(first.v, kept)
     assert not np.shares_memory(lone_first.v, lone_second.v)
     assert lone_first.v.tobytes() == kept.tobytes()
-    # past the workspace's reach a vector forms tables of its own
+    # past the tables' reach a vector forms tables of its own
     far = kernel_vector(space, 0.99, 1e-12, pad=2, tables=tables)
-    assert not np.shares_memory(far.v, tables.buf)
+    assert far.tables is not tables and not np.shares_memory(far.v, tables.buf)
+    assert len(far.tables.h) > len(tables.h)
     with pytest.raises(ValueError, match="kernel tables of"):
         kernel_vector(monomial_norms("rs", 4, s=7.0), 0.5, 1e-12, tables=tables)
 
