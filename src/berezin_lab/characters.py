@@ -36,6 +36,7 @@ weights; that is what makes verdicts rotation invariant).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,19 +239,58 @@ def character_set_scan(
     return _verdicts(w, lams, config or CharacterConfig())
 
 
+def _solver_threads() -> int:
+    """The CPUs this process may run on (every CPU where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        return os.cpu_count() or 1
+
+
+def _lambda_mins(w: WeightSequence, tasks: list) -> list:
+    """lambda_min(X_N) for each (modulus, N) task, in task order.
+
+    The solves are independent and ``lapack.dstebz`` releases the GIL, so
+    they run on one thread per CPU (at most one per task), largest N
+    first so that no long solve starts last; the results are read back in
+    task order, so the values do not depend on the thread count.  A
+    thread holds one X_N at a time: memory is O(threads * N).
+    """
+
+    def solve(task):
+        return float(lambda_min_batch(*tridiagonal_parts(w, *task))[0])
+
+    threads = min(_solver_threads(), len(tasks))
+    if threads <= 1:
+        return [solve(task) for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+        futures = {i: pool.submit(solve, tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        # a failed solve drops the tasks not yet started
+        pool.shutdown(cancel_futures=True)
+
+
 def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
     """The one evidence path: X_N is built and solved once per distinct
-    |lambda| and truncation, one at a time so that memory stays O(N), and
-    each lambda is stamped onto the run, gap and trend evidence of its
-    modulus."""
+    |lambda| and truncation (``_lambda_mins``, on one thread per CPU, so
+    memory is O(threads * N)), and each lambda is stamped onto the run,
+    gap and trend evidence of its modulus."""
     if not lams:
         return []
     usable_n = _usable_schedule(cfg, w)
     eps_schedule, d_schedule = cfg.run_levels()
     k_max = min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2
+    moduli = list(dict.fromkeys(lambda_modulus(lam) for lam in lams))
+    lmins = iter(_lambda_mins(w, [(r, n) for r in moduli for n in usable_n]))
     evidence = {}
-    for r in dict.fromkeys(lambda_modulus(lam) for lam in lams):
-        sigma = [math.sqrt(max(float(lambda_min_batch(*tridiagonal_parts(w, r, n))[0]), 0.0)) for n in usable_n]
+    for r in moduli:
+        sigma = [math.sqrt(max(next(lmins), 0.0)) for _ in usable_n]
         runs = run_criterion(w, r, eps_schedule, d_schedule, k_max=k_max)
         # a positive delta certifies X >= delta^2/2, checked against
         # lambda_min of the deepest truncation

@@ -20,11 +20,11 @@ passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
 ``MemoryError``).  Sizes are capped before anything is allocated:
 ``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like
-``--weight-count`` of ``charspace`` and ``shift`` and the ``peaks``
+``--weight-count`` of ``charspace`` and ``shift``, the ``peaks``
 grids (``--grid``, and ``--grid-s`` times ``--grid-phi`` squared for
-the ball), and ``probe normbound --truncation``,
-``--families`` and ``probe wot --block`` at 2^14, ``probe spherical --n`` at
-256 and its n * C(n + degree, n)^2 at 2^23;
+the ball) and ``peaks annulus --n`` times ``--grid``; ``probe normbound
+--truncation``, ``--families`` and ``probe wot --block`` at 2^14, ``probe
+spherical --n`` at 256 and its n * C(n + degree, n)^2 at 2^23;
 normbound's estimated work per family (``_normbound_work``) is capped at
 its value at ``--truncation`` 2^14, ``--degree`` 5.  The ``charspace``
 lambda grid is capped at 2^14 points and its scan's work
@@ -148,10 +148,12 @@ _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
 _LAMBDA_POINTS_CAP = 2 ** 14
 
 # largest charspace work (``_scan_work``), in rows of the tridiagonal
-# solves, about 0.55 us each.  At the cap, simple:r=0.5 mod=0:0.922:0.001,args=1
-# (923 moduli, each 16128 rows and a 2^15-weight run scan) took 9.3 s and
-# 40 MB, and --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1
-# (7 moduli) 8.5 s and 134 MB, on a 2-vCPU VM, interpreter start-up included
+# solves, about 0.55 us each on one CPU.  At the cap, simple:r=0.5
+# mod=0:0.922:0.001,args=1 (923 moduli, each 16128 rows and a 2^15-weight
+# run scan) took 8.7 s and 41 MB on one CPU and 5.6 s and 46 MB on two,
+# and --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1
+# (7 moduli) 8.0 s and 89 MB on one CPU and 3.9 s and 151 MB on two (one
+# solver thread per CPU), on a 2-vCPU VM, interpreter start-up included
 _SCAN_WORK_CAP = 2 ** 24
 
 # largest --m-max and --n-max-log2: a run at level m needs 2^m + 2
@@ -287,6 +289,11 @@ def cmd_peaks(args):
         option = "--grid-s times --grid-phi squared" if args.domain == "ball" else "--grid"
         raise ValueError(f"{option} must be at most {N_CAP} points, got {points}")
     if args.domain == "annulus":
+        # annulus_peak masks the --grid // 2 outer points once for each of
+        # the n + 1 maximizers: at the cap, --R 2 --r 1 --n 2^19 --grid 2
+        # took 3.6 s on a 2-vCPU VM, interpreter start-up included
+        if args.n * args.grid > N_CAP:
+            raise ValueError(f"--n {args.n} times --grid {args.grid} must be at most {N_CAP}")
         try:
             cand = annulus_peak(
                 args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,

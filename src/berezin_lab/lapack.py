@@ -10,13 +10,22 @@ docstring), so results are the same bit for bit: a negative info raises
 ValueError and a positive one ``numpy.linalg.LinAlgError`` (a ValueError
 too).  A missing module or routine raises OSError naming it; there is no
 fallback.
+
+``dstebz`` calls the Fortran routine behind scipy's wrapper through its
+own pointer with ``ctypes``, which releases the GIL while LAPACK runs:
+f2py's wrappers hold it, so tridiagonal solves on several threads would
+otherwise run one at a time.  Loading ``_flapack`` checks that call bit
+for bit against the wrapper on one small matrix, and raises OSError if
+they differ.  Loading is thread-safe.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +39,21 @@ def _linalg_dir() -> Path:
     return Path(spec.submodule_search_locations[0]) / "linalg"
 
 
-@functools.cache
+# held through a module's first load: two threads executing one extension
+# module at once can hand one of them a half-initialised module
+_LOAD_LOCK = threading.Lock()
+
+
 def _load(module: str):
     """scipy's extension module ``linalg/<module>``, loaded from its file
-    under its own name, so a later ``import scipy.linalg`` reuses it."""
+    under its own name, so a later ``import scipy.linalg`` reuses it.
+    Thread-safe: every caller gets the one module object."""
+    with _LOAD_LOCK:
+        return _load_file(module)
+
+
+@functools.cache
+def _load_file(module: str):
     folder = _linalg_dir()
     paths = [folder / (module + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
@@ -45,7 +65,13 @@ def _load(module: str):
         spec.loader.exec_module(ext)
     except ImportError as exc:
         raise OSError(f"cannot load scipy's compiled module {module} from {path}: {exc}") from exc
+    if module == "_flapack" and hasattr(ext, "dstebz"):
+        _check_stebz(ext)
     return ext
+
+
+# so that a test can forget the loaded modules through ``_load``
+_load.cache_clear = _load_file.cache_clear
 
 
 def _routine(module: str, name: str):
@@ -62,19 +88,67 @@ def _check(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
 
 
+# DSTEBZ(RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W,
+# IBLOCK, ISPLIT, WORK, IWORK, INFO): every argument by reference, then
+# gfortran's hidden lengths of the two CHARACTER arguments
+_STEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18, ctypes.c_size_t, ctypes.c_size_t)
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _stebz_call(routine, d: np.ndarray, e: np.ndarray):
+    """(W(1), INFO) of DSTEBZ called through the Fortran pointer of the
+    f2py ``routine``, with the GIL released, for float64 contiguous ``d``
+    of length N >= 2 and ``e`` of length N - 1."""
+    n = len(d)
+    # range 'I' selects eigenvalues il..iu by index (vl, vu unread); tol 0
+    # is LAPACK's default; order 'E' sorts the whole matrix's eigenvalues
+    scalars = [
+        ctypes.c_char(b"I"), ctypes.c_char(b"E"), ctypes.c_int(n), ctypes.c_double(0.0),
+        ctypes.c_double(1.0), ctypes.c_int(1), ctypes.c_int(1), ctypes.c_double(0.0),
+    ]
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
+    _STEBZ(_CAPSULE_POINTER(routine._cpointer, None))(
+        *map(ctypes.addressof, scalars), d.ctypes.data, e.ctypes.data,
+        ctypes.addressof(m), ctypes.addressof(nsplit), w.ctypes.data, iblock.ctypes.data,
+        isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ctypes.addressof(info), 1, 1,
+    )
+    return w[0], info.value
+
+
+def _check_stebz(ext) -> None:
+    """OSError unless DSTEBZ through its pointer gives the f2py wrapper's
+    bits on one small matrix: a wrong calling convention shows here, at
+    load, rather than as wrong eigenvalues."""
+    d, e = np.array([2.0, -1.0, 0.5, 3.0]), np.array([1.0, 0.25, 2.0])
+    _, want, _, _, want_info = ext.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    got, info = _stebz_call(ext.dstebz, d, e)
+    if (got.tobytes(), info) != (want[0].tobytes(), want_info):
+        raise OSError("scipy's dstebz called through its Fortran pointer disagrees with its f2py wrapper")
+
+
 def dstebz(d, e) -> float:
     """Smallest eigenvalue of the real symmetric tridiagonal with diagonal
     ``d`` and off-diagonal ``e``, by bisection on Sturm counts: scipy's
     ``eigvalsh_tridiagonal(d, e, select='i', select_range=(0, 0),
-    lapack_driver='stebz')[0]``.  ValueError on non-finite input."""
+    lapack_driver='stebz')[0]``.  ValueError on non-finite input.  The
+    GIL is released while LAPACK runs, so solves on several threads run
+    at once; each allocates 5N floats and 5N ints of workspace."""
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     if len(d) == 1:
         return d[0]
-    # range 2 selects eigenvalues il..iu by index (vl, vu unread); tol 0
-    # is LAPACK's default; order 'E' sorts the whole matrix's eigenvalues
-    _, w, _, _, info = _routine("_flapack", "dstebz")(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    # f2py's wrapper checks these shapes; the pointer call reads N and
+    # N - 1 entries unchecked
+    if d.ndim != 1 or e.shape != (len(d) - 1,):
+        raise ValueError(f"dstebz needs a diagonal of length N and an off-diagonal of length N - 1, "
+                         f"not shapes {d.shape} and {e.shape}")
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    w, info = _stebz_call(_routine("_flapack", "dstebz"), d, e)
     _check(info, "dstebz")
-    return w[0]
+    return w
 
 
 def zpbtrf(band: np.ndarray) -> np.ndarray:

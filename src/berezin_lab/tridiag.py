@@ -6,7 +6,9 @@ so complex off-diagonals are accepted and replaced by their moduli.  The
 eigenvalue comes from LAPACK ``dstebz`` (``lapack``): bisection on Sturm
 counts (W. Kahan, "Accurate eigenvalues of a symmetric tri-diagonal
 matrix", Stanford CS TR 41, 1966), O(N) work per step and O(N) memory,
-which keeps truncation sizes up to 10^6 practical.
+which keeps truncation sizes up to 10^6 practical.  ``dstebz`` releases
+the GIL, so callers may solve independent tridiagonals on several
+threads (``characters`` runs one per CPU); memory is then O(threads * N).
 
 For a band of half-width q, ``band_lambda_min`` estimates the smallest
 eigenvalue by inverse iteration on banded Cholesky factors and encloses
@@ -38,7 +40,8 @@ def gamma_k(k: int) -> float:
 def lambda_min_batch(diags, offs) -> np.ndarray:
     """Smallest eigenvalues of a batch of Hermitian tridiagonals.
 
-    ``diags`` has shape (B, N) and ``offs`` shape (B, N-1).
+    ``diags`` has shape (B, N) and ``offs`` shape (B, N-1).  Safe to call
+    from several threads at once: LAPACK runs with the GIL released.
     """
     diags = np.atleast_2d(np.asarray(diags, dtype=float))
     offs = np.atleast_2d(np.asarray(offs))

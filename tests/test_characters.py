@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from berezin_lab import characters
 from berezin_lab.characters import (
     MEMBER,
     NON_MEMBER,
@@ -395,3 +396,37 @@ def test_trend_thresholds_configurable():
     )
     v = character_membership(w, 1.0, cfg)
     assert v.verdict == MEMBER
+
+
+# (weights, grid, distinct moduli times the five truncations 2^8..2^12)
+@pytest.mark.parametrize("weights, grid, solves", [
+    ("simple:r=0.5", "mod=0:1:0.05,args=2", 21 * 5),
+    ("cluster:file={cluster}", "mod=0:1:0.1,args=1", 11 * 5),
+    ("constant:c=1", "mod=0.5:1:0.25,args=1", 3 * 5),
+])
+def test_charspace_bytes_do_not_depend_on_the_solver_threads(monkeypatch, tmp_path, weights, grid, solves):
+    from berezin_lab.cli import main
+
+    cluster = tmp_path / "cluster.csv"
+    cluster.write_text("p\n0.3\n0.7\n")
+    solved = []
+    real_solve = characters.lambda_min_batch
+
+    def solve(diags, offs):
+        solved.append(np.size(diags))
+        return real_solve(diags, offs)
+
+    monkeypatch.setattr(characters, "lambda_min_batch", solve)
+    docs, rows = [], []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(characters, "_solver_threads", lambda: threads)
+        solved.clear()
+        out = tmp_path / f"scan-{threads}.json"
+        argv = ["charspace", "--weights", weights.format(cluster=cluster), "--weight-count", "4096",
+                "--lambda-grid", grid, "--n-max-log2", "12", "--out", str(out)]
+        assert main(argv) in (0, 1)
+        docs.append(out.read_bytes())
+        rows.append(sorted(solved))
+    assert docs[0] == docs[1] == docs[2]
+    # every thread count solves the same tridiagonals, each once
+    assert rows[0] == rows[1] == rows[2] and len(rows[0]) == solves

@@ -222,10 +222,11 @@ def test_float_powers_that_overflow_exit_2_naming_the_option(tmp_path, capsys):
     for argv in (
         ["probe", "wot", "--space", "hardy", "--geometric", "10", "--block", "400"],
         ["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "4"],
-        ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100"],
+        # grids small enough for --n times --grid to stay under its cap
+        ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100", "--grid", "200"],
         ["peaks", "annulus", "--R", "1e200", "--r", "1e-200", "--n", "2"],
         # r^-n and R^-n both underflow to 0, and their difference divides
-        ["peaks", "annulus", "--R", "3", "--r", "2", "--n", "2000"],
+        ["peaks", "annulus", "--R", "3", "--r", "2", "--n", "2000", "--grid", "200"],
     ):
         assert run([*argv, "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -235,7 +236,8 @@ def test_float_powers_that_overflow_exit_2_naming_the_option(tmp_path, capsys):
     # the powers that do not overflow keep their bits
     assert run(["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "2",
                 "--out", str(tmp_path / "w.json")]) in (0, 1)
-    assert run(["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1000", "--out", str(tmp_path / "a.json")]) == 0
+    assert run(["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1000", "--grid", "1000",
+                "--out", str(tmp_path / "a.json")]) == 0
 
 
 def test_peaks_ball_and_product(tmp_path):
@@ -543,8 +545,11 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
         ["peaks", "ball", "--grid-phi", "0"],
     ):
         assert run(argv) == 2
+    # the annulus masks its outer grid once per maximizer: --n times --grid
+    # at most 2^20 (n = 10^6 at the default grid was still running after 20 s)
+    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--n", "1000000"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 53 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 54 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -565,6 +570,7 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert "--grid " in err[49] and "at least 1" in err[49]
     assert all("--grid-s " in line and "at least 1" in line for line in err[50:52])
     assert "--grid-phi " in err[52] and "at least 1" in err[52]
+    assert "--n 1000000 times --grid 10000" in err[53] and str(2 ** 20) in err[53]
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
@@ -603,9 +609,11 @@ def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
         ["--weight-count", str(2 ** 20), "--n-max-log2", "20", "--m-max", "20", "--lambda-grid", "mod=0:0.6:0.1,args=1"],
     ):
         assert run([*charspace, *extra]) == 2
+    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--n", str(2 ** 19), "--grid", "2"]) == 2
     assert reached == [
         "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
         "ball_peak", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4, *["generate_weights"] * 4,
+        "annulus_peak",
     ]
     assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
 

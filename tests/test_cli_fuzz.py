@@ -251,7 +251,7 @@ def test_exit_code_contract_holds_for_drawn_argvs(tmp_path, form, data):
 # that overflow, which Python raises as OverflowError
 PINNED = [
     ("probe wot", ["probe", "wot", "--space", "hardy", "--geometric", "1e300", "--block", "4"]),
-    ("peaks annulus", ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100"]),
+    ("peaks annulus", ["peaks", "annulus", "--R", "2", "--r", "0.5", "--n", "1100", "--grid", "200"]),
 ]
 
 

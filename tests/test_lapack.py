@@ -1,6 +1,8 @@
 """The LAPACK/BLAS wrappers against the scipy functions they replace, bit
 for bit, and the exit code when scipy's compiled modules are missing."""
 
+import sys
+import threading
 import types
 
 import numpy as np
@@ -37,6 +39,73 @@ def test_dstebz_matches_eigvalsh_tridiagonal(n):
     e = np.abs(rng.standard_normal(n - 1))
     want = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), lapack_driver="stebz")
     assert_same_bits(lapack.dstebz(d, e), want[0])
+
+
+def stebz_cases():
+    """(d, e) pairs where the pointer call could part from the f2py one:
+    the smallest sizes, split matrices, subnormals and 2^14 rows."""
+    rng = np.random.default_rng(29)
+    tiny = np.finfo(float).smallest_subnormal
+    split = np.abs(rng.standard_normal(299))
+    split[::7] = 0.0
+    return [
+        (np.array([-0.5]), np.array([])),
+        (np.array([1.0, -2.0]), np.array([0.0])),
+        (np.array([1.0, 1.0]), np.array([tiny])),
+        (rng.standard_normal(300), split),
+        (rng.standard_normal(64), np.zeros(63)),
+        (tiny * rng.integers(-5, 6, 50), tiny * rng.integers(0, 4, 49)),
+        (np.array([tiny, -tiny, 3 * tiny]), np.array([tiny, 2 * tiny])),
+        (rng.standard_normal(2 ** 14), np.abs(rng.standard_normal(2 ** 14 - 1))),
+    ]
+
+
+@pytest.mark.parametrize("d, e", stebz_cases())
+def test_dstebz_pointer_call_matches_the_f2py_wrapper(d, e):
+    want = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), lapack_driver="stebz")
+    assert_same_bits(lapack.dstebz(d, e), want[0])
+
+
+def test_dstebz_checks_its_off_diagonal_length():
+    with pytest.raises(ValueError, match="N - 1"):
+        lapack.dstebz(np.ones(4), np.ones(4))
+
+
+def test_a_pointer_call_that_disagrees_at_load_raises_os_error(monkeypatch):
+    real = lapack._stebz_call
+    monkeypatch.setattr(lapack, "_stebz_call", lambda routine, d, e: (real(routine, d, e)[0] + 1.0, 0))
+    lapack._load.cache_clear()
+    try:
+        with pytest.raises(OSError, match="dstebz"):
+            lapack._load("_flapack")
+    finally:
+        monkeypatch.undo()
+        lapack._load.cache_clear()
+    assert_same_bits(lapack.dstebz([2.0, 2.0], [1.0]), lapack._routine("_flapack", "dstebz")(
+        [2.0, 2.0], [1.0], 2, 0.0, 1.0, 1, 1, 0.0, "E")[1][0])
+
+
+def test_concurrent_first_loads_get_one_module():
+    lapack._load.cache_clear()
+    barrier = threading.Barrier(8)
+    got = [None] * 8
+
+    def load(i):
+        barrier.wait(timeout=30)
+        got[i] = lapack._load("_flapack")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(m is got[0] for m in got) and hasattr(got[0], "dstebz")
 
 
 def test_non_finite_input_raises_value_error():
