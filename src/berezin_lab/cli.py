@@ -38,12 +38,16 @@ leaves the float range (``probe wot --geometric``, ``peaks annulus``
 r^-n - R^-n) exits 2 naming its options.  ``gbt`` resolves its path to
 points here (``_parse_path``) and samples them through the one transform
 path, ``berezin.gbt_profile``; space names resolve through
-``spaces.space_by_name``.
+``spaces.space_by_name``.  ``main``, never the import, sets glibc's
+allocator to keep freed memory (``_keep_freed_heap``): the samples of a
+profile near the circle free and re-form arrays of megabytes, which
+glibc would otherwise return to the kernel and fault back in page by page.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -101,6 +105,8 @@ def _parse_path(args):
         if k != key:
             raise ValueError(f"unknown {kind} path parameter {k!r}")
         value = cast(v)
+    if kind == "radial" and not math.isfinite(value):
+        raise ValueError(f"radial:theta= must be finite, got {value}")
     r_max = _RMAX_DEFAULT[kind] if args.rmax is None else args.rmax
     if not 0 < r_max < 1:
         raise ValueError(f"--rmax must lie in (0, 1), got {r_max}")
@@ -541,11 +547,29 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed memory in the process, so the next sample reuses its
+    pages instead of faulting them back in: arrays up to 32 MiB come from
+    the heap, and its top is returned to the kernel past 64 MiB.  Setting
+    either threshold turns off glibc's dynamic ones, hence both or neither.
+    Without glibc's ``mallopt``, or where it refuses, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3): 32 MiB is the largest every 64-bit glibc
+    # accepts, above a complex N_CAP frame (16 MiB); then M_TRIM_THRESHOLD (-1)
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  Its handler returns (body, passed); this is the
     one place that wraps the body in the envelope, writes it (to ``--out``
     or standard output; ``gbt --out`` has written its CSV and returns no
     body) and turns ``passed`` into the exit code."""
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, determinism, exit codes."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -548,8 +549,12 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     # the annulus masks its outer grid once per maximizer: --n times --grid
     # at most 2^20 (n = 10^6 at the default grid was still running after 20 s)
     assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--n", "1000000"]) == 2
+    # a radial path's angle is finite: nan and inf are usage errors, not
+    # points outside the disk
+    for theta in ("nan", "inf"):
+        assert run([*gbt, "--path", f"radial:theta={theta}"]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 54 and all(line.startswith("error: ") for line in err), err
+    assert len(err) == 56 and all(line.startswith("error: ") for line in err), err
     assert "--samples" in err[0] and "--samples" in err[1]
     assert "grid:n=" in err[2] and "grid:n=" in err[3]
     assert all("--truncation" in line for line in err[4:7])
@@ -571,6 +576,7 @@ def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys)
     assert all("--grid-s " in line and "at least 1" in line for line in err[50:52])
     assert "--grid-phi " in err[52] and "at least 1" in err[52]
     assert "--n 1000000 times --grid 10000" in err[53] and str(2 ** 20) in err[53]
+    assert all("radial:theta=" in line and "finite" in line for line in err[54:56])
 
 
 def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
@@ -668,6 +674,39 @@ for w in ('charscan', 'probes'):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.split("\n")[-4:] == ["False", "charscan True False True", "probes True False True", ""]
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_gbt_reuses_its_freed_heap(tmp_path):
+    # the CLI keeps freed memory in the process, so a second and third run
+    # of a profile out to |z| = 0.9999 (kernel lines past 10^5 terms) reuse
+    # the first run's pages; with glibc's default thresholds each run took
+    # 3,300-4,200 minor faults.  A fresh interpreter, so that pytest's own
+    # allocator settings are not what is measured.
+    src = Path(berezin_lab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = """
+import resource, sys
+from berezin_lab.cli import main
+argv = ["gbt", "--space", "bergman", "--op", "[Mz^*, Mz] Mz", "--path", "radial:theta=0.7",
+        "--rmax", "0.9999", "--samples", "30", "--out", sys.argv[1]]
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "gbt.csv")], env=env, capture_output=True, text=True, check=True
+    )
+    faults = [int(line) for line in out.stdout.split()]
+    assert len(faults) == 3 and all(f < 100 for f in faults[1:]), faults
 
 
 def test_fail_exit_1(tmp_path):

@@ -24,9 +24,17 @@ def assert_same_bits(got, want):
 
 
 def hpd_band(q, n):
-    """Lower band (q + 1, n) of a Hermitian positive definite matrix."""
+    """Lower band (q + 1, n) of a Hermitian positive definite matrix: each
+    diagonal entry is 1 + U(0, 1) plus the moduli of the off-diagonal
+    entries in its row, so the matrix is strictly diagonally dominant and
+    positive definite by Gershgorin's theorem for every draw."""
     band = rng.standard_normal((q + 1, n)) + 1j * rng.standard_normal((q + 1, n))
-    band[0] = 2 * q + 2 + rng.uniform(0, 1, n)
+    band[0] = 1 + rng.uniform(0, 1, n)
+    for d in range(1, q + 1):
+        # band[d, j] is A[j + d, j]: it sits in row j + d, and its conjugate in row j
+        off = np.abs(band[d, : n - d])
+        band[0, d:] += off
+        band[0, : n - d] += off
     return band
 
 
@@ -146,7 +154,7 @@ def test_zpbtrf_and_zpbtrs_match_cholesky_banded(q, n):
 @pytest.mark.parametrize("q, n", BANDS)
 def test_zhbevx_matches_eigvals_banded(q, n):
     band = hpd_band(q, n)
-    band[0] -= 2 * q + 2  # an indefinite matrix as well
+    band[0] -= 2 * q + 2  # not positive definite: indefinite for q >= 1, negative definite for q = 0
     want = scipy.linalg.eigvals_banded(band, lower=True, select="i", select_range=(n - 1, n - 1))
     assert_same_bits(lapack.zhbevx(band), want[0])
 
