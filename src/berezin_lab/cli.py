@@ -18,24 +18,11 @@ never gate verdicts.  Each ``cmd_*`` handler returns ``(body, passed)``;
 envelope, writes it and maps ``passed`` to the exit code: 0 all checks
 passed, 1 a verdict failed, 2 usage or parameter error (any
 ``ValueError`` or ``OSError``, ``spaces.TruncationError`` included, and
-``MemoryError``).  Sizes are capped before anything is allocated:
-``gbt --samples`` and ``grid:n=`` at ``spaces.N_CAP``, like
-``--weight-count`` of ``charspace`` and ``shift``, the ``peaks``
-grids (``--grid``, and ``--grid-s`` times ``--grid-phi`` squared for
-the ball) and ``peaks annulus --n`` times ``--grid``; ``probe normbound
---truncation``, ``--families`` and ``probe wot --block`` at 2^14, ``probe
-spherical --n`` at 256 and its n * C(n + degree, n)^2 at 2^23;
-normbound's estimated work per family (``_normbound_work``) is capped at
-its value at ``--truncation`` 2^14, ``--degree`` 5.  The ``charspace``
-lambda grid is capped at 2^14 points and its scan's work
-(``_scan_work``) at 2^24 rows, and ``--m-max`` and ``--n-max-log2`` at
-20 = log2 ``N_CAP`` (from below at 0 and 8, where the truncation
-schedule starts); ``shift spr --kmax`` past the weights exits 2.
-The ``peaks`` grids are bounded from below too (at least 2 annulus
-points, one product point, one ``--grid-s`` and ``--grid-phi`` row), as
-is ``charspace --allow-inconclusive`` (at 0), and a float power that
-leaves the float range (``probe wot --geometric``, ``peaks annulus``
-r^-n - R^-n) exits 2 naming its options.  ``gbt`` resolves its path to
+``MemoryError``).  Every bound on an argument is a row of ``BOUNDS``,
+with the measured cost at its edge: a range of one option, or a named
+rule over several.  ``main`` checks the parsed subcommand's rows
+(``_check_bounds``) before its handler runs, so an argument out of bounds
+exits 2 before anything is allocated.  ``gbt`` resolves its path to
 points here (``_parse_path``) and samples them through the one transform
 path, ``berezin.gbt_profile``; space names resolve through
 ``spaces.space_by_name``.  ``main``, never the import, sets glibc's
@@ -51,6 +38,7 @@ import ctypes
 import functools
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -93,9 +81,9 @@ _RMAX_DEFAULT = {"radial": 0.999, "grid": 0.95}
 
 
 def _parse_path(args):
-    """The points of ``gbt --path`` and the path record for the output:
-    ``radial:theta=T`` gives ``--samples`` points towards radius ``--rmax``,
-    ``grid:n=N`` about N points (default ``--samples``) within it."""
+    """The kind, parameter and radius of ``gbt --path``: ``radial:theta=T``
+    gives ``--samples`` points towards radius ``--rmax``, ``grid:n=N``
+    about N points (default ``--samples``) within it."""
     kind, _, rest = args.path.partition(":")
     if kind not in _RMAX_DEFAULT:
         raise ValueError(f"unknown path kind {kind!r}")
@@ -110,20 +98,42 @@ def _parse_path(args):
     r_max = _RMAX_DEFAULT[kind] if args.rmax is None else args.rmax
     if not 0 < r_max < 1:
         raise ValueError(f"--rmax must lie in (0, 1), got {r_max}")
-    if kind == "grid":
-        if value > N_CAP:
-            raise ValueError(f"grid:n= (default --samples) must be at most {N_CAP}, got {value}")
-        return bz.disk_grid(value, r_max), {"kind": "grid", "n": value, "r_max": r_max}
-    if not 2 <= args.samples <= N_CAP:
-        raise ValueError(f"--samples must lie in [2, {N_CAP}] on a radial path, got {args.samples}")
-    path = {"kind": "radial", "theta": value, "r_max": r_max, "count": args.samples}
-    return bz.radial_path(value, r_max, args.samples), path
+    return kind, value, r_max
 
 
-# largest normbound truncation and wot block: the band solve is O(N^2 q)
-# time, about 24 s per degree-5 family at this N on a 2-vCPU VM, and the
-# wot deviations read O(block^2) norm ratios, a 0.5 s run at this block
-_TRUNCATION_CAP = 2 ** 14
+def _parse_lambda_grid(text: str):
+    """(lo, hi, step, modulus count, angle count) of
+    ``mod=lo:hi:step[,args=K]``.  The count is inf where the step count
+    is, and the moduli are listed (``_moduli``) only once it is capped."""
+    mod = None
+    angles = 8
+    for part in text.split(","):
+        key, _, val = part.partition("=")
+        if key == "mod":
+            lo, hi, step = (float(x) for x in val.split(":"))
+            if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
+                raise ValueError(f"lambda grid mod={val} needs finite lo <= hi and step > 0")
+            mod = lo, hi, step
+        elif key == "args":
+            angles = int(val)
+            if angles < 1:
+                raise ValueError(f"lambda grid args={val} needs at least one angle")
+        else:
+            raise ValueError(f"unknown lambda grid parameter {key!r}")
+    if mod is None:
+        raise ValueError("lambda grid needs mod=lo:hi:step")
+    lo, hi, step = mod
+    steps = (hi - lo) / step
+    return lo, hi, step, round(steps) + 1 if math.isfinite(steps) else math.inf, angles
+
+
+def _moduli(lo: float, step: float, count: int) -> list:
+    return [round(lo + i * step, 12) for i in range(count)]
+
+
+def _n_schedule(args) -> tuple:
+    """The truncations of a ``charspace`` scan, 2^8 up to 2^``--n-max-log2``."""
+    return tuple(2 ** k for k in range(_LOG2_N_MIN, args.n_max_log2 + 1))
 
 
 def _normbound_work(n: int, degree: int) -> int:
@@ -134,82 +144,142 @@ def _normbound_work(n: int, degree: int) -> int:
     return n * (n * q + min(n, 2 * q + 1) * (degree + 1))
 
 
-# the work of one degree-5 family at the largest truncation, 24-34 s on a
-# 2-vCPU VM
+_TRUNCATION_CAP = 2 ** 14
 _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
-
-# largest n * C(n + degree, n)^2 of ``probe spherical`` (its --n is at most
-# 2^8), which reads two diagonals over the C(n + degree, n) monomials: at the
-# cap's edge --n 1 --degree 2895 took 0.34 s and --n 2 --degree 62 0.31 s,
-# each 35 MB, interpreter start-up included, on a 2-vCPU VM
 _SPHERICAL_CAP = 2 ** 23
-
-# largest lambda modulus whose doubled square is a finite float
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
-
-# largest --lambda-grid point count (moduli times args=): each point keeps
-# its verdict and evidence until the document is written, about 5 KB.  At
-# the cap, simple:r=0.5 --weight-count 4096 mod=0:0:1,args=16384 took
-# 1.2 s and 121 MB max RSS on a 2-vCPU VM, interpreter start-up included
 _LAMBDA_POINTS_CAP = 2 ** 14
-
-# largest charspace work (``_scan_work``), in rows of the tridiagonal
-# solves, about 0.55 us each on one CPU.  At the cap, simple:r=0.5
-# mod=0:0.922:0.001,args=1 (923 moduli, each 16128 rows and a 2^15-weight
-# run scan) took 8.7 s and 41 MB on one CPU and 5.6 s and 46 MB on two,
-# and --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1
-# (7 moduli) 8.0 s and 89 MB on one CPU and 3.9 s and 151 MB on two (one
-# solver thread per CPU), on a 2-vCPU VM, interpreter start-up included
 _SCAN_WORK_CAP = 2 ** 24
-
-# largest --m-max and --n-max-log2: a run at level m needs 2^m + 2
-# weights, and truncations above the weights are dropped, so nothing past
-# log2 of the largest --weight-count can change a verdict
 _LOG2_N_CAP = N_CAP.bit_length() - 1
-
-# smallest --n-max-log2: the truncation schedule starts at 2^8, and an
-# empty one would fall back to a single truncation at --weight-count
 _LOG2_N_MIN = 8
 
 
-def _parse_lambda_grid(text: str):
-    """The moduli and angle count of ``mod=lo:hi:step[,args=K]``, its
-    moduli times K capped before the moduli are listed."""
-    mod = None
-    angles = 8
-    for part in text.split(","):
-        key, _, val = part.partition("=")
-        if key == "mod":
-            lo, hi, step = (float(x) for x in val.split(":"))
-            if not (math.isfinite(lo) and math.isfinite(hi) and step > 0 and hi >= lo):
-                raise ValueError(f"lambda grid mod={val} needs finite lo <= hi and step > 0")
-            # X carries 2 |lambda|^2 on its diagonal, which must stay finite
-            if not max(abs(lo), abs(hi)) <= _MODULUS_CAP:
-                raise ValueError(f"lambda grid mod={val} needs moduli at most {_MODULUS_CAP:.3g}")
-            mod = (lo, step, (hi - lo) / step)
-        elif key == "args":
-            angles = int(val)
-            if angles < 1:
-                raise ValueError(f"lambda grid args={val} needs at least one angle")
-        else:
-            raise ValueError(f"unknown lambda grid parameter {key!r}")
-    if mod is None:
-        raise ValueError("lambda grid needs mod=lo:hi:step")
-    lo, step, steps = mod
-    # the step count may be inf: it is bounded before it is rounded to an int
-    count = int(round(steps)) + 1 if steps <= _LAMBDA_POINTS_CAP else math.inf
-    if count * angles > _LAMBDA_POINTS_CAP:
-        raise ValueError(f"--lambda-grid {text} must give at most {_LAMBDA_POINTS_CAP} points (moduli times args=)")
-    return [round(lo + i * step, 12) for i in range(count)], angles
+# ---------------------------------------------------------------------------
+# argument bounds
 
 
-def _scan_work(moduli, n_schedule, weight_count: int) -> int:
-    """About the work of a charspace scan: distinct |moduli| times the
-    rows they solve, the sum of the truncations at most ``weight_count``
-    (or ``weight_count`` when none is), plus a sixteenth of a row per
-    weight for the run scan (about 20 ns a weight against 550 ns a row)."""
-    rows = sum(n for n in n_schedule if n <= weight_count) or weight_count
-    return len({abs(m) for m in moduli}) * (rows + weight_count // 16)
+class _Range(NamedTuple):
+    """``option`` of each subcommand in ``words`` (each value of a list) lies in [low, high]; None is open."""
+
+    words: tuple
+    option: str
+    low: int | None
+    high: int | None
+    reason: str
+
+    def check(self, args):
+        value = getattr(args, self.option[2:].replace("-", "_"))
+        for v in value if isinstance(value, list) else [value]:
+            if self.low is not None and v < self.low:
+                return f"{self.option} must be at least {self.low}, got {v}"
+            if self.high is not None and v > self.high:
+                return f"{self.option} must be at most {self.high}, got {v}"
+
+
+# a bound over several options: check(args) returns the error line of
+# arguments that break it, and a false value otherwise
+_Rule = NamedTuple("_Rule", [("words", tuple), ("check", Callable), ("reason", str)])
+
+
+def _path_points(args):
+    kind, n, _ = _parse_path(args)
+    if kind == "grid":
+        return n > N_CAP and f"grid:n= (default --samples) must be at most {N_CAP}, got {n}"
+    return not 2 <= args.samples <= N_CAP and f"--samples must lie in [2, {N_CAP}] on a radial path, got {args.samples}"
+
+
+def _lambda_points(args):
+    lo, hi, _, count, angles = _parse_lambda_grid(args.lambda_grid)
+    if not max(abs(lo), abs(hi)) <= _MODULUS_CAP:
+        return f"--lambda-grid {args.lambda_grid} needs moduli at most {_MODULUS_CAP:.3g}"
+    return count * angles > _LAMBDA_POINTS_CAP and f"--lambda-grid {args.lambda_grid} gives over {_LAMBDA_POINTS_CAP} points"
+
+
+def _scan_work(args):
+    # distinct |moduli| times their rows (the truncations up to --weight-count, or it alone), plus
+    # a sixteenth of a row per weight for the run scan (about 20 ns a weight against 550 ns a row)
+    lo, _, step, count, _ = _parse_lambda_grid(args.lambda_grid)
+    rows = sum(n for n in _n_schedule(args) if n <= args.weight_count) or args.weight_count
+    work = len({abs(m) for m in _moduli(lo, step, count)}) * (rows + args.weight_count // 16)
+    return work > _SCAN_WORK_CAP and f"--lambda-grid {args.lambda_grid} asks {work} rows of work, above {_SCAN_WORK_CAP}"
+
+
+def _kmax_weights(args):
+    return args.kmax + 1 >= args.weight_count.bit_length() and (
+        f"--kmax {args.kmax} needs 2^{args.kmax + 1} weights, more than the {args.weight_count} of --weight-count")
+
+
+def _ball_points(args):
+    points = args.grid_s * args.grid_phi ** 2
+    return points > N_CAP and f"--grid-s times --grid-phi squared must be at most {N_CAP} points, got {points}"
+
+
+def _annulus_size(args):
+    return args.n * args.grid > N_CAP and f"--n {args.n} times --grid {args.grid} must be at most {N_CAP}"
+
+
+def _spherical_size(args):
+    # n C(n + d, n)^2 >= (d + 1)^2 bounds d first, keeping the binomial small; n < 1, d < 0 are ball_space's
+    n, d = args.n, args.degree
+    too_big = d > math.isqrt(_SPHERICAL_CAP) or n >= 1 and d >= 0 and n * math.comb(n + d, n) ** 2 > _SPHERICAL_CAP
+    return too_big and f"--n {n} with --degree {d}: probe spherical takes n * C(n + degree, n)^2 at most 2^23"
+
+
+def _truncation_above_degree(args):
+    return args.truncation <= args.degree and f"--truncation must lie above --degree {args.degree}, got {args.truncation}"
+
+
+def _normbound_size(args):
+    work = _normbound_work(args.truncation, args.degree)
+    return work > _NORMBOUND_WORK_CAP and (
+        f"--truncation {args.truncation} with --degree {args.degree}: {work:.2g} operations, above {_NORMBOUND_WORK_CAP:.2g}")
+
+
+# Every bound on the arguments, checked by ``_check_bounds`` in this order (a rule may rely on
+# the rows above it), with the cost at its edge on a 2-vCPU VM, interpreter start-up included.
+BOUNDS = (
+    _Rule(("gbt",), _path_points, "a radial path needs two points; each point is one kernel vector"),
+    _Range(("charspace", "shift spr", "shift powernorm", "shift powerbound"), "--weight-count", None, N_CAP,
+           "the weights are one float array of this length"),
+    _Range(("charspace",), "--allow-inconclusive", 0, None, "below 0, every scan would read as a failed verdict"),
+    _Range(("charspace",), "--m-max", 0, _LOG2_N_CAP, "a level-m run needs 2^m + 2 of the at most 2^20 weights"),
+    _Range(("charspace",), "--n-max-log2", _LOG2_N_MIN, _LOG2_N_CAP, "truncations above the weights are dropped; "
+           "the schedule starts at 2^8, and an empty one would fall back to one truncation at --weight-count"),
+    _Rule(("charspace",), _lambda_points, "X has 2 |lambda|^2 on its diagonal; each point keeps about 5 KB of "
+          "evidence: simple:r=0.5 --weight-count 4096 mod=0:0:1,args=16384 took 1.2 s and 121 MB"),
+    _Rule(("charspace",), _scan_work, "simple:r=0.5 mod=0:0.922:0.001,args=1 (923 moduli) took 8.7 s, 41 MB on one "
+          "CPU and 5.6 s, 46 MB on two; --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1 8.0 s, 89 MB "
+          "on one and 3.9 s, 151 MB on two (one solver thread per CPU)"),
+    _Rule(("shift spr",), _kmax_weights, "the estimate reads 2^(kmax + 1) weights, compared by bit length"),
+    _Range(("peaks annulus",), "--grid", 2, N_CAP, "the annulus reads --grid // 2 points per circle"),
+    _Range(("peaks product",), "--grid", 1, N_CAP, "the sup is read on --grid points of the circle"),
+    _Range(("peaks ball",), "--grid-s", 1, None, "the ball grid needs a point"),
+    _Range(("peaks ball",), "--grid-phi", 1, None, "the ball grid needs a point"),
+    _Rule(("peaks ball",), _ball_points, "the ball grid has --grid-s times --grid-phi squared points"),
+    _Rule(("peaks annulus",), _annulus_size, "annulus_peak masks the --grid // 2 outer points once for each of "
+          "the n + 1 maximizers: --R 2 --r 1 --n 2^19 --grid 2 took 3.6 s"),
+    _Range(("probe closed-range", "probe fredholm"), "--n-schedule", None, 2 ** 11, "each N solves a Gram of "
+           "half-width min(p, N - 1), p the series degree, in blocks of N terms: closed-range --space bergman "
+           "--blaschke 0.99 (p = 4095) --n-schedule 256 512 1024 2048 took 6.2 s and 467 MB; on hardy, every N "
+           "from 2 to 2048 took 1.9 s (closed-range --phi 0,1) and 7.2 s (fredholm), 45 MB each"),
+    _Range(("probe spherical",), "--n", None, 2 ** 8, "the monomials number C(n + degree, n)"),
+    _Rule(("probe spherical",), _spherical_size, "it reads two diagonals over the monomials: --n 1 --degree 2895 "
+          "took 0.34 s and --n 2 --degree 62 0.31 s, each 35 MB"),
+    _Range(("probe wot",), "--block", 1, _TRUNCATION_CAP, "the deviations read O(block^2) norm ratios, 0.5 s here"),
+    _Range(("probe normbound",), "--families", 1, _TRUNCATION_CAP, "each family is one band solve"),
+    _Range(("probe normbound",), "--truncation", None, _TRUNCATION_CAP, "the band solve takes O(N^2 q) time"),
+    _Rule(("probe normbound",), _truncation_above_degree, "the symbols have degree --degree"),
+    _Rule(("probe normbound",), _normbound_size, "one family at --truncation 2^14 --degree 5 took 34 s and 99 MB, and "
+          "at --truncation 1100 --degree 1099 140 s and 203 MB"),
+)
+
+
+def _check_bounds(args, command: str) -> None:
+    """Raise ``ValueError`` at the first row of ``BOUNDS`` for ``command`` that ``args`` break."""
+    for row in BOUNDS:
+        error = command in row.words and row.check(args)
+        if error:
+            raise ValueError(error)
 
 
 def _json_doc(command: str, body: dict) -> str:
@@ -228,7 +298,12 @@ def cmd_gbt(args):
     bound = exprs.norm_bound(node)
     if not math.isfinite(4.0 * bound):
         raise ValueError(f"--op {args.op!r} overflows: 4 times its norm bound {bound:.3g} (the tail factor) is not finite")
-    points, path = _parse_path(args)
+    kind, value, r_max = _parse_path(args)
+    if kind == "grid":
+        points, path = bz.disk_grid(value, r_max), {"kind": "grid", "n": value, "r_max": r_max}
+    else:
+        points = bz.radial_path(value, r_max, args.samples)
+        path = {"kind": "radial", "theta": value, "r_max": r_max, "count": args.samples}
     profile = bz.gbt_profile(space, node, points, path, op_label=args.op, tol=args.tail_tol)
     # contractivity audit: |value| <= coarse norm bound + tail
     passed = all(abs(s.value) <= bound + s.tail + 1e-9 for s in profile.samples)
@@ -240,66 +315,17 @@ def cmd_gbt(args):
     return None, passed
 
 
-def _weight_count(args) -> int:
-    """``--weight-count``, capped."""
-    if args.weight_count > N_CAP:
-        raise ValueError(f"--weight-count must be at most {N_CAP}, got {args.weight_count}")
-    return args.weight_count
-
-
-def _weights(args):
-    """The ``--weights`` sequence, its length capped before it is built."""
-    return generate_weights(args.weights, _weight_count(args))
-
-
 def cmd_charspace(args):
-    count = _weight_count(args)
-    if args.allow_inconclusive < 0:
-        raise ValueError(f"--allow-inconclusive must be at least 0, got {args.allow_inconclusive}")
-    for option, value, low in (("--m-max", args.m_max, 0), ("--n-max-log2", args.n_max_log2, _LOG2_N_MIN)):
-        if value > _LOG2_N_CAP:
-            raise ValueError(f"{option} must be at most {_LOG2_N_CAP} (2^{_LOG2_N_CAP} weights), got {value}")
-        if value < low:
-            raise ValueError(f"{option} must be at least {low}, got {value}")
-    moduli, angles = _parse_lambda_grid(args.lambda_grid)
-    n_schedule = tuple(2 ** k for k in range(_LOG2_N_MIN, args.n_max_log2 + 1))
-    work = _scan_work(moduli, n_schedule, count)
-    if work > _SCAN_WORK_CAP:
-        raise ValueError(
-            f"--lambda-grid {args.lambda_grid} asks about {work} rows of work (distinct moduli times the "
-            f"truncations up to --n-max-log2 and the --weight-count scan), above the cap {_SCAN_WORK_CAP}"
-        )
-    w = generate_weights(args.weights, count)
-    ccfg = CharacterConfig(
-        m_max=args.m_max,
-        scan_len=min(count, w.n),
-        n_schedule=n_schedule,
-        trend=args.trend,
-    )
-    verdicts = character_set_scan(w, moduli, n_angles=angles, config=ccfg)
+    lo, _, step, count, angles = _parse_lambda_grid(args.lambda_grid)
+    w = generate_weights(args.weights, args.weight_count)
+    ccfg = CharacterConfig(m_max=args.m_max, scan_len=w.n, n_schedule=_n_schedule(args), trend=args.trend)
+    verdicts = character_set_scan(w, _moduli(lo, step, count), n_angles=angles, config=ccfg)
     inconclusive = sum(1 for v in verdicts if v.verdict == "inconclusive")
     return {"verdicts": [verdict_to_dict(v) for v in verdicts]}, inconclusive <= args.allow_inconclusive
 
 
 def cmd_peaks(args):
-    # each grid needs a point: the annulus reads --grid // 2 per circle
-    if args.domain == "ball":
-        lows = (("--grid-s", args.grid_s, 1), ("--grid-phi", args.grid_phi, 1))
-    else:
-        lows = (("--grid", args.grid, 2 if args.domain == "annulus" else 1),)
-    for option, value, low in lows:
-        if value < low:
-            raise ValueError(f"{option} must be at least {low}, got {value}")
-    points = args.grid_s * args.grid_phi ** 2 if args.domain == "ball" else args.grid
-    if points > N_CAP:
-        option = "--grid-s times --grid-phi squared" if args.domain == "ball" else "--grid"
-        raise ValueError(f"{option} must be at most {N_CAP} points, got {points}")
     if args.domain == "annulus":
-        # annulus_peak masks the --grid // 2 outer points once for each of
-        # the n + 1 maximizers: at the cap, --R 2 --r 1 --n 2^19 --grid 2
-        # took 3.6 s on a 2-vCPU VM, interpreter start-up included
-        if args.n * args.grid > N_CAP:
-            raise ValueError(f"--n {args.n} times --grid {args.grid} must be at most {N_CAP}")
         try:
             cand = annulus_peak(
                 args.R, args.r, _complex_arg(args.alpha) if args.alpha else args.R,
@@ -318,11 +344,8 @@ def cmd_peaks(args):
 
 
 def cmd_shift(args):
-    w = _weights(args)
+    w = generate_weights(args.weights, args.weight_count)
     if args.what == "spr":
-        # 2^(kmax + 1) weights, compared by bit length before the power is formed
-        if args.kmax + 1 >= w.n.bit_length():
-            raise ValueError(f"--kmax {args.kmax} needs 2^{args.kmax + 1} weights, more than the {w.n} of --weight-count")
         est = spectral_radius_estimate(w, args.kmax)
         return {"weights": args.weights, **est}, not est["sandwich_checked"] or est["sandwich_ok"]
     if args.what == "powernorm":
@@ -358,22 +381,11 @@ def cmd_probe(args):
         passed = rep["residual"] <= 10 * rep["tail"] and rep["classification"] == "bounded_below"
         return {**rep, "passed": passed}, passed
     if args.kind == "spherical":
-        # n * C(n + d, n)^2 is at least (d + 1)^2, so bounding n and d first
-        # keeps the binomial small; n < 1 and d < 0 are left to ``ball_space``
-        n, d = args.n, args.degree
-        too_big = n > 2 ** 8 or d > math.isqrt(_SPHERICAL_CAP)
-        if too_big or n >= 1 and d >= 0 and n * math.comb(n + d, n) ** 2 > _SPHERICAL_CAP:
-            raise ValueError(
-                f"--n {n} with --degree {d}: probe spherical takes --n at most 256 and "
-                f"n * C(n + degree, n)^2 at most 2^23"
-            )
-        rep = spherical_contraction_check(ball_space(n, d, args.ball_kind))
+        rep = spherical_contraction_check(ball_space(args.n, args.degree, args.ball_kind))
         return rep, rep["passed"]
     if args.kind == "wot":
         if args.geometric is None and not args.phi:
             raise ValueError("wot probe needs --phi or --geometric")
-        if not 1 <= args.block <= _TRUNCATION_CAP:
-            raise ValueError(f"--block must lie in [1, {_TRUNCATION_CAP}], got {args.block}")
         if args.geometric is None:
             coeffs = _coeff_list(args.phi)
         else:
@@ -386,20 +398,6 @@ def cmd_probe(args):
         rep = wot_dilation_probe(space, coeffs, [float(t) for t in args.t.split(",")], block=args.block)
         return rep, rep["non_increasing"]
     # normbound
-    if not 1 <= args.families <= _TRUNCATION_CAP:
-        raise ValueError(f"--families must lie in [1, {_TRUNCATION_CAP}], got {args.families}")
-    if not args.degree < args.truncation <= _TRUNCATION_CAP:
-        raise ValueError(
-            f"--truncation must lie above --degree {args.degree} and at most {_TRUNCATION_CAP}, "
-            f"got {args.truncation}"
-        )
-    work = _normbound_work(args.truncation, args.degree)
-    if work > _NORMBOUND_WORK_CAP:
-        raise ValueError(
-            f"--truncation {args.truncation} with --degree {args.degree} needs about {work:.2g} "
-            f"operations per family, above the cap {_NORMBOUND_WORK_CAP:.2g} (--truncation "
-            f"{_TRUNCATION_CAP} at --degree 5)"
-        )
     rng = np.random.default_rng(args.seed)
     j = np.arange(args.degree + 1)
     scale = 1.0 / (1.0 + j) ** 2
@@ -581,10 +579,11 @@ def main(argv=None) -> int:
         args.trend = TrendThresholds(
             vanish_ratio=args.trend_vanish, stable_rel=args.trend_stable, floor=args.trend_floor
         )
+        command = " ".join([args.command, *(getattr(args, k) for k in ("domain", "what", "kind") if k in args)])
+        _check_bounds(args, command)
         body, passed = args.func(args)
         if body is not None:
-            words = [args.command, *(getattr(args, k) for k in ("domain", "what", "kind") if k in args)]
-            write_text(args.out, _json_doc(" ".join(words), body))
+            write_text(args.out, _json_doc(command, body))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

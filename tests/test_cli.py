@@ -1,6 +1,8 @@
 """CLI subcommands: artifacts, determinism, exit codes."""
 
+import ast
 import ctypes
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import berezin_lab
+from berezin_lab import cli
 from berezin_lab.cli import main, parse_operator_expr
 from berezin_lab.exprs import Commutator, MPoly, MPolyAdj, Mz, MzAdj, Product, Scale, Sum
 from berezin_lab.shifts import generate_weights, spectral_radius_estimate
@@ -442,8 +445,6 @@ def test_usage_error_exit_2(tmp_path, capsys):
 
 def test_memory_error_exits_2_with_an_error_line(monkeypatch, capsys):
     # an allocation that fails is a parameter error, never a failed verdict
-    import berezin_lab.cli as cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
@@ -464,164 +465,157 @@ def test_memory_error_exits_2_with_an_error_line(monkeypatch, capsys):
     ]
 
 
-def test_oversized_sizes_are_rejected_before_any_allocation(monkeypatch, capsys):
-    import berezin_lab.cli as cli
+# ---------------------------------------------------------------------------
+# argument bounds: every row of cli.BOUNDS, checked before the work
 
-    def never(*args, **kwargs):
-        raise AssertionError("an oversized size reached the allocation")
 
-    for name in ("radial_path", "disk_grid", "gbt_profile"):
-        monkeypatch.setattr(cli.bz, name, never)
-    for name in ("norm_lower_bound_check", "wot_dilation_probe", "annulus_peak", "ball_peak",
-                 "product_peak_check", "generate_weights", "spherical_contraction_check", "ball_space"):
-        monkeypatch.setattr(cli, name, never)
-    monkeypatch.setattr(cli.np.random, "default_rng", never)
-    huge = str(10 ** 12)
-    gbt = ["gbt", "--space", "hardy", "--op", "Mz"]
-    assert run([*gbt, "--samples", huge]) == 2
-    assert run([*gbt, "--samples", str(2 ** 20 + 1)]) == 2
-    assert run([*gbt, "--path", f"grid:n={huge}"]) == 2
-    assert run([*gbt, "--path", "grid", "--samples", huge]) == 2
-    normbound = ["probe", "normbound", "--space", "hardy", "--families", "1"]
-    assert run([*normbound, "--truncation", huge]) == 2
-    assert run([*normbound, "--truncation", str(2 ** 14 + 1)]) == 2
-    assert run([*normbound, "--degree", huge]) == 2
-    wot = ["probe", "wot", "--space", "hardy", "--geometric", "0.9"]
-    for block in (huge, str(2 ** 14 + 1), "0", "-1"):
-        assert run([*wot, "--block", block]) == 2
-    # normbound's work per family and its family count
-    assert run([*normbound, "--truncation", str(2 ** 14), "--degree", str(2 ** 14 - 1)]) == 2
-    assert run([*normbound, "--truncation", "1200", "--degree", "1199"]) == 2
-    assert run([*normbound, "--truncation", str(2 ** 14), "--degree", "6"]) == 2
-    assert run(["probe", "normbound", "--space", "hardy", "--families", str(2 ** 14 + 1)]) == 2
-    # grids and weight counts of at most spaces.N_CAP = 2^20 points
-    for argv in (
-        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", huge],
-        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", str(2 ** 20 + 1)],
-        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20 + 1)],
-    ):
-        assert run(argv) == 2
-    assert run(["peaks", "ball", "--grid-s", "5", "--grid-phi", "512"]) == 2
-    assert run(["peaks", "ball", "--grid-s", "1", "--grid-phi", "1025"]) == 2
-    for argv in (
-        ["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0.5"],
-        ["shift", "spr", "--weights", "simple:r=0.5"],
-        ["shift", "powerbound", "--weights", "simple:r=0.5", "--r", "0.5"],
-    ):
-        assert run([*argv, "--weight-count", str(2 ** 20 + 1)]) == 2
-    # spherical: n at most 2^8 and n C(n + degree, n)^2 coordinate-matrix
-    # entries at most 2^23, with n and degree bounded before the binomial
-    for n, degree in (("3", "60"), ("1", "2896"), ("3", "20"), ("7", "7"), ("203", "1"), ("257", "0"), (huge, "3"),
-                      ("3", huge), (huge, huge)):
-        assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
-    # charspace: at most 2^14 lambda points (moduli times args=), at most
-    # 2^24 rows of scan work, and --m-max and --n-max-log2 at most 20
-    charspace = ["charspace", "--weights", "simple:r=0.5"]
-    for extra in (
-        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=16385"],
-        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=100000"],
-        ["--lambda-grid", "mod=0:1:0.0001,args=2"],
-        ["--lambda-grid", f"mod=0:{huge}:1e-300,args=1"],
-        ["--lambda-grid", "mod=0:0.923:0.001,args=1"],
-        ["--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", "12"],
-        ["--weight-count", str(2 ** 20), "--n-max-log2", "20", "--lambda-grid", "mod=0:0.7:0.1,args=1"],
-        ["--weight-count", str(2 ** 20), "--n-max-log2", "8", "--lambda-grid", "mod=0:1:0.003,args=1"],
-        ["--m-max", "21", "--lambda-grid", "mod=0:1:0.5"],
-        ["--m-max", "100000", "--lambda-grid", "mod=0:1:0.5"],
-        ["--n-max-log2", "21", "--lambda-grid", "mod=0:1:0.5"],
-        ["--n-max-log2", "100000", "--lambda-grid", "mod=0:1:0.5"],
-        # and from below: an empty level or truncation schedule
-        ["--m-max", "-1", "--lambda-grid", "mod=0:1:0.5"],
-        ["--n-max-log2", "7", "--lambda-grid", "mod=0:1:0.5"],
-        ["--n-max-log2", "-3", "--lambda-grid", "mod=0:1:0.5"],
-    ):
-        assert run([*charspace, *extra]) == 2
-    # peaks grids with no point: the annulus reads --grid // 2 per circle
-    for argv in (
-        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "1"],
-        ["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "-4"],
-        ["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", "0"],
-        ["peaks", "ball", "--grid-s", "0"],
-        ["peaks", "ball", "--grid-s", "-2", "--grid-phi", "-2"],
-        ["peaks", "ball", "--grid-phi", "0"],
-    ):
-        assert run(argv) == 2
-    # the annulus masks its outer grid once per maximizer: --n times --grid
-    # at most 2^20 (n = 10^6 at the default grid was still running after 20 s)
-    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--n", "1000000"]) == 2
-    # a radial path's angle is finite: nan and inf are usage errors, not
-    # points outside the disk
-    for theta in ("nan", "inf"):
-        assert run([*gbt, "--path", f"radial:theta={theta}"]) == 2
+# each subcommand that has a bound, as an argv that reaches its work
+BASE = {
+    "gbt": ["gbt", "--space", "hardy", "--op", "Mz"],
+    "charspace": ["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0.5"],
+    "shift spr": ["shift", "spr", "--weights", "simple:r=0.5"],
+    "shift powernorm": ["shift", "powernorm", "--weights", "simple:r=0.5", "--m", "1"],
+    "shift powerbound": ["shift", "powerbound", "--weights", "simple:r=0.5", "--r", "0.5"],
+    "peaks annulus": ["peaks", "annulus", "--R", "2", "--r", "1"],
+    "peaks ball": ["peaks", "ball"],
+    "peaks product": ["peaks", "product", "--phi", "0,1", "--psi", "0,1"],
+    "probe closed-range": ["probe", "closed-range", "--space", "hardy", "--phi", "0,1"],
+    "probe fredholm": ["probe", "fredholm", "--space", "hardy"],
+    "probe spherical": ["probe", "spherical", "--degree", "0"],
+    "probe wot": ["probe", "wot", "--space", "hardy", "--geometric", "0.9"],
+    "probe normbound": ["probe", "normbound", "--space", "hardy", "--families", "1"],
+}
+
+
+def at(words, *extra):
+    return [*BASE[words], *(str(x) for x in extra)]
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """The allocating calls a run reached, each stubbed to stop it with exit 2."""
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("stub reached")
+
+    for name in ("generate_weights", "annulus_peak", "ball_peak", "product_peak_check", "closed_range_probe",
+                 "fredholm_probe", "ball_space", "wot_dilation_probe"):
+        monkeypatch.setattr(cli, name, work)
+    for owner, name in ((cli.bz, "radial_path"), (cli.bz, "disk_grid"), (cli.np.random, "default_rng")):
+        monkeypatch.setattr(owner, name, work)
+    return calls
+
+
+EDGES = [
+    pytest.param(words, row.option, value, inside, id=f"{words} {row.option} {value}")
+    for row in cli.BOUNDS if isinstance(row, cli._Range)
+    for words in row.words
+    for edge, step in ((row.low, -1), (row.high, 1)) if edge is not None
+    for value, inside in ((edge + step, False), (edge, True))
+]
+
+
+@pytest.mark.parametrize("words, option, value, inside", EDGES)
+def test_range_rows_at_their_edges(reached, capsys, words, option, value, inside):
+    assert run(at(words, option, value)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 56 and all(line.startswith("error: ") for line in err), err
-    assert "--samples" in err[0] and "--samples" in err[1]
-    assert "grid:n=" in err[2] and "grid:n=" in err[3]
-    assert all("--truncation" in line for line in err[4:7])
-    assert all("--block" in line for line in err[7:11])
-    assert all("--truncation" in line and "--degree" in line for line in err[11:14])
-    assert "--families" in err[14]
-    assert all("--grid " in line for line in err[15:18])
-    assert all("--grid-s" in line and "--grid-phi" in line for line in err[18:20])
-    assert all("--weight-count" in line for line in err[20:23])
-    assert all("--n " in line and "--degree " in line for line in err[23:32])
-    assert all("--lambda-grid" in line and "points" in line for line in err[32:36])
-    assert all("--lambda-grid" in line and "rows of work" in line for line in err[36:40])
-    assert all("--m-max" in line for line in err[40:42])
-    assert all("--n-max-log2" in line for line in err[42:44])
-    assert "--m-max" in err[44] and "at least 0" in err[44]
-    assert all("--n-max-log2" in line and "at least 8" in line for line in err[45:47])
-    assert all("--grid " in line and "at least 2" in line for line in err[47:49])
-    assert "--grid " in err[49] and "at least 1" in err[49]
-    assert all("--grid-s " in line and "at least 1" in line for line in err[50:52])
-    assert "--grid-phi " in err[52] and "at least 1" in err[52]
-    assert "--n 1000000 times --grid 10000" in err[53] and str(2 ** 20) in err[53]
-    assert all("radial:theta=" in line and "finite" in line for line in err[54:56])
+    if inside:
+        assert reached and err == ["error: stub reached"]
+    else:
+        assert not reached and len(err) == 1 and err[0].startswith(f"error: {option} must be at "), err
 
 
-def test_largest_capped_sizes_are_accepted(monkeypatch, capsys):
-    # each cap admits its own bound: the run reaches a stub in place of the work
-    import berezin_lab.cli as cli
+HUGE = 10 ** 12
+# past a bound, with what the error line names: each rule's over-cap argvs
+# and range values far from their edges
+REJECTED = [
+    *((at("gbt", "--samples", n), "--samples") for n in (HUGE, 2 ** 20 + 1)),
+    (at("gbt", "--path", f"grid:n={HUGE}"), "grid:n="),
+    (at("gbt", "--path", f"grid:n={2 ** 20 + 1}"), "grid:n="),
+    (at("gbt", "--path", "grid", "--samples", HUGE), "grid:n="),
+    *((at("gbt", "--path", f"radial:theta={t}"), "radial:theta=") for t in ("nan", "inf")),
+    *((at("charspace", o, v), o) for o, v in (("--m-max", 100000), ("--n-max-log2", 100000), ("--n-max-log2", -3))),
+    (at("charspace", "--lambda-grid", "mod=1e308:1e308:0.5"), "--lambda-grid mod=1e308:1e308:0.5 needs moduli"),
+    *((at("charspace", *extra), "points") for extra in (
+        ["--weight-count", 4096, "--lambda-grid", "mod=0:0:1,args=16385"],
+        ["--weight-count", 4096, "--lambda-grid", "mod=0:0:1,args=100000"],
+        ["--lambda-grid", "mod=0:1:0.0001,args=2"],
+        ["--lambda-grid", f"mod=0:{HUGE}:1e-300,args=1"],
+    )),
+    *((at("charspace", *extra), "rows of work") for extra in (
+        ["--lambda-grid", "mod=0:0.923:0.001,args=1"],
+        ["--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", 12],
+        ["--weight-count", 2 ** 20, "--n-max-log2", 20, "--lambda-grid", "mod=0:0.7:0.1,args=1"],
+        ["--weight-count", 2 ** 20, "--n-max-log2", 8, "--lambda-grid", "mod=0:1:0.003,args=1"],
+    )),
+    *((at("shift spr", "--kmax", kmax), "of --weight-count") for kmax in (12, HUGE)),
+    (at("peaks product", "--grid", HUGE), "--grid "),
+    (at("peaks annulus", "--grid", -4), "--grid "),
+    (at("peaks ball", "--grid-s", -2, "--grid-phi", -2), "--grid-s "),
+    (at("peaks ball", "--grid-s", 5, "--grid-phi", 512), "--grid-s times --grid-phi squared"),
+    (at("peaks ball", "--grid-s", 1, "--grid-phi", 1025), "--grid-s times --grid-phi squared"),
+    (at("peaks annulus", "--n", 1000000), f"--n 1000000 times --grid 10000 must be at most {2 ** 20}"),
+    (at("probe closed-range", "--n-schedule", 128, 4194304), "--n-schedule"),
+    (at("probe fredholm", "--n-schedule", 1000000000), "--n-schedule"),
+    *((at("probe spherical", "--n", HUGE, "--degree", d), "--n ") for d in (3, HUGE)),
+    *((at("probe spherical", "--n", n, "--degree", d), f"--n {n} with --degree {d}")
+      for n, d in ((3, 60), (1, 2896), (3, 20), (7, 7), (203, 1), (3, HUGE))),
+    *((at("probe wot", "--block", b), "--block") for b in (HUGE, -1)),
+    (at("probe normbound", "--truncation", HUGE), "--truncation"),
+    (at("probe normbound", "--degree", HUGE), "--truncation must lie above --degree"),
+    (at("probe normbound", "--truncation", 5), "--truncation must lie above --degree 5"),
+    *((at("probe normbound", "--truncation", t, "--degree", d), f"--truncation {t} with --degree {d}")
+      for t, d in ((2 ** 14, 2 ** 14 - 1), (1200, 1199), (2 ** 14, 6))),
+]
+# at a bound: each rule's at-cap argvs, and ranges at two edges at once
+ACCEPTED = [
+    at("gbt", "--samples", 2),
+    at("gbt", "--samples", 2 ** 20),
+    at("gbt", "--path", f"grid:n={2 ** 20}", "--samples", HUGE),
+    at("charspace", "--lambda-grid", f"mod={cli._MODULUS_CAP!r}:{cli._MODULUS_CAP!r}:1"),
+    at("charspace", "--weight-count", 4096, "--lambda-grid", "mod=0:0:1,args=16384"),
+    at("charspace", "--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", 8, "--weight-count", 4096),
+    at("charspace", "--lambda-grid", "mod=0:0.922:0.001,args=1"),
+    at("charspace", "--weight-count", 2 ** 20, "--n-max-log2", 20, "--m-max", 20, "--lambda-grid", "mod=0:0.6:0.1,args=1"),
+    at("shift spr", "--kmax", 11),
+    at("peaks ball", "--grid-s", 1, "--grid-phi", 1),
+    at("peaks ball", "--grid-s", 4, "--grid-phi", 512),
+    at("peaks annulus", "--n", 2 ** 19, "--grid", 2),
+    BASE["probe closed-range"],
+    BASE["probe fredholm"],
+    at("probe fredholm", "--n-schedule", 128, 256, 512),
+    *(at("probe spherical", "--n", n, "--degree", d) for n, d in ((1, 2895), (2, 62), (202, 1), (256, 0))),
+    at("probe normbound", "--families", 2 ** 14, "--truncation", 2 ** 14),
+    at("probe normbound", "--truncation", 6),
+    at("probe normbound", "--truncation", 1100, "--degree", 1099),
+]
 
-    reached = []
 
-    def stub(name):
-        def work(*args, **kwargs):
-            reached.append(name)
-            raise ValueError("stub reached")
-        return work
+@pytest.mark.parametrize("argv, names", REJECTED, ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_argvs_past_a_bound_never_reach_the_work(reached, capsys, argv, names):
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert not reached and len(err) == 1 and err[0].startswith("error: ") and names in err[0], err
 
-    for name in ("norm_lower_bound_check", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights",
-                 "spherical_contraction_check"):
-        monkeypatch.setattr(cli, name, stub(name))
-    normbound = ["probe", "normbound", "--space", "hardy"]
-    assert run([*normbound, "--families", str(2 ** 14), "--truncation", str(2 ** 14)]) == 2
-    assert run([*normbound, "--families", "1", "--truncation", "1100", "--degree", "1099"]) == 2
-    assert run(["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", str(2 ** 20)]) == 2
-    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", str(2 ** 20)]) == 2
-    assert run(["peaks", "ball", "--grid-s", "4", "--grid-phi", "512"]) == 2
-    # and each grid's lower bound its own
-    assert run(["peaks", "product", "--phi", "0,1", "--psi", "0,1", "--grid", "1"]) == 2
-    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--grid", "2"]) == 2
-    assert run(["peaks", "ball", "--grid-s", "1", "--grid-phi", "1"]) == 2
-    assert run(["shift", "spr", "--weights", "simple:r=0.5", "--weight-count", str(2 ** 20)]) == 2
-    for n, degree in (("1", "2895"), ("2", "62"), ("202", "1"), ("256", "0")):
-        assert run(["probe", "spherical", "--n", n, "--degree", degree]) == 2
-    charspace = ["charspace", "--weights", "simple:r=0.5"]
-    for extra in (
-        ["--weight-count", "4096", "--lambda-grid", "mod=0:0:1,args=16384"],
-        ["--lambda-grid", "mod=0:1:0.0001,args=1", "--n-max-log2", "8", "--weight-count", "4096"],
-        ["--lambda-grid", "mod=0:0.922:0.001,args=1"],
-        ["--weight-count", str(2 ** 20), "--n-max-log2", "20", "--m-max", "20", "--lambda-grid", "mod=0:0.6:0.1,args=1"],
-    ):
-        assert run([*charspace, *extra]) == 2
-    assert run(["peaks", "annulus", "--R", "2", "--r", "1", "--n", str(2 ** 19), "--grid", "2"]) == 2
-    assert reached == [
-        "norm_lower_bound_check", "norm_lower_bound_check", "product_peak_check", "annulus_peak",
-        "ball_peak", "product_peak_check", "annulus_peak", "ball_peak", "generate_weights", *["spherical_contraction_check"] * 4, *["generate_weights"] * 4,
-        "annulus_peak",
-    ]
-    assert all(line == "error: stub reached" for line in capsys.readouterr().err.splitlines())
+
+@pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+def test_argvs_at_a_bound_reach_the_work(reached, capsys, argv):
+    assert run(argv) == 2
+    assert reached and capsys.readouterr().err == "error: stub reached\n"
+
+
+def test_every_cap_is_read_by_a_bound_row():
+    # a cap checked beside the table, or one that no row reads, fails here
+    caps = {name for name in vars(cli) if name.endswith("_CAP")}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    table = next(n for n in tree.body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "BOUNDS")
+    read = {n.id for n in ast.walk(table) if isinstance(n, ast.Name)}
+    for row in cli.BOUNDS:
+        if isinstance(row, cli._Rule):
+            read |= set(inspect.getclosurevars(row.check).globals)
+    assert "N_CAP" in caps and caps <= read, caps - read
 
 
 def test_every_json_output_is_strict(tmp_path, capsys):
@@ -744,8 +738,6 @@ def test_parser_built_once_and_no_option_leaks_between_calls(tmp_path, capsys):
     # one process, options first and the defaults after them: every output
     # equals that of a fresh process, so no default or namespace value of an
     # earlier call carries over
-    import berezin_lab.cli as cli
-
     assert cli.build_parser() is cli.build_parser()
     closed = ["probe", "closed-range", "--space", "hardy", "--blaschke", "0.5"]
     gbt = ["gbt", "--space", "bergman", "--op", "Mz^* Mz", "--samples", "4", "--rmax", "0.9"]
