@@ -117,11 +117,11 @@ def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float =
     by a coarse norm bound of the tree.
 
     The index raise and the norm bound are formed once.  The outermost
-    point is sampled first, by a lone ``kernel_vector`` call, and its
-    vector's tables, sized for it alone, are the workspace of every other
-    point: the stop bound does not fall as |z| grows, and a vector they do
-    not reach builds its own.  The values are those of one-point profiles,
-    bit for bit.  The tail test and every truncation
+    point is sampled first: the stop bound does not fall as |z| grows, so
+    its kernel vector extends the space's norm table, weights and
+    exponents (``spaces.KernelSpace``) as far as the profile reads them,
+    and every other point reads views of them.  The values are those of
+    one-point profiles, bit for bit.  The tail test and every truncation
     error are monotone in |z|, so a profile raises where its outermost
     point does, with that point's error."""
     points = list(points)
@@ -134,11 +134,8 @@ def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float =
     samples = [None] * len(points)
     if points:
         outer = max(range(len(points)), key=lambda i: abs(complex(points[i])))
-        first = kernel_vector(space, points[outer], tol, pad=pad)
-        samples[outer] = sample(first)
-        for i, z in enumerate(points):
-            if i != outer:
-                samples[i] = sample(kernel_vector(space, z, tol, pad=pad, tables=first.tables))
+        for i in (outer, *range(outer), *range(outer + 1, len(points))):
+            samples[i] = sample(kernel_vector(space, points[i], tol, pad=pad))
     if path is None:
         path = {"kind": "points", "count": len(samples)}
     return BerezinProfile(op_label=op_label, samples=tuple(samples), path=path)

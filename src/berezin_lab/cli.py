@@ -58,7 +58,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import N_CAP, ball_space, space_by_name
+from .spaces import N_CAP, TruncationError, ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -145,6 +145,7 @@ def _normbound_work(n: int, degree: int) -> int:
 
 
 _TRUNCATION_CAP = 2 ** 14
+_SERIES_TERMS_CAP = 2 ** 12
 _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
 _SPHERICAL_CAP = 2 ** 23
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
@@ -218,6 +219,15 @@ def _annulus_size(args):
     return args.n * args.grid > N_CAP and f"--n {args.n} times --grid {args.grid} must be at most {N_CAP}"
 
 
+def _blaschke_degree(args):
+    try:
+        if args.blaschke:
+            BlaschkeProduct(tuple(_coeff_list(args.blaschke))).series(args.tail_tol, cap=_SERIES_TERMS_CAP)
+    except TruncationError:
+        return (f"--blaschke {args.blaschke} needs a series of degree above {_SERIES_TERMS_CAP - 1} "
+                f"at --tail-tol {args.tail_tol:g}")
+
+
 def _spherical_size(args):
     # n C(n + d, n)^2 >= (d + 1)^2 bounds d first, keeping the binomial small; n < 1, d < 0 are ball_space's
     n, d = args.n, args.degree
@@ -262,6 +272,10 @@ BOUNDS = (
            "half-width min(p, N - 1), p the series degree, in blocks of N terms: closed-range --space bergman "
            "--blaschke 0.99 (p = 4095) --n-schedule 256 512 1024 2048 took 6.2 s and 467 MB; on hardy, every N "
            "from 2 to 2048 took 1.9 s (closed-range --phi 0,1) and 7.2 s (fredholm), 45 MB each"),
+    _Rule(("probe closed-range",), _blaschke_degree, "the kernel channel applies the degree-p series at each of "
+          "49 grid points, O(p (N + p)) each: at the cap --space bergman --blaschke 0.99 (p = 4095) took 5.0-7.3 s "
+          "and 152 MB, and 6.5 s and 467 MB with --n-schedule 256 512 1024 2048; --blaschke 0.999 (p = 32767) "
+          "ran past 5 min"),
     _Range(("probe spherical",), "--n", None, 2 ** 8, "the monomials number C(n + degree, n)"),
     _Rule(("probe spherical",), _spherical_size, "it reads two diagonals over the monomials: --n 1 --degree 2895 "
           "took 0.34 s and --n 2 --degree 62 0.31 s, each 35 MB"),

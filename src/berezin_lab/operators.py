@@ -345,19 +345,19 @@ class BlaschkeProduct:
         tail = float(np.sum(np.abs(conv[length:]))) + trunc_err
         return conv[:length], tail
 
-    def series(self, tol: float):
+    def series(self, tol: float, cap: int = SERIES_CAP):
         """``coefficients`` at the shortest length 2, 4, 8, ... whose tail
-        is at most ``tol``; raises ``TruncationError`` if ``SERIES_CAP``
-        terms do not reach it."""
+        is at most ``tol``; raises ``TruncationError`` if ``cap`` terms (a
+        power of two) do not reach it."""
         length = 2
         while True:
             coeffs, tail = self.coefficients(length)
             if tail <= tol:
                 return coeffs, tail
-            if length >= SERIES_CAP:
+            if length >= cap:
                 raise TruncationError(
                     f"Blaschke series tail {tail:.3g} still above {tol:g} "
-                    f"at {SERIES_CAP} terms"
+                    f"at {cap} terms"
                 )
             length *= 2
 
@@ -501,6 +501,8 @@ def closed_range_probe(
         label = f"blaschke{tuple(phi.zeros)}"
     else:
         coeffs = np.atleast_1d(np.asarray(phi, dtype=complex))
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("phi coefficients must be finite")
         series_tail = 0.0
         label = f"M({_short(coeffs)})"
 

@@ -85,11 +85,15 @@ def annulus_peak(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"peak point alpha = {alpha} must be finite")
     if abs(abs(alpha) - big_r) > 1e-9 * big_r:
         raise ValueError(f"peak point {alpha} is not on the outer circle |z| = {big_r}")
     threshold = annulus_lambda_threshold(big_r, small_r, n)
     if lam_abs is None:
         lam_abs = threshold / 2
+    if not math.isfinite(lam_abs):
+        raise ValueError(f"|lam| = {lam_abs} must be finite")
     if lam_abs < 0 or lam_abs >= threshold:
         raise ValueError(
             f"|lam| = {lam_abs} outside [0, {threshold:.6g}); beyond the "
@@ -205,6 +209,9 @@ def product_peak_check(
     """
     phi_coeffs = np.atleast_1d(np.asarray(phi_coeffs, dtype=complex))
     psi_coeffs = np.atleast_1d(np.asarray(psi_coeffs, dtype=complex))
+    for name, coeffs in (("phi", phi_coeffs), ("psi", psi_coeffs)):
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"{name} coefficients must be finite")
     circle = circle_grid(grid_n)
     vphi = np.abs(poly_eval(phi_coeffs, circle))
     vpsi = np.abs(poly_eval(psi_coeffs, circle))

@@ -32,16 +32,17 @@ subnormal |z|.
 
 ``kernel_vector`` truncates at the smallest index whose tail test passes
 (its docstring gives the rule and the bracket the test decides in).  Each
-term r2^k / h_k is formed once, in one buffer that becomes the zero-padded
-frame vector, normalized in place; one norm table serves the test and the
-frame's shift weights.  Table, weights, exponent indices and buffer make
-up a ``KernelTables`` workspace, sized by ``kernel_vector`` alone and
-kept on the vector (``KernelVector.tables``): a lone vector builds its
-own, and a vector passed the tables of another reuses them where they
-reach far enough.  A transform profile passes its outermost point's tables
-to its other points.  Built-in tables are prefix-stable (h_0..h_n do not
-depend on how far the table reaches), so a prefix of a longer table has
-the same bits.
+term r2^k / h_k is formed once, in an array of the vector's own that
+becomes its zero-padded frame, normalized in place, so a vector stays
+valid for its whole life.  The space keeps the longest prefixes it has
+formed of its norm table, its shift weights and the int32 exponents
+0..n, read-only, and every reader (the kernel vectors, the Gram band,
+the probes' weights) takes views of them, extended on demand: one norm
+table per space, which serves each vector's tail test and its frame's
+weights.  Built-in tables are prefix-stable (h_0..h_n do not depend on
+how far the table reaches) and the weights are elementwise, so a view
+has the bits of a table formed at its own length, whatever order the
+requests come in.
 
 On ``mu``: with the circle part normalized to dtheta/2pi the monomials stay
 orthogonal with h_0 = 2, h_k = 1, hence shift weights a_0 = 1/sqrt(2),
@@ -112,6 +113,12 @@ class KernelSpace:
     their suffix minima (the smallest ratio from k to the table's end),
     formed once where the table is validated and read by every kernel
     vector; both are ``None`` on a built-in kind.
+
+    ``_kept`` holds the longest prefixes formed so far of the norm table
+    (``h``, starting as a view of the field), the weights (``a``) and the
+    exponents (``k``), each read-only; ``h_table``, ``shift_weights`` and
+    ``exponents`` return views of them and replace one that is too short.
+    A custom table's weights and exponents reach only as far as asked.
     """
 
     kind: str
@@ -120,26 +127,49 @@ class KernelSpace:
     s: float | None = None
     ratios: np.ndarray | None = field(default=None, compare=False, repr=False)
     floor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        h = self.h.view()
+        h.flags.writeable = False
+        self._kept["h"] = h
 
     @property
     def extendable(self) -> bool:
         return self.kind in BUILTIN_KINDS
 
+    def _prefix(self, name: str, length: int, form) -> np.ndarray:
+        """The first ``length`` entries of the kept array ``name``, which
+        ``form(length)`` replaces when it is shorter."""
+        kept = self._kept.get(name)
+        if kept is None or len(kept) < length:
+            kept = form(length)
+            kept.flags.writeable = False
+            self._kept[name] = kept
+        return kept[:length]
+
     def h_table(self, n: int) -> np.ndarray:
-        """h_0..h_n, recomputing built-in tables on demand."""
-        if n < len(self.h):
-            return self.h[: n + 1]
-        if not self.extendable:
+        """h_0..h_n, extending a built-in table on demand."""
+        if n >= len(self.h) and not self.extendable:
             raise TruncationError(
                 f"custom norm table of length {len(self.h)} exhausted; "
                 f"requested h_0..h_{n}"
             )
-        return _h_values(self.kind, n, self.s)
+        return self._prefix("h", n + 1, lambda m: _h_values(self.kind, m - 1, self.s))
 
     def shift_weights(self, n: int) -> np.ndarray:
         """a_k = sqrt(h_{k+1}/h_k) for k = 0..n-1."""
-        h = self.h_table(n)
-        return np.sqrt(h[1:] / h[:-1])
+        def form(m):
+            h = self.h_table(m)
+            a = h[1:] / h[:-1]
+            return np.sqrt(a, out=a)
+
+        return self._prefix("a", n, form)
+
+    def exponents(self, n: int) -> np.ndarray:
+        """The exponents 0..n as int32 (a truncation never passes
+        ``N_CAP``, so int32 holds them)."""
+        return self._prefix("k", n + 1, lambda m: np.arange(m, dtype=np.int32))
 
 
 def monomial_norms(kind: str, n: int, s: float | None = None) -> KernelSpace:
@@ -223,11 +253,9 @@ class KernelVector:
     K(z,z) lies in [norm_sq, norm_sq * (1 + tail)].
 
     ``v`` is ``coeffs`` followed by ``pad`` zeros (``coeffs`` is its
-    leading view), and ``a`` the shift weights a_0..a_(n+pad-2) of that
-    frame, read from the norm table the truncation read.  All three are
-    views of ``tables``, the ``KernelTables`` the vector was formed in,
-    and stay valid only until the next ``kernel_vector`` call passed
-    those tables overwrites their buffer.
+    leading view), an array of the vector's own, and ``a`` the shift
+    weights a_0..a_(n+pad-2) of that frame, a read-only view of the
+    space's weights (``KernelSpace.shift_weights``).
     """
 
     z: complex
@@ -237,38 +265,10 @@ class KernelVector:
     tail: float
     v: np.ndarray = field(repr=False, compare=False)
     a: np.ndarray = field(repr=False, compare=False)
-    tables: KernelTables = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.coeffs)
-
-
-class KernelTables:
-    """The workspace of the kernel vectors of ``space`` whose frames end
-    by index ``size``: the norms ``h`` = h_0..h_size, the shift weights
-    ``a`` = a_0..a_(size-1), the exponents ``idx`` = 0..min(size, N_CAP)
-    (a truncation never passes ``N_CAP``, so int32 holds them) and
-    ``buf``, size + 1 entries for the terms and the frame vector.  Each
-    prefix has the bits of ``space.h_table`` and ``space.shift_weights``
-    of its length.  The weights are formed when first read, so a vector
-    whose tail test raises never forms them."""
-
-    __slots__ = ("space", "h", "idx", "buf", "_a")
-
-    def __init__(self, space: KernelSpace, size: int):
-        self.space = space
-        self.h = space.h_table(size)
-        self.idx = np.arange(min(size, N_CAP) + 1, dtype=np.int32)
-        self.buf = np.empty(size + 1)
-        self._a = None
-
-    @property
-    def a(self) -> np.ndarray:
-        if self._a is None:
-            a = self.h[1:] / self.h[:-1]
-            self._a = np.sqrt(a, out=a)
-        return self._a
 
 
 def _first_passing(passes, lo: int, hi: int) -> int:
@@ -323,8 +323,7 @@ def _stop_bound(space: KernelSpace, r2: float, tol: float, n0: int) -> int:
 
 
 def kernel_vector(
-    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32,
-    tables: KernelTables | None = None,
+    space: KernelSpace, z: complex, tol: float = 1e-12, pad: int = 0, n_start: int = 32
 ) -> KernelVector:
     """Truncated kernel vector with relative tail below ``tol``.
 
@@ -361,13 +360,13 @@ def kernel_vector(
     follow the coefficients in ``v`` so that products never hit its top
     edge.
 
-    The norm table reaches h_(hi+pad-1) (h_hi at pad 0, and no further
-    than a custom table's end), and the vector is formed in ``tables``
-    (another vector's ``.tables``) where they reach that far, else in
-    tables of its own, sized to that reach; the bits are the same either
-    way.  The powers r2^k are formed with an array base (``buf.fill(r2)``,
-    then ``np.power`` against the indices), which takes numpy's contiguous
-    loop and gives the bits of ``np.power(r2, k)``.
+    The space's norm table is read up to h_(hi+pad-1) (h_hi at pad 0, and
+    no further than a custom table's end), its weights up to the frame's
+    and its exponents up to hi - 1, each a view of the prefix the space
+    keeps (``KernelSpace``).  The terms and the frame are one array of the
+    vector's own.  The powers r2^k are formed with an array base
+    (``fill(r2)``, then ``np.power`` against the exponents), which takes
+    numpy's contiguous loop and gives the bits of ``np.power(r2, k)``.
     """
     z = complex(z)
     if not abs(z) < 1:
@@ -423,16 +422,12 @@ def kernel_vector(
     top = hi + max(pad, 1) - 1
     if not space.extendable:
         top = min(top, len(space.h) - 1)
-    if tables is None or len(tables.h) <= top:
-        tables = KernelTables(space, top)
-    elif tables.space is not space:
-        raise ValueError(f"kernel tables of {tables.space.label} passed for {space.label}")
-    h = tables.h
-    # the buffer of terms t_k = r2^k / h_k, formed up to hi, becomes the frame
-    terms = tables.buf
+    h = space.h_table(top)
+    # the terms t_k = r2^k / h_k, formed up to hi, become the frame
+    terms = np.empty(top + 1)
     formed = terms[:hi]
     formed.fill(r2)
-    np.power(formed, tables.idx[:hi], out=formed)
+    np.power(formed, space.exponents(hi - 1), out=formed)
     np.divide(formed, h[:hi], out=formed)
     partials = {}
 
@@ -460,12 +455,9 @@ def kernel_vector(
     partial = partials[n]
     if partial == math.inf:  # where it overflows, the test passes spuriously
         raise TruncationError(f"the kernel series of {space.label} overflows at |z| = {abs(z):.4g}")
-    # the weights of ``shift_weights(n + pad - 1)``, from the same table;
-    # past the end of a custom table ``h_table`` raises
+    # the frame's weights; past the end of a custom table ``h_table`` raises
     size = n + pad
-    if len(h) < size:
-        space.h_table(size - 1)
-    a = tables.a[: size - 1]
+    a = space.shift_weights(size - 1)
     # the terms become the padded frame, normalized in place; a term below
     # the normal range has lost digits, and then the powers of |z| itself
     # keep them (|z| < 1e-5, where n is short)
@@ -479,9 +471,7 @@ def kernel_vector(
         coeffs /= np.sqrt(h[:n])
     coeffs /= math.sqrt(partial)
     w = z / abs(z) if z else 1 + 0j
-    return KernelVector(
-        z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=tail(n, partial), v=v, a=a, tables=tables
-    )
+    return KernelVector(z=z, w=w, coeffs=coeffs, norm_sq=partial, tail=tail(n, partial), v=v, a=a)
 
 
 # ---------------------------------------------------------------------------

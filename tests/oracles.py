@@ -1,10 +1,11 @@
 """Reference constructions and checks shared by several test modules."""
 
+import dataclasses
 import math
 
 import numpy as np
 
-from berezin_lab import exprs
+from berezin_lab import exprs, spaces
 from berezin_lab.shifts import _dyadic_prefix, _sandwich
 from berezin_lab.spaces import N_CAP, KernelSpace, TruncationError, kernel_vector
 
@@ -192,20 +193,56 @@ def reject_constant(name):
 
 # ---------------------------------------------------------------------------
 # allocating references for the in-place kernel vector and evaluator: every
-# table size tried rebuilds its norm table and its terms, the frame is a
-# fresh zero vector with weights from a table of its own, and every
-# operation of the evaluator returns a new array.  Their bits are what the
-# package must reproduce.
+# table size tried builds its norm table afresh (never a view of the prefix
+# the space keeps) and its terms, the frame is a fresh zero vector with
+# weights from a table of its own, and every operation of the evaluator
+# returns a new array.  Their bits are what the package must reproduce.
+
+
+def fresh_space(space: KernelSpace) -> KernelSpace:
+    """The same space with no prefix formed past its ``h`` field (a
+    module-level space keeps its prefixes from one test to the next)."""
+    return dataclasses.replace(space)
+
+
+def table_reach(space: KernelSpace) -> int:
+    """The length of the norm table the space has formed so far."""
+    return len(space._kept["h"])
+
+
+def count_table_builds(monkeypatch) -> list:
+    """The last indices n of the norm tables h_0..h_n that
+    ``spaces._h_values`` builds from now on, in order."""
+    built = []
+    h_values = spaces._h_values
+    monkeypatch.setattr(spaces, "_h_values", lambda kind, n, s=None: built.append(n) or h_values(kind, n, s))
+    return built
+
+
+def fresh_h_table(space: KernelSpace, n: int) -> np.ndarray:
+    """h_0..h_n formed anew: a built-in table by ``spaces._h_values`` at
+    this length, a custom one copied from its field."""
+    if space.extendable:
+        return spaces._h_values(space.kind, n, space.s)
+    if n >= len(space.h):
+        raise TruncationError(f"custom norm table of length {len(space.h)} exhausted; requested h_0..h_{n}")
+    return space.h[: n + 1].copy()
+
+
+def fresh_shift_weights(space: KernelSpace, n: int) -> np.ndarray:
+    """a_0..a_(n-1) from a fresh table of their own."""
+    h = fresh_h_table(space, n)
+    return np.sqrt(h[1:] / h[:-1])
 
 
 def _reference_table(space: KernelSpace, n: int):
     """(h, n): h_0..h_(n+1) for truncation n, or the whole of a custom
     table that ends before h_(n+1), with n moved to its last index."""
     try:
-        return space.h_table(n + 1), n
+        return fresh_h_table(space, n + 1), n
     except TruncationError:
         if not space.extendable and len(space.h) >= 2:
-            h = space.h_table(len(space.h) - 1)
+            h = fresh_h_table(space, len(space.h) - 1)
             return h, len(h) - 1
         raise
 
@@ -299,7 +336,7 @@ def reference_kernel_frame(space: KernelSpace, z: complex, tol: float = 1e-12, p
     n = len(coeffs) + pad
     v = np.zeros(n)
     v[: len(coeffs)] = coeffs
-    return coeffs, space.shift_weights(max(n - 1, 0)), v
+    return coeffs, fresh_shift_weights(space, max(n - 1, 0)), v
 
 
 def _reference_shift_series(coeffs, adjointed, a, v):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from berezin_lab import exprs, spaces
+from berezin_lab import exprs
 from berezin_lab.berezin import (
     PROFILE_HEADER,
     BerezinProfile,
@@ -25,7 +25,7 @@ from berezin_lab.formats import read_columns, to_json
 from berezin_lab.operators import poly_eval
 from berezin_lab.spaces import KernelSpace, TruncationError, custom_space, kernel_vector, monomial_norms
 
-from oracles import dense_mult, kernel_at, reference_apply
+from oracles import count_table_builds, dense_mult, fresh_space, kernel_at, reference_apply
 
 rng = np.random.default_rng(616263)
 
@@ -526,15 +526,16 @@ def test_profile_samples_are_lone_samples_bit_for_bit(space):
 
 
 def test_profile_builds_one_norm_table(monkeypatch):
-    # a built-in profile reads one table, sized for its outermost point
-    calls = []
-    h_table = KernelSpace.h_table
-    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    # a built-in profile on a fresh space builds one table, sized for its
+    # outermost point; a second profile nearer the centre builds none
+    built = count_table_builds(monkeypatch)
     node = exprs.parse("[Mz^*, Mz] Mz")
-    for space in (bergman, rs3):
-        calls.clear()
+    for space in (fresh_space(bergman), fresh_space(rs3)):
+        del built[:]
         prof = gbt_profile(space, node, radial_path(0.4, 0.999, 12))
-        assert len(calls) == 1 and calls[0] >= max(s.trunc_n for s in prof.samples) - 1, calls
+        assert len(built) == 1 and built[0] >= max(s.trunc_n for s in prof.samples) - 1, built
+        gbt_profile(space, node, radial_path(1.1, 0.99, 12))
+        assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("space,points,tol", [
@@ -567,24 +568,23 @@ def test_profile_raises_its_outermost_lone_samples_error(space, points, tol):
 
 @pytest.mark.parametrize("points", [radial_path(0.7, 0.99, 10), disk_grid(20, 0.9)], ids=["radial", "grid"])
 def test_custom_table_profile_builds_one_workspace(points, monkeypatch):
-    # the workspace is the outermost point's own tables: one KernelTables,
-    # as large as a lone call's there and short of the whole table
-    built = []
-
-    class Counted(spaces.KernelTables):
-        __slots__ = ()
-
-        def __init__(self, space, size):
-            super().__init__(space, size)
-            built.append(size)
-
+    # a custom profile forms the weights and exponents once each, at its
+    # outermost point: as far as a lone call's there reach, and short of
+    # the whole table
     node = exprs.parse("[Mz^*, Mz] Mz")
     outer = max(points, key=abs)
-    lone = kernel_vector(_short_custom, outer, 1e-10, pad=exprs.raise_degree(node))
-    monkeypatch.setattr(spaces, "KernelTables", Counted)
-    gbt_profile(_short_custom, node, points, tol=1e-10)
-    assert built == [len(lone.tables.h) - 1]
-    assert len(lone.tables.h) < len(_short_custom.h)
+    lone_space = fresh_space(_short_custom)
+    kernel_vector(lone_space, outer, 1e-10, pad=exprs.raise_degree(node))
+    formed = []
+    prefix = KernelSpace._prefix
+
+    def counted(sp, name, length, form):
+        return prefix(sp, name, length, lambda m: formed.append((name, m)) or form(m))
+
+    monkeypatch.setattr(KernelSpace, "_prefix", counted)
+    gbt_profile(fresh_space(_short_custom), node, points, tol=1e-10)
+    assert formed == [("k", len(lone_space._kept["k"])), ("a", len(lone_space._kept["a"]))], formed
+    assert len(lone_space._kept["a"]) < len(_short_custom.h) - 1
 
 
 def test_profile_contractivity_invariant():

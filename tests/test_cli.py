@@ -315,6 +315,28 @@ def test_probe_closed_range_blaschke(tmp_path):
     assert doc["classification"] == "bounded_below"
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["peaks", "annulus", "--R", "2", "--r", "1", "--alpha", "nan"], "peak point alpha = (nan+0j) must be finite"),
+    (["peaks", "annulus", "--R", "2", "--r", "1", "--lam", "nan"], "|lam| = nan must be finite"),
+    (["peaks", "product", "--phi", "1", "--psi", "nan"], "psi coefficients must be finite"),
+    (["probe", "closed-range", "--space", "hardy", "--phi", "nan,1"], "phi coefficients must be finite"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_non_finite_symbols_exit_2_before_any_grid(monkeypatch, capsys, argv, names):
+    # a NaN symbol or peak parameter is rejected where it enters, naming
+    # it: no grid point or kernel vector is formed, and no grid warns
+    def never(*args, **kwargs):
+        raise AssertionError("grid or kernel work reached")
+
+    from berezin_lab import operators, peaks
+
+    monkeypatch.setattr(peaks, "circle_grid", never)
+    monkeypatch.setattr(operators, "kernel_vector", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {names}\n"
+
+
 @pytest.mark.parametrize(
     "symbol, code, classification",
     [
@@ -558,6 +580,9 @@ REJECTED = [
     (at("peaks ball", "--grid-s", 1, "--grid-phi", 1025), "--grid-s times --grid-phi squared"),
     (at("peaks annulus", "--n", 1000000), f"--n 1000000 times --grid 10000 must be at most {2 ** 20}"),
     (at("probe closed-range", "--n-schedule", 128, 4194304), "--n-schedule"),
+    *((at("probe closed-range", "--blaschke", zeros), f"--blaschke {zeros} needs a series of degree above 4095")
+      for zeros in ("0.995", "0.999", "0.5,0.999i", "0.9999999")),
+    (["--tail-tol", "1e-300", *at("probe closed-range", "--blaschke", "0.99")], "--blaschke 0.99 needs"),
     (at("probe fredholm", "--n-schedule", 1000000000), "--n-schedule"),
     *((at("probe spherical", "--n", HUGE, "--degree", d), "--n ") for d in (3, HUGE)),
     *((at("probe spherical", "--n", n, "--degree", d), f"--n {n} with --degree {d}")
@@ -584,6 +609,7 @@ ACCEPTED = [
     at("peaks ball", "--grid-s", 4, "--grid-phi", 512),
     at("peaks annulus", "--n", 2 ** 19, "--grid", 2),
     BASE["probe closed-range"],
+    *(at("probe closed-range", "--blaschke", zeros) for zeros in ("0.5", "0.99", "0.9,-0.99i")),
     BASE["probe fredholm"],
     at("probe fredholm", "--n-schedule", 128, 256, 512),
     *(at("probe spherical", "--n", n, "--degree", d) for n, d in ((1, 2895), (2, 62), (202, 1), (256, 0))),

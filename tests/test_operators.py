@@ -34,6 +34,7 @@ from berezin_lab.spaces import (
 
 from oracles import (
     ball_coordinate_matrices,
+    count_table_builds,
     band_by_entries,
     band_from_dense,
     column_sigma_min,
@@ -41,6 +42,7 @@ from oracles import (
     dense_sum_sigma_max,
     kernel_at,
     projection_Pz,
+    table_reach,
     tall_mult_matrix,
     wot_deviation,
 )
@@ -802,6 +804,23 @@ def test_blaschke_series_is_shortest_meeting_tol():
     coeffs, tail = BlaschkeProduct((0.5,)).series(1e-12)
     assert len(coeffs) == 64 and tail <= 1e-12
     assert BlaschkeProduct((0.5,)).coefficients(32)[1] > 1e-12
+    # a cap of 64 terms still reaches it, one of 32 does not
+    assert BlaschkeProduct((0.5,)).series(1e-12, cap=64)[0].tobytes() == coeffs.tobytes()
+    with pytest.raises(TruncationError, match="at 32 terms$"):
+        BlaschkeProduct((0.5,)).series(1e-12, cap=32)
+
+
+def test_closed_range_forms_one_table_per_grid_ring_and_gram(monkeypatch):
+    # the 49 kernel vectors of the 5 grid rings and the Gram bands of the
+    # 4 truncations read one norm table, which the space extends at most
+    # once for each (the grid goes outwards, the schedule upwards); with a
+    # table per kernel vector and per Gram read the probe formed 58
+    built = count_table_builds(monkeypatch)
+    space = monomial_norms("bergman", 4)
+    rep = closed_range_probe(space, BlaschkeProduct((0.5,)))
+    assert len(rep["kernel_values"]) == 49 and len(rep["lambda_min"]) == 4
+    assert 1 <= len(built) <= 5 + 4 and built == sorted(built), built
+    assert table_reach(space) == built[-1] + 1 == 1024 + 63
 
 
 def test_closed_range_series_cap_raises_fast():

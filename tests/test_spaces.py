@@ -11,8 +11,6 @@ from berezin_lab import spaces
 from berezin_lab.formats import write_csv
 from berezin_lab.spaces import (
     N_CAP,
-    KernelSpace,
-    KernelTables,
     KernelVector,
     TruncationError,
     ball_space,
@@ -23,7 +21,16 @@ from berezin_lab.spaces import (
     load_h_table,
     monomial_norms,
 )
-from oracles import kernel_at, reference_kernel_frame, reference_kernel_vector
+from oracles import (
+    count_table_builds,
+    fresh_h_table,
+    fresh_shift_weights,
+    fresh_space,
+    kernel_at,
+    reference_kernel_frame,
+    reference_kernel_vector,
+    table_reach,
+)
 
 rng = np.random.default_rng(20260808)
 
@@ -316,80 +323,90 @@ def test_kernel_frame_past_a_custom_tables_end_raises():
 
 @pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
 def test_kernel_frame_bits_and_one_norm_table(space, monkeypatch):
-    # the frame's vector and weights come from the truncation's buffers; a
-    # built-in space reads one norm table per kernel vector, sized by the
-    # closed-form bracket of its truncation
-    calls = []
-    h_table = KernelSpace.h_table
-    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    # the frame's vector is the truncation's own array of terms and its
+    # weights are views of the space's; a kernel vector builds at most one
+    # norm table, none where the space's table reaches its frame, and a
+    # custom table none at all
+    space = fresh_space(space)
+    builds = count_table_builds(monkeypatch)
     for i, z in enumerate(BIT_POINTS):
         pad = i % 5
-        calls.clear()
+        reach = table_reach(space)
+        del builds[:]
         got = _kernel_or_error(kernel_vector, space, z, 1e-12, pad)
-        if space.extendable:
-            assert len(calls) == 1, (z, calls)
+        built = builds[:]
+        assert len(built) <= (1 if space.extendable else 0), (z, built)
         want = _kernel_or_error(reference_kernel_frame, space, z, 1e-12, pad)
         if isinstance(want, str):
             assert got == want, z
             continue
+        assert not built or built[0] >= reach, (z, built, reach)
+        assert not built or got.n + pad - 1 <= built[0] <= got.n + max(pad, 1) + 1, (z, built)
         coeffs, a_ref, v_ref = want
         assert got.coeffs.tobytes() == coeffs.tobytes(), z
         assert got.a.tobytes() == a_ref.tobytes() and got.v.tobytes() == v_ref.tobytes(), z
         assert np.shares_memory(got.coeffs, got.v), z
+        assert np.shares_memory(got.a, space._kept["a"]), z
         assert len(got.v) == got.n + pad and not np.any(got.v[got.n :]), z
         assert len(got.a) == got.n + pad - 1, z
 
 
 # ---------------------------------------------------------------------------
-# the per-profile workspace
+# the space's kept prefixes
 
 
 @pytest.mark.parametrize("space", [*BIT_SPACES, monomial_norms("rs", 4, s=2.5)], ids=lambda sp: sp.label)
-def test_kernel_tables_prefixes_are_the_spaces_tables(space):
-    # every prefix of a workspace has the bits of the space's own table and
-    # weights of that length: at every n of a 300-entry workspace, and on a
-    # built-in space at sizes spread over one sized for |z| = 0.9999
-    tables = KernelTables(space, 300)
-    assert np.array_equal(tables.idx, np.arange(301)) and tables.idx.dtype == np.int32
-    assert len(tables.buf) == 301
-    for n in range(1, 301):
-        assert np.array_equal(tables.h[: n + 1], space.h_table(n)), n
-        assert np.array_equal(tables.a[:n], space.shift_weights(n)), n
+def test_space_prefixes_have_the_bits_of_fresh_tables(space):
+    # every view of the kept table, weights and exponents has the bits of
+    # a table formed at its own length, whether a longer or a shorter one
+    # was asked for first; and on a built-in space the table a kernel
+    # vector at |z| = 0.9999 extends it to is its closed-form bracket
+    sizes = [1, 2, 33, 300] + ([1000, 4097] if space.extendable else [len(space.h) - 1])
+    for order in (sizes[::-1], sizes):
+        fresh = fresh_space(space)
+        for n in order + order[::-1]:
+            assert fresh.h_table(n).tobytes() == fresh_h_table(space, n).tobytes(), n
+            assert fresh.shift_weights(n).tobytes() == fresh_shift_weights(space, n).tobytes(), n
+            k = fresh.exponents(n)
+            assert k.dtype == np.int32 and np.array_equal(k, np.arange(n + 1)), n
     if not space.extendable:
         return
-    big = kernel_vector(space, 0.9999, 1e-12, pad=3).tables
-    size = len(big.h) - 1
+    fresh = fresh_space(space)
+    kv = kernel_vector(fresh, 0.9999, 1e-12, pad=3)
+    size = table_reach(fresh) - 1
     assert size == spaces._stop_bound(space, 0.9999**2, 1e-12, 32) + 2
+    assert len(kv.a) == kv.n + 2 <= size
     for n in (1, 2, 33, 1000, size // 2, size - 1, size):
-        n = min(n, size)
-        assert np.array_equal(big.h[: n + 1], space.h_table(n)), n
-        assert np.array_equal(big.a[:n], space.shift_weights(n)), n
+        assert fresh.h_table(n).tobytes() == fresh_h_table(space, n).tobytes(), n
+        assert fresh.shift_weights(n).tobytes() == fresh_shift_weights(space, n).tobytes(), n
 
 
 @pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
-def test_shared_tables_are_overwritten_and_lone_vectors_are_not(space):
-    # a vector formed in another vector's tables has the lone vector's bits
-    # until the next vector on the same tables overwrites the buffer; lone
-    # vectors keep tables of their own
-    tables = kernel_vector(space, 0.95, 1e-12, pad=2).tables
-    first = kernel_vector(space, 0.9, 1e-12, pad=2, tables=tables)
-    lone_first = kernel_vector(space, 0.9, 1e-12, pad=2)
-    assert first.tables is tables and lone_first.tables is not tables
-    assert first.v.tobytes() == lone_first.v.tobytes() and first.a.tobytes() == lone_first.a.tobytes()
-    kept = first.v.copy()
-    second = kernel_vector(space, 0.5j, 1e-12, pad=2, tables=tables)
-    lone_second = kernel_vector(space, 0.5j, 1e-12, pad=2)
-    assert second.v.tobytes() == lone_second.v.tobytes() and second.a.tobytes() == lone_second.a.tobytes()
-    assert np.shares_memory(first.v, second.v) and np.shares_memory(first.v, tables.buf)
-    assert not np.array_equal(first.v, kept)
-    assert not np.shares_memory(lone_first.v, lone_second.v)
-    assert lone_first.v.tobytes() == kept.tobytes()
-    # past the tables' reach a vector forms tables of its own
-    far = kernel_vector(space, 0.99, 1e-12, pad=2, tables=tables)
-    assert far.tables is not tables and not np.shares_memory(far.v, tables.buf)
-    assert len(far.tables.h) > len(tables.h)
-    with pytest.raises(ValueError, match="kernel tables of"):
-        kernel_vector(monomial_norms("rs", 4, s=7.0), 0.5, 1e-12, tables=tables)
+def test_kernel_vectors_keep_their_bits_after_later_vectors(space):
+    # each vector owns its frame: later vectors on the same space, nearer
+    # the circle (which extend its prefixes) or not, leave it as it was,
+    # and it has the bits of a vector formed on a fresh space
+    space = fresh_space(space)
+    points = [0.9, 0.5j, 0.95, -0.3, 0.99]
+    vectors = [kernel_vector(space, z, 1e-12, pad=2) for z in points]
+    for z, kv in zip(points, vectors):
+        lone = kernel_vector(fresh_space(space), z, 1e-12, pad=2)
+        assert kv.v.tobytes() == lone.v.tobytes() and kv.a.tobytes() == lone.a.tobytes(), z
+        assert kv.coeffs.tobytes() == lone.coeffs.tobytes(), z
+    for first, second in itertools.combinations(vectors, 2):
+        assert not np.shares_memory(first.v, second.v)
+
+
+@pytest.mark.parametrize("space", [BIT_SPACES[0], BIT_SPACES[-1]], ids=lambda sp: sp.label)
+def test_writing_into_a_kept_prefix_raises(space):
+    # the table, weights and exponents are read-only, and so the weights a
+    # kernel vector reads; its frame is its own to write
+    space = fresh_space(space)
+    kv = kernel_vector(space, 0.9, 1e-12, pad=1)
+    for view in (space.h_table(40), space.shift_weights(40), space.exponents(40), kv.a):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.5
+    kv.v[-1] = 0.0
 
 
 # (|z|, tol, pad) at which a table sized from a majorant at half the stop
@@ -401,12 +418,12 @@ LOOSE_TABLE_CASES = {20.0: [(0.99944, 2e-5, 200)], 7.0: [(0.999, 1e-2, 0)]}
     "kind,s", [("hardy", None), ("bergman", None), ("rs", 1.5), ("rs", 7.0), ("rs", 20.0), ("mu", None)]
 )
 def test_one_norm_table_across_points_tolerances_and_pads(kind, s, monkeypatch):
-    # a built-in space builds one table, reaching the truncation's frame and
-    # at most two indices past it (the top of the closed-form bracket)
-    space = monomial_norms(kind, 4, s=s)
-    calls = []
-    h_table = KernelSpace.h_table
-    monkeypatch.setattr(KernelSpace, "h_table", lambda sp, n: calls.append(n) or h_table(sp, n))
+    # on a fresh built-in space a kernel vector builds one table, reaching
+    # the truncation's frame and at most two indices past it (the top of
+    # the closed-form bracket); on a space shared by every case it builds
+    # that same table, or none where the space's table reaches that far
+    shared = monomial_norms(kind, 4, s=s)
+    built = count_table_builds(monkeypatch)
     r = np.random.default_rng(2113)
     cases = [
         (
@@ -417,9 +434,14 @@ def test_one_norm_table_across_points_tolerances_and_pads(kind, s, monkeypatch):
         for _ in range(60)
     ]
     for z, tol, pad in cases + LOOSE_TABLE_CASES.get(s, []):
-        calls.clear()
-        kv = kernel_vector(space, z, tol, pad)
-        assert len(calls) == 1 and kv.n + pad - 1 <= calls[0] <= kv.n + max(pad, 1) + 1, (z, tol, pad, calls)
+        fresh = monomial_norms(kind, 4, s=s)
+        del built[:]
+        kv = kernel_vector(fresh, z, tol, pad)
+        assert len(built) == 1 and kv.n + pad - 1 <= built[0] <= kv.n + max(pad, 1) + 1, (z, tol, pad, built)
+        top, reach = built[0], table_reach(shared)
+        del built[:]
+        assert kernel_vector(shared, z, tol, pad).v.tobytes() == kv.v.tobytes(), (z, tol, pad)
+        assert built == ([] if top < reach else [top]), (z, tol, pad, built, reach)
 
 
 def _smallest_passing_truncation(space, z, tol, n0, n_max):
