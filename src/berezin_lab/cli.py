@@ -47,6 +47,7 @@ from . import exprs
 from .characters import CharacterConfig, character_set_scan, verdict_to_dict
 from .formats import to_json, write_text
 from .operators import (
+    SERIES_CAP,
     BlaschkeProduct,
     closed_range_probe,
     commutator_norm_PzMphi,
@@ -145,7 +146,6 @@ def _normbound_work(n: int, degree: int) -> int:
 
 
 _TRUNCATION_CAP = 2 ** 14
-_SERIES_TERMS_CAP = 2 ** 12
 _NORMBOUND_WORK_CAP = _normbound_work(_TRUNCATION_CAP, 5)
 _SPHERICAL_CAP = 2 ** 23
 _MODULUS_CAP = math.sqrt(sys.float_info.max) / 2
@@ -222,9 +222,9 @@ def _annulus_size(args):
 def _blaschke_degree(args):
     try:
         if args.blaschke:
-            BlaschkeProduct(tuple(_coeff_list(args.blaschke))).series(args.tail_tol, cap=_SERIES_TERMS_CAP)
+            BlaschkeProduct(tuple(_coeff_list(args.blaschke))).series(args.tail_tol)
     except TruncationError:
-        return (f"--blaschke {args.blaschke} needs a series of degree above {_SERIES_TERMS_CAP - 1} "
+        return (f"--blaschke {args.blaschke} needs a series of degree above {SERIES_CAP - 1} "
                 f"at --tail-tol {args.tail_tol:g}")
 
 

@@ -273,8 +273,9 @@ def wot_dilation_probe(space: KernelSpace, coeffs, t_schedule, block: int = 20) 
 # ---------------------------------------------------------------------------
 # Fredholm and closed-range probes
 
-# longest Blaschke series prefix a closed-range probe will build
-SERIES_CAP = 2 ** 16
+# longest Blaschke series prefix a closed-range probe will build: its kernel
+# channel applies the series at each grid point in O(p (N + p)) for degree p
+SERIES_CAP = 2 ** 12
 
 
 def _truncation_schedule(n_schedule) -> list:
@@ -345,19 +346,19 @@ class BlaschkeProduct:
         tail = float(np.sum(np.abs(conv[length:]))) + trunc_err
         return conv[:length], tail
 
-    def series(self, tol: float, cap: int = SERIES_CAP):
+    def series(self, tol: float):
         """``coefficients`` at the shortest length 2, 4, 8, ... whose tail
-        is at most ``tol``; raises ``TruncationError`` if ``cap`` terms (a
-        power of two) do not reach it."""
+        is at most ``tol``; raises ``TruncationError`` if ``SERIES_CAP``
+        terms do not reach it."""
         length = 2
         while True:
             coeffs, tail = self.coefficients(length)
             if tail <= tol:
                 return coeffs, tail
-            if length >= cap:
+            if length >= SERIES_CAP:
                 raise TruncationError(
                     f"Blaschke series tail {tail:.3g} still above {tol:g} "
-                    f"at {cap} terms"
+                    f"at {SERIES_CAP} terms"
                 )
             length *= 2
 
