@@ -255,7 +255,9 @@ def _lambda_mins(w: WeightSequence, tasks: list) -> list:
     they run on one thread per CPU (at most one per task), largest N
     first so that no long solve starts last; the results are read back in
     task order, so the values do not depend on the thread count.  A
-    thread holds one X_N at a time: memory is O(threads * N).
+    thread holds one X_N at a time: memory is O(threads * N).  With the
+    CLI's BLAS thread policy on (``lapack.one_blas_thread``), the solver
+    threads are the only busy threads: no OpenBLAS worker spins beside them.
     """
 
     def solve(task):

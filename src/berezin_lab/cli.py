@@ -29,6 +29,9 @@ path, ``berezin.gbt_profile``; space names resolve through
 allocator to keep freed memory (``_keep_freed_heap``): the samples of a
 profile near the circle free and re-form arrays of megabytes, which
 glibc would otherwise return to the kernel and fault back in page by page.
+It also sets the BLAS thread policy (``lapack.one_blas_thread``): each
+OpenBLAS library runs on its caller's thread and its workers exit, so
+``charspace``'s solver threads have the CPUs to themselves.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import berezin as bz
-from . import exprs
+from . import exprs, lapack
 from .characters import CharacterConfig, character_set_scan, verdict_to_dict
 from .formats import to_json, write_text
 from .operators import (
@@ -582,6 +585,7 @@ def main(argv=None) -> int:
     or standard output; ``gbt --out`` has written its CSV and returns no
     body) and turns ``passed`` into the exit code."""
     _keep_freed_heap()
+    lapack.one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,6 +17,15 @@ f2py's wrappers hold it, so tridiagonal solves on several threads would
 otherwise run one at a time.  Loading ``_flapack`` checks that call bit
 for bit against the wrapper on one small matrix, and raises OSError if
 they differ.  Loading is thread-safe.
+
+``one_blas_thread`` is the CLI's BLAS thread policy, set by ``cli.main``
+and never at import: each OpenBLAS library the process has loaded
+(numpy's, and scipy's once a module here has brought it in) runs on its
+caller's thread, and its worker threads exit.  A worker otherwise spins
+for about 0.1 s of CPU after the library loads and after each job, on
+the CPUs that ``charspace``'s solver threads use; with the policy on,
+those are the only busy threads.  Outputs have the same bytes on one
+BLAS thread as on two.
 """
 
 from __future__ import annotations
@@ -25,23 +34,85 @@ import ctypes
 import functools
 import importlib.machinery
 import importlib.util
+import os
 import threading
 from pathlib import Path
 
 import numpy as np
 
 
+def _package_dir(package: str) -> Path:
+    """The folder of an installed package, found without importing it."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        raise OSError(f"{package} is not installed; its compiled LAPACK and BLAS modules are needed")
+    return Path(spec.submodule_search_locations[0])
+
+
 def _linalg_dir() -> Path:
     """scipy's ``linalg`` folder, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise OSError("scipy is not installed; its compiled LAPACK and BLAS modules are needed")
-    return Path(spec.submodule_search_locations[0]) / "linalg"
+    return _package_dir("scipy") / "linalg"
 
 
 # held through a module's first load: two threads executing one extension
 # module at once can hand one of them a half-initialised module
 _LOAD_LOCK = threading.Lock()
+
+# numpy's and scipy's OpenBLAS, as their wheels install it (in a folder
+# beside the package): the file name pattern and the thread-count setter
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+    ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+)
+# turned on by ``one_blas_thread`` and read by ``_load_file``: process-wide,
+# as the libraries' thread counts are
+_one_thread = False
+
+
+def _library_dir(package: str) -> Path:
+    """The folder of the shared libraries ``package``'s wheel ships."""
+    return _package_dir(package).parent / f"{package}.libs"
+
+
+@functools.cache
+def _openblas_files() -> tuple:
+    """(file, thread setter) of each OpenBLAS library in numpy's and
+    scipy's library folders; listed once per process."""
+    files = []
+    for package, pattern, setter in _OPENBLAS:
+        try:
+            files += [(path, setter) for path in sorted(_library_dir(package).glob(pattern))]
+        except OSError:
+            continue
+    return tuple(files)
+
+
+def _retire_blas_threads() -> None:
+    """Set each OpenBLAS library the process has loaded to one thread and
+    end its worker threads.  ``RTLD_NOLOAD`` opens no library that is not
+    loaded already; a missing file or symbol is skipped."""
+    for path, setter in _openblas_files():
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            set_threads, shutdown = getattr(lib, setter), lib.blas_thread_shutdown_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        shutdown.argtypes, shutdown.restype = (), ctypes.c_int
+        set_threads(1)
+        shutdown()
+
+
+def one_blas_thread() -> None:
+    """The CLI's BLAS thread policy (see the module docstring): every
+    OpenBLAS library loaded now runs on its caller's thread, and so does
+    scipy's when ``_load`` first brings it in.  ``cli.main`` calls this;
+    the import does not, so a library user keeps OpenBLAS's threads."""
+    global _one_thread
+    with _LOAD_LOCK:
+        if not _one_thread:
+            _one_thread = True
+            _retire_blas_threads()
 
 
 def _load(module: str):
@@ -65,6 +136,10 @@ def _load_file(module: str):
         spec.loader.exec_module(ext)
     except ImportError as exc:
         raise OSError(f"cannot load scipy's compiled module {module} from {path}: {exc}") from exc
+    if _one_thread:
+        # the load may have brought in scipy's OpenBLAS and started its
+        # workers; set it to one thread before anything calls into it
+        _retire_blas_threads()
     if module == "_flapack" and hasattr(ext, "dstebz"):
         _check_stebz(ext)
     return ext

@@ -317,10 +317,14 @@ class BlaschkeProduct:
     def coefficients(self, length: int):
         """Taylor coefficients c_0..c_{length-1} plus an l^1 tail bound.
 
-        Factor series are truncated at a working length beyond ``length``;
-        the reported tail adds the mass of the computed convolution past
-        ``length`` and the analytic remainder of the factor truncations
-        (each factor has l^1 norm 1 + 2|a|).
+        Factor series and the running product are truncated at a working
+        length beyond ``length``, so k zeros cost O(k length^2).  The
+        reported tail adds the product's mass past ``length``, the mass cut
+        from the running product times the l^1 norms of the later factors
+        (each factor has l^1 norm 1 + 2|a|), and the analytic remainder of
+        the factor truncations.  The first ``length`` terms are those of
+        the uncut convolution, bit for bit: a term of a convolution reads
+        no term of the product past its own index.
         """
         if not self.zeros:
             out = np.zeros(length, dtype=complex)
@@ -330,7 +334,7 @@ class BlaschkeProduct:
         k = np.arange(work)
         l1 = [1.0 + 2.0 * abs(a) for a in self.zeros]
         conv = np.array([1.0 + 0j])
-        trunc_err = 0.0
+        tail = 0.0
         for i, a in enumerate(self.zeros):
             fac = np.zeros(work, dtype=complex)
             fac[0] = -a
@@ -340,10 +344,11 @@ class BlaschkeProduct:
                 if a != 0
                 else 0.0
             )
-            others = float(np.prod([l1[j] for j in range(len(l1)) if j != i]))
-            trunc_err += tau * others
-            conv = np.convolve(conv, fac)
-        tail = float(np.sum(np.abs(conv[length:]))) + trunc_err
+            tail += tau * math.prod(l1[:i] + l1[i + 1 :])
+            full = np.convolve(conv, fac)
+            conv = full[:work]
+            tail += float(np.sum(np.abs(full[work:]))) * math.prod(l1[i + 1 :])
+        tail += float(np.sum(np.abs(conv[length:])))
         return conv[:length], tail
 
     def series(self, tol: float):
@@ -389,9 +394,10 @@ def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
         # whose real and imaginary parts the GEMM sees as adjacent columns
         hankel = np.ascontiguousarray(sliding_window_view(h[s0 : s1 + n_cols - 1], s1 - s0))
         products = c[s0:s1, None].conj() * c_windows[s0:s1]
-        # scipy's BLAS (``lapack.dgemm``): a numpy GEMM wakes numpy's own
-        # OpenBLAS threads, which then spin against the Cholesky solves
-        # that follow (probes benchmark 1.37 -> 1.54 s on a 2-vCPU VM)
+        # scipy's ``dgemm`` (``lapack.dgemm``) adds each block's product
+        # into t inside the GEMM; numpy's t + a @ b rounds differently once
+        # a block has 512 terms, which would change the bytes of p >= N
+        # probes such as bergman --blaschke 0.99 --n-schedule 128 256 512
         t = lapack.dgemm(products.view(float).T, hankel.T, t)
     t = t.T.view(complex)
     root = np.sqrt(h[:n_cols])

@@ -18,6 +18,7 @@ from berezin_lab import cli
 from berezin_lab.cli import main, parse_operator_expr
 from berezin_lab.exprs import Commutator, MPoly, MPolyAdj, Mz, MzAdj, Product, Scale, Sum
 from berezin_lab.shifts import generate_weights, spectral_radius_estimate
+from blas_threads import fresh_python, openblas_libraries
 from oracles import reject_constant
 
 
@@ -675,7 +676,6 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # BLAS modules (``lapack``): full charscan and probes benchmark passes
     # never import the scipy.linalg package
     src = Path(berezin_lab.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     script = """
 import os, sys
 from pathlib import Path
@@ -689,11 +689,8 @@ for w in ('charscan', 'probes'):
     ok = all(cli.main(list(inv.argv)) == inv.expect for inv in invocations)
     print(w, ok, 'scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)
 """
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(src.parent / "perfbench"), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split("\n")[-4:] == ["False", "charscan True False True", "probes True False True", ""]
+    out = fresh_python(script, src.parent / "perfbench", tmp_path)
+    assert out.split("\n")[-4:] == ["False", "charscan True False True", "probes True False True", ""]
 
 
 def _has_mallopt():
@@ -710,8 +707,6 @@ def test_repeated_gbt_reuses_its_freed_heap(tmp_path):
     # the first run's pages; with glibc's default thresholds each run took
     # 3,300-4,200 minor faults.  A fresh interpreter, so that pytest's own
     # allocator settings are not what is measured.
-    src = Path(berezin_lab.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     script = """
 import resource, sys
 from berezin_lab.cli import main
@@ -722,10 +717,7 @@ for _ in range(3):
     assert main(argv) == 0
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-    out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "gbt.csv")], env=env, capture_output=True, text=True, check=True
-    )
-    faults = [int(line) for line in out.stdout.split()]
+    faults = [int(line) for line in fresh_python(script, tmp_path / "gbt.csv").split()]
     assert len(faults) == 3 and all(f < 100 for f in faults[1:]), faults
 
 
@@ -813,6 +805,68 @@ def test_gbt_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     ["probe", "normbound", "--space", "bergman", "--truncation", "512", "--degree", "20", "--families", "2"],
 ], ids=lambda argv: argv[1])
 def test_probe_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    # cli.main sets OpenBLAS to one thread, so both runs take one; the two
+    # counts still differ where the libraries are not found, and the
+    # library-level case is in test_lapack.py
     outs = [_cli_in_fresh_process(argv, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
     assert outs[0][0] in (0, 1)
     assert outs[0] == outs[1]
+
+
+# both OpenBLAS libraries installed, and /proc/self/task to count threads
+needs_openblas_on_linux = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(openblas_libraries()) < 2,
+    reason="needs Linux and numpy's and scipy's OpenBLAS libraries",
+)
+SCAN = ["charspace", "--weights", "simple:r=0.5", "--lambda-grid", "mod=0:1:0.05,args=1"]
+CLOSED_P_ABOVE_N = ["probe", "closed-range", "--space", "bergman", "--blaschke", "0.9", "--n-schedule", "128", "256", "512"]
+
+
+@needs_openblas_on_linux
+def test_cli_runs_each_openblas_on_its_callers_thread(tmp_path):
+    # numpy's OpenBLAS starts its workers at import and scipy's at lapack's
+    # first load; after a charspace scan (its solver threads, scipy's
+    # LAPACK) both are set to one thread and the main thread runs alone
+    script = """
+import json, os, sys
+from berezin_lab.cli import main
+from blas_threads import openblas_threads
+before = openblas_threads()
+assert main(sys.argv[1:]) == 0
+print(json.dumps([before, openblas_threads(), len(os.listdir("/proc/self/task"))]))
+"""
+    out = fresh_python(script, *SCAN, "--out", tmp_path / "scan.json", env={"OPENBLAS_NUM_THREADS": "2"})
+    before, after, tasks = json.loads(out)
+    assert list(before) == ["numpy"]
+    assert after == {"numpy": 1, "scipy": 1}
+    assert tasks == 1
+
+
+@needs_openblas_on_linux
+def test_a_missing_openblas_folder_leaves_the_threads_and_the_bytes(tmp_path):
+    # where the libraries are not found the policy does nothing: each
+    # library keeps its own thread count, and the outputs their bytes
+    script = """
+import json, sys
+from pathlib import Path
+from berezin_lab import lapack
+from berezin_lab.cli import main
+from blas_threads import openblas_threads
+folder, out, argvs = sys.argv[1], Path(sys.argv[2]), json.loads(sys.argv[3])
+if folder != "-":
+    lapack._library_dir = lambda package: Path(folder)
+default = openblas_threads()["numpy"]
+codes = [main([*argv, "--out", str(out / f"{i}.json")]) for i, argv in enumerate(argvs)]
+print(json.dumps([codes, default, openblas_threads()]))
+"""
+    argvs = json.dumps([SCAN, CLOSED_P_ABOVE_N])
+    runs = {}
+    for name, folder in (("found", "-"), ("missing", tmp_path / "no-such-folder")):
+        (tmp_path / name).mkdir()
+        runs[name] = json.loads(fresh_python(script, folder, tmp_path / name, argvs, env={"OPENBLAS_NUM_THREADS": "2"}))
+    assert runs["found"][0] == runs["missing"][0] == [0, 0]
+    _, default, threads = runs["missing"]
+    assert threads == {"numpy": default, "scipy": default}
+    assert runs["found"][2] == {"numpy": 1, "scipy": 1}
+    for i in range(2):
+        assert (tmp_path / "found" / f"{i}.json").read_bytes() == (tmp_path / "missing" / f"{i}.json").read_bytes()

@@ -1,6 +1,8 @@
 """The LAPACK/BLAS wrappers against the scipy functions they replace, bit
 for bit, and the exit code when scipy's compiled modules are missing."""
 
+import json
+import os
 import sys
 import threading
 import types
@@ -13,6 +15,7 @@ from scipy.linalg import blas
 from berezin_lab import lapack
 from berezin_lab.cli import main
 from berezin_lab.tridiag import _shifted_cholesky, lambda_min_batch
+from blas_threads import fresh_python, openblas_libraries, openblas_threads
 
 rng = np.random.default_rng(1817)
 
@@ -193,3 +196,64 @@ def test_missing_routine_exits_2(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(lapack, "_load", lambda module: types.SimpleNamespace())
     assert main(CHARSPACE + ["--out", str(tmp_path / "out.json")]) == 2
     assert "_flapack has no routine dstebz" in capsys.readouterr().err
+
+
+needs_openblas_on_linux = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(openblas_libraries()) < 2,
+    reason="needs Linux and numpy's and scipy's OpenBLAS libraries",
+)
+
+
+@needs_openblas_on_linux
+def test_the_import_and_library_calls_keep_openblas_threads():
+    # the policy is the CLI's: importing it and solving through lapack
+    # leave both libraries' thread counts and workers as they were
+    script = """
+import json, os
+import numpy as np
+import scipy.linalg  # loads scipy's OpenBLAS, so that both have a count before
+from blas_threads import openblas_threads
+before = [openblas_threads(), len(os.listdir("/proc/self/task"))]
+import berezin_lab.cli
+from berezin_lab.tridiag import band_lambda_min
+band = np.array([np.full(64, 2.0), np.full(64, -1.0)], dtype=complex)
+band_lambda_min(band)
+print(json.dumps([before, [openblas_threads(), len(os.listdir("/proc/self/task"))]]))
+"""
+    before, after = json.loads(fresh_python(script, env={"OPENBLAS_NUM_THREADS": "2"}))
+    assert set(before[0]) == {"numpy", "scipy"}
+    assert after == before
+
+
+def test_missing_openblas_files_and_symbols_are_skipped(monkeypatch, tmp_path):
+    # a file that is not a loaded library is not loaded, and a library
+    # without the setter is left alone
+    not_loaded = tmp_path / "libscipy_openblas-0.so"
+    not_loaded.write_bytes(b"")
+    numpy_lib = openblas_libraries().get("numpy", (not_loaded,))[0]
+    before = openblas_threads()
+    monkeypatch.setattr(lapack, "_openblas_files", lambda: ((not_loaded, "scipy_openblas_set_num_threads"),
+                                                             (numpy_lib, "no_such_setter")))
+    lapack._retire_blas_threads()
+    assert openblas_threads() == before
+
+
+@needs_openblas_on_linux
+def test_closed_range_bytes_do_not_depend_on_the_blas_thread_count_outside_the_cli():
+    # outside cli.main OpenBLAS keeps the threads it was started with; the
+    # degree p = 511 >= N sums the closed-range Gram in blocks of N terms,
+    # each one GEMM that two threads split
+    script = """
+from berezin_lab.formats import to_json
+from berezin_lab.operators import BlaschkeProduct, closed_range_probe
+from berezin_lab.spaces import space_by_name
+from blas_threads import openblas_threads
+doc = to_json(closed_range_probe(space_by_name("bergman"), BlaschkeProduct((0.9,)), n_schedule=(128, 256, 512)))
+print(openblas_threads()["scipy"])
+print(doc)
+"""
+    runs = [fresh_python(script, env={"OPENBLAS_NUM_THREADS": t}).split("\n", 1) for t in ("1", "2")]
+    cpus = len(os.sched_getaffinity(0))
+    assert [int(threads) for threads, _ in runs] == [1, min(2, cpus)]
+    assert runs[0][1] == runs[1][1]
+    assert json.loads(runs[0][1])["classification"] == "bounded_below"

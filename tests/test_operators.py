@@ -637,6 +637,43 @@ def test_blaschke_multifactor_coefficients():
     assert np.allclose(np.abs(b.eval(circle)), 1.0, atol=1e-12)
 
 
+def _mp_blaschke_mass_past(zeros, lengths, m=400):
+    """The l^1 mass of the product's Taylor series past each of ``lengths``,
+    at 50 digits: coefficients up to ``m`` by exact convolution, plus the
+    analytic bound on the mass past ``m`` (each factor (z - a)/(1 - conj(a) z)
+    has l^1 norm 1 + 2|a|, so this over-counts by at most that bound)."""
+    with mp.workdps(50):
+        zs = [mp.mpc(complex(a)) for a in zeros]
+        prod = [mp.mpc(1)] + [mp.mpc(0)] * (m - 1)
+        for a in zs:
+            fac = [-a] + [(1 - abs(a) ** 2) * mp.conj(a) ** (n - 1) for n in range(1, m)]
+            prod = [mp.fsum(prod[j] * fac[n - j] for j in range(n + 1)) for n in range(m)]
+        l1 = [1 + 2 * abs(a) for a in zs]
+        beyond = mp.fsum(
+            (1 - abs(a) ** 2) * abs(a) ** (m - 1) / (1 - abs(a)) * mp.fprod(l1[:i] + l1[i + 1 :])
+            for i, a in enumerate(zs)
+        )
+        return {n: mp.fsum(abs(c) for c in prod[n:]) + beyond for n in lengths}
+
+
+@pytest.mark.parametrize("zeros", [
+    (0.5, -0.5),
+    (0.8, 0.8j, -0.6),
+    (0.7, 0.7, 0.7, 0.7),
+    (0.8, -0.8, 0.8j, -0.8j, 0.5 + 0.5j),
+])
+def test_blaschke_tail_bounds_the_mass_past_length(zeros):
+    # the running product is cut to length + 64 terms after each factor;
+    # at short lengths the products of 4-5 zeros at 0.7-0.8 still have
+    # most of their mass past the cut, which the tail must count
+    lengths = (2, 4, 8, 16, 32, 64)
+    true = _mp_blaschke_mass_past(zeros, lengths)
+    for n in lengths:
+        coeffs, tail = BlaschkeProduct(zeros).coefficients(n)
+        assert len(coeffs) == n
+        assert tail >= true[n], (n, tail, true[n])
+
+
 def test_closed_range_two_factor_blaschke_on_bergman():
     # well-separated zeros: the product multiplier stays bounded below
     b = BlaschkeProduct((0.5, -0.5))
