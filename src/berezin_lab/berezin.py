@@ -144,6 +144,8 @@ def gbt_profile(space, node, points, path=None, op_label: str = "", tol: float =
 # ---------------------------------------------------------------------------
 # axioms
 
+_AXIOM_TOL = 1e-12
+
 
 def gbt_axiom_check(
     space: KernelSpace,
@@ -151,7 +153,6 @@ def gbt_axiom_check(
     y: np.ndarray,
     scalars=(1.0, 1.0),
     grid=None,
-    tol: float = 1e-12,
 ) -> dict:
     """Contractivity, linearity, self-adjointness, and module covariance
     of the transform of the compressions of the square arrays x and y,
@@ -159,7 +160,7 @@ def gbt_axiom_check(
 
     The first three are identities of the compression and hold to float
     accuracy; covariance against multiplication by z holds up to the
-    kernel tail, which the adaptive truncation keeps below ``tol``.
+    kernel tail, which the adaptive truncation keeps below ``_AXIOM_TOL``.
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("operators must share a truncation")
@@ -180,10 +181,10 @@ def gbt_axiom_check(
     mzx = exprs.Product((exprs.Mz(), dx))
     xmz_adj = exprs.Product((dx, exprs.MzAdj()))
     for z in grid:
-        s = gbt_sample(space, dx, z, tol=tol)
+        s = gbt_sample(space, dx, z, tol=_AXIOM_TOL)
         gx = s.value
         gy, gxy, gxa, gmzx, gxmza = (
-            gbt_sample(space, op, z, tol=tol).value for op in (dy, xy, x_adj, mzx, xmz_adj)
+            gbt_sample(space, op, z, tol=_AXIOM_TOL).value for op in (dy, xy, x_adj, mzx, xmz_adj)
         )
         report["contractivity"] = max(
             report["contractivity"], abs(gx) - norm_x - s.tail
@@ -202,6 +203,8 @@ def gbt_axiom_check(
 # ---------------------------------------------------------------------------
 # commutator decay
 
+_S_NORM_N = 512
+
 
 def gbt_commutator_decay(
     space: KernelSpace,
@@ -211,13 +214,12 @@ def gbt_commutator_decay(
     theta: float = 0.0,
     r_schedule=(0.9, 0.99, 0.999),
     tol: float = 1e-13,
-    s_norm_n: int = 512,
 ) -> dict:
     """Samples of |Gamma(S [M_psi^*, M_phi])(r e^{i theta})| against the
     bound 3 ||psi|| ||S|| sqrt(1 - |phi(z)|^2).
 
     ``phi`` must have sup-norm at most 1 on the circle; ||psi|| is its
-    grid sup and ||S|| the truncated norm at ``s_norm_n`` (a lower bound
+    grid sup and ||S|| the truncated norm at ``_S_NORM_N`` (a lower bound
     of the true norm, which only makes the asserted inequality stronger).
     """
     phi_coeffs = tuple(np.atleast_1d(np.asarray(phi_coeffs, dtype=complex)))
@@ -229,9 +231,9 @@ def gbt_commutator_decay(
     node = exprs.Product((s_node, comm))
     psi_sup, _ = sup_on_circle(psi_coeffs)
 
-    a_small = space.shift_weights(s_norm_n - 1)
+    a_small = space.shift_weights(_S_NORM_N - 1)
     s_norm = float(
-        np.linalg.svd(exprs.materialize(s_node, a_small, s_norm_n), compute_uv=False)[0]
+        np.linalg.svd(exprs.materialize(s_node, a_small, _S_NORM_N), compute_uv=False)[0]
     )
 
     points = [r * cmath.exp(1j * theta) for r in r_schedule]

@@ -22,13 +22,17 @@ passed, 1 a verdict failed, 2 usage or parameter error (any
 with the measured cost at its edge: a range of one option, or a named
 rule over several.  ``main`` checks the parsed subcommand's rows
 (``_check_bounds``) before its handler runs, so an argument out of bounds
-exits 2 before anything is allocated.  ``gbt`` resolves its path to
-points here (``_parse_path``) and samples them through the one transform
-path, ``berezin.gbt_profile``; space names resolve through
-``spaces.space_by_name``.  ``main``, never the import, sets glibc's
-allocator to keep freed memory (``_keep_freed_heap``): the samples of a
-profile near the circle free and re-form arrays of megabytes, which
-glibc would otherwise return to the kernel and fault back in page by page.
+exits 2 before anything is allocated.  A cap that only the work an
+argument leads to can find is the library's own ``TruncationError``
+instead, raised before any large array: ``spaces.N_CAP`` for a kernel
+truncation, ``operators.SERIES_CAP`` for a Blaschke series.  ``gbt``
+resolves its path to points here (``_parse_path``) and samples them
+through the one transform path, ``berezin.gbt_profile``; space names
+resolve through ``spaces.space_by_name``.  ``main``, never the import,
+sets glibc's allocator to keep freed memory (``_keep_freed_heap``): the
+samples of a profile near the circle free and re-form arrays of
+megabytes, which glibc would otherwise return to the kernel and fault
+back in page by page.
 It also sets the BLAS thread policy (``lapack.one_blas_thread``): each
 OpenBLAS library runs on its caller's thread and its workers exit, so
 ``charspace``'s solver threads have the CPUs to themselves.
@@ -50,7 +54,6 @@ from . import exprs, lapack
 from .characters import CharacterConfig, character_set_scan, verdict_to_dict
 from .formats import to_json, write_text
 from .operators import (
-    SERIES_CAP,
     BlaschkeProduct,
     closed_range_probe,
     commutator_norm_PzMphi,
@@ -62,7 +65,7 @@ from .operators import (
 )
 from .peaks import annulus_peak, ball_peak, peak_report, product_peak_check
 from .shifts import generate_weights, power_bounded_check, shift_power_norm, spectral_radius_estimate
-from .spaces import N_CAP, TruncationError, ball_space, space_by_name
+from .spaces import N_CAP, ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
@@ -222,15 +225,6 @@ def _annulus_size(args):
     return args.n * args.grid > N_CAP and f"--n {args.n} times --grid {args.grid} must be at most {N_CAP}"
 
 
-def _blaschke_degree(args):
-    try:
-        if args.blaschke:
-            BlaschkeProduct(tuple(_coeff_list(args.blaschke))).series(args.tail_tol)
-    except TruncationError:
-        return (f"--blaschke {args.blaschke} needs a series of degree above {SERIES_CAP - 1} "
-                f"at --tail-tol {args.tail_tol:g}")
-
-
 def _spherical_size(args):
     # n C(n + d, n)^2 >= (d + 1)^2 bounds d first, keeping the binomial small; n < 1, d < 0 are ball_space's
     n, d = args.n, args.degree
@@ -275,10 +269,6 @@ BOUNDS = (
            "half-width min(p, N - 1), p the series degree, in blocks of N terms: closed-range --space bergman "
            "--blaschke 0.99 (p = 4095) --n-schedule 256 512 1024 2048 took 6.2 s and 467 MB; on hardy, every N "
            "from 2 to 2048 took 1.9 s (closed-range --phi 0,1) and 7.2 s (fredholm), 45 MB each"),
-    _Rule(("probe closed-range",), _blaschke_degree, "the kernel channel applies the degree-p series at each of "
-          "49 grid points, O(p (N + p)) each: at the cap --space bergman --blaschke 0.99 (p = 4095) took 5.0-7.3 s "
-          "and 152 MB, and 6.5 s and 467 MB with --n-schedule 256 512 1024 2048; --blaschke 0.999 (p = 32767) "
-          "ran past 5 min"),
     _Range(("probe spherical",), "--n", None, 2 ** 8, "the monomials number C(n + degree, n)"),
     _Rule(("probe spherical",), _spherical_size, "it reads two diagonals over the monomials: --n 1 --degree 2895 "
           "took 0.34 s and --n 2 --degree 62 0.31 s, each 35 MB"),

@@ -36,6 +36,10 @@ import numpy as np
 
 from .operators import circle_grid, circle_sup_precondition, poly_eval
 
+_ANNULUS_NEIGHBORHOOD = 0.1
+_BALL_CAP_RADIUS = 0.35
+_PRODUCT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridReport:
@@ -71,13 +75,13 @@ def annulus_peak(
     n: int = 1,
     lam_abs: float | None = None,
     grid_n: int = 10 ** 4,
-    neighborhood: float = 0.1,
 ) -> PeakCandidate:
     """Certified peak function z + lam z^{-n} on the annulus.
 
     ``alpha`` must sit on the outer circle; ``lam_abs`` defaults to half
-    the admissible threshold; ``neighborhood`` is the angular radius kept
-    around each of the n+1 analytic maximizers.  lam_abs = 0 degenerates
+    the admissible threshold; the grid is read outside an angular radius
+    of ``_ANNULUS_NEIGHBORHOOD`` around each of the n+1 analytic
+    maximizers.  lam_abs = 0 degenerates
     to phi = z, which peaks on the whole outer circle with zero margin.
     """
     if not 0 < small_r < big_r:
@@ -126,7 +130,7 @@ def annulus_peak(
         inside = np.zeros(m, dtype=bool)
         for mx in maximizers:
             ang = np.angle(outer / mx)
-            inside |= np.abs(ang) <= neighborhood
+            inside |= np.abs(ang) <= _ANNULUS_NEIGHBORHOOD
     outside_max = max(
         float(vals_outer[~inside].max()) if np.any(~inside) else -np.inf,
         float(vals_inner.max()),
@@ -160,12 +164,12 @@ def sphere_grid(n_s: int, n_phi: int):
     return z1b.reshape(-1), z2b.reshape(-1)
 
 
-def ball_peak(h_coeffs=(0.0,), grid=(22, 22), cap_radius: float = 0.35) -> PeakCandidate:
+def ball_peak(h_coeffs=(0.0,), grid=(22, 22)) -> PeakCandidate:
     """Certified peak of f = (1+z1) z1/2 + (1-z1) z2 h(z1)/2 at (1, 0).
 
     ``h`` must satisfy sup |h| <= 1 on the closed disk (checked on a
     circle grid); the report gives the sup of |f| outside the ambient cap
-    ||(z1,z2) - (1,0)|| <= cap_radius.
+    ||(z1,z2) - (1,0)|| <= ``_BALL_CAP_RADIUS``.
     """
     h_coeffs = np.atleast_1d(np.asarray(h_coeffs, dtype=complex))
     circle_sup_precondition(h_coeffs)
@@ -176,19 +180,19 @@ def ball_peak(h_coeffs=(0.0,), grid=(22, 22), cap_radius: float = 0.35) -> PeakC
     max_value = float(vals.max())
     j = int(np.argmax(vals))
     dist = np.sqrt(np.abs(z1 - 1) ** 2 + np.abs(z2) ** 2)
-    outside = dist > cap_radius
+    outside = dist > _BALL_CAP_RADIUS
     sup_outside = float(vals[outside].max()) if np.any(outside) else 0.0
     f_peak = abs((1 + 1) * 1 / 2)  # f(1, 0) = 1 exactly
     return PeakCandidate(
         domain="ball",
-        params={"n": 2, "h": tuple(h_coeffs), "cap_radius": cap_radius},
+        params={"n": 2, "h": tuple(h_coeffs), "cap_radius": _BALL_CAP_RADIUS},
         func="(1+z1) z1/2 + (1-z1) z2 h(z1)/2",
         alpha=((1 + 0j, 0j),),
         grid_report=GridReport(
             max_value=max(max_value, f_peak),
             max_at=((complex(z1[j]), complex(z2[j])),),
             margin=float(f_peak - sup_outside),
-            neighborhood=(cap_radius,),
+            neighborhood=(_BALL_CAP_RADIUS,),
             grid_n=len(z1),
         ),
     )
@@ -198,7 +202,6 @@ def product_peak_check(
     phi_coeffs,
     psi_coeffs,
     grid_n: int = 512,
-    tol: float = 1e-9,
 ) -> dict:
     """sup over the product of circle grids of |phi psi| against the
     product of the separate grid maxima attained at (alpha1, alpha2).
@@ -222,7 +225,7 @@ def product_peak_check(
         "sup": sup,
         "claimed": claimed,
         "alpha": (a1, a2),
-        "passed": bool(abs(sup - claimed) <= tol * max(1.0, claimed)),
+        "passed": bool(abs(sup - claimed) <= _PRODUCT_TOL * max(1.0, claimed)),
         "grid_n": grid_n,
     }
 

@@ -44,21 +44,26 @@ from .spaces import KernelSpace, space_by_name
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Positive bounded weights of a unilateral weighted shift."""
+    """Positive bounded weights of a unilateral weighted shift.  Its log
+    prefix is formed once and kept, as ``KernelSpace`` keeps its norm table."""
 
     gen: str
     a: np.ndarray
     params: dict = field(default_factory=dict, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.a)
 
     def log_prefix(self) -> np.ndarray:
-        """S_0..S_N with S_k = sum of log a_0..a_{k-1}."""
-        s = np.empty(self.n + 1)
-        s[0] = 0.0
-        np.cumsum(np.log(self.a), out=s[1:])
+        """S_0..S_N with S_k = sum of log a_0..a_{k-1}, read-only."""
+        s = self._kept.get("log")
+        if s is None:
+            s = self._kept["log"] = np.empty(self.n + 1)
+            s[0] = 0.0
+            np.cumsum(np.log(self.a), out=s[1:])
+            s.flags.writeable = False
         return s
 
 
@@ -99,12 +104,13 @@ def simple_weights(r: float, length: int) -> WeightSequence:
     return WeightSequence("simple", a, {"r": float(r)})
 
 
-def sigma_weights(sigma, length: int, factor: float = 0.5) -> WeightSequence:
-    """a_n = factor on the index set, 1 elsewhere; 'squares' selects
-    {1, 4, 9, ...}."""
+_SIGMA_FACTOR = 0.5
+
+
+def sigma_weights(sigma, length: int) -> WeightSequence:
+    """a_n = ``_SIGMA_FACTOR`` on the index set, 1 elsewhere; 'squares'
+    selects {1, 4, 9, ...}."""
     _check_length(length)
-    if not 0 < factor <= 1:
-        raise ValueError(f"damping factor must lie in (0, 1], got {factor}")
     if isinstance(sigma, str):
         if sigma != "squares":
             raise ValueError(f"unknown index set name {sigma!r}")
@@ -114,8 +120,8 @@ def sigma_weights(sigma, length: int, factor: float = 0.5) -> WeightSequence:
         idx = sorted(int(k) for k in sigma if 0 <= int(k) < length)
         name = "set"
     a = np.ones(length)
-    a[idx] = factor
-    return WeightSequence("sigma", a, {"sigma": name, "factor": factor})
+    a[idx] = _SIGMA_FACTOR
+    return WeightSequence("sigma", a, {"sigma": name, "factor": _SIGMA_FACTOR})
 
 
 def cluster_weights(points, length: int) -> WeightSequence:

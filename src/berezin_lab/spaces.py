@@ -63,6 +63,8 @@ from .formats import read_columns
 
 #: hard cap for adaptive truncations; exceeding it raises instead of looping
 N_CAP = 2 ** 20
+# a custom table's weights may exceed 1 by this much and still read as contractive
+_CONTRACTIVE_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -109,10 +111,11 @@ def _h_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
 class KernelSpace:
     """A disk kernel space given by its squared monomial norms.
 
-    A custom table also keeps its ratios h_(k+1) / h_k and, as ``floor``,
-    their suffix minima (the smallest ratio from k to the table's end),
-    formed once where the table is validated and read by every kernel
-    vector; both are ``None`` on a built-in kind.
+    A custom table also keeps, of its ratios h_(k+1) / h_k, the suffix
+    minima as ``floor`` (the smallest ratio from k to the table's end) and
+    the prefix maxima of max(1, ratio) as ``ceiling`` (the largest from 0
+    to k, at least 1), formed once where the table is validated and read
+    by every kernel vector; both are ``None`` on a built-in kind.
 
     ``_kept`` holds the longest prefixes formed so far of the norm table
     (``h``, starting as a view of the field), the weights (``a``) and the
@@ -125,8 +128,8 @@ class KernelSpace:
     h: np.ndarray
     label: str
     s: float | None = None
-    ratios: np.ndarray | None = field(default=None, compare=False, repr=False)
     floor: np.ndarray | None = field(default=None, compare=False, repr=False)
+    ceiling: np.ndarray | None = field(default=None, compare=False, repr=False)
     _kept: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -192,7 +195,7 @@ def monomial_norms(kind: str, n: int, s: float | None = None) -> KernelSpace:
     return KernelSpace(kind=kind, h=_h_values(kind, n, s), label=label, s=s)
 
 
-def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> KernelSpace:
+def custom_space(h: np.ndarray, label: str = "custom") -> KernelSpace:
     """Wrap a user-supplied norm table, validating the space invariants."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or len(h) < 2:
@@ -203,7 +206,7 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
         raise ValueError(f"h_{k} = {h[k]} is not positive and finite")
     ratios = h[1:] / h[:-1]
     a = np.sqrt(ratios)
-    bad = ~(a <= 1 + tol)
+    bad = ~(a <= 1 + _CONTRACTIVE_SLACK)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ValueError(
@@ -215,15 +218,16 @@ def custom_space(h: np.ndarray, label: str = "custom", tol: float = 1e-12) -> Ke
         k = int(np.argmin(a))
         raise ValueError(f"h_{k + 1}/h_{k} = {h[k + 1]:.6g}/{h[k]:.6g} underflows to a zero weight")
     floor = np.minimum.accumulate(ratios[::-1])[::-1]
-    return KernelSpace(kind="custom", h=h, label=label, ratios=ratios, floor=floor)
+    ceiling = np.maximum.accumulate(np.maximum(ratios, 1.0))
+    return KernelSpace(kind="custom", h=h, label=label, floor=floor, ceiling=ceiling)
 
 
-def load_h_table(path, label: str | None = None) -> KernelSpace:
-    """Load a norm table from CSV with columns ``k`` and ``h``."""
+def load_h_table(path) -> KernelSpace:
+    """Load a norm table from CSV with columns ``k`` and ``h``, labelled by its path."""
     ks, hs = read_columns(path, ("k", "h"))
     if ks != list(range(len(ks))):
         raise ValueError("norm table rows must list k = 0,1,2,... in order")
-    return custom_space(np.array(hs), label=label or str(path))
+    return custom_space(np.array(hs), label=str(path))
 
 
 def space_by_name(name: str) -> KernelSpace:
@@ -339,14 +343,15 @@ def kernel_vector(
     below N and passes from N on.  Capped at ``N_CAP``.
 
     A lower bound on the partial sum gives hi, where the test passes:
-    ``_stop_bound`` on a built-in space; on a custom table the first index
-    (by doubling from n0, then bisection) that passes against
-    (1 - r2^n) / ((1 - r2) h_0 g^n), g >= 1 bounding the ratios below it,
-    or the table's end.  The terms are formed up to hi and the test is
-    confirmed there, else the table-end or cap ``TruncationError`` is
-    raised.  partial_hi bounds every shorter partial sum, so lo, the last
-    index that fails even against it, takes no sum to find (it is hi - 1
-    at every benchmark point), and the test decides from lo + 1.
+    ``_stop_bound`` on a built-in space; on a custom table an index (by
+    bisection over [n0, end]) that passes against
+    (1 - r2^n) / ((1 - r2) h_0 g^n), with g = ``ceiling[n - 1]`` bounding
+    the ratios below n, or the table's end.  The terms are formed up to hi
+    and the test is confirmed there, else the table-end or cap
+    ``TruncationError`` is raised.  partial_hi bounds every shorter partial
+    sum, so lo, the last index that fails even against it, takes no sum to
+    find (it is hi - 1 at every benchmark point), and the test bisects
+    over (lo, hi], forming no further sum when hi - lo = 1.
 
     The vector is the real kernel line at |z| with the phase w = z/|z|
     beside it (``KernelVector``): coefficient k is sqrt(t_k / partial) for
@@ -379,7 +384,7 @@ def kernel_vector(
         floor = None
         hi = _stop_bound(space, r2, tol, n0)
     else:
-        h, ratios, floor = space.h, space.ratios, space.floor
+        h, floor, ceiling = space.h, space.floor, space.ceiling
         end = min(len(h) - 1, N_CAP)
         n0 = min(n0, end)
 
@@ -405,18 +410,12 @@ def kernel_vector(
         return tail_abs / partial * (1.0 + 4.0 * m * _EPS)
 
     if not space.extendable:
-        # the bound on partial_m, with a slack of 1e-6 against its rounding;
-        # ``growth`` is g for every index up to hi
+        # the bound on partial_m, with a slack of 1e-6 against its rounding
         def bound_passes(m: int) -> bool:
-            low = (1.0 - r2 ** m) / ((1.0 - r2) * h[0] * growth ** m)
+            low = (1.0 - r2 ** m) / ((1.0 - r2) * h[0] * float(ceiling[m - 1]) ** m)
             return tail(m, low) * (1.0 + 1e-6) < tol
 
-        lo, hi = n0 - 1, n0
-        growth = float(ratios[:hi].max(initial=1.0))
-        while hi < end and not bound_passes(hi):
-            lo, hi = hi, min(2 * hi, end)
-            growth = float(ratios[:hi].max(initial=1.0))
-        hi = _first_passing(bound_passes, lo, hi)
+        hi = _first_passing(bound_passes, n0 - 1, end)
 
     # one norm table: h_hi for the test, h_(N+pad-1) for the frame's weights
     top = hi + max(pad, 1) - 1
@@ -449,9 +448,7 @@ def kernel_vector(
     lo = hi - 1
     if lo >= n0 and tail(lo, top) < tol:
         lo = _first_passing(lambda m: tail(m, top) < tol, n0 - 1, lo) - 1
-    n = lo + 1  # where the test almost always passes
-    if n < hi and not passes(n):
-        n = _first_passing(passes, n, hi)
+    n = _first_passing(passes, lo, hi)
     partial = partials[n]
     if partial == math.inf:  # where it overflows, the test passes spuriously
         raise TruncationError(f"the kernel series of {space.label} overflows at |z| = {abs(z):.4g}")

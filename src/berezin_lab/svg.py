@@ -9,11 +9,12 @@ from __future__ import annotations
 from .formats import read_columns, write_text
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+_TICK_COUNT = 5
+
+
+def _ticks(lo: float, hi: float):
+    step = (hi - lo) / (_TICK_COUNT - 1)
+    return [lo + i * step for i in range(_TICK_COUNT)]
 
 
 def line_plot_svg(xs, ys, title: str = "", x_label: str = "", y_label: str = "") -> str:

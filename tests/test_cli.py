@@ -581,9 +581,6 @@ REJECTED = [
     (at("peaks ball", "--grid-s", 1, "--grid-phi", 1025), "--grid-s times --grid-phi squared"),
     (at("peaks annulus", "--n", 1000000), f"--n 1000000 times --grid 10000 must be at most {2 ** 20}"),
     (at("probe closed-range", "--n-schedule", 128, 4194304), "--n-schedule"),
-    *((at("probe closed-range", "--blaschke", zeros), f"--blaschke {zeros} needs a series of degree above 4095")
-      for zeros in ("0.995", "0.999", "0.5,0.999i", "0.9999999")),
-    (["--tail-tol", "1e-300", *at("probe closed-range", "--blaschke", "0.99")], "--blaschke 0.99 needs"),
     (at("probe fredholm", "--n-schedule", 1000000000), "--n-schedule"),
     *((at("probe spherical", "--n", HUGE, "--degree", d), "--n ") for d in (3, HUGE)),
     *((at("probe spherical", "--n", n, "--degree", d), f"--n {n} with --degree {d}")
@@ -631,6 +628,48 @@ def test_argvs_past_a_bound_never_reach_the_work(reached, capsys, argv, names):
 def test_argvs_at_a_bound_reach_the_work(reached, capsys, argv):
     assert run(argv) == 2
     assert reached and capsys.readouterr().err == "error: stub reached\n"
+
+
+# Blaschke series past operators.SERIES_CAP terms: no BOUNDS row, the probe's own TruncationError
+OVER_SERIES_CAP = [
+    *(at("probe closed-range", "--blaschke", zeros) for zeros in ("0.995", "0.999", "0.5,0.999i", "0.9999999")),
+    ["--tail-tol", "1e-300", *at("probe closed-range", "--blaschke", "0.99")],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_SERIES_CAP, ids=" ".join)
+def test_blaschke_series_past_the_cap_exits_2_before_any_kernel_or_gram_work(monkeypatch, capsys, argv):
+    from berezin_lab import operators
+
+    def never(*args, **kwargs):
+        raise AssertionError("kernel or Gram work reached")
+
+    monkeypatch.setattr(operators, "kernel_vector", never)
+    monkeypatch.setattr(operators, "_gram_band", never)
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    zeros = argv[argv.index("--blaschke") + 1]
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: the Blaschke product with zeros {zeros} needs more than 4096 series terms"), err
+
+
+def test_a_blaschke_probe_forms_its_series_once(monkeypatch):
+    # the calls of one series(tol), counted through cli.main: no bound forms it beforehand
+    from berezin_lab import operators
+
+    calls = []
+    coefficients = operators.BlaschkeProduct.coefficients
+
+    def counted(self, length):
+        calls.append(length)
+        return coefficients(self, length)
+
+    monkeypatch.setattr(operators.BlaschkeProduct, "coefficients", counted)
+    operators.BlaschkeProduct((0.5,)).series(1e-12)
+    one_series = calls[:]
+    calls.clear()
+    assert run(["probe", "closed-range", "--space", "bergman", "--blaschke", "0.5", "--n-schedule", "64", "128", "256"]) == 0
+    assert calls == one_series == [2, 4, 8, 16, 32, 64]
 
 
 def test_every_cap_is_read_by_a_bound_row():

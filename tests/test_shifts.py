@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from berezin_lab import shifts
 from berezin_lab.formats import write_csv
 from berezin_lab.shifts import (
     WeightSequence,
@@ -335,6 +336,21 @@ def test_weight_sequence_log_prefix():
     assert isinstance(w, WeightSequence)
     # the smallest 2-fold window product, from the prefix
     assert np.exp(np.min(s[2:] - s[:-2])) == pytest.approx(0.125)
+
+
+def test_one_spectral_radius_estimate_forms_one_log_prefix(monkeypatch):
+    # every power norm of one sequence reads the prefix it kept (its one
+    # np.log), with the bits of a prefix formed per call
+    w = generate_weights("space:bergman", 2 ** 12)
+    s = np.concatenate(([0.0], np.cumsum(np.log(w.a))))
+    logs = []
+    log = np.log
+    monkeypatch.setattr(shifts.np, "log", lambda x, *args, **kwargs: logs.append(np.shape(x)) or log(x, *args, **kwargs))
+    est = spectral_radius_estimate(w, 10)
+    assert shift_power_norm(w, 3) == float(np.exp(np.max(s[3:] - s[:-3])))
+    assert logs == [(2 ** 12,)] and not w.log_prefix().flags.writeable
+    for m, norm in est["power_norms"].items():
+        assert norm == float(np.exp(np.max(s[m:] - s[:-m]))), m
 
 
 @pytest.mark.parametrize("values", [[0.5, np.nan], [0.5, np.inf]], ids=["nan", "inf"])

@@ -242,6 +242,11 @@ BIT_SPACES = [
     monomial_norms("mu", 4),
     custom_space(np.arange(1.0, 3001.0) ** -0.7, label="custom"),
 ]
+# a custom table whose ratios h_(k+1) / h_k are 1 + 2e-13 (weights within
+# the contractive slack) over its first 200 entries, so that its stop
+# search reads a bound g > 1
+_RISE = np.arange(3000.0)
+RISING = custom_space((1.0 + 2e-13) ** np.minimum(_RISE, 199.0) * np.maximum(_RISE - 198.0, 1.0) ** -0.7, label="rising")
 _rk = np.random.default_rng(1318)
 BIT_POINTS = [0j, 0.9999j] + [
     ((1 - 10 ** -u) * np.exp(2j * np.pi * th)).item()
@@ -256,7 +261,7 @@ def _kernel_or_error(fn, *args):
         return str(exc)
 
 
-@pytest.mark.parametrize("space", BIT_SPACES, ids=lambda sp: sp.label)
+@pytest.mark.parametrize("space", [*BIT_SPACES, RISING], ids=lambda sp: sp.label)
 @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
 def test_kernel_vector_bits_match_the_allocating_loop(space, tol):
     for z in BIT_POINTS:
@@ -291,11 +296,17 @@ def test_long_custom_table_bits_and_its_end():
 def test_kernel_vector_bisects_the_real_sums_where_the_bound_is_loose(space, monkeypatch):
     # at a loose tolerance the partial sums still grow between the bottom
     # that the bound against partial_hi leaves and hi, so the test with the
-    # real sums fails at that bottom and bisects (its predicate is
-    # ``passes``); N and the bits of coeffs and tail are the oracle's
+    # real sums bisects between them (its predicate is ``passes``, over
+    # more than one index); N and the bits of coeffs and tail are the oracle's
     names = []
     first_passing = spaces._first_passing
-    monkeypatch.setattr(spaces, "_first_passing", lambda test, lo, hi: names.append(test.__name__) or first_passing(test, lo, hi))
+
+    def recorded(test, lo, hi):
+        if hi - lo > 1:
+            names.append(test.__name__)
+        return first_passing(test, lo, hi)
+
+    monkeypatch.setattr(spaces, "_first_passing", recorded)
     r = np.random.default_rng(4051)
     bisected = 0
     for tol in (0.5, 0.3):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from berezin_lab.operators import BlaschkeProduct
-from berezin_lab.spaces import monomial_norms
+from berezin_lab.spaces import custom_space, monomial_norms
 from berezin_lab.tridiag import _shifted_cholesky, band_lambda_min, lambda_min_batch
-from oracles import band_from_dense, dense_from_band, dense_tridiagonal, tall_mult_matrix
+from oracles import band_from_dense, dense_from_band, dense_mult, dense_tridiagonal, tall_mult_matrix
 
 rng = np.random.default_rng(4410)
 
@@ -203,3 +203,31 @@ def test_cholesky_bound_covers_exact_backward_error():
         sigma = float(np.linalg.eigvalsh(dense_from_band(band))[0]) * (1 - 1e-3)
         lo, factor = _shifted_cholesky(band, sigma)
         assert mp_backward_error(band, sigma, factor) <= sigma - lo
+
+
+@pytest.mark.parametrize("space", [
+    monomial_norms("hardy", 8),
+    monomial_norms("bergman", 8),
+    monomial_norms("mu", 8),
+    custom_space((1.0 + np.arange(512.0)) ** -0.7, label="custom"),
+], ids=lambda sp: sp.label)
+def test_band_bracket_holds_where_inverse_iteration_stalls(space):
+    # -H for H = A^H A, A = sum_i M_phi_i M_psi_i^* on N coordinates as
+    # normbound draws it (1-3 pairs, coefficients scaled by 1/(1 + j)^2):
+    # -H is indefinite, so the solver starts at the shift -2r.  On hardy and
+    # mu at N = 64, degree 5, the fifth family's two lowest eigenvalues are
+    # 0.4% apart, and inverse iteration runs its 100 steps to an estimate
+    # 0.7-0.8% from lambda_min, with hi - lo = 1.1 |lambda_min|: 2 of the
+    # 120 solves here stall.  The bracket still holds at every one
+    for n in (64, 256):
+        for degree in (1, 5, 20):
+            draw = np.random.default_rng(0)
+            scale = 1.0 / (1.0 + np.arange(degree + 1)) ** 2
+            for _ in range(5):
+                pairs = int(draw.integers(1, 4))
+                phis, psis = ([(draw.standard_normal(degree + 1) + 1j * draw.standard_normal(degree + 1)) * scale
+                               for _ in range(pairs)] for _ in range(2))
+                a = sum(dense_mult(space, p, n) @ dense_mult(space, s, n).conj().T for p, s in zip(phis, psis))
+                h = a.conj().T @ a
+                _, lo, hi = band_lambda_min(band_from_dense(-h, min(2 * degree, n - 1)))
+                assert lo <= np.linalg.eigvalsh(-h)[0] <= hi, (n, degree)
