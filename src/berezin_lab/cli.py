@@ -265,10 +265,11 @@ BOUNDS = (
     _Rule(("peaks ball",), _ball_points, "the ball grid has --grid-s times --grid-phi squared points"),
     _Rule(("peaks annulus",), _annulus_size, "annulus_peak masks the --grid // 2 outer points once for each of "
           "the n + 1 maximizers: --R 2 --r 1 --n 2^19 --grid 2 took 3.6 s"),
-    _Range(("probe closed-range", "probe fredholm"), "--n-schedule", None, 2 ** 11, "each N solves a Gram of "
-           "half-width min(p, N - 1), p the series degree, in blocks of N terms: closed-range --space bergman "
-           "--blaschke 0.99 (p = 4095) --n-schedule 256 512 1024 2048 took 6.2 s and 467 MB; on hardy, every N "
-           "from 2 to 2048 took 1.9 s (closed-range --phi 0,1) and 7.2 s (fredholm), 45 MB each"),
+    _Range(("probe closed-range", "probe fredholm"), "--n-schedule", None, 2 ** 11, "one Gram band of "
+           "half-width min(p, N - 1) at the largest N, p the series degree, in blocks of N terms, and a band "
+           "solve at each N: closed-range --space bergman --blaschke 0.99 (p = 4095) --n-schedule 256 512 1024 "
+           "2048 took 2.3-3.2 s and 372 MB; on hardy, every N from 2 to 2048 took 1.3 s (closed-range --phi 0,1) "
+           "and 7.5 s (fredholm), 45 MB each"),
     _Range(("probe spherical",), "--n", None, 2 ** 8, "the monomials number C(n + degree, n)"),
     _Rule(("probe spherical",), _spherical_size, "it reads two diagonals over the monomials: --n 1 --degree 2895 "
           "took 0.34 s and --n 2 --degree 62 0.31 s, each 35 MB"),

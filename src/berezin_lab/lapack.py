@@ -228,9 +228,10 @@ def dstebz(d, e) -> float:
 
 def zpbtrf(band: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the Hermitian matrix whose lower band is
-    ``band``: scipy's ``cholesky_banded(band, lower=True,
+    ``band``, written over ``band`` when that is a Fortran-ordered complex
+    array: scipy's ``cholesky_banded(band, overwrite_ab=True, lower=True,
     check_finite=False)``; LinAlgError when it is not positive definite."""
-    factor, info = _routine("_flapack", "zpbtrf")(band, lower=1)
+    factor, info = _routine("_flapack", "zpbtrf")(band, lower=1, overwrite_ab=1)
     _check(info, "zpbtrf")
     return factor
 

@@ -12,16 +12,19 @@ sums M_phi M_psi^*, coordinate column contractivity on ball spaces,
 deviation of dilated symbols, and closed-range / Fredholm trend evidence
 over doubling truncations.  Both trends read one path,
 ``_bracketed_trend``: the Gram of phi * (polynomials of degree < N) is
-formed as a band straight from the norm table, by one GEMM, never from
-the multiplier; its lambda_min comes with a proven bracket from banded
+formed as a band straight from the norm table, by one GEMM at the
+largest N whose leading blocks serve the smaller N, never from the
+multiplier; its lambda_min comes with a proven bracket from banded
 Cholesky factorizations (``tridiag.band_lambda_min``), and the verdict
-reads the ends of that bracket.  The boundary lower bound forms no dense
-matrix either: sigma_max of the truncated sum is sqrt(lambda_max) of the
-band of A^H A, read off ``exprs.apply`` on one comb block and solved by
-LAPACK's band eigensolver (``_truncated_sum_sigma_max``).  The commutator
-is two projections, the ball columns read two diagonal Grams, and the
-dilation probe's deviations have a closed form over the norm table, so no
-probe here builds a dense multiplier or factors a dense block;
+reads the ends of that bracket.  The closed-range kernel channel reads
+the same coefficients and norm table, by one convolution per point.  The
+boundary lower bound forms no dense matrix either: sigma_max of the
+truncated sum is sqrt(lambda_max) of the band of A^H A, read off
+``exprs.apply`` on one comb block and solved by LAPACK's band
+eigensolver (``_truncated_sum_sigma_max``).  The commutator is two
+projections, the ball columns read two diagonal Grams, and the dilation
+probe's deviations have a closed form over the norm table, so no probe
+here builds a dense multiplier or factors a dense block;
 ``exprs.materialize`` is the one builder of dense multipliers.
 """
 
@@ -60,12 +63,18 @@ def circle_grid(n: int) -> np.ndarray:
 CIRCLE_GRID_N = 4096
 
 
+def grid_max(zs, values) -> tuple:
+    """(max |values|, the first point of ``zs`` where it is attained): the
+    one grid maximum that the circle sups read."""
+    mags = np.abs(values)
+    j = int(np.argmax(mags))
+    return float(mags[j]), complex(zs[j])
+
+
 def sup_on_circle(coeffs, n_grid: int = CIRCLE_GRID_N):
     """(max |phi|, argmax point) over ``circle_grid(n_grid)``."""
     zs = circle_grid(n_grid)
-    vals = np.abs(poly_eval(coeffs, zs))
-    j = int(np.argmax(vals))
-    return float(vals[j]), complex(zs[j])
+    return grid_max(zs, poly_eval(coeffs, zs))
 
 
 def circle_sup_precondition(coeffs):
@@ -174,13 +183,11 @@ def norm_lower_bound_check(
     total = np.zeros(CIRCLE_GRID_N, dtype=complex)
     for cp, cq in zip(phis, psis):
         total += poly_eval(cp, zs) * np.conj(poly_eval(cq, zs))
-    mags = np.abs(total)
-    j = int(np.argmax(mags))
-    grid_sup = float(mags[j])
+    grid_sup, sup_at = grid_max(zs, total)
     return {
         "sigma_max": sigma_max,
         "grid_sup": grid_sup,
-        "sup_at": complex(zs[j]),
+        "sup_at": sup_at,
         "margin": sigma_max - grid_sup,
         "passed": bool(sigma_max >= grid_sup - tol),
         "n": n,
@@ -280,10 +287,11 @@ def wot_dilation_probe(space: KernelSpace, coeffs, t_schedule, block: int = 20) 
 # ---------------------------------------------------------------------------
 # Fredholm and closed-range probes
 
-# longest Blaschke series prefix a closed-range probe will build: its kernel channel applies
-# the degree-p series at each of 49 grid points, O(p (N + p)) each.  On a 2-vCPU VM bergman with
-# zero 0.99 (p = 4095) took 5.0-7.3 s and 152 MB at the default schedule, 6.5 s and 467 MB to
-# N = 2048, and zero 0.999 (p = 32767) ran past 5 min; ``series`` raises before any grid work
+# longest Blaschke series prefix a closed-range probe will build: the series itself takes about
+# 1 ms, so a large p costs one Gram band at the largest N (a GEMM of O(N p q)) and its solves.
+# On a 2-vCPU VM bergman with zero 0.99 (p = 4095) took 0.7-1.1 s and 126 MB at the default
+# schedule and 2.3-3.2 s and 372 MB to N = 2048; to N = 2048 in process, p = 8191 took 3.4 s and
+# p = 16383 5.1 s, each 384 MB, so the cap could be 2^14.  ``series`` raises before any grid work
 SERIES_CAP = 2 ** 12
 
 
@@ -416,10 +424,11 @@ def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
     return band
 
 
-def _gram_lambda_min(space: KernelSpace, coeffs, n_cols: int) -> tuple:
+def _gram_lambda_min(space: KernelSpace, coeffs, band) -> tuple:
     """(lambda_min, [lo, hi]) of the Gram G of phi * (polynomials of degree
-    < n_cols), lo <= lambda_min(G) <= hi proven for G computed exactly from
-    the stored c and h (B below is its multiplier, as in ``_gram_band``).
+    < N) whose lower band ``band`` (N columns) ``_gram_band`` formed, lo <=
+    lambda_min(G) <= hi proven for G computed exactly from the stored c and
+    h (B below is its multiplier, as in ``_gram_band``).
 
     ``tridiag.band_lambda_min`` brackets the computed band G'; both ends
     widen by a bound on ||G' - G||_2 (Weyl).  Rounding (Higham, *Accuracy
@@ -447,7 +456,7 @@ def _gram_lambda_min(space: KernelSpace, coeffs, n_cols: int) -> tuple:
     G is positive semidefinite, so lo >= 0.
     """
     p = len(coeffs) - 1
-    band = _gram_band(space, coeffs, n_cols)
+    n_cols = band.shape[1]
     lam, lo, hi = band_lambda_min(band)
     h = space.h_table(n_cols + p - 1)
     h_min = float(np.min(h[:n_cols]))
@@ -466,13 +475,16 @@ def _bracketed_trend(space: KernelSpace, coeffs, ns, thresholds: TrendThresholds
     phi * (polynomials of degree < N), for each N of the schedule ``ns``,
     each from ``_gram_lambda_min``.
 
-    The classification reads the proven ends of the brackets, not
-    lambda_min: ``vanishing`` when ``classify_trend`` says so of the hi
-    values, else ``bounded_below`` when it says so of the lo values, else
-    ``inconclusive``; so a lambda_min inside its own rounding decides
-    nothing.
+    B keeps all N + p rows, so G_N is the leading block of every wider
+    Gram: one band is formed, at the largest N, and each N reads a view of
+    its leading block.  The classification reads the proven ends of the
+    brackets, not lambda_min: ``vanishing`` when ``classify_trend`` says so
+    of the hi values, else ``bounded_below`` when it says so of the lo
+    values, else ``inconclusive``; so a lambda_min inside its own rounding
+    decides nothing.
     """
-    solved = {m: _gram_lambda_min(space, coeffs, m) for m in ns}
+    band = _gram_band(space, coeffs, ns[-1])
+    solved = {m: _gram_lambda_min(space, coeffs, band[: min(len(coeffs), m), :m]) for m in ns}
     lam = {m: v for m, (v, _) in solved.items()}
     brackets = {m: bracket for m, (_, bracket) in solved.items()}
     los, his = zip(*brackets.values())
@@ -495,10 +507,16 @@ def closed_range_probe(
 ) -> dict:
     """Two-channel evidence on whether M_phi is bounded below.
 
-    (a) the infimum over a disk grid of ||phi k_z||^2 / ||k_z||^2 (the
-    kernel-vector lower bound), and (b) lambda_min of the true Gram of
-    phi * (polynomials of degree < N) over a doubling schedule, classified
-    as vanishing / bounded_below / inconclusive.
+    (a) ||phi k_z||^2 / ||k_z||^2 over a disk grid, whose infimum bounds
+    lambda_min of M_phi^* M_phi from above, and (b) lambda_min of the true
+    Gram of phi * (polynomials of degree < N) over a doubling schedule,
+    classified as vanishing / bounded_below / inconclusive.  Both read phi
+    from its coefficients c and the norm table h.  A value of (a) is
+    sum_m h_m |(c_w * f)_m|^2, one ``np.convolve`` of c_w = (c_m w^m) with
+    the Taylor coefficients f_k = p_k / sqrt(h_k) of the point's kernel
+    line p at ``tol`` and phase w (``KernelVector``): a Rayleigh quotient
+    of the Gram at a vector of degree below its truncation n_z, so at
+    least lambda_min for every N >= n_z.
 
     A Blaschke product enters as its Taylor series cut at the shortest
     power-of-two length whose l^1 tail is at most ``tol``
@@ -527,12 +545,14 @@ def closed_range_probe(
         grid = [
             r * np.exp(2j * np.pi * k / 12) for r in radii for k in range(12 if r else 1)
         ]
-    node = exprs.MPoly(tuple(coeffs))
+    vectors = [kernel_vector(space, z, tol) for z in grid]
+    # one norm table for both channels, to the longest truncation plus p
+    p = len(coeffs) - 1
+    h = space.h_table(max([ns[-1]] + [kv.n for kv in vectors]) + p - 1)
     kernel_vals = {}
-    for z in grid:
-        kv = kernel_vector(space, z, tol, pad=exprs.raise_degree(node))
-        # ||M_phi k_z|| = ||U^* M_phi U p|| for the real line p
-        kernel_vals[complex(z)] = float(np.linalg.norm(exprs.apply(exprs.rotate(node, kv.w), kv.a, kv.v)) ** 2)
+    for kv in vectors:
+        g = np.convolve(coeffs * kv.w ** np.arange(p + 1), kv.coeffs / np.sqrt(h[: kv.n]))
+        kernel_vals[kv.z] = float(np.sum(h[: kv.n + p] * (g.real * g.real + g.imag * g.imag)))
 
     lam, brackets, classification = _bracketed_trend(space, coeffs, ns, thresholds)
     return {

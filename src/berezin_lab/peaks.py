@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import circle_grid, circle_sup_precondition, poly_eval
+from .operators import circle_grid, circle_sup_precondition, grid_max, poly_eval
 
 _ANNULUS_NEIGHBORHOOD = 0.1
 _BALL_CAP_RADIUS = 0.35
@@ -216,11 +216,8 @@ def product_peak_check(
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"{name} coefficients must be finite")
     circle = circle_grid(grid_n)
-    vphi = np.abs(poly_eval(phi_coeffs, circle))
-    vpsi = np.abs(poly_eval(psi_coeffs, circle))
-    a1 = complex(circle[int(np.argmax(vphi))])
-    a2 = complex(circle[int(np.argmax(vpsi))])
-    sup = claimed = float(vphi.max() * vpsi.max())
+    (m1, a1), (m2, a2) = (grid_max(circle, poly_eval(c, circle)) for c in (phi_coeffs, psi_coeffs))
+    sup = claimed = m1 * m2
     return {
         "sup": sup,
         "claimed": claimed,

@@ -79,13 +79,14 @@ def _shifted_cholesky(band: np.ndarray, sigma: float):
     matrices of ``band_lambda_min`` (entries below 1, shifts above
     -2(2q + 1), so r_ii below sqrt(4q + 3)).
     """
-    shifted = band.copy()
+    # in LAPACK's order, so that the factor overwrites it once err is read
+    shifted = band.copy(order="F")
     shifted[0] = band[0].real - sigma
+    err = _cholesky_error(band.shape[0] - 1, band.shape[1], float(np.max(shifted[0].real)))
     try:
         factor = lapack.zpbtrf(shifted)
     except np.linalg.LinAlgError:
         return None
-    err = _cholesky_error(band.shape[0] - 1, band.shape[1], float(np.max(shifted[0].real)))
     return float(np.nextafter(sigma - err, -math.inf)), factor
 
 
@@ -119,22 +120,22 @@ def band_lambda_min(band) -> tuple:
     n = band.shape[1]
     if n == 0:
         raise ValueError("empty matrix")
-    band = band[:n]  # rows past N - 1 hold no entry
-    q = band.shape[0] - 1
+    q = min(band.shape[0], n) - 1  # rows past N - 1 hold no entry
+    # A's entries alone, in a copy that zeroes the slots past the matrix:
+    # a leading block of a wider band can be passed as a view
+    band = np.where(np.arange(n) < n - np.arange(q + 1)[:, None], band[: q + 1], 0)
     if not np.all(np.isfinite(band)):
         raise ValueError("band entries must be finite")
     # work on A / 2^e with its largest entry in [1/2, 1): the scaling is
     # exact, and neither the iterates nor the bounds under- or overflow
     e = math.frexp(max(float(np.max(np.abs(band.real))), float(np.max(np.abs(band.imag)))))[1]
-    band = np.ldexp(band.real, -e) + 1j * np.ldexp(band.imag, -e)
-    mag = np.abs(band)
-    mag[0] = np.abs(band[0].real)
-    rows = np.zeros(n)
-    for d in range(q + 1):
-        mag[d, n - d :] = 0.0
-        rows += mag[d]                  # row i, right of the diagonal
-        if d:
-            rows[d:] += mag[d, : n - d]  # row i, left of the diagonal
+    for part in (band.real, band.imag):
+        np.ldexp(part, -e, out=part)
+    rows = np.abs(band[0].real)
+    for d in range(1, q + 1):
+        mag = np.abs(band[d])
+        rows += mag                     # row i, right of the diagonal
+        rows[d:] += mag[: n - d]        # row i, left of the diagonal
     radius = float(rows.max())          # >= ||A||_2
     if radius == 0.0:
         return 0.0, 0.0, 0.0            # A = 0

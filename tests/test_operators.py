@@ -7,7 +7,9 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
+from berezin_lab import exprs
 from berezin_lab.exprs import MPoly, MPolyAdj, apply, materialize, rotate
 from berezin_lab.operators import (
     BlaschkeProduct,
@@ -710,7 +712,7 @@ def test_closed_range_boundary_zero_vanishes():
 
 
 # Narrow and wide Gram bands, and series longer than N = 128, where the
-# band is full.
+# band is full; N = 128 reads the leading block of the band formed at 1024.
 # z - z0 with |z0| < 1 is the fredholm probe's symbol too (z0 given).
 @pytest.mark.parametrize(
     "space, phi, z0",
@@ -743,7 +745,16 @@ def test_closed_range_gram_solves_match_dense_oracle(space, phi, z0):
         coeffs = np.asarray(phi, dtype=complex)
     for n, lam in rep["lambda_min"].items():
         b = tall_mult_matrix(space, coeffs, n)
-        want = np.linalg.eigvalsh(b.conj().T @ b)[0]
+        gram = b.conj().T @ b
+        # LAPACK's banded eigensolver (zhbevx) on the dense Gram's lower
+        # band, which shares no code with tridiag.band_lambda_min; a band
+        # wider than half of N costs it more than the dense eigvalsh does
+        q = min(len(coeffs), n) - 1
+        if 2 * q < n:
+            want = scipy.linalg.eig_banded(band_from_dense(gram, q), lower=True, eigvals_only=True,
+                                           select="i", select_range=(0, 0))[0]
+        else:
+            want = np.linalg.eigvalsh(gram)[0]
         assert abs(lam - want) <= 1e-13, (n, lam, want)
         lo, hi = rep["lambda_min_bracket"][n]
         assert 0 <= lo <= want <= hi, (n, lo, want, hi)
@@ -818,7 +829,7 @@ def test_gram_bracket_holds_in_50_digits():
     coeffs = BlaschkeProduct((0.5 * np.exp(1j), -0.3)).coefficients(6)[0]
     cases = ((bergman, 7, 1.0), (hardy, 5, 1.0), (rs3, 12, 1.0), (bergman, 7, 1e-155))
     for space, n, scale in cases:
-        lam, (lo, hi) = _gram_lambda_min(space, scale * coeffs, n)
+        lam, (lo, hi) = _gram_lambda_min(space, scale * coeffs, _gram_band(space, scale * coeffs, n))
         with mp.workdps(50):
             exact = min(mp.eighe(_gram_in_50_digits(space, scale * coeffs, n), eigvals_only=True))
             assert mp.mpf(lo) <= exact <= mp.mpf(hi)
@@ -833,7 +844,8 @@ def test_gram_lambda_min_reads_at_least_the_proven_lo(monkeypatch):
     import berezin_lab.operators as ops
 
     monkeypatch.setattr(ops, "band_lambda_min", lambda band: (-6e-15, -1e-13, 1e-12))
-    lam, (lo, hi) = _gram_lambda_min(hardy, np.array([1.0, -1.0]), 8)
+    coeffs = np.array([1.0, -1.0])
+    lam, (lo, hi) = _gram_lambda_min(hardy, coeffs, _gram_band(hardy, coeffs, 8))
     assert lo == 0.0 and lam == 0.0 and hi > 1e-12
 
 
@@ -844,16 +856,96 @@ def test_blaschke_series_is_shortest_meeting_tol():
 
 
 def test_closed_range_forms_one_table_per_grid_ring_and_gram(monkeypatch):
-    # the 49 kernel vectors of the 5 grid rings and the Gram bands of the
-    # 4 truncations read one norm table, which the space extends at most
-    # once for each (the grid goes outwards, the schedule upwards); with a
-    # table per kernel vector and per Gram read the probe formed 58
+    # the 49 kernel vectors of the 5 grid rings and the one Gram band read
+    # one norm table, which the space extends at most once for each (the
+    # grid goes outwards); with a table per kernel vector and per Gram read
+    # the probe formed 58
     built = count_table_builds(monkeypatch)
     space = monomial_norms("bergman", 4)
     rep = closed_range_probe(space, BlaschkeProduct((0.5,)))
     assert len(rep["kernel_values"]) == 49 and len(rep["lambda_min"]) == 4
-    assert 1 <= len(built) <= 5 + 4 and built == sorted(built), built
+    assert 1 <= len(built) <= 5 + 1 and built == sorted(built), built
     assert table_reach(space) == built[-1] + 1 == 1024 + 63
+
+
+@pytest.mark.parametrize("space, phi", [(bergman, BlaschkeProduct((0.5,))), (hardy, [0.3, -0.5j, 0.2])],
+                         ids=["bergman-blaschke-0.5", "hardy-polynomial"])
+def test_closed_range_reads_phi_once_from_c_and_h(monkeypatch, space, phi):
+    # one Gram band, at the largest N, whose leading blocks serve every
+    # truncation, and no expression tree: the kernel channel convolves c
+    # with each kernel vector's Taylor coefficients
+    import berezin_lab.operators as ops
+
+    bands = []
+    gram_band = ops._gram_band
+    monkeypatch.setattr(ops, "_gram_band", lambda sp, c, n: bands.append(n) or gram_band(sp, c, n))
+
+    def never(*args):
+        raise AssertionError("the probe evaluates no expression tree")
+
+    monkeypatch.setattr(exprs, "apply", never)
+    monkeypatch.setattr(exprs, "rotate", never)
+    rep = closed_range_probe(space, phi)
+    assert bands == [1024] and len(rep["lambda_min"]) == 4
+    assert len(rep["kernel_values"]) == 49
+
+
+def test_fredholm_forms_one_gram_band(monkeypatch):
+    import berezin_lab.operators as ops
+
+    bands = []
+    gram_band = ops._gram_band
+    monkeypatch.setattr(ops, "_gram_band", lambda sp, c, n: bands.append(n) or gram_band(sp, c, n))
+    rep = fredholm_probe(bergman, 0.4)
+    assert bands == [512] and sorted(rep["lambda_min"]) == [128, 256, 512]
+
+
+@pytest.mark.parametrize(
+    "space, phi",
+    [
+        (hardy, BlaschkeProduct((0.5,))),
+        (bergman, BlaschkeProduct((0.5,))),
+        (bergman, BlaschkeProduct((0.5, -0.5))),
+        (rs3, BlaschkeProduct((0.5, -0.3 + 0.4j, 0.2j))),
+        (bergman, BlaschkeProduct((0.9,))),
+        (hardy, [-1.0, 1.0]),
+        (bergman, [-0.4, 1.0]),
+        (monomial_norms("mu", 4), [0.3, -0.5j, 0.2]),
+    ],
+    ids=["hardy-0.5", "bergman-0.5", "bergman-0.5,-0.5", "rs3-three-zeros", "bergman-0.9", "hardy-z-1",
+         "bergman-z-0.4", "mu-quadratic"],
+)
+def test_closed_range_kernel_values_bound_the_gram_from_above(space, phi):
+    # each kernel value is a Rayleigh quotient of the Gram at a unit vector
+    # of degree below its point's truncation n_z, so it is at least
+    # lambda_min of every Gram with N >= n_z: the two channels, computed
+    # independently, check each other
+    tol = 1e-12
+    rep = closed_range_probe(space, phi, tol=tol)
+    pairs = 0
+    for z, value in rep["kernel_values"].items():
+        n_z = kernel_vector(space, z, tol).n
+        for n, (lo, _) in rep["lambda_min_bracket"].items():
+            if n >= n_z:
+                assert value >= lo * (1 - 1e-13), (z, n, value, lo)
+                pairs += 1
+    assert pairs >= len(rep["kernel_values"])
+
+
+@pytest.mark.parametrize("space", [hardy, bergman, rs3, monomial_norms("mu", 4)], ids=lambda sp: sp.label)
+def test_closed_range_kernel_values_match_the_multiplier(space):
+    # ||M_phi k_z||^2 / ||k_z||^2 for the truncated kernel vector U p,
+    # U = diag(conj(w)^k), from the tall multiplier that keeps every row:
+    # no convolution, no rotated coefficients
+    tol = 1e-12
+    coeffs = np.array([0.3 - 0.1j, -0.5j, 0.2, 0.1 + 0.4j])
+    grid = [0j, 0.4, 0.6 * np.exp(2.1j), 0.9 * np.exp(-0.7j), -0.95j]
+    rep = closed_range_probe(space, coeffs, grid=grid, n_schedule=(2,), tol=tol)
+    for z in grid:
+        kv = kernel_vector(space, z, tol)
+        u = np.conj(kv.w) ** np.arange(kv.n) * kv.coeffs
+        want = float(np.linalg.norm(tall_mult_matrix(space, coeffs, kv.n) @ u) ** 2)
+        assert rep["kernel_values"][complex(z)] == pytest.approx(want, rel=1e-13), z
 
 
 def test_closed_range_series_cap_raises_fast():

@@ -6,7 +6,7 @@ import pytest
 
 from berezin_lab.operators import BlaschkeProduct
 from berezin_lab.spaces import custom_space, monomial_norms
-from berezin_lab.tridiag import _shifted_cholesky, band_lambda_min, lambda_min_batch
+from berezin_lab.tridiag import _cholesky_error, _shifted_cholesky, band_lambda_min, lambda_min_batch
 from oracles import band_from_dense, dense_from_band, dense_mult, dense_tridiagonal, tall_mult_matrix
 
 rng = np.random.default_rng(4410)
@@ -109,6 +109,22 @@ def test_band_lambda_min_random_positive_definite(q, n):
     assert lo > 0
 
 
+@pytest.mark.parametrize("fill", [1e3, np.inf, np.nan])
+def test_band_lambda_min_reads_only_the_matrix(fill):
+    # slots with i + d >= N hold no entry of A: whatever they hold, the
+    # solve has the bits of the zeroed band, so the leading block of a
+    # wider band can be passed as a view
+    band = random_pd_band(3, 12, np.random.default_rng(312))
+    want = np.array(band_lambda_min(band))
+    filled = band.copy()
+    for d in range(1, 4):
+        filled[d, 12 - d :] = fill
+    assert np.array(band_lambda_min(filled)).tobytes() == want.tobytes()
+    wide = np.full((6, 20), fill, dtype=complex)
+    wide[:4, :12] = filled
+    assert np.array(band_lambda_min(wide[:4, :12])).tobytes() == want.tobytes()
+
+
 def test_band_lambda_min_repeated_and_clustered_eigenvalues():
     r = np.random.default_rng(77)
     block = random_pd_band(1, 64, r)
@@ -203,6 +219,19 @@ def test_cholesky_bound_covers_exact_backward_error():
         sigma = float(np.linalg.eigvalsh(dense_from_band(band))[0]) * (1 - 1e-3)
         lo, factor = _shifted_cholesky(band, sigma)
         assert mp_backward_error(band, sigma, factor) <= sigma - lo
+
+
+def test_cholesky_bound_reads_the_shifted_diagonal_not_the_factor():
+    # the factor overwrites the shifted copy in place, so the bound is
+    # formed from the diagonal of A - sigma I before it; A itself is kept
+    band = random_pd_band(3, 12, np.random.default_rng(9))
+    kept = band.copy()
+    sigma = -0.5
+    lo, factor = _shifted_cholesky(band, sigma)
+    top = float(np.max(band[0].real - sigma))
+    assert lo == float(np.nextafter(sigma - _cholesky_error(3, 12, top), -np.inf))
+    assert top != float(np.max(factor[0].real))
+    assert band.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("space", [
