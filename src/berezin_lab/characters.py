@@ -24,8 +24,13 @@ drive the verdicts:
 A third channel tracks sigma_min = sqrt(lambda_min(X_N)) over a doubling
 truncation schedule and classifies the trend; it is heuristic (a finite
 section cannot prove unboundedness below) and is kept in the evidence
-for auditing.  Contradicting channels produce "inconclusive" with both
-attached.
+for auditing.  Contradicting channels produce "inconclusive".
+
+The evidence, and so the verdict, is a function of |lambda| alone: it is
+formed and decided once per modulus, and every lambda of that modulus
+shares its channels.  ``scan_to_dict`` writes a scan the same way: the
+schedules once, one record per modulus holding its verdict, the channel
+that decided it and all three channels, and per lambda only its verdict.
 
 The matrix entries here follow the dense expansion of X: the
 off-diagonal is x_{i,i+1} = -2 lambda a_i (its sign and conjugation are
@@ -104,9 +109,8 @@ class TrendEvidence:
 class CharacterVerdict:
     lam: complex
     verdict: str
-    evidence: object
-    channels: dict
-    schedules: dict
+    evidence: object  # the deciding channel (the trend when inconclusive)
+    channels: dict    # run, gap and sigma_trend of lam's modulus, shared by its lambdas
 
 
 def lambda_modulus(lam: complex) -> float:
@@ -196,28 +200,16 @@ def _usable_schedule(cfg: CharacterConfig, w: WeightSequence) -> list:
     return usable
 
 
-def _assemble_verdict(lam, runs, gap, trend, cfg) -> CharacterVerdict:
+def _assemble_verdict(runs, gap, trend) -> tuple:
+    """(verdict, deciding channel) of one modulus's evidence; an
+    inconclusive verdict reports the trend."""
     member_ev = runs.satisfied or trend.classification == VANISHING
     non_ev = (gap is not None and gap.verified) or trend.classification == BOUNDED_BELOW
-    channels = {"run": runs, "gap": gap, "sigma_trend": trend}
-    schedules = {
-        "m_max": cfg.m_max,
-        "n_schedule": list(trend.ns),
-        "scan_len": cfg.scan_len,
-    }
     if member_ev and not non_ev:
-        primary = runs if runs.satisfied else trend
-        verdict = MEMBER
-    elif non_ev and not member_ev:
-        primary = gap if (gap is not None and gap.verified) else trend
-        verdict = NON_MEMBER
-    else:
-        primary = trend
-        verdict = INCONCLUSIVE
-    return CharacterVerdict(
-        lam=complex(lam), verdict=verdict, evidence=primary,
-        channels=channels, schedules=schedules,
-    )
+        return MEMBER, runs if runs.satisfied else trend
+    if non_ev and not member_ev:
+        return NON_MEMBER, gap if (gap is not None and gap.verified) else trend
+    return INCONCLUSIVE, trend
 
 
 def character_set_scan(
@@ -281,61 +273,63 @@ def _lambda_mins(w: WeightSequence, tasks: list) -> list:
 def _verdicts(w: WeightSequence, lams: list, cfg: CharacterConfig) -> list:
     """The one evidence path: X_N is built and solved once per distinct
     |lambda| and truncation (``_lambda_mins``, on one thread per CPU, so
-    memory is O(threads * N)), and each lambda is stamped onto the run,
-    gap and trend evidence of its modulus."""
+    memory is O(threads * N)), each modulus is decided once, and each
+    lambda shares the verdict and channels of its modulus."""
     if not lams:
         return []
     usable_n = _usable_schedule(cfg, w)
     eps_schedule, d_schedule = cfg.run_levels()
     k_max = min(cfg.scan_len, w.n) - 2 ** cfg.m_max - 2
-    moduli = list(dict.fromkeys(lambda_modulus(lam) for lam in lams))
+    keys = [lambda_modulus(lam) for lam in lams]
+    moduli = list(dict.fromkeys(keys))
     lmins = iter(_lambda_mins(w, [(r, n) for r in moduli for n in usable_n]))
-    evidence = {}
+    decided = {}
     for r in moduli:
-        sigma = [math.sqrt(max(next(lmins), 0.0)) for _ in usable_n]
+        lam_min = [next(lmins) for _ in usable_n]
+        sigma = [math.sqrt(max(x, 0.0)) for x in lam_min]
         runs = run_criterion(w, r, eps_schedule, d_schedule, k_max=k_max)
-        # a positive delta certifies X >= delta^2/2, checked against
-        # lambda_min of the deepest truncation
+        # a positive delta certifies X >= delta^2/2, checked against the
+        # solver's lambda_min of the deepest truncation
         d = runs.delta
-        gap = None if d <= 0.0 else GapEvidence("gap", d, d * d / 2.0, sigma[-1] ** 2, usable_n[-1])
+        gap = None if d <= 0.0 else GapEvidence("gap", d, d * d / 2.0, lam_min[-1], usable_n[-1])
         trend = TrendEvidence(
             kind="sigma_trend",
             ns=tuple(usable_n),
             sigma_min=tuple(sigma),
             classification=classify_trend(sigma, cfg.trend),
         )
-        evidence[r] = (runs, gap, trend)
-    return [_assemble_verdict(lam, *evidence[lambda_modulus(lam)], cfg) for lam in lams]
+        decided[r] = (*_assemble_verdict(runs, gap, trend), {"run": runs, "gap": gap, "sigma_trend": trend})
+    return [CharacterVerdict(complex(lam), *decided[r]) for lam, r in zip(lams, keys)]
 
 
-def verdict_to_dict(v: CharacterVerdict) -> dict:
-    """One verdict as plain data for ``formats.to_json``."""
-    ev = v.evidence
-    if isinstance(ev, RunEvidence):
-        evidence = {
-            "type": "run_found",
-            "deepest_level": ev.deepest,
-            "levels": ev.levels,
-        }
-    elif isinstance(ev, GapEvidence):
-        evidence = {
-            "type": "gap_certificate",
-            "delta": ev.delta,
-            "bound": ev.bound,
-            "lambda_min": ev.lambda_min,
-            "n": ev.n,
-        }
-    else:
-        evidence = {
-            "type": "sigma_trend",
-            "ns": ev.ns,
-            "sigma_min": ev.sigma_min,
-            "classification": ev.classification,
-        }
+def scan_to_dict(verdicts: list, config: CharacterConfig) -> dict:
+    """A scan as plain data for ``formats.to_json``, the ``charspace``
+    document: ``schedules`` once; ``moduli``, one record per distinct
+    |lambda| in first-appearance order, with its verdict, the channel that
+    decided it (``decided_by``, None when inconclusive) and all three
+    channels (``gap`` None when delta = 0); and ``verdicts``, per lambda
+    only its verdict."""
+    records = {}
+    for v in verdicts:
+        r = lambda_modulus(v.lam)
+        if r not in records:
+            runs, gap, trend = v.channels["run"], v.channels["gap"], v.channels["sigma_trend"]
+            records[r] = {
+                "modulus": r,
+                "verdict": v.verdict,
+                "decided_by": None if v.verdict == INCONCLUSIVE else v.evidence.kind,
+                "run": {"deepest_level": runs.deepest, "levels": runs.levels},
+                "gap": None if gap is None else {
+                    "delta": gap.delta, "bound": gap.bound, "lambda_min": gap.lambda_min, "n": gap.n,
+                },
+                "sigma_trend": {"ns": trend.ns, "sigma_min": trend.sigma_min, "classification": trend.classification},
+            }
     return {
-        "lambda": v.lam,
-        "verdict": v.verdict,
-        "evidence": evidence,
-        "schedules": v.schedules,
+        "schedules": {
+            "m_max": config.m_max,
+            "n_schedule": list(verdicts[0].channels["sigma_trend"].ns) if verdicts else [],
+            "scan_len": config.scan_len,
+        },
+        "moduli": list(records.values()),
+        "verdicts": [{"lambda": v.lam, "verdict": v.verdict} for v in verdicts],
     }
-

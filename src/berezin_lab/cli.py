@@ -51,7 +51,7 @@ import numpy as np
 
 from . import berezin as bz
 from . import exprs, lapack
-from .characters import CharacterConfig, character_set_scan, verdict_to_dict
+from .characters import CharacterConfig, character_set_scan, scan_to_dict
 from .formats import to_json, write_text
 from .operators import (
     BlaschkeProduct,
@@ -69,7 +69,7 @@ from .spaces import N_CAP, ball_space, space_by_name
 from .svg import profile_csv_to_svg
 from .trends import TrendThresholds
 
-SPEC_VERSION = "1"
+SPEC_VERSION = "2"
 
 # re-exported parser entry point (grammar lives with the expressions)
 parse_operator_expr = exprs.parse
@@ -252,8 +252,8 @@ BOUNDS = (
     _Range(("charspace",), "--m-max", 0, _LOG2_N_CAP, "a level-m run needs 2^m + 2 of the at most 2^20 weights"),
     _Range(("charspace",), "--n-max-log2", _LOG2_N_MIN, _LOG2_N_CAP, "truncations above the weights are dropped; "
            "the schedule starts at 2^8, and an empty one would fall back to one truncation at --weight-count"),
-    _Rule(("charspace",), _lambda_points, "X has 2 |lambda|^2 on its diagonal; each point keeps about 5 KB of "
-          "evidence: simple:r=0.5 --weight-count 4096 mod=0:0:1,args=16384 took 1.2 s and 121 MB"),
+    _Rule(("charspace",), _lambda_points, "X has 2 |lambda|^2 on its diagonal; each point keeps its verdict and "
+          "JSON row, about 1.7 KB: simple:r=0.5 --weight-count 4096 mod=0:0:1,args=16384 took 0.5-0.6 s and 63 MB"),
     _Rule(("charspace",), _scan_work, "simple:r=0.5 mod=0:0.922:0.001,args=1 (923 moduli) took 8.7 s, 41 MB on one "
           "CPU and 5.6 s, 46 MB on two; --weight-count 2^20 --n-max-log2 20 --m-max 20 mod=0:0.6:0.1 8.0 s, 89 MB "
           "on one and 3.9 s, 151 MB on two (one solver thread per CPU)"),
@@ -329,7 +329,7 @@ def cmd_charspace(args):
     ccfg = CharacterConfig(m_max=args.m_max, scan_len=w.n, n_schedule=_n_schedule(args), trend=args.trend)
     verdicts = character_set_scan(w, _moduli(lo, step, count), n_angles=angles, config=ccfg)
     inconclusive = sum(1 for v in verdicts if v.verdict == "inconclusive")
-    return {"verdicts": [verdict_to_dict(v) for v in verdicts]}, inconclusive <= args.allow_inconclusive
+    return scan_to_dict(verdicts, ccfg), inconclusive <= args.allow_inconclusive
 
 
 def cmd_peaks(args):

@@ -416,6 +416,8 @@ def _gram_band(space: KernelSpace, coeffs, n_cols: int) -> np.ndarray:
         # a block has 512 terms, which would change the bytes of p >= N
         # probes such as bergman --blaschke 0.99 --n-schedule 128 256 512
         t = lapack.dgemm(products.view(float).T, hankel.T, t)
+        # freed before the next block (or the band) is formed
+        del hankel, products
     t = t.T.view(complex)
     root = np.sqrt(h[:n_cols])
     band = np.zeros((q + 1, n_cols), dtype=complex)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.linalg
 
 from berezin_lab import exprs, spaces
 from berezin_lab.shifts import _dyadic_prefix, _sandwich
@@ -34,6 +35,21 @@ def dense_from_band(band) -> np.ndarray:
         i = np.arange(n - d)
         m[i + d, i] = band[d, : n - d]
     return m + m.conj().T + np.diag(band[0].real)
+
+
+def hardy_gram(coeffs, n: int) -> np.ndarray:
+    """T_N(|phi|^2), the N x N Toeplitz matrix of |phi|^2 on the circle.
+
+    On H^2, T_phi^* T_phi = T_{|phi|^2} for analytic phi, so this is the
+    Gram of phi * (polynomials of degree < N) with every row kept.  Entry
+    (m, i) is the Fourier coefficient r_{m-i} of |phi|^2, read off the
+    autocorrelation r_d = sum_s conj(c_s) c_{s+d} (r_{-d} = conj(r_d)).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    r = np.zeros(n, dtype=complex)
+    auto = np.correlate(c, c, mode="full")[len(c) - 1 :]
+    r[: min(n, len(auto))] = auto[:n]
+    return scipy.linalg.toeplitz(r, r.conj())
 
 
 def band_from_dense(m, q: int) -> np.ndarray:

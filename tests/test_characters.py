@@ -1,5 +1,7 @@
 """Character-space membership: runs, gap certificates, trends, scans."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from berezin_lab.characters import (
     character_membership,
     character_set_scan,
     run_criterion,
+    scan_to_dict,
     tridiagonal_parts,
-    verdict_to_dict,
 )
 from berezin_lab.formats import to_json
 from berezin_lab.shifts import (
@@ -302,7 +304,7 @@ def test_membership_channels_agree_randomly():
             conflicts += 1
             assert v.verdict == INCONCLUSIVE
             if runs.satisfied and gap is not None and gap.verified:
-                assert gap.delta < 2.0 ** -v.schedules["m_max"]
+                assert gap.delta < 2.0 ** -cfg.m_max
     assert conflicts <= 5
 
 
@@ -373,18 +375,70 @@ def test_slowly_oscillating_weights_fill_a_band():
     assert gap is not None and 0 < gap.delta < 2.0 ** -cfg.m_max
 
 
-def test_scan_verdicts_serialize(tmp_path):
+def test_scan_verdicts_serialize():
+    # the schedules once, one record per modulus with every channel, and
+    # per lambda only its verdict, which is its modulus's verdict
     import json
 
     w = constant_weights(1.0, 2048)
     cfg = CharacterConfig(n_schedule=(256, 512, 1024), scan_len=2048)
     verdicts = character_set_scan(w, [0.5, 1.0], n_angles=2, config=cfg)
-    doc = json.loads(to_json({"verdicts": [verdict_to_dict(v) for v in verdicts]}))
+    doc = json.loads(to_json(scan_to_dict(verdicts, cfg)))
+    assert set(doc) == {"schedules", "moduli", "verdicts"}
+    assert doc["schedules"] == {"m_max": 6, "n_schedule": [256, 512, 1024], "scan_len": 2048}
+    assert [r["modulus"] for r in doc["moduli"]] == [0.5, 1.0]
+    for r in doc["moduli"]:
+        assert set(r) == {"modulus", "verdict", "decided_by", "run", "gap", "sigma_trend"}
+        assert set(r["run"]) == {"deepest_level", "levels"}
+        assert set(r["sigma_trend"]) == {"ns", "sigma_min", "classification"}
+    half, one = doc["moduli"]
+    assert (half["verdict"], half["decided_by"]) == ("non_member", "gap")
+    assert set(half["gap"]) == {"delta", "bound", "lambda_min", "n"}
+    assert (one["verdict"], one["decided_by"], one["gap"]) == ("member", "run", None)
+    by_modulus = {r["modulus"]: r["verdict"] for r in doc["moduli"]}
     assert len(doc["verdicts"]) == 4
     for v in doc["verdicts"]:
-        assert set(v) == {"lambda", "verdict", "evidence", "schedules"}
-    one = verdict_to_dict(verdicts[0])
-    assert one["evidence"]["type"] in ("run_found", "gap_certificate", "sigma_trend")
+        assert set(v) == {"lambda", "verdict"}
+        assert v["verdict"] == by_modulus[round(abs(complex(v["lambda"]["re"], v["lambda"]["im"])), 12)]
+
+
+def test_scan_lambdas_share_their_modulus_channels():
+    w = cluster_weights([1.0, 0.5], 2 ** 12)
+    cfg = CharacterConfig(n_schedule=(256, 1024), scan_len=2 ** 12)
+    scan = character_set_scan(w, [0.5, 0.75], n_angles=3, config=cfg)
+    assert len({id(v.channels) for v in scan}) == 2
+    assert all(v.channels is scan[0].channels for v in scan[:3])
+
+
+def test_an_inconclusive_record_keeps_every_channel():
+    # the in-band modulus off the samples: the run channel claims
+    # membership and a gap below the run resolution claims the opposite;
+    # the record names no deciding channel and keeps both diagnostics
+    n = 2 ** 15
+    a = 0.75 + 0.25 * np.sin(0.35 * np.sqrt(np.arange(n)))
+    from berezin_lab.shifts import explicit_weights
+
+    cfg = CharacterConfig(n_schedule=(256, 1024, 4096), scan_len=n)
+    verdicts = character_set_scan(explicit_weights(a), [0.6], n_angles=2, config=cfg)
+    (record,) = scan_to_dict(verdicts, cfg)["moduli"]
+    assert (record["verdict"], record["decided_by"]) == (INCONCLUSIVE, None)
+    assert record["run"]["deepest_level"] == cfg.m_max
+    assert record["gap"]["lambda_min"] >= record["gap"]["bound"] - 1e-10
+    assert record["sigma_trend"]["ns"] == (256, 1024, 4096)
+
+
+def test_gap_certificate_reports_the_solvers_lambda_min():
+    # the gap channel reads lambda_min(X_N) as the solver returned it, not
+    # the square of the trend's sigma_min
+    w = simple_weights(0.5, 2 ** 12)
+    cfg = CharacterConfig(n_schedule=(256, 1024, 2 ** 12), scan_len=2 ** 12)
+    checked = 0
+    for mod in (0.05, 0.3, 0.7, 0.9, 1.1):
+        gap = character_membership(w, mod, cfg).channels["gap"]
+        want = float(characters.lambda_min_batch(*tridiagonal_parts(w, mod, 2 ** 12))[0])
+        assert gap.n == 2 ** 12 and gap.lambda_min == want
+        checked += gap.lambda_min != math.sqrt(max(want, 0.0)) ** 2
+    assert checked >= 1
 
 
 def test_trend_thresholds_configurable():

@@ -82,7 +82,7 @@ def test_gbt_svg_without_out_exits_2_before_any_output(tmp_path, capsys):
 def test_gbt_json_to_stdout(capsys):
     assert run(["gbt", "--space", "hardy", "--op", "Mz", "--rmax", "0.9", "--samples", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["spec_version"] == "1"
+    assert doc["spec_version"] == "2"
     assert len(doc["samples"]) == 8
 
 
@@ -167,13 +167,22 @@ def test_charspace_verdicts(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
+    assert set(doc) == {"command", "spec_version", "schedules", "moduli", "verdicts"}
+    assert doc["schedules"] == {"m_max": 6, "n_schedule": [256, 512, 1024, 2048], "scan_len": 16384}
+    # one record per modulus, with all three channels and the deciding one
+    records = {r["modulus"]: r for r in doc["moduli"]}
+    assert list(records) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for r in doc["moduli"]:
+        assert {"run", "gap", "sigma_trend"} <= set(r)
+        assert r["decided_by"] == {"member": "run", "non_member": "gap"}[r["verdict"]]
+    assert records[1.0]["verdict"] == "member" and records[1.0]["gap"] is None
+    assert records[0.5]["verdict"] == "non_member"
+    # per lambda, exactly its point and its modulus's verdict
     assert len(doc["verdicts"]) == 10
-    by_mod = {}
     for v in doc["verdicts"]:
-        mod = round(abs(complex(v["lambda"]["re"], v["lambda"]["im"])), 6)
-        by_mod.setdefault(mod, set()).add(v["verdict"])
-    assert by_mod[1.0] == {"member"}
-    assert by_mod[0.5] == {"non_member"}
+        assert set(v) == {"lambda", "verdict"}
+        mod = round(abs(complex(v["lambda"]["re"], v["lambda"]["im"])), 12)
+        assert v["verdict"] == records[mod]["verdict"]
 
 
 def test_charspace_rejects_a_negative_allow_inconclusive(tmp_path, capsys):
